@@ -12,6 +12,12 @@ Three layers:
                   it drifts without bound under monotone EDA, which is the
                   flaw the PID law fixes.
 
+Over a recorded session the PID state does not depend on the gains: every
+error, clamped integral and error difference comes from the recording.
+`pid_terms` computes them once per session, and `apply_gains` turns them
+into the adapted accelerations for one gain set with whole-array
+arithmetic, in the same float operations as `adapt_step`.
+
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
 
@@ -214,6 +220,92 @@ def adapt_step(
     return _clip(a_l, limits.max_longitudinal), _clip(a_r, limits.max_rotational)
 
 
+@dataclass(frozen=True)
+class PidTerms:
+    """Per-sample PID state of one recorded session, independent of the gains.
+
+    Rows of ``error``, ``integral`` and ``delta`` are the longitudinal,
+    rotational and phasic channels.
+    """
+
+    accel: np.ndarray  # [2, n]
+    error: np.ndarray  # [3, n], 0 - a_l, 0 - a_r, 0 - f_prev
+    integral: np.ndarray  # [3, n], clamped rectangle-rule sums of error * dt
+    delta: np.ndarray  # [3, n], error - previous error
+    dt: float
+    integral_clamp: float
+
+
+def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
+    """The anti-windup integral of `_pid`: s[i] = clamp(s[i-1] + steps[i]) from s = 0.0."""
+    sums = []
+    integral = 0.0
+    for step in steps.tolist():
+        integral = integral + step
+        if integral > clamp:
+            integral = clamp
+        elif integral < -clamp:
+            integral = -clamp
+        sums.append(integral)
+    return np.array(sums)
+
+
+def pid_terms(
+    a_l: np.ndarray,
+    a_r: np.ndarray,
+    f: np.ndarray,
+    rate_hz: float,
+    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
+) -> PidTerms:
+    """PID state of a whole session fed back from the recorded phasic ``f``.
+
+    Step i reads f[i-1] (0.0 at the first step, idle start), as in
+    `adapt_step` with ``f_prev`` taken from the recording.
+    """
+    accel = np.array([a_l, a_r], dtype=np.float64)
+    f_prev = np.concatenate(([0.0], f))[:-1]
+    dt = 1.0 / rate_hz
+    error = 0.0 - np.vstack([accel, f_prev])
+    integral = np.stack([_clamped_running_sum(e * dt, integral_clamp) for e in error])
+    delta = error - np.concatenate([np.zeros((3, 1)), error[:, :-1]], axis=1)
+    return PidTerms(accel, error, integral, delta, dt, integral_clamp)
+
+
+def pid_outputs(terms: PidTerms, gains: PidGains, channels: int = 3) -> np.ndarray:
+    """PID outputs psi [channels, n] of the first ``channels`` channels under ``gains``."""
+    k = gains.as_array()[: 3 * channels].reshape(channels, 3)
+    error, integral, delta = (t[:channels] for t in (terms.error, terms.integral, terms.delta))
+    return k[:, :1] * error + k[:, 1:2] * integral + k[:, 2:] * delta / terms.dt
+
+
+def accel_coefficients(gains: PidGains, limits: AccelLimits) -> tuple[np.ndarray, np.ndarray]:
+    """Column vectors (beta, bound) of the longitudinal and rotational channels."""
+    return (
+        np.array([[gains.beta_l], [gains.beta_r]]),
+        np.array([[limits.max_longitudinal], [limits.max_rotational]]),
+    )
+
+
+def adapted_accel(
+    base: np.ndarray, psi_f: np.ndarray, beta: np.ndarray, bound: np.ndarray
+) -> np.ndarray:
+    """base + beta * psi_f per channel, clamped to +-bound.
+
+    ``base`` is [2, n]: each acceleration plus its own channel's PID output;
+    ``beta`` and ``bound`` come from `accel_coefficients`.
+    """
+    return np.clip(base + beta * psi_f, -bound, bound)
+
+
+def apply_gains(
+    terms: PidTerms, gains: PidGains, limits: AccelLimits = AccelLimits()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adapted (a_l', a_r') of the session ``terms`` describes, under ``gains``."""
+    psi = pid_outputs(terms, gains)
+    out = adapted_accel(terms.accel + psi[:2], psi[2], *accel_coefficients(gains, limits))
+    return out[0], out[1]
+
+
 def adapt_trace(
     a_l: np.ndarray,
     a_r: np.ndarray,
@@ -226,31 +318,10 @@ def adapt_trace(
     """Run the adaptation law over whole sessions.
 
     ``f`` holds the normalized phasic feedback aligned with the samples;
-    step i reads f[i-1] (0.0 at the first step, idle start). Plain-float
-    inner loop, arithmetic identical to repeated `adapt_step` calls.
+    step i reads f[i-1] (0.0 at the first step, idle start). The result is
+    identical, bit for bit, to repeated `adapt_step` calls.
     """
-    n = len(a_l)
-    dt = 1.0 / rate_hz
-    out_l = np.empty(n)
-    out_r = np.empty(n)
-    il = pl = ir = pr = if_ = pf = 0.0
-    clamp = integral_clamp
-    max_l = limits.max_longitudinal
-    max_r = limits.max_rotational
-    al_list = a_l.tolist()
-    ar_list = a_r.tolist()
-    f_list = f.tolist()
-    for i in range(n):
-        f_prev = f_list[i - 1] if i > 0 else 0.0
-        e_l = 0.0 - al_list[i]
-        e_r = 0.0 - ar_list[i]
-        e_f = 0.0 - f_prev
-        psi_l, il, pl = _pid(il, pl, e_l, gains.K_Pl, gains.K_Il, gains.K_Dl, dt, clamp)
-        psi_r, ir, pr = _pid(ir, pr, e_r, gains.K_Pr, gains.K_Ir, gains.K_Dr, dt, clamp)
-        psi_f, if_, pf = _pid(if_, pf, e_f, gains.K_Pf, gains.K_If, gains.K_Df, dt, clamp)
-        out_l[i] = _clip(al_list[i] + psi_l + gains.beta_l * psi_f, max_l)
-        out_r[i] = _clip(ar_list[i] + psi_r + gains.beta_r * psi_f, max_r)
-    return out_l, out_r
+    return apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
 
 
 def plouzeau_step(a_prev: float, d_eda: float) -> float:

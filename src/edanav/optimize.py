@@ -29,9 +29,13 @@ from .control import (
     GAIN_KEYS,
     AccelLimits,
     PidGains,
-    _clip,
+    PidTerms,
     _pid,
-    adapt_trace,
+    accel_coefficients,
+    adapted_accel,
+    apply_gains,
+    pid_outputs,
+    pid_terms,
 )
 from .dataset import SessionRecord
 from .metrics import SessionStats, msdv
@@ -46,14 +50,15 @@ MODES = ("offline", "closed_loop")
 class SessionContext:
     """Gain-independent precomputation for one session.
 
-    ``f_feedback`` is the recorded phasic in the model's normalized scale,
-    clipped to [0, 1]; it drives the controller in offline mode. The raw
-    counts and dose values do not change across trials, so a search over
-    gains computes them once.
+    ``terms`` is the controller's PID state over the session, fed back from
+    the recorded phasic in the model's normalized scale, clipped to [0, 1];
+    offline mode uses all of it, closed-loop mode its acceleration rows. The
+    PID state, raw counts and dose values do not change across trials, so a
+    search over gains computes them once.
     """
 
     record: SessionRecord
-    f_feedback: np.ndarray
+    terms: PidTerms
     n_raw: tuple[int, ...]
     n_recorded: tuple[int, ...]
     msdv_raw_l: float
@@ -91,6 +96,7 @@ def build_context(
     model: SurrogateModel,
     detectors=None,
     decomposition: DecompositionConfig = DecompositionConfig(),
+    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
 ) -> SessionContext:
     if detectors is None:
         detectors = default_detectors()
@@ -98,9 +104,11 @@ def build_context(
     phasic_scaled = model.norm.phasic.apply(dec.phasic.samples)
     recorded = Trace(phasic_scaled, record.eda.rate_hz, Unit.NORMALIZED)
     raw_pred = predict_session(model, record.a_l, record.a_r)
+    f_feedback = np.clip(phasic_scaled, 0.0, 1.0)
     return SessionContext(
         record=record,
-        f_feedback=np.clip(phasic_scaled, 0.0, 1.0),
+        terms=pid_terms(record.a_l.samples, record.a_r.samples, f_feedback,
+                        record.a_l.rate_hz, integral_clamp),
         n_raw=_count_all(raw_pred, detectors),
         n_recorded=_count_all(recorded, detectors),
         msdv_raw_l=msdv(record.a_l),
@@ -108,17 +116,16 @@ def build_context(
     )
 
 
-def build_contexts(records, model, detectors=None,
-                   decomposition=DecompositionConfig()) -> list[SessionContext]:
-    return [build_context(r, model, detectors, decomposition) for r in records]
+def build_contexts(records, model, detectors=None, decomposition=DecompositionConfig(),
+                   integral_clamp=DEFAULT_INTEGRAL_CLAMP) -> list[SessionContext]:
+    return [build_context(r, model, detectors, decomposition, integral_clamp) for r in records]
 
 
 def _closed_loop_adapt(
-    record: SessionRecord,
+    ctx: SessionContext,
     model: SurrogateModel,
     gains: PidGains,
     limits: AccelLimits,
-    integral_clamp: float,
 ) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Clip-granular loop: adapt clip k under the feedback predicted so far.
 
@@ -127,60 +134,50 @@ def _closed_loop_adapt(
     [adapted clip k-1 | adapted clip k | hold of the newest sample], the
     future third being unknowable mid-run. Samples past the last full clip
     are adapted under the final hold but stay unpredicted, matching the
-    offline prediction span.
+    offline prediction span. The acceleration channels see only the
+    recording, so their PID outputs come from the session context; only the
+    phasic channel runs sample by sample.
     """
-    a_l = record.a_l.samples
-    a_r = record.a_r.samples
-    rate = record.a_l.rate_hz
-    dt = 1.0 / rate
+    terms = ctx.terms
+    rate = ctx.record.a_l.rate_hz
     L = model.L
-    n = a_l.size
+    n = terms.accel.shape[1]
     n_clips = (n - L) // L + 1
     covered = n_clips * L
-    out_l = np.empty(n)
-    out_r = np.empty(n)
+    base = terms.accel + pid_outputs(terms, gains, channels=2)
+    beta, bound = accel_coefficients(gains, limits)
+    out = np.empty((2, n))
     preds = np.empty(covered)
-    al_list = a_l.tolist()
-    ar_list = a_r.tolist()
-    il = pl = ir = pr = if_ = pf = 0.0
-    f_hold = 0.0
-    max_l = limits.max_longitudinal
-    max_r = limits.max_rotational
+    psi_f = np.empty(n)
+    integral = prev_error = f_hold = 0.0
 
-    def step(i: int) -> None:
-        nonlocal il, pl, ir, pr, if_, pf
-        e_l = 0.0 - al_list[i]
-        e_r = 0.0 - ar_list[i]
-        e_f = 0.0 - f_hold
-        psi_l, il, pl = _pid(il, pl, e_l, gains.K_Pl, gains.K_Il, gains.K_Dl, dt, integral_clamp)
-        psi_r, ir, pr = _pid(ir, pr, e_r, gains.K_Pr, gains.K_Ir, gains.K_Dr, dt, integral_clamp)
-        psi_f, if_, pf = _pid(if_, pf, e_f, gains.K_Pf, gains.K_If, gains.K_Df, dt, integral_clamp)
-        out_l[i] = _clip(al_list[i] + psi_l + gains.beta_l * psi_f, max_l)
-        out_r[i] = _clip(ar_list[i] + psi_r + gains.beta_r * psi_f, max_r)
+    def adapt(first: int, last: int) -> None:
+        nonlocal integral, prev_error
+        for i in range(first, last):
+            psi_f[i], integral, prev_error = _pid(
+                integral, prev_error, 0.0 - f_hold, gains.K_Pf, gains.K_If, gains.K_Df,
+                terms.dt, terms.integral_clamp,
+            )
+        out[:, first:last] = adapted_accel(base[:, first:last], psi_f[first:last], beta, bound)
 
     for k in range(n_clips):
-        for i in range(k * L, (k + 1) * L):
-            step(i)
+        adapt(k * L, (k + 1) * L)
         if k == 0:
-            prev_l = np.zeros(L)
-            prev_r = np.zeros(L)
+            prev = np.zeros((2, L))
         else:
-            prev_l = out_l[(k - 1) * L : k * L]
-            prev_r = out_r[(k - 1) * L : k * L]
-        cur_l = out_l[k * L : (k + 1) * L]
-        cur_r = out_r[k * L : (k + 1) * L]
+            prev = out[:, (k - 1) * L : k * L]
+        cur = out[:, k * L : (k + 1) * L]
         window = np.stack(
             [
-                model.norm.a_l.apply(np.concatenate([prev_l, cur_l, np.full(L, cur_l[-1])])),
-                model.norm.a_r.apply(np.concatenate([prev_r, cur_r, np.full(L, cur_r[-1])])),
+                model.norm.a_l.apply(np.concatenate([prev[0], cur[0], np.full(L, cur[0, -1])])),
+                model.norm.a_r.apply(np.concatenate([prev[1], cur[1], np.full(L, cur[1, -1])])),
             ]
         )
         clip_pred = predict_clip(model, window)
         preds[k * L : (k + 1) * L] = clip_pred
         f_hold = float(clip_pred[-1])
-    for i in range(covered, n):
-        step(i)
-    return out_l, out_r, Trace(preds, rate, Unit.NORMALIZED)
+    adapt(covered, n)
+    return out[0], out[1], Trace(preds, rate, Unit.NORMALIZED)
 
 
 def _simulate(
@@ -190,20 +187,16 @@ def _simulate(
     detectors,
     mode: str,
     limits: AccelLimits,
-    integral_clamp: float,
 ) -> SimulationResult:
     record = ctx.record
     rate = record.a_l.rate_hz
     if mode == "offline":
-        out_l, out_r = adapt_trace(
-            record.a_l.samples, record.a_r.samples, ctx.f_feedback,
-            rate, gains, limits, integral_clamp,
-        )
+        out_l, out_r = apply_gains(ctx.terms, gains, limits)
         adapted_l = Trace(out_l, rate, record.a_l.unit)
         adapted_r = Trace(out_r, rate, record.a_r.unit)
         pred = predict_session(model, adapted_l, adapted_r)
     elif mode == "closed_loop":
-        out_l, out_r, pred = _closed_loop_adapt(record, model, gains, limits, integral_clamp)
+        out_l, out_r, pred = _closed_loop_adapt(ctx, model, gains, limits)
         adapted_l = Trace(out_l, rate, record.a_l.unit)
         adapted_r = Trace(out_r, rate, record.a_r.unit)
     else:
@@ -234,8 +227,8 @@ def simulate_session(
     """Replay one session under ``gains`` and score it with the surrogate."""
     if detectors is None:
         detectors = default_detectors()
-    ctx = build_context(record, model, detectors, decomposition)
-    return _simulate(ctx, gains, model, detectors, mode, limits, integral_clamp)
+    ctx = build_context(record, model, detectors, decomposition, integral_clamp)
+    return _simulate(ctx, gains, model, detectors, mode, limits)
 
 
 def evaluate_sessions(
@@ -251,19 +244,19 @@ def evaluate_sessions(
     if detectors is None:
         detectors = default_detectors()
     return [
-        _simulate(build_context(r, model, detectors, decomposition),
-                  gains, model, detectors, mode, limits, integral_clamp)
+        _simulate(build_context(r, model, detectors, decomposition, integral_clamp),
+                  gains, model, detectors, mode, limits)
         for r in records
     ]
 
 
 def _objective_from_contexts(
-    contexts, gains, model, detectors, mode, limits, integral_clamp
+    contexts, gains, model, detectors, mode, limits
 ) -> tuple[float, tuple[float, ...]]:
     n = len(contexts)
     positives = [0] * len(detectors)
     for ctx in contexts:
-        result = _simulate(ctx, gains, model, detectors, mode, limits, integral_clamp)
+        result = _simulate(ctx, gains, model, detectors, mode, limits)
         for d in range(len(detectors)):
             if result.n_raw[d] - result.n_adapted[d] > 0:
                 positives[d] += 1
@@ -287,10 +280,8 @@ def objective_ppn(
         raise ValueError("objective needs at least one session")
     if detectors is None:
         detectors = default_detectors()
-    contexts = build_contexts(records, model, detectors, decomposition)
-    total, _ = _objective_from_contexts(
-        contexts, gains, model, detectors, mode, limits, integral_clamp
-    )
+    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    total, _ = _objective_from_contexts(contexts, gains, model, detectors, mode, limits)
     return total
 
 
@@ -385,7 +376,7 @@ def optimize(
         ranges = GainRanges.default()
     if detectors is None:
         detectors = default_detectors()
-    contexts = build_contexts(records, model, detectors, decomposition)
+    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
     sigma = sigma_scale * (ranges.hi - ranges.lo)
@@ -397,9 +388,7 @@ def optimize(
 
     def evaluate(index: int, x: np.ndarray) -> Trial:
         gains = PidGains.from_array(x)
-        obj, pcts = _objective_from_contexts(
-            contexts, gains, model, detectors, mode, limits, integral_clamp
-        )
+        obj, pcts = _objective_from_contexts(contexts, gains, model, detectors, mode, limits)
         return Trial(index, gains, obj, pcts)
 
     # phase one: proposals drawn up front (same stream as drawing in-loop),

@@ -8,7 +8,8 @@ Three detector styles over a phasic trace:
     gamboa2008  same onset/peak rule with an absolute amplitude threshold;
                 events closer than ``min_separation_s`` are merged.
     neurokit    local maxima selected by topographic prominence, onset at
-                the preceding local minimum.
+                the preceding local minimum. Prominence comes from one
+                range-maximum/minimum query over all peaks at once.
 
 All methods discard events whose rise time falls outside
 [rise_time_min_s, rise_time_max_s] (defaults 0.25 s and 5 s; SCRs are
@@ -80,17 +81,12 @@ def default_detectors() -> tuple[DetectorParams, DetectorParams, DetectorParams]
     )
 
 
-def _rising_runs(x: np.ndarray) -> list[tuple[int, int]]:
-    """(onset, peak) index pairs of maximal strictly-rising segments."""
-    d = np.diff(x)
-    pos = d > 0
-    if not pos.any():
-        return []
+def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Onset and peak indices of the maximal strictly-rising segments."""
+    pos = np.diff(x) > 0
     starts = pos & ~np.concatenate(([False], pos[:-1]))
     ends = pos & ~np.concatenate((pos[1:], [False]))
-    onsets = np.flatnonzero(starts)
-    peaks = np.flatnonzero(ends) + 1
-    return list(zip(onsets.tolist(), peaks.tolist()))
+    return np.flatnonzero(starts), np.flatnonzero(ends) + 1
 
 
 def _rise_ok(onset: int, peak: int, rate_hz: float, params: DetectorParams) -> bool:
@@ -110,16 +106,18 @@ def _make_event(x: np.ndarray, onset: int, peak: int, rate_hz: float) -> ScrEven
 def _detect_kim2004(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
     threshold = params.min_amplitude * float(np.ptp(x))
     events = []
-    for onset, peak in _rising_runs(x):
+    onsets, peaks = _rising_runs(x)
+    for onset, peak in zip(onsets.tolist(), peaks.tolist()):
         if x[peak] - x[onset] >= threshold and _rise_ok(onset, peak, rate_hz, params):
             events.append(_make_event(x, onset, peak, rate_hz))
     return events
 
 
 def _detect_gamboa2008(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
+    onsets, peaks = _rising_runs(x)
     kept = [
         (onset, peak)
-        for onset, peak in _rising_runs(x)
+        for onset, peak in zip(onsets.tolist(), peaks.tolist())
         if x[peak] - x[onset] >= params.min_amplitude
     ]
     # merge bursts whose onset follows the previous peak too closely
@@ -138,38 +136,63 @@ def _detect_gamboa2008(x: np.ndarray, rate_hz: float, params: DetectorParams) ->
     ]
 
 
-def _prominence(x: np.ndarray, i: int) -> float:
-    """Topographic prominence of a strict local maximum at index i."""
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominence of each strict local maximum in ``peaks``.
+
+    A peak's bases are the lowest samples between it and the nearest
+    strictly higher sample on each side, or the trace end; equal heights do
+    not stop the search. Sparse tables hold the maximum and minimum of every
+    x[i : i + 2**k]. Binary lifting over the maxima finds both stops in
+    O(log n) whole-array steps, and two overlapping blocks of the minima give
+    each base, so the cost is O(n log n) on any trace. Minima are exact, and
+    the prominence is one subtraction.
+    """
     n = x.size
-    left_min = x[i]
-    j = i - 1
-    while j >= 0 and x[j] <= x[i]:
-        if x[j] < left_min:
-            left_min = x[j]
-        j -= 1
-    right_min = x[i]
-    j = i + 1
-    while j < n and x[j] <= x[i]:
-        if x[j] < right_min:
-            right_min = x[j]
-        j += 1
-    return float(x[i] - max(left_min, right_min))
+    levels = n.bit_length()
+    hi = np.empty((levels, n))
+    lo = np.empty((levels, n))
+    hi[0] = lo[0] = x
+    for k in range(1, levels):
+        half, m = 1 << (k - 1), n - (1 << k) + 1
+        hi[k, :m] = np.maximum(hi[k - 1, :m], hi[k - 1, half : half + m])
+        lo[k, :m] = np.minimum(lo[k - 1, :m], lo[k - 1, half : half + m])
+    height = x[peaks]
+    left = peaks.copy()  # x[left : peak] holds nothing higher than the peak
+    right = peaks + 1  # nor does x[peak + 1 : right]
+    for k in range(levels - 1, -1, -1):
+        span, m = 1 << k, n - (1 << k) + 1
+        start = left - span
+        left = np.where((start >= 0) & (hi[k, np.maximum(start, 0)] <= height), start, left)
+        grow = (right < m) & (hi[k, np.minimum(right, m - 1)] <= height)
+        right = np.where(grow, right + span, right)
+
+    def range_min(first, last):
+        k = np.frexp(last - first + 1)[1] - 1
+        return np.minimum(lo[k, first], lo[k, last - np.left_shift(1, k) + 1])
+
+    return height - np.maximum(range_min(left, peaks), range_min(peaks, right - 1))
 
 
 def _detect_neurokit(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
     threshold = params.prominence_frac * float(np.ptp(x))
-    interior = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
-    events = []
-    for peak in interior.tolist():
-        if _prominence(x, peak) < threshold:
-            continue
-        onset = peak
-        while onset > 0 and x[onset - 1] < x[onset]:
-            onset -= 1
-        amp = x[peak] - x[onset]
-        if amp >= params.min_amplitude and amp > 0 and _rise_ok(onset, peak, rate_hz, params):
-            events.append(_make_event(x, onset, peak, rate_hz))
-    return events
+    # the strict local maxima are the rising-run peaks followed by a drop;
+    # each one's onset is the start of its run
+    onsets, peaks = _rising_runs(x)
+    drop = x[peaks] > x[np.minimum(peaks + 1, x.size - 1)]
+    onsets, peaks = onsets[drop], peaks[drop]
+    if peaks.size == 0:
+        return []
+    amp = x[peaks] - x[onsets]
+    rise = (peaks - onsets) / rate_hz
+    keep = (
+        (_prominences(x, peaks) >= threshold)
+        & (amp >= params.min_amplitude) & (amp > 0)
+        & (params.rise_time_min_s <= rise) & (rise <= params.rise_time_max_s)
+    )
+    return [
+        _make_event(x, onset, peak, rate_hz)
+        for onset, peak in zip(onsets[keep].tolist(), peaks[keep].tolist())
+    ]
 
 
 _DETECTORS = {

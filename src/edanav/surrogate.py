@@ -6,7 +6,7 @@ Clip construction follows the moving-window scheme: the phasic target on
 window crosses a session edge. The regressor is a ridge-regularized linear
 map fit in closed form; predictions are clamped to [0, 1] and reconstructed
 back into a sequence by concatenation (stride = L) or overlap-averaging
-(stride < L).
+(stride < L), one `np.bincount` over all clips.
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
 acceleration into EDA through a Bateman difference-of-exponentials kernel,
@@ -226,9 +226,13 @@ def reconstruct(predictions, stride_samples: int, rate_hz: float) -> Trace:
 
     stride = L concatenates; stride < L averages overlapping samples
     (stride 0 stacks all clips onto one span). Output length is
-    stride * (n_clips - 1) + L.
+    stride * (n_clips - 1) + L. Each sample sums its clips in clip order,
+    starting from 0.0: `np.bincount` adds its weights in input order, and
+    the predictions are flattened clip by clip.
     """
-    preds = np.asarray(list(predictions), dtype=np.float64)
+    if not isinstance(predictions, np.ndarray):
+        predictions = list(predictions)
+    preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("need a non-empty sequence of equal-length clips")
     n_clips, L = preds.shape
@@ -236,11 +240,9 @@ def reconstruct(predictions, stride_samples: int, rate_hz: float) -> Trace:
     if stride < 0:
         raise ValueError("stride_samples must be >= 0")
     length = stride * (n_clips - 1) + L
-    acc = np.zeros(length)
-    cnt = np.zeros(length)
-    for k in range(n_clips):
-        acc[k * stride : k * stride + L] += preds[k]
-        cnt[k * stride : k * stride + L] += 1.0
+    index = (np.arange(n_clips) * stride)[:, None] + np.arange(L)[None, :]
+    acc = np.bincount(index.ravel(), weights=preds.ravel(), minlength=length)
+    cnt = np.bincount(index.ravel(), minlength=length)
     return Trace(acc / cnt, rate_hz, Unit.NORMALIZED)
 
 
@@ -341,8 +343,11 @@ def read_model(path) -> SurrogateModel:
             raise FileFormatError(path, "bad weight row", lineno) from None
     if not rows:
         raise FileFormatError(path, "model file has no weight rows")
+    weights = np.asarray(rows)
+    if not np.all(np.isfinite(weights)):
+        raise FileFormatError(path, "model weights must be finite")
     return SurrogateModel(
-        weights=np.asarray(rows), clip_len_s=clip_len_s, rate_hz=rate_hz,
+        weights=weights, clip_len_s=clip_len_s, rate_hz=rate_hz,
         norm=norm, train_mae=train_mae,
     )
 

@@ -131,3 +131,56 @@ def brute_force_events(
     else:
         raise ValueError(method)
     return events
+
+
+def adapt_trace_naive(a_l, a_r, f, rate_hz, gains, max_l, max_r, clamp):
+    """The adaptation law one sample at a time over plain floats.
+
+    ``gains`` is the eleven coefficients in canonical order (K_P, K_I, K_D
+    for the longitudinal, rotational and phasic channels, then beta_l,
+    beta_r). Step i reads f[i-1], 0.0 at the first step. Returns two lists.
+    """
+    dt = 1.0 / rate_hz
+    k = [float(g) for g in gains]
+    integral = [0.0, 0.0, 0.0]
+    prev = [0.0, 0.0, 0.0]
+    out_l = []
+    out_r = []
+    for i in range(len(a_l)):
+        f_prev = float(f[i - 1]) if i > 0 else 0.0
+        errors = [0.0 - float(a_l[i]), 0.0 - float(a_r[i]), 0.0 - f_prev]
+        psi = []
+        for c in range(3):
+            e = errors[c]
+            integral[c] = integral[c] + e * dt
+            if integral[c] > clamp:
+                integral[c] = clamp
+            elif integral[c] < -clamp:
+                integral[c] = -clamp
+            psi.append(k[3 * c] * e + k[3 * c + 1] * integral[c] + k[3 * c + 2] * (e - prev[c]) / dt)
+            prev[c] = e
+        for value, beta, bound, out in (
+            (float(a_l[i]) + psi[0], k[9], max_l, out_l),
+            (float(a_r[i]) + psi[1], k[10], max_r, out_r),
+        ):
+            value = value + beta * psi[2]
+            if value > bound:
+                value = bound
+            elif value < -bound:
+                value = -bound
+            out.append(value)
+    return out_l, out_r
+
+
+def reconstruct_naive(predictions, stride):
+    """Overlap-average of equal-length clips placed ``stride`` apart, clip by clip."""
+    n_clips = len(predictions)
+    L = len(predictions[0])
+    length = stride * (n_clips - 1) + L
+    acc = [0.0] * length
+    cnt = [0.0] * length
+    for k in range(n_clips):
+        for j in range(L):
+            acc[k * stride + j] += float(predictions[k][j])
+            cnt[k * stride + j] += 1.0
+    return [a / c for a, c in zip(acc, cnt)]

@@ -239,6 +239,20 @@ def test_runtime_errors_exit_two(tmp_path, capsys):
     assert main(["report", "--output-dir", str(empty)]) == 2
 
 
+def test_non_finite_model_exits_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["synth", "--output-dir", str(out), *SMALL]) == 0
+    assert main(["train", "--output-dir", str(out), *SMALL]) == 0
+    model = out / "model.csv"
+    lines = model.read_text().splitlines()
+    lines[-1] = "nan," + lines[-1].partition(",")[2]
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["optimize", "--output-dir", str(out), *SMALL]) == 2
+    assert "weights must be finite" in capsys.readouterr().err
+    assert not (out / "gains.txt").exists()
+
+
 def test_failed_stage_leaves_no_partial_outputs(tmp_path):
     out = tmp_path / "run"
     assert main(["synth", "--output-dir", str(out), *SMALL]) == 0

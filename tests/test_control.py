@@ -1,11 +1,15 @@
 """Controller tests: frozen PID values, adaptation properties, gains file I/O.
 
 The four ``run_*`` property checks are shared with the acceptance suite,
-which re-runs them at its mandated case count.
+which re-runs them at its mandated case count. Each runs the law both step
+by step and as one whole-session `adapt_trace` call.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edanav.control import (
     DEFAULT_INTEGRAL_CLAMP,
@@ -18,11 +22,14 @@ from edanav.control import (
     adapt_step,
     adapt_trace,
     pid_step,
+    pid_terms,
     plouzeau_step,
     read_gains,
     write_gains,
 )
 from edanav.errors import FileFormatError
+
+from oracles import adapt_trace_naive
 
 DT = 0.25
 
@@ -100,6 +107,19 @@ def test_plouzeau_step():
 # Property checks (shared with the acceptance suite)
 # ---------------------------------------------------------------------------
 
+def _replay(frames, gains, limits=AccelLimits(), clamp=DEFAULT_INTEGRAL_CLAMP):
+    """The outputs `adapt_trace` gives for a sequence of frames.
+
+    A leading all-zero sample is a fixed point of the law, so it leaves the
+    state at rest and lets sample i + 1 read frame i's f_prev.
+    """
+    a_l = np.array([0.0] + [fr.a_l for fr in frames])
+    a_r = np.array([0.0] + [fr.a_r for fr in frames])
+    f = np.array([fr.f_prev for fr in frames] + [0.0])
+    out_l, out_r = adapt_trace(a_l, a_r, f, 1.0 / DT, gains, limits, clamp)
+    return list(zip(out_l[1:].tolist(), out_r[1:].tolist()))
+
+
 def _random_gains(rng, hi=0.5, beta_hi=0.01):
     return PidGains.from_array(
         np.concatenate([rng.uniform(0.0, hi, 9), rng.uniform(0.0, beta_hi, 2)])
@@ -112,11 +132,12 @@ def run_zero_input_fixpoint(n_cases, seed):
     for _ in range(n_cases):
         gains = _random_gains(rng, hi=float(rng.uniform(0.1, 5.0)))
         state = PidState()
-        frame = ControlFrame(a_l=0.0, a_r=0.0, f_prev=0.0, dt=DT)
-        for _ in range(int(rng.integers(1, 6))):
+        frames = [ControlFrame(a_l=0.0, a_r=0.0, f_prev=0.0, dt=DT)] * int(rng.integers(1, 6))
+        for frame in frames:
             assert adapt_step(state, frame, gains) == (0.0, 0.0)
         assert state.a_l.integral == 0.0 and state.a_l.prev_error == 0.0
         assert state.a_r.integral == 0.0 and state.f.integral == 0.0
+        assert _replay(frames, gains) == [(0.0, 0.0)] * len(frames)
 
 
 def run_geometric_decay(n_cases, seed):
@@ -128,12 +149,17 @@ def run_geometric_decay(n_cases, seed):
         gains = PidGains(K_Pl=k_p)
         state = PidState()
         a = a0
+        frames = []
+        outputs = []
         steps = int(rng.integers(3, 30))
         for k in range(1, steps + 1):
-            a, _ = adapt_step(state, ControlFrame(a, 0.0, 0.0, DT), gains)
+            frames.append(ControlFrame(a, 0.0, 0.0, DT))
+            a, _ = adapt_step(state, frames[-1], gains)
+            outputs.append((a, 0.0))
             expected = a0 * (1.0 - k_p) ** k
             assert abs(a - expected) <= 1e-9 * max(1.0, abs(expected))
         assert abs(a) < a0  # strictly contracted after >= 3 steps
+        assert _replay(frames, gains) == outputs
 
 
 def run_channel_symmetry(n_cases, seed):
@@ -152,12 +178,19 @@ def run_channel_symmetry(n_cases, seed):
         )
         state_a = PidState()
         state_b = PidState()
+        frames_a = []
+        frames_b = []
         for _ in range(int(rng.integers(1, 8))):
             u, v = rng.uniform(-3.0, 3.0, 2)
             f = float(rng.uniform(0.0, 1.0))
-            out_a = adapt_step(state_a, ControlFrame(u, v, f, DT), gains, limits)
-            out_b = adapt_step(state_b, ControlFrame(v, u, f, DT), gains, limits)
+            frames_a.append(ControlFrame(u, v, f, DT))
+            frames_b.append(ControlFrame(v, u, f, DT))
+            out_a = adapt_step(state_a, frames_a[-1], gains, limits)
+            out_b = adapt_step(state_b, frames_b[-1], gains, limits)
             assert out_a == (out_b[1], out_b[0])
+        replay_a = _replay(frames_a, gains, limits)
+        replay_b = _replay(frames_b, gains, limits)
+        assert replay_a == [(r, l) for l, r in replay_b]
 
 
 def run_clamp_respect(n_cases, seed):
@@ -171,18 +204,27 @@ def run_clamp_respect(n_cases, seed):
         )
         clamp = float(rng.uniform(0.5, 20.0))
         state = PidState(integral_clamp=clamp)
+        frames = []
         for _ in range(int(rng.integers(1, 10))):
-            frame = ControlFrame(
+            frames.append(ControlFrame(
                 float(rng.uniform(-10.0, 10.0)),
                 float(rng.uniform(-10.0, 10.0)),
                 float(rng.uniform(-1.0, 1.0)),
                 DT,
-            )
-            a_l, a_r = adapt_step(state, frame, gains, limits)
+            ))
+            a_l, a_r = adapt_step(state, frames[-1], gains, limits)
             assert abs(a_l) <= limits.max_longitudinal
             assert abs(a_r) <= limits.max_rotational
         for channel in (state.a_l, state.a_r, state.f):
             assert abs(channel.integral) <= clamp
+        for a_l, a_r in _replay(frames, gains, limits, clamp):
+            assert abs(a_l) <= limits.max_longitudinal
+            assert abs(a_r) <= limits.max_rotational
+        terms = pid_terms(
+            np.array([fr.a_l for fr in frames]), np.array([fr.a_r for fr in frames]),
+            np.array([fr.f_prev for fr in frames]), 1.0 / DT, clamp,
+        )
+        assert np.all(np.abs(terms.integral) <= clamp)
 
 
 def test_zero_input_fixpoint():
@@ -219,6 +261,37 @@ def test_adapt_trace_matches_stepwise_loop():
         step_l, step_r = adapt_step(state, frame, TUNED_GAINS)
         assert out_l[i] == step_l
         assert out_r[i] == step_r
+
+
+# zeros of both signs, values large enough to bind the clamps, and the rest
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+_GAINS = st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _sessions(draw):
+    a_l, a_r, f = draw(arrays(np.float64, (3, draw(st.integers(1, 40))), elements=_SAMPLES))
+    gains = draw(arrays(np.float64, len(GAIN_KEYS), elements=_GAINS))
+    limits = AccelLimits(draw(st.floats(0.1, 60.0)), draw(st.floats(0.1, 60.0)))
+    clamp = draw(st.sampled_from([0.05, 1.0, DEFAULT_INTEGRAL_CLAMP]) | st.floats(0.01, 100.0))
+    rate = draw(st.sampled_from([1.0, 3.0, 4.0, 8.0]))
+    return a_l, a_r, f, rate, gains, limits, clamp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions())
+def test_adapt_trace_matches_scalar_oracle(session):
+    # bit for bit, signed zeros included, whether or not the clamps bind
+    a_l, a_r, f, rate, gains, limits, clamp = session
+    out_l, out_r = adapt_trace(a_l, a_r, f, rate, PidGains.from_array(gains), limits, clamp)
+    ref_l, ref_r = adapt_trace_naive(
+        a_l, a_r, f, rate, gains, limits.max_longitudinal, limits.max_rotational, clamp
+    )
+    assert out_l.tobytes() == np.array(ref_l, dtype=np.float64).tobytes()
+    assert out_r.tobytes() == np.array(ref_r, dtype=np.float64).tobytes()
 
 
 def test_adapt_trace_zero_gains_is_identity():

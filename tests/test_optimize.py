@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edanav.control import GAIN_KEYS, AccelLimits, PidGains
+from edanav.control import GAIN_KEYS, AccelLimits, ControlFrame, PidGains, PidState, adapt_step
 from edanav.dataset import synth_cohort
 from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, msdv
 from edanav.optimize import (
@@ -18,7 +18,7 @@ from edanav.optimize import (
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
-from edanav.surrogate import predict_session
+from edanav.surrogate import predict_clip, predict_session
 
 TUNED_GAINS = PidGains(
     K_Pl=0.0113, K_Il=0.0065, K_Dl=0.0137,
@@ -69,7 +69,8 @@ def test_raw_counts_come_from_the_surrogate(small):
     ctx = build_context(records[2], model)
     pred = predict_session(model, records[2].a_l, records[2].a_r)
     assert ctx.n_raw == tuple(count_er_scr(pred, d) for d in detectors)
-    assert np.all(ctx.f_feedback >= 0.0) and np.all(ctx.f_feedback <= 1.0)
+    f_prev = -ctx.terms.error[2]
+    assert np.all(f_prev >= 0.0) and np.all(f_prev <= 1.0)
 
 
 def test_adapted_traces_respect_limits(small):
@@ -103,6 +104,38 @@ def test_closed_loop_mode(small):
     )
     with pytest.raises(ValueError, match="mode"):
         simulate_session(records[0], PidGains(), model, mode="online")
+
+
+def test_closed_loop_follows_the_stepwise_law(small):
+    # clip k is adapted under a hold of the last sample predicted for clip
+    # k-1 (0.0 before the first prediction), and predicted from the window
+    # [adapted k-1 | adapted k | hold of its newest sample]
+    records, model = small
+    record = records[1]
+    gains = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
+    result = simulate_session(record, gains, model, mode="closed_loop")
+    L = model.L
+    pred = result.predicted_phasic.samples
+    n = len(record.a_l)
+    state = PidState()
+    dt = 1.0 / record.a_l.rate_hz
+    for i in range(n):
+        f_hold = float(pred[min(i // L, pred.size // L) * L - 1]) if i >= L else 0.0
+        frame = ControlFrame(float(record.a_l.samples[i]), float(record.a_r.samples[i]), f_hold, dt)
+        assert adapt_step(state, frame, gains) == (
+            result.adapted_a_l.samples[i], result.adapted_a_r.samples[i]
+        )
+    adapted = np.stack([result.adapted_a_l.samples, result.adapted_a_r.samples])
+    norms = (model.norm.a_l, model.norm.a_r)
+    for k in range(pred.size // L):
+        prev = adapted[:, (k - 1) * L : k * L] if k else np.zeros((2, L))
+        cur = adapted[:, k * L : (k + 1) * L]
+        window = np.stack([
+            norm.apply(np.concatenate([prev[c], cur[c], np.full(L, cur[c, -1])]))
+            for c, norm in enumerate(norms)
+        ])
+        assert np.array_equal(pred[k * L : (k + 1) * L], predict_clip(model, window))
+    assert not np.array_equal(adapted[0], record.a_l.samples)
 
 
 # ---------------------------------------------------------------------------

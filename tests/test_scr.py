@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edanav.scr import (
     METHODS,
     DetectorParams,
     ScrEvent,
+    _prominences,
     count_er_scr,
     default_detectors,
     detect_scr,
@@ -14,7 +17,7 @@ from edanav.scr import (
 )
 from edanav.signals import Trace, Unit
 
-from oracles import bateman_pulse, brute_force_events
+from oracles import _prominence_naive, bateman_pulse, brute_force_events
 
 RATE = 4.0
 
@@ -100,6 +103,52 @@ def test_agrees_with_oracle_under_varied_thresholds():
         _assert_agrees(
             x, _params("neurokit", prominence_frac=float(rng.uniform(0.02, 0.4)))
         )
+
+
+@st.composite
+def _adversarial_traces(draw):
+    """Plateaus, equal-height peaks, monotone ramps and length-3 traces.
+
+    Few distinct levels make plateaus and equal peaks common; ramps are
+    the longest base searches a scan per peak can meet.
+    """
+    kind = draw(st.sampled_from(["levels", "ramps", "sawtooth", "short", "any"]))
+    if kind == "levels":
+        n = draw(st.integers(3, 120))
+        x = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    elif kind == "ramps":
+        pieces = []
+        for _ in range(draw(st.integers(1, 5))):
+            start, stop = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            pieces.extend(np.linspace(start, stop, draw(st.integers(1, 60))).tolist())
+        x = pieces + draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    elif kind == "sawtooth":
+        height = draw(st.sampled_from([1.0, 0.5]))
+        teeth = draw(st.lists(st.integers(1, 8), min_size=1, max_size=15))
+        x = [0.0] + [height * k / t for t in teeth for k in range(1, t + 1)] + [0.0]
+    elif kind == "short":
+        x = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]), min_size=3, max_size=3))
+    else:
+        n = draw(st.integers(3, 120))
+        x = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    while len(x) < 3:
+        x.append(0.0)
+    return np.array(x, dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_adversarial_traces())
+def test_prominences_match_the_scan(x):
+    peaks = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
+    expected = [_prominence_naive(x.tolist(), int(p)) for p in peaks]
+    assert _prominences(x, peaks).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_adversarial_traces(), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_neurokit_matches_brute_force_on_adversarial_traces(x, prominence_frac):
+    params = _params("neurokit", prominence_frac=prominence_frac, rise_time_max_s=60.0)
+    _assert_agrees(x, params)
 
 
 def test_fixture_counts_zero_one_two():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edanav.errors import DegenerateInputError, FileFormatError
 from edanav.signals import NormParams, Trace, Unit
@@ -24,7 +27,7 @@ from edanav.surrogate import (
     write_model,
 )
 
-from oracles import bateman_pulse
+from oracles import bateman_pulse, reconstruct_naive
 
 RATE = 4.0
 L = 9  # 2.25 s at 4 Hz
@@ -146,6 +149,27 @@ def test_reconstruct_validation():
         reconstruct(np.zeros(5), 1, RATE)
     with pytest.raises(ValueError):
         reconstruct(np.zeros((2, 3)), -1, RATE)
+
+
+@st.composite
+def _clip_stacks(draw):
+    width = draw(st.integers(1, 8))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    preds = draw(arrays(np.float64, (draw(st.integers(1, 12)), width), elements=value))
+    return preds, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clip_stacks())
+def test_reconstruct_matches_clip_loop(stack):
+    # every stride from 0 (all clips on one span) to L (concatenation)
+    preds, stride = stack
+    out = reconstruct(preds, stride, RATE)
+    expected = np.array(reconstruct_naive(preds.tolist(), stride), dtype=np.float64)
+    assert out.samples.tobytes() == expected.tobytes()
 
 
 def test_clip_reconstruct_round_trip():
@@ -328,6 +352,21 @@ def test_model_file_errors(tmp_path):
     with pytest.raises(FileFormatError, match="expected 'vmin,vmax'"):
         swapped = ["norm_a_l=1.0" if l.startswith("norm_a_l=") else l for l in lines]
         read_model(variant("badnorm.csv", swapped))
+
+
+def test_model_file_rejects_non_finite_weights(tmp_path):
+    rng = np.random.default_rng(31)
+    model, _, _ = _small_model(rng)
+    good = tmp_path / "model.csv"
+    write_model(model, good)
+    lines = good.read_text().splitlines()
+    for bad in ("nan", "inf", "-inf"):
+        row = lines[7].split(",")
+        row[3] = bad
+        path = tmp_path / f"{bad}.csv"
+        path.write_text("\n".join(lines[:7] + [",".join(row)] + lines[8:]) + "\n")
+        with pytest.raises(FileFormatError, match="weights must be finite"):
+            read_model(path)
 
 
 def test_model_shape_validation():
