@@ -2,7 +2,7 @@
 
 Simulation and optimization toolkit for a PID-based acceleration
 adaptation law: EDA decomposition and event detection, a windowed-linear
-phasic surrogate, session simulation, and a gain search maximizing the
+phasic surrogate, session replay, and a gain search maximizing the
 share of sessions whose predicted event count drops under adaptation.
 """
 
@@ -11,12 +11,8 @@ from .control import (
     DEFAULT_INTEGRAL_CLAMP,
     GAIN_KEYS,
     AccelLimits,
-    ControlFrame,
     PidGains,
-    PidState,
-    adapt_step,
     adapt_trace,
-    pid_step,
     plouzeau_step,
     read_gains,
     write_gains,
@@ -41,9 +37,7 @@ from .optimize import (
     SimulationResult,
     Trial,
     evaluate_sessions,
-    objective_ppn,
     optimize,
-    simulate_session,
     write_history_csv,
 )
 from .pipeline import eval_split, held_out_mae, train_split, train_surrogate
@@ -72,7 +66,6 @@ from .signals import (
     write_trace_csv,
 )
 from .surrogate import (
-    Clip,
     ClipNorm,
     OracleParams,
     SurrogateModel,

@@ -11,99 +11,83 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .control import (
-    DEFAULT_INTEGRAL_CLAMP,
-    DEFAULT_MAX_LONGITUDINAL,
-    DEFAULT_MAX_ROTATIONAL,
-    GAIN_KEYS,
-    AccelLimits,
-)
+from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
 from .errors import ConfigError
 from .optimize import MODES, GainRanges
-from .scr import METHODS, DetectorParams
+from .scr import METHODS, DetectorParams, default_detectors
 from .signals import DecompositionConfig
 from .surrogate import DEFAULT_CLIP_LEN_S, DEFAULT_RIDGE_LAMBDA, OracleParams
 
 ENV_OUTPUT_DIR = "EDANAV_OUTPUT_DIR"
 
-# section -> key -> (type tag, default as string). The tags drive both
-# parsing and the unknown-key check; "maybe_int" admits an empty value.
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
+
+def _defaults(obj, *skip: str) -> dict[str, object]:
+    """The dataclass ``obj``'s field values by name, less ``skip``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def _floats(defaults: dict[str, object]) -> dict[str, tuple[str, object]]:
+    return {key: ("float", value) for key, value in defaults.items()}
+
+
+def _detector_keys(params: DetectorParams) -> dict[str, tuple[str, object]]:
+    """A detector section's keys: prominence_frac is neurokit's alone."""
+    skip = () if params.method == "neurokit" else ("prominence_frac",)
+    return _floats(_defaults(params, "method", *skip))
+
+
+# section -> key -> (type tag, default). The tags drive both parsing and
+# the unknown-key check; "maybe_int" and "maybe_float" admit an empty value.
+# Sections that configure a dataclass take their keys and defaults from it.
+_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
-        "seed": ("int", "0"),
+        "seed": ("int", 0),
         "output_dir": ("str", "out"),
-        "workers": ("int", "1"),
+        # accepted and validated (>= 1) for existing configs; has no effect
+        "workers": ("int", 1),
     },
     "dataset": {
         "dir": ("str", ""),
-        "n_sessions": ("int", "40"),
-        "duration_s": ("float", "240"),
-        "rate_hz": ("float", "4"),
-        "train_frac": ("float", "0.75"),
+        "n_sessions": ("int", 40),
+        "duration_s": ("float", 240.0),
+        "rate_hz": ("float", 4.0),
+        "train_frac": ("float", 0.75),
     },
-    "oracle": {
-        "baseline_us": ("float", "5.0"),
-        "tau_rise_s": ("float", "0.75"),
-        "tau_decay_s": ("float", "2.0"),
-        "gain": ("float", "0.3"),
-        "latency_s": ("float", "1.0"),
-        "tonic_drift": ("float", "0.001"),
-        "noise_sd": ("float", "0.005"),
-    },
-    "decomposition": {
-        "median_window_s": ("float", "8.0"),
-        "average_window_s": ("float", "8.0"),
-    },
+    "oracle": _floats(_defaults(OracleParams(), "seed")),
+    "decomposition": _floats(_defaults(DecompositionConfig())),
     "surrogate": {
-        "clip_len_s": ("float", str(DEFAULT_CLIP_LEN_S)),
-        "stride_samples": ("maybe_int", ""),
-        "ridge_lambda": ("float", str(DEFAULT_RIDGE_LAMBDA)),
+        "clip_len_s": ("float", DEFAULT_CLIP_LEN_S),
+        "stride_samples": ("maybe_int", None),
+        "ridge_lambda": ("float", DEFAULT_RIDGE_LAMBDA),
     },
     "control": {
-        "integral_clamp": ("float", str(DEFAULT_INTEGRAL_CLAMP)),
-        "max_longitudinal": ("float", str(DEFAULT_MAX_LONGITUDINAL)),
-        "max_rotational": ("float", str(DEFAULT_MAX_ROTATIONAL)),
+        "integral_clamp": ("float", DEFAULT_INTEGRAL_CLAMP),
+        **_floats(_defaults(AccelLimits())),
     },
-    "detector.kim2004": {
-        "min_amplitude": ("float", "0.05"),
-        "min_separation_s": ("float", "0.0"),
-        "rise_time_min_s": ("float", "0.25"),
-        "rise_time_max_s": ("float", "5.0"),
-    },
-    "detector.gamboa2008": {
-        "min_amplitude": ("float", "0.01"),
-        "min_separation_s": ("float", "1.0"),
-        "rise_time_min_s": ("float", "0.25"),
-        "rise_time_max_s": ("float", "5.0"),
-    },
-    "detector.neurokit": {
-        "min_amplitude": ("float", "1e-6"),
-        "min_separation_s": ("float", "0.0"),
-        "prominence_frac": ("float", "0.1"),
-        "rise_time_min_s": ("float", "0.25"),
-        "rise_time_max_s": ("float", "5.0"),
+    **{
+        f"detector.{d.method}": _detector_keys(d) for d in default_detectors()
     },
     "optimizer": {
-        "budget": ("int", "400"),
-        "seed": ("int", "0"),
+        "budget": ("int", 400),
+        "seed": ("int", 0),
         "mode": ("str", "offline"),
-        "explore_frac": ("float", "0.6"),
-        "sigma_scale": ("float", "0.2"),
-        "halve_after": ("int", "10"),
-        "k_lo": ("float", "0.0"),
-        "k_hi": ("float", "0.5"),
-        "beta_lo": ("float", "0.0"),
-        "beta_hi": ("float", "0.01"),
+        "explore_frac": ("float", 0.6),
+        "sigma_scale": ("float", 0.2),
+        "halve_after": ("int", 10),
+        "k_lo": ("float", 0.0),
+        "k_hi": ("float", 0.5),
+        "beta_lo": ("float", 0.0),
+        "beta_hi": ("float", 0.01),
         # optional per-gain bracket overrides (lo_K_Pl = ..., hi_beta_r = ...)
-        **{f"{end}_{key}": ("maybe_float", "") for key in GAIN_KEYS for end in ("lo", "hi")},
+        **{f"{end}_{key}": ("maybe_float", None) for key in GAIN_KEYS for end in ("lo", "hi")},
     },
     "report": {
-        "svg": ("bool", "true"),
+        "svg": ("bool", True),
     },
 }
 
@@ -217,10 +201,6 @@ def _apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
         raw.setdefault(section, {})[key] = value
 
 
-def _detector(method: str, values: dict) -> DetectorParams:
-    return DetectorParams(method=method, **values)
-
-
 def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
     """Assemble and validate a RunConfig.
 
@@ -233,10 +213,11 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
 
     values: dict[str, dict[str, object]] = {}
     for section, keys in _SCHEMA.items():
-        values[section] = {}
-        for key, (_tag, default) in keys.items():
-            text = raw.get(section, {}).get(key, default)
-            values[section][key] = _parse_value(section, key, text)
+        given = raw.get(section, {})
+        values[section] = {
+            key: _parse_value(section, key, given[key]) if key in given else default
+            for key, (_tag, default) in keys.items()
+        }
 
     output_dir = values["run"]["output_dir"]
     if output_dir_flag is not None:
@@ -253,25 +234,13 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         raise ConfigError(f"[optimizer] mode must be one of {MODES}, got {mode!r}")
     o = values["optimizer"]
     try:
-        oracle = OracleParams(
-            baseline_us=values["oracle"]["baseline_us"],
-            tau_rise_s=values["oracle"]["tau_rise_s"],
-            tau_decay_s=values["oracle"]["tau_decay_s"],
-            gain=values["oracle"]["gain"],
-            latency_s=values["oracle"]["latency_s"],
-            tonic_drift=values["oracle"]["tonic_drift"],
-            noise_sd=values["oracle"]["noise_sd"],
-        )
-        decomposition = DecompositionConfig(
-            median_window_s=values["decomposition"]["median_window_s"],
-            average_window_s=values["decomposition"]["average_window_s"],
-        )
-        limits = AccelLimits(
-            max_longitudinal=values["control"]["max_longitudinal"],
-            max_rotational=values["control"]["max_rotational"],
-        )
+        oracle = OracleParams(**values["oracle"])
+        decomposition = DecompositionConfig(**values["decomposition"])
+        control = dict(values["control"])
+        integral_clamp = control.pop("integral_clamp")
+        limits = AccelLimits(**control)
         detectors = tuple(
-            _detector(method, values[f"detector.{method}"]) for method in METHODS
+            DetectorParams(method=method, **values[f"detector.{method}"]) for method in METHODS
         )
         k_lo, k_hi = o["k_lo"], o["k_hi"]
         beta_lo, beta_hi = o["beta_lo"], o["beta_hi"]
@@ -301,7 +270,7 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         stride_samples=values["surrogate"]["stride_samples"],
         ridge_lambda=values["surrogate"]["ridge_lambda"],
         limits=limits,
-        integral_clamp=values["control"]["integral_clamp"],
+        integral_clamp=integral_clamp,
         detectors=detectors,
         budget=o["budget"],
         optimizer_seed=o["seed"],

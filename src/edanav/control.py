@@ -1,22 +1,22 @@
 """Adaptive-navigation control laws.
 
-Three layers:
-
-    pid_step      discrete PID with rectangular integral, anti-windup clamp,
-                  and backward-difference derivative.
-    adapt_step    bi-channel acceleration update. Each channel gets its own
-                  setpoint-tracking PID (setpoint 0), plus a shared
-                  phasic-driven PID whose output enters both channels scaled
-                  by beta_l / beta_r. Outputs are clamped to comfort limits.
-    plouzeau_step prior linear law a' = a - 0.5 * dEDA/dt, kept as baseline;
-                  it drifts without bound under monotone EDA, which is the
-                  flaw the PID law fixes.
+The adaptation law is a bi-channel acceleration update. Each acceleration
+channel gets its own setpoint-tracking PID (setpoint 0), plus a shared
+phasic-driven PID whose output enters both channels scaled by beta_l /
+beta_r; outputs are clamped to comfort limits. Every PID integrates with
+the rectangle rule, clamps the integral to +-integral_clamp before use
+(anti-windup) and differentiates backward over one tick.
 
 Over a recorded session the PID state does not depend on the gains: every
 error, clamped integral and error difference comes from the recording.
-`pid_terms` computes them once per session, and `apply_gains` turns them
-into the adapted accelerations for one gain set with whole-array
-arithmetic, in the same float operations as `adapt_step`.
+`pid_terms` computes them once per session, `apply_gains` turns them into
+the adapted accelerations for one gain set with whole-array arithmetic,
+and `adapt_trace` is the two in sequence. `_pid` is the same update for one
+sample, for feedback that is only known sample by sample (closed loop).
+
+`plouzeau_step` is the prior linear law a' = a - 0.5 * dEDA/dt, kept as a
+baseline; it drifts without bound under monotone EDA, which is the flaw the
+PID law fixes.
 
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
@@ -24,7 +24,7 @@ The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,55 +81,6 @@ class PidGains:
         return cls(**{key: float(v) for key, v in zip(GAIN_KEYS, values)})
 
 
-@dataclass
-class PidChannelState:
-    """Integral accumulator and previous error of one PID channel."""
-
-    integral: float = 0.0
-    prev_error: float = 0.0
-
-
-@dataclass
-class PidState:
-    """Mutable controller state: one PID channel per error signal.
-
-    The phasic channel ``f`` is shared between the two acceleration rows:
-    the adaptation law applies the same phasic PID output to both channels,
-    so it keeps a single accumulator.
-    """
-
-    a_l: PidChannelState = field(default_factory=PidChannelState)
-    a_r: PidChannelState = field(default_factory=PidChannelState)
-    f: PidChannelState = field(default_factory=PidChannelState)
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP
-
-    def __post_init__(self):
-        if not self.integral_clamp > 0:
-            raise ValueError("integral_clamp must be positive")
-
-    def reset(self) -> None:
-        self.a_l = PidChannelState()
-        self.a_r = PidChannelState()
-        self.f = PidChannelState()
-
-
-@dataclass(frozen=True)
-class ControlFrame:
-    """Inputs to one adaptation step: current accelerations, previous phasic."""
-
-    a_l: float  # m/s^2
-    a_r: float  # rad/s^2
-    f_prev: float  # normalized phasic at the previous tick
-    dt: float  # s
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        for name in ("a_l", "a_r", "f_prev", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"frame field {name} must be finite")
-
-
 @dataclass(frozen=True)
 class AccelLimits:
     """Magnitude clamps applied to adapted accelerations."""
@@ -151,73 +102,6 @@ def _pid(integral, prev_error, e, k_p, k_i, k_d, dt, clamp):
         integral = -clamp
     out = k_p * e + k_i * integral + k_d * (e - prev_error) / dt
     return out, integral, e
-
-
-def pid_step(
-    state: PidChannelState,
-    e: float,
-    k_p: float,
-    k_i: float,
-    k_d: float,
-    dt: float,
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
-) -> float:
-    """Advance one PID channel by one tick and return its output.
-
-    The integral uses the rectangle rule and is clamped to
-    [-integral_clamp, +integral_clamp] before use (anti-windup); the
-    derivative is a backward difference over ``dt``. ``state`` is updated
-    in place.
-    """
-    if not math.isfinite(e):
-        raise ValueError("PID error input must be finite")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    out, state.integral, state.prev_error = _pid(
-        state.integral, state.prev_error, e, k_p, k_i, k_d, dt, integral_clamp
-    )
-    return out
-
-
-def _clip(value, bound):
-    if value > bound:
-        return bound
-    if value < -bound:
-        return -bound
-    return value
-
-
-def adapt_step(
-    state: PidState,
-    frame: ControlFrame,
-    gains: PidGains,
-    limits: AccelLimits = AccelLimits(),
-) -> tuple[float, float]:
-    """One tick of the adaptive acceleration law.
-
-    Error terms: E_a = 0 - a per channel (expected accelerations are zero)
-    and E_f = -f_prev. Returns the adapted (a_l', a_r'), each clamped to
-    the configured magnitude limit.
-    """
-    e_l = 0.0 - frame.a_l
-    e_r = 0.0 - frame.a_r
-    e_f = 0.0 - frame.f_prev
-    clamp = state.integral_clamp
-    psi_l, state.a_l.integral, state.a_l.prev_error = _pid(
-        state.a_l.integral, state.a_l.prev_error, e_l,
-        gains.K_Pl, gains.K_Il, gains.K_Dl, frame.dt, clamp,
-    )
-    psi_r, state.a_r.integral, state.a_r.prev_error = _pid(
-        state.a_r.integral, state.a_r.prev_error, e_r,
-        gains.K_Pr, gains.K_Ir, gains.K_Dr, frame.dt, clamp,
-    )
-    psi_f, state.f.integral, state.f.prev_error = _pid(
-        state.f.integral, state.f.prev_error, e_f,
-        gains.K_Pf, gains.K_If, gains.K_Df, frame.dt, clamp,
-    )
-    a_l = frame.a_l + psi_l + gains.beta_l * psi_f
-    a_r = frame.a_r + psi_r + gains.beta_r * psi_f
-    return _clip(a_l, limits.max_longitudinal), _clip(a_r, limits.max_rotational)
 
 
 @dataclass(frozen=True)
@@ -259,9 +143,12 @@ def pid_terms(
 ) -> PidTerms:
     """PID state of a whole session fed back from the recorded phasic ``f``.
 
-    Step i reads f[i-1] (0.0 at the first step, idle start), as in
-    `adapt_step` with ``f_prev`` taken from the recording.
+    Step i reads f[i-1] (0.0 at the first step, idle start). Each
+    channel's integral is the sum of error * dt, clamped after every step
+    to [-integral_clamp, +integral_clamp], which must be positive.
     """
+    if not integral_clamp > 0:
+        raise ValueError(f"integral_clamp must be positive, got {integral_clamp}")
     accel = np.array([a_l, a_r], dtype=np.float64)
     f_prev = np.concatenate(([0.0], f))[:-1]
     dt = 1.0 / rate_hz
@@ -319,7 +206,7 @@ def adapt_trace(
 
     ``f`` holds the normalized phasic feedback aligned with the samples;
     step i reads f[i-1] (0.0 at the first step, idle start). The result is
-    identical, bit for bit, to repeated `adapt_step` calls.
+    identical, bit for bit, to stepping the law one sample at a time.
     """
     return apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
 

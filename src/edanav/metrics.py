@@ -117,6 +117,8 @@ def build_report(sessions, methods) -> Report:
     methods = tuple(methods)
     if not sessions:
         raise ValueError("report needs at least one session")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"detector methods must be distinct, got {methods}")
     total = len(sessions)
     stats: dict[str, StatResult] = {}
     for d, method in enumerate(methods):

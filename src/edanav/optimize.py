@@ -1,24 +1,25 @@
-"""Session simulation, the P_pn objective, and gain search.
+"""Session replay, the P_pn objective, and gain search.
 
-A simulation replays one recorded session through the adaptation law and
-scores the result with the phasic surrogate: ``n_raw`` counts events on
-the surrogate's prediction for the unmodified acceleration, ``n_adapted``
-on its prediction for the adapted acceleration, so both conditions go
-through the identical pipeline and zero gains give identical counts.
-``n_recorded`` (events on the recorded, decomposed phasic) is carried
-along for reporting only.
+Every evaluation takes one path: `build_contexts` precomputes what does not
+depend on the gains, `_simulate` replays one session under one gain set and
+scores it with the phasic surrogate, and `metrics.build_report` turns the
+per-session outcomes into per-detector statistics. ``n_raw`` counts events
+on the surrogate's prediction for the unmodified acceleration,
+``n_adapted`` on its prediction for the adapted acceleration, so both
+conditions go through the identical pipeline and zero gains give identical
+counts. ``n_recorded`` (events on the recorded, decomposed phasic) is
+carried along for reporting only.
 
-The objective P_pn sums, over detectors, the percentage of sessions whose
-adapted event count dropped below the raw one; its range is [0, 100 *
-n_detectors]. The optimizer is a seeded two-phase random search: uniform
-exploration over the gain ranges, then Gaussian sampling around the
-incumbent with the step size halved after every
-``halve_after`` consecutive non-improving trials.
+The objective P_pn sums, over detectors, the report's percentage of
+sessions whose adapted event count dropped below the raw one; its range is
+[0, 100 * n_detectors]. The optimizer is a seeded two-phase random search:
+uniform exploration over the gain ranges, then Gaussian sampling around the
+incumbent with the step size halved after every ``halve_after``
+consecutive non-improving trials.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .control import (
     pid_terms,
 )
 from .dataset import SessionRecord
-from .metrics import SessionStats, msdv
+from .metrics import SessionStats, build_report, msdv
 from .scr import DetectorParams, count_er_scr, default_detectors
 from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
 from .surrogate import SurrogateModel, predict_clip, predict_session
@@ -160,22 +161,20 @@ def _closed_loop_adapt(
             )
         out[:, first:last] = adapted_accel(base[:, first:last], psi_f[first:last], beta, bound)
 
+    def normalized(accel: np.ndarray) -> np.ndarray:
+        return np.stack([model.norm.a_l.apply(accel[0]), model.norm.a_r.apply(accel[1])])
+
+    # normalization is element by element, so each adapted clip is
+    # normalized once and the window is assembled from normalized pieces
+    prev = normalized(np.zeros((2, L)))
     for k in range(n_clips):
         adapt(k * L, (k + 1) * L)
-        if k == 0:
-            prev = np.zeros((2, L))
-        else:
-            prev = out[:, (k - 1) * L : k * L]
-        cur = out[:, k * L : (k + 1) * L]
-        window = np.stack(
-            [
-                model.norm.a_l.apply(np.concatenate([prev[0], cur[0], np.full(L, cur[0, -1])])),
-                model.norm.a_r.apply(np.concatenate([prev[1], cur[1], np.full(L, cur[1, -1])])),
-            ]
-        )
+        cur = normalized(out[:, k * L : (k + 1) * L])
+        window = np.concatenate([prev, cur, np.repeat(cur[:, -1:], L, axis=1)], axis=1)
         clip_pred = predict_clip(model, window)
         preds[k * L : (k + 1) * L] = clip_pred
         f_hold = float(clip_pred[-1])
+        prev = cur
     adapt(covered, n)
     return out[0], out[1], Trace(preds, rate, Unit.NORMALIZED)
 
@@ -214,23 +213,6 @@ def _simulate(
     )
 
 
-def simulate_session(
-    record: SessionRecord,
-    gains: PidGains,
-    model: SurrogateModel,
-    mode: str = "offline",
-    detectors=None,
-    limits: AccelLimits = AccelLimits(),
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
-    decomposition: DecompositionConfig = DecompositionConfig(),
-) -> SimulationResult:
-    """Replay one session under ``gains`` and score it with the surrogate."""
-    if detectors is None:
-        detectors = default_detectors()
-    ctx = build_context(record, model, detectors, decomposition, integral_clamp)
-    return _simulate(ctx, gains, model, detectors, mode, limits)
-
-
 def evaluate_sessions(
     records,
     gains: PidGains,
@@ -241,48 +223,13 @@ def evaluate_sessions(
     integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> list[SimulationResult]:
+    """Replay each session under ``gains`` and score it with the surrogate."""
     if detectors is None:
         detectors = default_detectors()
     return [
-        _simulate(build_context(r, model, detectors, decomposition, integral_clamp),
-                  gains, model, detectors, mode, limits)
-        for r in records
+        _simulate(ctx, gains, model, detectors, mode, limits)
+        for ctx in build_contexts(records, model, detectors, decomposition, integral_clamp)
     ]
-
-
-def _objective_from_contexts(
-    contexts, gains, model, detectors, mode, limits
-) -> tuple[float, tuple[float, ...]]:
-    n = len(contexts)
-    positives = [0] * len(detectors)
-    for ctx in contexts:
-        result = _simulate(ctx, gains, model, detectors, mode, limits)
-        for d in range(len(detectors)):
-            if result.n_raw[d] - result.n_adapted[d] > 0:
-                positives[d] += 1
-    percentages = tuple(100.0 * p / n for p in positives)
-    return sum(percentages), percentages
-
-
-def objective_ppn(
-    records,
-    gains: PidGains,
-    model: SurrogateModel,
-    detectors=None,
-    mode: str = "offline",
-    limits: AccelLimits = AccelLimits(),
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
-    decomposition: DecompositionConfig = DecompositionConfig(),
-) -> float:
-    """P_pn: summed per-detector percentages of sessions with fewer events."""
-    records = list(records)
-    if not records:
-        raise ValueError("objective needs at least one session")
-    if detectors is None:
-        detectors = default_detectors()
-    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    total, _ = _objective_from_contexts(contexts, gains, model, detectors, mode, limits)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +304,11 @@ def optimize(
     with per-gain sigma = sigma_scale * range width, clipped back into the
     box. Strict improvement moves the incumbent (ties keep the earliest),
     and sigma halves after ``halve_after`` consecutive phase-two trials
-    without improvement. ``workers`` > 1 evaluates the independent phase-one
-    trials in a thread pool; results are identical for any worker count and
-    fully deterministic for a given seed.
+    without improvement. Each trial's percentages are those of
+    `metrics.build_report` over the replayed sessions, and its objective is
+    their sum. Results are fully deterministic for a given seed.
+    ``workers`` must be >= 1 and has no effect: every trial runs in the
+    calling thread.
     """
     records = list(records)
     if not records:
@@ -377,6 +326,7 @@ def optimize(
     if detectors is None:
         detectors = default_detectors()
     contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
     sigma = sigma_scale * (ranges.hi - ranges.lo)
@@ -385,44 +335,27 @@ def optimize(
     best_index = 0
     stall = 0
     trials: list[Trial] = []
-
-    def evaluate(index: int, x: np.ndarray) -> Trial:
+    for t in range(budget):
+        if t < n_explore:  # phase one: uniform exploration
+            x = rng.uniform(ranges.lo, ranges.hi)
+        else:  # phase two: Gaussian refinement around the incumbent
+            x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
+                        ranges.lo, ranges.hi)
         gains = PidGains.from_array(x)
-        obj, pcts = _objective_from_contexts(contexts, gains, model, detectors, mode, limits)
-        return Trial(index, gains, obj, pcts)
-
-    # phase one: proposals drawn up front (same stream as drawing in-loop),
-    # evaluated independently, considered in draw order
-    explore_xs = [rng.uniform(ranges.lo, ranges.hi) for _ in range(n_explore)]
-    if workers > 1 and n_explore > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            explore_trials = list(pool.map(lambda pair: evaluate(*pair), enumerate(explore_xs)))
-    else:
-        explore_trials = [evaluate(i, x) for i, x in enumerate(explore_xs)]
-    for trial in explore_trials:
-        trials.append(trial)
-        if trial.objective > best_obj:
-            best_obj = trial.objective
-            best_x = trial.gains.as_array()
-            best_index = trial.index
-
-    # phase two: sequential Gaussian refinement around the incumbent
-    for t in range(n_explore, budget):
-        x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
-                    ranges.lo, ranges.hi)
-        trial = evaluate(t, x)
-        trials.append(trial)
-        if trial.objective > best_obj:
-            best_obj = trial.objective
+        stats = [_simulate(ctx, gains, model, detectors, mode, limits).stats for ctx in contexts]
+        report = build_report(stats, methods)
+        percentages = tuple(report.stats[m].percentage for m in methods)
+        trials.append(Trial(t, gains, sum(percentages), percentages))
+        if trials[-1].objective > best_obj:
+            best_obj = trials[-1].objective
             best_x = x
             best_index = t
             stall = 0
-        else:
+        elif t >= n_explore:
             stall += 1
             if stall >= halve_after:
                 sigma = sigma / 2.0
                 stall = 0
-    methods = tuple(d.method for d in detectors)
     return OptimizeResult(best=trials[best_index], trials=tuple(trials), methods=methods)
 
 

@@ -45,12 +45,10 @@ def held_out_mae(
         return math.nan
     errors = []
     for record, phasic in zip(records, _phasics(records, decomposition)):
-        clips, _ = make_clips(
+        windows, targets, _ = make_clips(
             record.a_l, record.a_r, phasic,
             clip_len_s=model.clip_len_s, norm=model.norm,
         )
-        windows = np.stack([c.accel_window for c in clips])
-        targets = np.stack([c.phasic_target for c in clips])
         errors.append(np.abs(predict_windows(model, windows) - targets))
     return float(np.mean(np.concatenate([e.ravel() for e in errors])))
 
@@ -75,15 +73,16 @@ def train_surrogate(
     norm = corpus_clip_norm(
         [r.a_l for r in train], [r.a_r for r in train], phasics
     )
-    clips = []
-    for record, phasic in zip(train, phasics):
-        session_clips, _ = make_clips(
+    clips = [
+        make_clips(
             record.a_l, record.a_r, phasic,
             clip_len_s=clip_len_s, stride_samples=stride_samples, norm=norm,
         )
-        clips.extend(session_clips)
+        for record, phasic in zip(train, phasics)
+    ]
     model = fit_surrogate(
-        clips,
+        np.concatenate([windows for windows, _, _ in clips]),
+        np.concatenate([targets for _, targets, _ in clips]),
         ridge_lambda,
         rate_hz=train[0].eda.rate_hz,
         clip_len_s=clip_len_s,

@@ -89,51 +89,36 @@ def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(starts), np.flatnonzero(ends) + 1
 
 
-def _rise_ok(onset: int, peak: int, rate_hz: float, params: DetectorParams) -> bool:
-    rise = (peak - onset) / rate_hz
-    return params.rise_time_min_s <= rise <= params.rise_time_max_s
+def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: DetectorParams):
+    """Mask of the events whose rise time lies in the inclusive band."""
+    rise = (peaks - onsets) / rate_hz
+    return (params.rise_time_min_s <= rise) & (rise <= params.rise_time_max_s)
 
 
-def _make_event(x: np.ndarray, onset: int, peak: int, rate_hz: float) -> ScrEvent:
-    return ScrEvent(
-        onset_idx=int(onset),
-        peak_idx=int(peak),
-        amplitude=float(x[peak] - x[onset]),
-        rise_time_s=(peak - onset) / rate_hz,
-    )
-
-
-def _detect_kim2004(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
+def _detect_kim2004(x: np.ndarray, rate_hz: float, params: DetectorParams):
     threshold = params.min_amplitude * float(np.ptp(x))
-    events = []
     onsets, peaks = _rising_runs(x)
-    for onset, peak in zip(onsets.tolist(), peaks.tolist()):
-        if x[peak] - x[onset] >= threshold and _rise_ok(onset, peak, rate_hz, params):
-            events.append(_make_event(x, onset, peak, rate_hz))
-    return events
+    keep = (x[peaks] - x[onsets] >= threshold) & _rise_ok(onsets, peaks, rate_hz, params)
+    return onsets[keep], peaks[keep]
 
 
-def _detect_gamboa2008(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
+def _detect_gamboa2008(x: np.ndarray, rate_hz: float, params: DetectorParams):
     onsets, peaks = _rising_runs(x)
-    kept = [
-        (onset, peak)
-        for onset, peak in zip(onsets.tolist(), peaks.tolist())
-        if x[peak] - x[onset] >= params.min_amplitude
-    ]
+    kept = x[peaks] - x[onsets] >= params.min_amplitude
     # merge bursts whose onset follows the previous peak too closely
-    merged: list[tuple[int, int]] = []
-    for onset, peak in kept:
-        if merged and (onset - merged[-1][1]) / rate_hz < params.min_separation_s:
-            prev_onset, prev_peak = merged.pop()
-            best_peak = peak if x[peak] >= x[prev_peak] else prev_peak
-            merged.append((prev_onset, best_peak))
+    merged_onsets: list[int] = []
+    merged_peaks: list[int] = []
+    for onset, peak in zip(onsets[kept].tolist(), peaks[kept].tolist()):
+        if merged_peaks and (onset - merged_peaks[-1]) / rate_hz < params.min_separation_s:
+            if x[peak] >= x[merged_peaks[-1]]:
+                merged_peaks[-1] = peak
         else:
-            merged.append((onset, peak))
-    return [
-        _make_event(x, onset, peak, rate_hz)
-        for onset, peak in merged
-        if _rise_ok(onset, peak, rate_hz, params)
-    ]
+            merged_onsets.append(onset)
+            merged_peaks.append(peak)
+    onsets = np.array(merged_onsets, dtype=np.intp)
+    peaks = np.array(merged_peaks, dtype=np.intp)
+    keep = _rise_ok(onsets, peaks, rate_hz, params)
+    return onsets[keep], peaks[keep]
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -173,7 +158,7 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return height - np.maximum(range_min(left, peaks), range_min(peaks, right - 1))
 
 
-def _detect_neurokit(x: np.ndarray, rate_hz: float, params: DetectorParams) -> list[ScrEvent]:
+def _detect_neurokit(x: np.ndarray, rate_hz: float, params: DetectorParams):
     threshold = params.prominence_frac * float(np.ptp(x))
     # the strict local maxima are the rising-run peaks followed by a drop;
     # each one's onset is the start of its run
@@ -181,20 +166,17 @@ def _detect_neurokit(x: np.ndarray, rate_hz: float, params: DetectorParams) -> l
     drop = x[peaks] > x[np.minimum(peaks + 1, x.size - 1)]
     onsets, peaks = onsets[drop], peaks[drop]
     if peaks.size == 0:
-        return []
+        return onsets, peaks
     amp = x[peaks] - x[onsets]
-    rise = (peaks - onsets) / rate_hz
     keep = (
         (_prominences(x, peaks) >= threshold)
         & (amp >= params.min_amplitude) & (amp > 0)
-        & (params.rise_time_min_s <= rise) & (rise <= params.rise_time_max_s)
+        & _rise_ok(onsets, peaks, rate_hz, params)
     )
-    return [
-        _make_event(x, onset, peak, rate_hz)
-        for onset, peak in zip(onsets[keep].tolist(), peaks[keep].tolist())
-    ]
+    return onsets[keep], peaks[keep]
 
 
+# each returns the (onset, peak) index arrays of its events, ordered by onset
 _DETECTORS = {
     "kim2004": _detect_kim2004,
     "gamboa2008": _detect_gamboa2008,
@@ -202,16 +184,30 @@ _DETECTORS = {
 }
 
 
+def _event_indices(phasic: Trace, params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
+    if len(phasic) < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return _DETECTORS[params.method](phasic.samples, phasic.rate_hz, params)
+
+
 def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
     """Detect ER-SCR events in a phasic trace, ordered by onset."""
-    if len(phasic) < 2:
-        return []
-    return _DETECTORS[params.method](phasic.samples, phasic.rate_hz, params)
+    x = phasic.samples
+    onsets, peaks = _event_indices(phasic, params)
+    return [
+        ScrEvent(
+            onset_idx=onset,
+            peak_idx=peak,
+            amplitude=float(x[peak] - x[onset]),
+            rise_time_s=(peak - onset) / phasic.rate_hz,
+        )
+        for onset, peak in zip(onsets.tolist(), peaks.tolist())
+    ]
 
 
 def count_er_scr(phasic: Trace, params: DetectorParams) -> int:
     """Number of ER-SCR events under the given detector."""
-    return len(detect_scr(phasic, params))
+    return int(_event_indices(phasic, params)[0].size)
 
 
 def write_events_csv(events: list[ScrEvent], rate_hz: float, path) -> None:

@@ -43,25 +43,6 @@ class ClipNorm:
     phasic: NormParams
 
 
-@dataclass(frozen=True)
-class Clip:
-    """One training example: normalized acceleration window and phasic target."""
-
-    accel_window: np.ndarray  # [2, 3L]
-    phasic_target: np.ndarray  # [L]
-    L: int
-
-    def __post_init__(self):
-        window = np.asarray(self.accel_window, dtype=np.float64)
-        target = np.asarray(self.phasic_target, dtype=np.float64)
-        if window.shape != (2, 3 * self.L):
-            raise ValueError(f"accel window must be [2, {3 * self.L}], got {window.shape}")
-        if target.shape != (self.L,):
-            raise ValueError(f"phasic target must be [{self.L}], got {target.shape}")
-        object.__setattr__(self, "accel_window", window)
-        object.__setattr__(self, "phasic_target", target)
-
-
 def _window_stack(a_l: np.ndarray, a_r: np.ndarray, L: int, stride: int) -> np.ndarray:
     """All acceleration windows as an array [n_clips, 2, 3L] (zero-padded edges)."""
     n = a_l.size
@@ -97,9 +78,10 @@ def make_clips(
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     stride_samples: int | None = None,
     norm: ClipNorm | None = None,
-) -> tuple[list[Clip], ClipNorm]:
-    """Cut one session into (acceleration window, phasic target) clips.
+) -> tuple[np.ndarray, np.ndarray, ClipNorm]:
+    """Cut one session into clips: (windows [n, 2, 3L], targets [n, L], norm).
 
+    Row k pairs the acceleration window around the k-th phasic target.
     Targets step by ``stride_samples`` (default L, non-overlapping) and
     always lie fully inside the session; the surrounding window is
     zero-padded where it crosses an edge. Values are min-max normalized
@@ -122,12 +104,8 @@ def make_clips(
             a_l=trace_norm([a_l]), a_r=trace_norm([a_r]), phasic=trace_norm([phasic])
         )
     windows = _window_stack(norm.a_l.apply(a_l.samples), norm.a_r.apply(a_r.samples), L, stride)
-    targets = norm.phasic.apply(phasic.samples)
-    clips = [
-        Clip(windows[k], targets[k * stride : k * stride + L], L)
-        for k in range(windows.shape[0])
-    ]
-    return clips, norm
+    index = (np.arange(windows.shape[0]) * stride)[:, None] + np.arange(L)[None, :]
+    return windows, norm.phasic.apply(phasic.samples)[index], norm
 
 
 @dataclass(frozen=True)
@@ -168,29 +146,34 @@ def _design_matrix(windows: np.ndarray) -> np.ndarray:
 
 
 def fit_surrogate(
-    clips,
+    windows,
+    targets,
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
     *,
     rate_hz: float,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     norm: ClipNorm,
 ) -> SurrogateModel:
-    """Closed-form ridge fit of the windowed regressor.
+    """Closed-form ridge fit of the windowed regressor on clips from `make_clips`.
 
-    Minimizes ||T - X W^T||^2 + lambda ||W||^2 over all weights including
-    the bias column. ``train_mae`` records the mean absolute error of the
-    clamped predictions on the training clips.
+    ``windows`` is [n, 2, 3L] and ``targets`` [n, L]. Minimizes
+    ||T - X W^T||^2 + lambda ||W||^2 over all weights including the bias
+    column. ``train_mae`` records the mean absolute error of the clamped
+    predictions on the training clips.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    clips = list(clips)
-    if not clips:
+    windows = np.asarray(windows, dtype=np.float64)
+    Y = np.asarray(targets, dtype=np.float64)
+    if windows.size == 0 or Y.size == 0:
         raise DegenerateInputError("cannot fit on an empty clip set")
     L = clip_samples(clip_len_s, rate_hz)
-    if clips[0].L != L:
-        raise ValueError(f"clips have L={clips[0].L}, expected {L}")
-    X = _design_matrix(np.stack([c.accel_window for c in clips]))
-    Y = np.stack([c.phasic_target for c in clips])
+    if windows.shape[1:] != (2, 3 * L) or Y.shape != (windows.shape[0], L):
+        raise ValueError(
+            f"clips must be windows [n, 2, {3 * L}] and targets [n, {L}], "
+            f"got {windows.shape} and {Y.shape}"
+        )
+    X = _design_matrix(windows)
     d = X.shape[1]
     A = X.T @ X + ridge_lambda * np.eye(d)
     B = X.T @ Y

@@ -112,16 +112,14 @@ def test_criterion_2_msdv_reference_and_homogeneity(capsys):
 def test_criterion_3_surrogate_recovery_and_round_trip(capsys):
     rng = np.random.default_rng(31)
     a_l, a_r, phasic = _planted_session(rng)
-    clips, norm = make_clips(a_l, a_r, phasic)
-    model = fit_surrogate(clips, rate_hz=RATE, norm=norm)
-    windows = np.stack([c.accel_window for c in clips])
-    targets = np.stack([c.phasic_target for c in clips])
+    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
     mae = float(np.mean(np.abs(predict_windows(model, windows) - targets)))
 
     a_l2, a_r2 = _accel_pair(rng)
     wiggle = Trace(rng.uniform(0.0, 0.5, 960), RATE)
-    clips2, norm2 = make_clips(a_l2, a_r2, wiggle, stride_samples=model.L)
-    rebuilt = reconstruct(np.stack([c.phasic_target for c in clips2]), model.L, RATE)
+    _, targets2, norm2 = make_clips(a_l2, a_r2, wiggle, stride_samples=model.L)
+    rebuilt = reconstruct(targets2, model.L, RATE)
     expected = norm2.phasic.apply(wiggle.samples)[: len(rebuilt)]
     round_err = float(np.max(np.abs(rebuilt.samples - expected)))
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from edanav.cli import main
-from edanav.config import ENV_OUTPUT_DIR, load_config
+from edanav.config import _SCHEMA, ENV_OUTPUT_DIR, load_config
+from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
 from edanav.dataset import SessionRecord, synth_cohort
 from edanav.errors import ConfigError
 from edanav.pipeline import eval_split, held_out_mae, train_split, train_surrogate
-from edanav.signals import Trace, Unit
+from edanav.scr import default_detectors
+from edanav.signals import DecompositionConfig, Trace, Unit
 from edanav.surrogate import OracleParams, synth_session
 
 SMALL = [
@@ -84,6 +86,31 @@ def test_config_defaults(monkeypatch):
     np.testing.assert_array_equal(cfg.ranges.hi, [0.5] * 9 + [0.01] * 2)
     assert cfg.stride_samples is None
     assert cfg.svg is True
+    assert cfg.oracle == OracleParams()
+    assert cfg.decomposition == DecompositionConfig()
+    assert cfg.limits == AccelLimits()
+    assert cfg.integral_clamp == DEFAULT_INTEGRAL_CLAMP
+    assert cfg.detectors == default_detectors()
+
+
+def test_config_accepts_exactly_the_documented_keys():
+    rise = {"min_amplitude", "min_separation_s", "rise_time_min_s", "rise_time_max_s"}
+    assert {section: set(keys) for section, keys in _SCHEMA.items()} == {
+        "run": {"seed", "output_dir", "workers"},
+        "dataset": {"dir", "n_sessions", "duration_s", "rate_hz", "train_frac"},
+        "oracle": {"baseline_us", "tau_rise_s", "tau_decay_s", "gain", "latency_s",
+                   "tonic_drift", "noise_sd"},
+        "decomposition": {"median_window_s", "average_window_s"},
+        "surrogate": {"clip_len_s", "stride_samples", "ridge_lambda"},
+        "control": {"integral_clamp", "max_longitudinal", "max_rotational"},
+        "detector.kim2004": rise,
+        "detector.gamboa2008": rise,
+        "detector.neurokit": rise | {"prominence_frac"},
+        "optimizer": {"budget", "seed", "mode", "explore_frac", "sigma_scale", "halve_after",
+                      "k_lo", "k_hi", "beta_lo", "beta_hi",
+                      *(f"{end}_{key}" for key in GAIN_KEYS for end in ("lo", "hi"))},
+        "report": {"svg"},
+    }
 
 
 def test_config_file_and_overrides(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """Controller tests: frozen PID values, adaptation properties, gains file I/O.
 
 The four ``run_*`` property checks are shared with the acceptance suite,
-which re-runs them at its mandated case count. Each runs the law both step
-by step and as one whole-session `adapt_trace` call.
+which re-runs them at its mandated case count. Each steps the law one
+sample at a time through the scalar oracle (`oracles.adapt_trace_naive`)
+and requires the whole-session `adapt_trace` to match it bit for bit.
 """
 
 import numpy as np
@@ -15,13 +16,9 @@ from edanav.control import (
     DEFAULT_INTEGRAL_CLAMP,
     GAIN_KEYS,
     AccelLimits,
-    ControlFrame,
-    PidChannelState,
     PidGains,
-    PidState,
-    adapt_step,
     adapt_trace,
-    pid_step,
+    pid_outputs,
     pid_terms,
     plouzeau_step,
     read_gains,
@@ -43,6 +40,13 @@ TUNED_GAINS = PidGains(
 )
 
 
+def _longitudinal_terms(errors):
+    """PID terms of a session whose longitudinal channel sees ``errors``."""
+    a_l = -np.asarray(errors, dtype=np.float64)
+    zeros = np.zeros(a_l.size)
+    return pid_terms(a_l, zeros, zeros, 1.0 / DT)
+
+
 # ---------------------------------------------------------------------------
 # Frozen single-step values
 # ---------------------------------------------------------------------------
@@ -50,45 +54,39 @@ TUNED_GAINS = PidGains(
 def test_pure_integral_sequence():
     # K_I = 1, dt = 0.25, constant unit error: the integral accumulates
     # before use, so the outputs are 0.25, 0.5, 0.75, 1.0
-    state = PidChannelState()
-    outs = [pid_step(state, 1.0, 0.0, 1.0, 0.0, DT) for _ in range(4)]
+    outs = pid_outputs(_longitudinal_terms([1.0] * 4), PidGains(K_Il=1.0))[0]
     np.testing.assert_allclose(outs, [0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
 
 
 def test_tuned_longitudinal_one_step():
     # one tick from rest with a_l = 1 m/s^2 under the tuned gains:
     # e = -1, psi = -(K_P + K_I * 0.25 + K_D / 0.25), a' = 1 + psi
-    state = PidState()
-    frame = ControlFrame(a_l=1.0, a_r=0.0, f_prev=0.0, dt=DT)
-    a_l, a_r = adapt_step(state, frame, TUNED_GAINS)
-    assert abs(a_l - 0.932275) < 1e-12
-    assert abs(a_r - 0.0) < 1e-12  # rotational channel saw zero error
+    a_l, a_r = adapt_trace(np.array([1.0]), np.array([0.0]), np.array([0.0]), 1.0 / DT,
+                           TUNED_GAINS)
+    assert abs(a_l[0] - 0.932275) < 1e-12
+    assert abs(a_r[0] - 0.0) < 1e-12  # rotational channel saw zero error
 
 
 def test_integral_clamps_at_plus_minus_ten():
-    state = PidChannelState()
-    for _ in range(50):
-        pid_step(state, 1.0, 0.0, 1.0, 0.0, DT)
-    assert state.integral == DEFAULT_INTEGRAL_CLAMP
-    for _ in range(200):
-        pid_step(state, -1.0, 0.0, 1.0, 0.0, DT)
-    assert state.integral == -DEFAULT_INTEGRAL_CLAMP
+    integral = _longitudinal_terms([1.0] * 50 + [-1.0] * 200).integral[0]
+    assert integral[49] == DEFAULT_INTEGRAL_CLAMP
+    assert integral[-1] == -DEFAULT_INTEGRAL_CLAMP
 
 
 def test_derivative_term_uses_previous_error():
-    state = PidChannelState()
-    out1 = pid_step(state, 1.0, 0.0, 0.0, 1.0, DT)  # (1 - 0) / 0.25
-    out2 = pid_step(state, 1.0, 0.0, 0.0, 1.0, DT)  # (1 - 1) / 0.25
-    assert out1 == 4.0
-    assert out2 == 0.0
+    outs = pid_outputs(_longitudinal_terms([1.0, 1.0]), PidGains(K_Dl=1.0))[0]
+    assert outs[0] == 4.0  # (1 - 0) / 0.25
+    assert outs[1] == 0.0  # (1 - 1) / 0.25
 
 
-def test_pid_step_input_validation():
-    state = PidChannelState()
-    with pytest.raises(ValueError):
-        pid_step(state, np.nan, 1.0, 0.0, 0.0, DT)
-    with pytest.raises(ValueError):
-        pid_step(state, 1.0, 1.0, 0.0, 0.0, 0.0)
+def test_non_positive_integral_clamp_is_rejected():
+    # a clamp of -1 would flip the integral between -1 and +1 every step
+    ones = np.ones(4)
+    for clamp in (0.0, -1.0):
+        with pytest.raises(ValueError, match="integral_clamp"):
+            pid_terms(ones, ones, ones, 4.0, clamp)
+        with pytest.raises(ValueError, match="integral_clamp"):
+            adapt_trace(ones, ones, ones, 4.0, TUNED_GAINS, integral_clamp=clamp)
 
 
 def test_plouzeau_step():
@@ -107,17 +105,23 @@ def test_plouzeau_step():
 # Property checks (shared with the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def _replay(frames, gains, limits=AccelLimits(), clamp=DEFAULT_INTEGRAL_CLAMP):
-    """The outputs `adapt_trace` gives for a sequence of frames.
+def _step(a_l, a_r, f_prev, gains, limits=AccelLimits(), clamp=DEFAULT_INTEGRAL_CLAMP):
+    """Outputs (a_l', a_r') of the law for samples whose phasic feedback is ``f_prev``.
 
-    A leading all-zero sample is a fixed point of the law, so it leaves the
-    state at rest and lets sample i + 1 read frame i's f_prev.
+    Steps the scalar oracle and requires `adapt_trace` to give the same
+    floats. A leading all-zero sample is a fixed point of the law, so it
+    leaves the state at rest and lets sample i + 1 read f_prev[i].
     """
-    a_l = np.array([0.0] + [fr.a_l for fr in frames])
-    a_r = np.array([0.0] + [fr.a_r for fr in frames])
-    f = np.array([fr.f_prev for fr in frames] + [0.0])
+    a_l = np.array([0.0, *a_l])
+    a_r = np.array([0.0, *a_r])
+    f = np.array([*f_prev, 0.0])
+    ref_l, ref_r = adapt_trace_naive(
+        a_l, a_r, f, 1.0 / DT, gains.as_array(),
+        limits.max_longitudinal, limits.max_rotational, clamp,
+    )
     out_l, out_r = adapt_trace(a_l, a_r, f, 1.0 / DT, gains, limits, clamp)
-    return list(zip(out_l[1:].tolist(), out_r[1:].tolist()))
+    assert out_l.tolist() == ref_l and out_r.tolist() == ref_r
+    return list(zip(ref_l[1:], ref_r[1:]))
 
 
 def _random_gains(rng, hi=0.5, beta_hi=0.01):
@@ -131,13 +135,10 @@ def run_zero_input_fixpoint(n_cases, seed):
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         gains = _random_gains(rng, hi=float(rng.uniform(0.1, 5.0)))
-        state = PidState()
-        frames = [ControlFrame(a_l=0.0, a_r=0.0, f_prev=0.0, dt=DT)] * int(rng.integers(1, 6))
-        for frame in frames:
-            assert adapt_step(state, frame, gains) == (0.0, 0.0)
-        assert state.a_l.integral == 0.0 and state.a_l.prev_error == 0.0
-        assert state.a_r.integral == 0.0 and state.f.integral == 0.0
-        assert _replay(frames, gains) == [(0.0, 0.0)] * len(frames)
+        zeros = [0.0] * int(rng.integers(1, 6))
+        assert _step(zeros, zeros, zeros, gains) == [(0.0, 0.0)] * len(zeros)
+        terms = pid_terms(np.array(zeros), np.array(zeros), np.array(zeros), 1.0 / DT)
+        assert not np.any(terms.integral) and not np.any(terms.error)
 
 
 def run_geometric_decay(n_cases, seed):
@@ -147,19 +148,21 @@ def run_geometric_decay(n_cases, seed):
         k_p = float(rng.uniform(1e-3, 2.0 - 1e-3))
         a0 = float(rng.uniform(0.1, 1.0))
         gains = PidGains(K_Pl=k_p)
-        state = PidState()
         a = a0
-        frames = []
+        inputs = []
         outputs = []
         steps = int(rng.integers(3, 30))
         for k in range(1, steps + 1):
-            frames.append(ControlFrame(a, 0.0, 0.0, DT))
-            a, _ = adapt_step(state, frames[-1], gains)
+            # each output is the next input: the law runs on its own output
+            inputs.append(a)
+            out_l, _ = adapt_trace_naive(inputs, [0.0] * k, [0.0] * k, 1.0 / DT,
+                                         gains.as_array(), 5.0, 3.0, DEFAULT_INTEGRAL_CLAMP)
+            a = out_l[-1]
             outputs.append((a, 0.0))
             expected = a0 * (1.0 - k_p) ** k
             assert abs(a - expected) <= 1e-9 * max(1.0, abs(expected))
         assert abs(a) < a0  # strictly contracted after >= 3 steps
-        assert _replay(frames, gains) == outputs
+        assert _step(inputs, [0.0] * steps, [0.0] * steps, gains) == outputs
 
 
 def run_channel_symmetry(n_cases, seed):
@@ -176,21 +179,15 @@ def run_channel_symmetry(n_cases, seed):
             K_Pf=k_f[0], K_If=k_f[1], K_Df=k_f[2],
             beta_l=beta, beta_r=beta,
         )
-        state_a = PidState()
-        state_b = PidState()
-        frames_a = []
-        frames_b = []
+        us, vs, fs = [], [], []
         for _ in range(int(rng.integers(1, 8))):
             u, v = rng.uniform(-3.0, 3.0, 2)
-            f = float(rng.uniform(0.0, 1.0))
-            frames_a.append(ControlFrame(u, v, f, DT))
-            frames_b.append(ControlFrame(v, u, f, DT))
-            out_a = adapt_step(state_a, frames_a[-1], gains, limits)
-            out_b = adapt_step(state_b, frames_b[-1], gains, limits)
-            assert out_a == (out_b[1], out_b[0])
-        replay_a = _replay(frames_a, gains, limits)
-        replay_b = _replay(frames_b, gains, limits)
-        assert replay_a == [(r, l) for l, r in replay_b]
+            us.append(float(u))
+            vs.append(float(v))
+            fs.append(float(rng.uniform(0.0, 1.0)))
+        out_a = _step(us, vs, fs, gains, limits)
+        out_b = _step(vs, us, fs, gains, limits)
+        assert out_a == [(r, l) for l, r in out_b]
 
 
 def run_clamp_respect(n_cases, seed):
@@ -203,27 +200,17 @@ def run_clamp_respect(n_cases, seed):
             max_rotational=float(rng.uniform(0.5, 4.0)),
         )
         clamp = float(rng.uniform(0.5, 20.0))
-        state = PidState(integral_clamp=clamp)
-        frames = []
-        for _ in range(int(rng.integers(1, 10))):
-            frames.append(ControlFrame(
-                float(rng.uniform(-10.0, 10.0)),
-                float(rng.uniform(-10.0, 10.0)),
-                float(rng.uniform(-1.0, 1.0)),
-                DT,
-            ))
-            a_l, a_r = adapt_step(state, frames[-1], gains, limits)
-            assert abs(a_l) <= limits.max_longitudinal
-            assert abs(a_r) <= limits.max_rotational
-        for channel in (state.a_l, state.a_r, state.f):
-            assert abs(channel.integral) <= clamp
-        for a_l, a_r in _replay(frames, gains, limits, clamp):
-            assert abs(a_l) <= limits.max_longitudinal
-            assert abs(a_r) <= limits.max_rotational
-        terms = pid_terms(
-            np.array([fr.a_l for fr in frames]), np.array([fr.a_r for fr in frames]),
-            np.array([fr.f_prev for fr in frames]), 1.0 / DT, clamp,
-        )
+        frames = np.array([
+            [float(rng.uniform(-10.0, 10.0)), float(rng.uniform(-10.0, 10.0)),
+             float(rng.uniform(-1.0, 1.0))]
+            for _ in range(int(rng.integers(1, 10)))
+        ])
+        a_l, a_r, f_prev = frames.T
+        for out_l, out_r in _step(a_l, a_r, f_prev, gains, limits, clamp):
+            assert abs(out_l) <= limits.max_longitudinal
+            assert abs(out_r) <= limits.max_rotational
+        terms = pid_terms(np.array([0.0, *a_l]), np.array([0.0, *a_r]),
+                          np.array([*f_prev, 0.0]), 1.0 / DT, clamp)
         assert np.all(np.abs(terms.integral) <= clamp)
 
 
@@ -254,13 +241,10 @@ def test_adapt_trace_matches_stepwise_loop():
     a_r = rng.uniform(-1.0, 2.0, n)
     f = rng.uniform(0.0, 1.0, n)
     out_l, out_r = adapt_trace(a_l, a_r, f, 4.0, TUNED_GAINS)
-    state = PidState()
-    for i in range(n):
-        f_prev = f[i - 1] if i > 0 else 0.0
-        frame = ControlFrame(float(a_l[i]), float(a_r[i]), float(f_prev), DT)
-        step_l, step_r = adapt_step(state, frame, TUNED_GAINS)
-        assert out_l[i] == step_l
-        assert out_r[i] == step_r
+    ref_l, ref_r = adapt_trace_naive(a_l, a_r, f, 4.0, TUNED_GAINS.as_array(), 5.0, 3.0,
+                                     DEFAULT_INTEGRAL_CLAMP)
+    assert out_l.tolist() == ref_l
+    assert out_r.tolist() == ref_r
 
 
 # zeros of both signs, values large enough to bind the clamps, and the rest
@@ -305,14 +289,11 @@ def test_adapt_trace_zero_gains_is_identity():
 
 
 def test_adapt_step_state_progression():
-    state = PidState()
-    adapt_step(state, ControlFrame(1.0, -2.0, 0.5, DT), TUNED_GAINS)
-    assert state.a_l.integral == -0.25
-    assert state.a_r.integral == 0.5
-    assert state.f.integral == -0.125
-    assert state.a_l.prev_error == -1.0
-    state.reset()
-    assert state.a_l.integral == 0.0 and state.f.prev_error == 0.0
+    # the state after one step from rest, a_l = 1, a_r = -2, f_prev = 0.5
+    terms = pid_terms(np.array([0.0, 1.0]), np.array([0.0, -2.0]), np.array([0.5, 0.0]),
+                      1.0 / DT)
+    assert terms.integral[:, 1].tolist() == [-0.25, 0.5, -0.125]
+    assert terms.error[:, 1].tolist() == [-1.0, 2.0, -0.5]  # the next step's previous error
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +359,6 @@ def test_gains_file_errors(tmp_path):
 
 def test_frame_and_limit_validation():
     with pytest.raises(ValueError):
-        ControlFrame(a_l=1.0, a_r=0.0, f_prev=0.0, dt=0.0)
-    with pytest.raises(ValueError):
-        ControlFrame(a_l=np.inf, a_r=0.0, f_prev=0.0, dt=DT)
-    with pytest.raises(ValueError):
         AccelLimits(max_longitudinal=0.0)
     with pytest.raises(ValueError):
-        PidState(integral_clamp=0.0)
+        AccelLimits(max_rotational=-1.0)

@@ -196,6 +196,9 @@ def test_build_report_identical_conditions_go_negative():
 def test_build_report_needs_sessions():
     with pytest.raises(ValueError):
         build_report([], METHODS)
+    # rows are keyed by method, so a repeated method would overwrite a row
+    with pytest.raises(ValueError, match="distinct"):
+        build_report(_cohort_sessions((2, 1, 0), 4), ("kim2004", "kim2004", "neurokit"))
 
 
 # ---------------------------------------------------------------------------

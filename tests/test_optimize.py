@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edanav.control import GAIN_KEYS, AccelLimits, ControlFrame, PidGains, PidState, adapt_step
+from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, PidGains, adapt_trace
 from edanav.dataset import synth_cohort
 from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, msdv
 from edanav.optimize import (
@@ -11,14 +11,14 @@ from edanav.optimize import (
     OptimizeResult,
     build_context,
     evaluate_sessions,
-    objective_ppn,
     optimize,
-    simulate_session,
     write_history_csv,
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
 from edanav.surrogate import predict_clip, predict_session
+
+from oracles import adapt_trace_naive
 
 TUNED_GAINS = PidGains(
     K_Pl=0.0113, K_Il=0.0065, K_Dl=0.0137,
@@ -41,7 +41,7 @@ def small():
 
 def test_zero_gains_change_nothing(small):
     records, model = small
-    result = simulate_session(records[0], PidGains(), model)
+    result = evaluate_sessions([records[0]], PidGains(), model)[0]
     np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
     np.testing.assert_array_equal(result.adapted_a_r.samples, records[0].a_r.samples)
     assert result.n_adapted == result.n_raw
@@ -52,7 +52,7 @@ def test_zero_gains_change_nothing(small):
 def test_simulation_stats_are_consistent(small):
     records, model = small
     detectors = default_detectors()
-    result = simulate_session(records[1], TUNED_GAINS, model)
+    result = evaluate_sessions([records[1]], TUNED_GAINS, model)[0]
     assert result.n_adapted == tuple(
         count_er_scr(result.predicted_phasic, d) for d in detectors
     )
@@ -77,7 +77,7 @@ def test_adapted_traces_respect_limits(small):
     records, model = small
     limits = AccelLimits(max_longitudinal=2.0, max_rotational=0.5)
     aggressive = PidGains.from_array(np.full(len(GAIN_KEYS), 5.0))
-    result = simulate_session(records[0], aggressive, model, limits=limits)
+    result = evaluate_sessions([records[0]], aggressive, model, limits=limits)[0]
     assert float(np.max(np.abs(result.adapted_a_l.samples))) <= 2.0
     assert float(np.max(np.abs(result.adapted_a_r.samples))) <= 0.5
 
@@ -96,14 +96,14 @@ def test_tuned_gains_reduce_dose_everywhere(small):
 def test_closed_loop_mode(small):
     records, model = small
     detectors = default_detectors()
-    result = simulate_session(records[0], PidGains(), model, mode="closed_loop")
+    result = evaluate_sessions([records[0]], PidGains(), model, mode="closed_loop")[0]
     # with zero gains the adapted profile is untouched even in closed loop
     np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
     assert result.n_adapted == tuple(
         count_er_scr(result.predicted_phasic, d) for d in detectors
     )
     with pytest.raises(ValueError, match="mode"):
-        simulate_session(records[0], PidGains(), model, mode="online")
+        evaluate_sessions([records[0]], PidGains(), model, mode="online")
 
 
 def test_closed_loop_follows_the_stepwise_law(small):
@@ -113,18 +113,24 @@ def test_closed_loop_follows_the_stepwise_law(small):
     records, model = small
     record = records[1]
     gains = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
-    result = simulate_session(record, gains, model, mode="closed_loop")
+    result = evaluate_sessions([record], gains, model, mode="closed_loop")[0]
     L = model.L
     pred = result.predicted_phasic.samples
     n = len(record.a_l)
-    state = PidState()
-    dt = 1.0 / record.a_l.rate_hz
-    for i in range(n):
-        f_hold = float(pred[min(i // L, pred.size // L) * L - 1]) if i >= L else 0.0
-        frame = ControlFrame(float(record.a_l.samples[i]), float(record.a_r.samples[i]), f_hold, dt)
-        assert adapt_step(state, frame, gains) == (
-            result.adapted_a_l.samples[i], result.adapted_a_r.samples[i]
-        )
+    rate = record.a_l.rate_hz
+    hold = [float(pred[min(i // L, pred.size // L) * L - 1]) if i >= L else 0.0 for i in range(n)]
+    f = np.array([*hold[1:], 0.0])  # step i reads f[i - 1], the hold at sample i
+    a_l, a_r = record.a_l.samples, record.a_r.samples
+    limits = AccelLimits()
+    ref_l, ref_r = adapt_trace_naive(
+        a_l, a_r, f, rate, gains.as_array(),
+        limits.max_longitudinal, limits.max_rotational, DEFAULT_INTEGRAL_CLAMP,
+    )
+    assert result.adapted_a_l.samples.tolist() == ref_l
+    assert result.adapted_a_r.samples.tolist() == ref_r
+    out_l, out_r = adapt_trace(a_l, a_r, f, rate, gains, limits)
+    assert np.array_equal(out_l, result.adapted_a_l.samples)
+    assert np.array_equal(out_r, result.adapted_a_r.samples)
     adapted = np.stack([result.adapted_a_l.samples, result.adapted_a_r.samples])
     norms = (model.norm.a_l, model.norm.a_r)
     for k in range(pred.size // L):
@@ -144,15 +150,27 @@ def test_closed_loop_follows_the_stepwise_law(small):
 
 def test_objective_is_zero_for_zero_gains(small):
     records, model = small
-    assert objective_ppn(eval_split(records), PidGains(), model) == 0.0
+    methods = ("kim2004", "gamboa2008", "neurokit")
+    results = evaluate_sessions(eval_split(records), PidGains(), model)
+    report = build_report([r.stats for r in results], methods)
+    assert [report.stats[m].percentage for m in methods] == [0.0, 0.0, 0.0]
 
 
 def test_objective_counts_strict_reductions(small):
+    # a search over a one-point box scores that point exactly as the
+    # report of its replay does
     records, model = small
-    value = objective_ppn(eval_split(records), TUNED_GAINS, model)
-    assert 0.0 <= value <= 300.0
-    with pytest.raises(ValueError):
-        objective_ppn([], TUNED_GAINS, model)
+    sessions = eval_split(records)
+    g = TUNED_GAINS.as_array()
+    result = optimize(sessions, model, budget=3, seed=4, ranges=GainRanges(g, g))
+    report = build_report([r.stats for r in evaluate_sessions(sessions, TUNED_GAINS, model)],
+                          result.methods)
+    percentages = tuple(report.stats[m].percentage for m in result.methods)
+    for trial in result.trials:
+        assert trial.gains == TUNED_GAINS
+        assert trial.percentages == percentages
+        assert trial.objective == sum(percentages)
+    assert 0.0 < result.best.objective <= 300.0
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +194,6 @@ def test_optimize_is_deterministic(small):
     )
 
 
-def test_optimize_worker_count_does_not_change_results(small):
-    records, model = small
-    sessions = eval_split(records)
-    serial = optimize(sessions, model, budget=12, seed=9, workers=1)
-    threaded = optimize(sessions, model, budget=12, seed=9, workers=4)
-    assert serial.best.index == threaded.best.index
-    for ta, tb in zip(serial.trials, threaded.trials):
-        assert ta.index == tb.index
-        np.testing.assert_array_equal(ta.gains.as_array(), tb.gains.as_array())
-        assert ta.objective == tb.objective
-
-
 def test_optimize_bookkeeping(small):
     records, model = small
     result = optimize(eval_split(records), model, budget=14, seed=1)
@@ -200,6 +206,33 @@ def test_optimize_bookkeeping(small):
         t.index for t in result.trials if t.objective == result.best.objective
     )
     assert result.best.index == first_best
+
+
+def test_search_follows_its_schedule(small):
+    # replay the documented schedule from the trial objectives: uniform
+    # draws in phase one, then Gaussian steps around the incumbent whose
+    # sigma halves after every halve_after phase-two trials without a strict
+    # improvement; phase-one trials never count toward a halving
+    records, model = small
+    box = GainRanges.default()
+    result = optimize(eval_split(records), model, budget=24, seed=8, explore_frac=0.25,
+                      halve_after=2)
+    rng = np.random.default_rng(8)
+    sigma = 0.2 * (box.hi - box.lo)
+    best_x, best_obj, stall = None, -np.inf, 0
+    for t, trial in enumerate(result.trials):
+        if t < 6:
+            x = rng.uniform(box.lo, box.hi)
+        else:
+            x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma, box.lo, box.hi)
+        assert trial.gains.as_array().tolist() == x.tolist()
+        if trial.objective > best_obj:
+            best_x, best_obj, stall = x, trial.objective, 0
+        elif t >= 6:
+            stall += 1
+            if stall == 2:
+                sigma, stall = sigma / 2.0, 0
+    assert result.best.objective == best_obj
 
 
 def test_optimize_ties_keep_earliest_trial(small):
@@ -223,6 +256,8 @@ def test_optimize_validation(small):
         optimize(sessions, model, budget=5, explore_frac=0.0)
     with pytest.raises(ValueError):
         optimize(sessions, model, budget=5, workers=0)
+    with pytest.raises(ValueError, match="integral_clamp"):
+        optimize(sessions, model, budget=5, integral_clamp=-1.0)
 
 
 def test_gain_ranges_validation():

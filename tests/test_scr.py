@@ -151,6 +151,19 @@ def test_neurokit_matches_brute_force_on_adversarial_traces(x, prominence_frac):
     _assert_agrees(x, params)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_adversarial_traces(), st.sampled_from([0.25, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.5, 1.0]))
+def test_rising_run_detectors_match_brute_force_on_adversarial_traces(
+    x, min_amplitude, min_separation_s
+):
+    # the stepped traces make amplitudes that equal the threshold and
+    # merged bursts whose peaks tie
+    for method in ("kim2004", "gamboa2008"):
+        _assert_agrees(x, _params(method, min_amplitude=min_amplitude,
+                                  min_separation_s=min_separation_s, rise_time_max_s=60.0))
+
+
 def test_fixture_counts_zero_one_two():
     n = 240
     flat_falling = np.linspace(1.0, 0.0, n)  # no rising segment anywhere

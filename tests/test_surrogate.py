@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from edanav.errors import DegenerateInputError, FileFormatError
 from edanav.signals import NormParams, Trace, Unit
 from edanav.surrogate import (
-    Clip,
     ClipNorm,
     OracleParams,
     SurrogateModel,
@@ -63,11 +62,9 @@ def test_make_clips_count_and_shapes():
     rng = np.random.default_rng(20)
     a_l, a_r = _accel_pair(rng)
     phasic = Trace(rng.uniform(0.0, 0.5, 960), RATE)
-    clips, norm = make_clips(a_l, a_r, phasic)
-    assert len(clips) == 106  # (960 - 9) // 9 + 1
-    for clip in clips:
-        assert clip.accel_window.shape == (2, 3 * L)
-        assert clip.phasic_target.shape == (L,)
+    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    assert windows.shape == (106, 2, 3 * L)  # (960 - 9) // 9 + 1 clips
+    assert targets.shape == (106, L)
     assert norm.a_l.vmin == float(np.min(a_l.samples))
     assert norm.a_l.vmax == float(np.max(a_l.samples))
 
@@ -76,18 +73,18 @@ def test_make_clips_window_alignment():
     rng = np.random.default_rng(21)
     a_l, a_r = _accel_pair(rng, n=90)
     phasic = Trace(rng.uniform(0.0, 0.5, 90), RATE)
-    clips, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = make_clips(a_l, a_r, phasic)
     al_n = norm.a_l.apply(a_l.samples)
-    targets = norm.phasic.apply(phasic.samples)
+    phasic_n = norm.phasic.apply(phasic.samples)
     # leading third of the first window crosses the session start: zero pad
-    np.testing.assert_array_equal(clips[0].accel_window[:, :L], np.zeros((2, L)))
+    np.testing.assert_array_equal(windows[0, :, :L], np.zeros((2, L)))
     for k in (1, 3, 5):
         s = k * L
-        np.testing.assert_array_equal(clips[k].accel_window[0, L : 2 * L], al_n[s : s + L])
-        np.testing.assert_array_equal(clips[k].accel_window[0, : L], al_n[s - L : s])
-        np.testing.assert_array_equal(clips[k].phasic_target, targets[s : s + L])
+        np.testing.assert_array_equal(windows[k, 0, L : 2 * L], al_n[s : s + L])
+        np.testing.assert_array_equal(windows[k, 0, : L], al_n[s - L : s])
+        np.testing.assert_array_equal(targets[k], phasic_n[s : s + L])
     # trailing third of the last window crosses the session end
-    assert np.all(clips[-1].accel_window[:, 2 * L :] == 0.0)
+    assert np.all(windows[-1, :, 2 * L :] == 0.0)
 
 
 def test_make_clips_validation():
@@ -108,10 +105,17 @@ def test_make_clips_validation():
 
 
 def test_clip_shape_validation():
-    with pytest.raises(ValueError):
-        Clip(np.zeros((2, 10)), np.zeros(3), L=3)
-    with pytest.raises(ValueError):
-        Clip(np.zeros((2, 9)), np.zeros(4), L=3)
+    # clips of L = 3 (0.75 s at 4 Hz): windows [n, 2, 9], targets [n, 3]
+    norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
+    with pytest.raises(ValueError, match="clips must be"):
+        fit_surrogate(np.zeros((1, 2, 10)), np.zeros((1, 3)), rate_hz=RATE, clip_len_s=0.75,
+                      norm=norm)
+    with pytest.raises(ValueError, match="clips must be"):
+        fit_surrogate(np.zeros((1, 2, 9)), np.zeros((1, 4)), rate_hz=RATE, clip_len_s=0.75,
+                      norm=norm)
+    with pytest.raises(ValueError, match="clips must be"):
+        fit_surrogate(np.zeros((2, 2, 9)), np.zeros((1, 3)), rate_hz=RATE, clip_len_s=0.75,
+                      norm=norm)
 
 
 def test_corpus_norm_spans_all_traces():
@@ -179,8 +183,7 @@ def test_clip_reconstruct_round_trip():
     a_l, a_r = _accel_pair(rng)
     phasic = Trace(rng.uniform(0.0, 0.5, 960), RATE)
     for stride in (L, 3, 1):
-        clips, norm = make_clips(a_l, a_r, phasic, stride_samples=stride)
-        targets = np.stack([c.phasic_target for c in clips])
+        _, targets, norm = make_clips(a_l, a_r, phasic, stride_samples=stride)
         out = reconstruct(targets, stride, RATE)
         expected = norm.phasic.apply(phasic.samples)[: len(out)]
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-9)
@@ -194,12 +197,12 @@ def _planted_session(rng, n=960):
     """Session whose normalized phasic is an exact affine map of the windows."""
     a_l, a_r = _accel_pair(rng, n)
     placeholder = Trace(np.linspace(0.0, 1.0, n), RATE)
-    clips, _ = make_clips(a_l, a_r, placeholder)
+    windows, _, _ = make_clips(a_l, a_r, placeholder)
     w_true = rng.uniform(-0.005, 0.005, (L, 6 * L + 1))
     w_true[:, -1] = 0.5  # bias keeps targets well inside (0, 1)
     phasic = np.full(n, 0.5)
-    for k, clip in enumerate(clips):
-        x = np.concatenate([clip.accel_window.ravel(), [1.0]])
+    for k, window in enumerate(windows):
+        x = np.concatenate([window.ravel(), [1.0]])
         phasic[k * L : (k + 1) * L] = w_true @ x
     return a_l, a_r, Trace(phasic, RATE)
 
@@ -207,11 +210,9 @@ def _planted_session(rng, n=960):
 def test_fit_recovers_planted_linear_map():
     rng = np.random.default_rng(24)
     a_l, a_r, phasic = _planted_session(rng)
-    clips, norm = make_clips(a_l, a_r, phasic)
-    model = fit_surrogate(clips, rate_hz=RATE, norm=norm)
+    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
     assert model.train_mae < 1e-6
-    windows = np.stack([c.accel_window for c in clips])
-    targets = np.stack([c.phasic_target for c in clips])
     mae = float(np.mean(np.abs(predict_windows(model, windows) - targets)))
     assert mae < 1e-6
 
@@ -219,29 +220,31 @@ def test_fit_recovers_planted_linear_map():
 def test_fit_rejects_degenerate_input():
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
     with pytest.raises(DegenerateInputError):
-        fit_surrogate([], rate_hz=RATE, norm=norm)
+        fit_surrogate(np.zeros((0, 2, 3 * L)), np.zeros((0, L)), rate_hz=RATE, norm=norm)
 
     # a feature column that is identically zero makes the unregularized
     # normal equations exactly singular
     rng = np.random.default_rng(25)
-    clips = []
+    windows = []
+    targets = []
     for _ in range(20):
         window = rng.uniform(0.0, 1.0, (2, 6))
         window[0, 0] = 0.0
-        clips.append(Clip(window, rng.uniform(0.0, 1.0, 2), 2))
+        windows.append(window)
+        targets.append(rng.uniform(0.0, 1.0, 2))
     with pytest.raises(DegenerateInputError):
-        fit_surrogate(clips, 0.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
-    model = fit_surrogate(clips, 1e-6, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+        fit_surrogate(windows, targets, 0.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+    model = fit_surrogate(windows, targets, 1e-6, rate_hz=RATE, clip_len_s=0.5, norm=norm)
     assert model.weights.shape == (2, 13)
 
 
 def test_fit_validation():
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
-    clips = [Clip(np.zeros((2, 6)), np.zeros(2), 2)]
+    windows, targets = np.zeros((1, 2, 6)), np.zeros((1, 2))
     with pytest.raises(ValueError, match="ridge_lambda"):
-        fit_surrogate(clips, -1.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
-    with pytest.raises(ValueError, match="clips have L"):
-        fit_surrogate(clips, rate_hz=RATE, clip_len_s=2.25, norm=norm)
+        fit_surrogate(windows, targets, -1.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+    with pytest.raises(ValueError, match=r"clips must be windows \[n, 2, 27\]"):
+        fit_surrogate(windows, targets, rate_hz=RATE, clip_len_s=2.25, norm=norm)
 
 
 def test_predictions_are_clamped():
@@ -262,8 +265,8 @@ def test_predictions_are_clamped():
 
 def _small_model(rng):
     a_l, a_r, phasic = _planted_session(rng, n=360)
-    clips, norm = make_clips(a_l, a_r, phasic)
-    return fit_surrogate(clips, rate_hz=RATE, norm=norm), a_l, a_r
+    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    return fit_surrogate(windows, targets, rate_hz=RATE, norm=norm), a_l, a_r
 
 
 def test_predict_session_dense_covers_whole_session():
