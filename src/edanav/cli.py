@@ -59,14 +59,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(cfg: RunConfig) -> None:
-    records = synth_cohort(
-        cfg.n_sessions,
-        cfg.duration_s,
-        cfg.rate_hz,
-        oracle=cfg.oracle,
-        seed=cfg.seed,
-        train_frac=cfg.train_frac,
-    )
+    records = synth_cohort(**cfg.synth)
     save_dataset(records, cfg.dataset_dir)
     n_train = len(train_split(records))
     print(
@@ -77,13 +70,7 @@ def _cmd_synth(cfg: RunConfig) -> None:
 
 def _cmd_train(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir)
-    model, heldout = train_surrogate(
-        records,
-        clip_len_s=cfg.clip_len_s,
-        stride_samples=cfg.stride_samples,
-        ridge_lambda=cfg.ridge_lambda,
-        decomposition=cfg.decomposition,
-    )
+    model, heldout = train_surrogate(records, **cfg.train)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_model(model, cfg.model_path)
     print(f"train MAE {format_float(model.train_mae)}")
@@ -94,22 +81,7 @@ def _cmd_train(cfg: RunConfig) -> None:
 def _cmd_optimize(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir)
     model = read_model(cfg.model_path)
-    result = optimize(
-        eval_split(records),
-        model,
-        budget=cfg.budget,
-        seed=cfg.optimizer_seed,
-        ranges=cfg.ranges,
-        detectors=cfg.detectors,
-        mode=cfg.mode,
-        explore_frac=cfg.explore_frac,
-        sigma_scale=cfg.sigma_scale,
-        halve_after=cfg.halve_after,
-        workers=cfg.workers,
-        limits=cfg.limits,
-        integral_clamp=cfg.integral_clamp,
-        decomposition=cfg.decomposition,
-    )
+    result = optimize(eval_split(records), model, **cfg.optimize)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_gains(result.best.gains, cfg.gains_path)
     write_history_csv(result, cfg.history_path)
@@ -125,17 +97,8 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir)
     model = read_model(cfg.model_path)
     gains = read_gains(cfg.gains_path)
-    results = evaluate_sessions(
-        eval_split(records),
-        gains,
-        model,
-        detectors=cfg.detectors,
-        mode=cfg.mode,
-        limits=cfg.limits,
-        integral_clamp=cfg.integral_clamp,
-        decomposition=cfg.decomposition,
-    )
-    methods = tuple(d.method for d in cfg.detectors)
+    results = evaluate_sessions(eval_split(records), gains, model, **cfg.evaluate)
+    methods = tuple(d.method for d in cfg.evaluate["detectors"])
     stats = [r.stats for r in results]
     report = build_report(stats, methods)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,19 @@ configuration. Unknown sections or keys are rejected rather than ignored;
 ``--set section.key=value`` overrides take precedence over the file, and
 the output directory can additionally come from the ``EDANAV_OUTPUT_DIR``
 environment variable (flag > environment > file > default).
+
+A default or bound the library already states is taken from it: the
+dataclass sections from their dataclasses, the seeds, ``train_frac``,
+``workers`` and search settings from the keyword defaults of
+`synth_cohort`, `optimize` and `GainRanges.default`, and the search
+settings' bounds from `check_search_settings`. `RunConfig` carries each
+call's keyword arguments whole, so the CLI passes them on with ``**``.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
+from .dataset import synth_cohort
 from .errors import ConfigError
-from .optimize import MODES, GainRanges
+from .optimize import GainRanges, check_search_settings, optimize
 from .scr import METHODS, DetectorParams, default_detectors
 from .signals import DecompositionConfig
 from .surrogate import DEFAULT_CLIP_LEN_S, DEFAULT_RIDGE_LAMBDA, OracleParams
@@ -31,58 +40,62 @@ def _defaults(obj, *skip: str) -> dict[str, object]:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
 
 
-def _floats(defaults: dict[str, object]) -> dict[str, tuple[str, object]]:
-    return {key: ("float", value) for key, value in defaults.items()}
+def _keyword_defaults(fn, *names: str) -> dict[str, object]:
+    """The defaults of ``fn``'s keywords ``names`` (all of them if none are named)."""
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names or params}
+
+
+def _typed(defaults: dict[str, object]) -> dict[str, tuple[str, object]]:
+    """Schema entries tagged with the type of their default."""
+    return {key: (type(value).__name__, value) for key, value in defaults.items()}
+
+
+# the keys each detector reads besides the shared amplitude and rise-time band
+_DETECTOR_OWN_KEYS = {"gamboa2008": "min_separation_s", "neurokit": "prominence_frac"}
 
 
 def _detector_keys(params: DetectorParams) -> dict[str, tuple[str, object]]:
-    """A detector section's keys: prominence_frac is neurokit's alone."""
-    skip = () if params.method == "neurokit" else ("prominence_frac",)
-    return _floats(_defaults(params, "method", *skip))
+    unread = set(_DETECTOR_OWN_KEYS.values()) - {_DETECTOR_OWN_KEYS.get(params.method)}
+    return _typed(_defaults(params, "method", *unread))
 
+
+# the optimizer keys `check_search_settings` bounds, besides budget
+_SEARCH_KEYS = ("mode", "explore_frac", "sigma_scale", "halve_after")
 
 # section -> key -> (type tag, default). The tags drive both parsing and
 # the unknown-key check; "maybe_int" and "maybe_float" admit an empty value.
-# Sections that configure a dataclass take their keys and defaults from it.
+# A default the library defines is read from it: sections that configure a
+# dataclass take their keys from it, and the seeds, train_frac, workers and
+# search settings come from `synth_cohort`'s, `optimize`'s and
+# `GainRanges.default`'s keyword defaults.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
-        "seed": ("int", 0),
+        **_typed(_keyword_defaults(synth_cohort, "seed")),
         "output_dir": ("str", "out"),
         # accepted and validated (>= 1) for existing configs; has no effect
-        "workers": ("int", 1),
+        **_typed(_keyword_defaults(optimize, "workers")),
     },
     "dataset": {
         "dir": ("str", ""),
-        "n_sessions": ("int", 40),
-        "duration_s": ("float", 240.0),
-        "rate_hz": ("float", 4.0),
-        "train_frac": ("float", 0.75),
+        **_typed({"n_sessions": 40, "duration_s": 240.0, "rate_hz": 4.0}),
+        **_typed(_keyword_defaults(synth_cohort, "train_frac")),
     },
-    "oracle": _floats(_defaults(OracleParams(), "seed")),
-    "decomposition": _floats(_defaults(DecompositionConfig())),
+    "oracle": _typed(_defaults(OracleParams(), "seed")),
+    "decomposition": _typed(_defaults(DecompositionConfig())),
     "surrogate": {
         "clip_len_s": ("float", DEFAULT_CLIP_LEN_S),
         "stride_samples": ("maybe_int", None),
         "ridge_lambda": ("float", DEFAULT_RIDGE_LAMBDA),
     },
-    "control": {
-        "integral_clamp": ("float", DEFAULT_INTEGRAL_CLAMP),
-        **_floats(_defaults(AccelLimits())),
-    },
+    "control": _typed({"integral_clamp": DEFAULT_INTEGRAL_CLAMP, **_defaults(AccelLimits())}),
     **{
         f"detector.{d.method}": _detector_keys(d) for d in default_detectors()
     },
     "optimizer": {
         "budget": ("int", 400),
-        "seed": ("int", 0),
-        "mode": ("str", "offline"),
-        "explore_frac": ("float", 0.6),
-        "sigma_scale": ("float", 0.2),
-        "halve_after": ("int", 10),
-        "k_lo": ("float", 0.0),
-        "k_hi": ("float", 0.5),
-        "beta_lo": ("float", 0.0),
-        "beta_hi": ("float", 0.01),
+        **_typed(_keyword_defaults(optimize, "seed", *_SEARCH_KEYS)),
+        **_typed(_keyword_defaults(GainRanges.default)),
         # optional per-gain bracket overrides (lo_K_Pl = ..., hi_beta_r = ...)
         **{f"{end}_{key}": ("maybe_float", None) for key in GAIN_KEYS for end in ("lo", "hi")},
     },
@@ -94,32 +107,21 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated knobs for every pipeline command."""
+    """Validated settings for every pipeline command.
 
-    seed: int
+    ``synth``, ``train``, ``optimize`` and ``evaluate`` are the keyword
+    arguments of `synth_cohort`, `train_surrogate`, `optimize` and
+    `evaluate_sessions`, each call's inputs aside; the last two share
+    detectors, mode, limits, integral_clamp and decomposition.
+    """
+
     output_dir: Path
-    workers: int
     dataset_dir: Path
-    n_sessions: int
-    duration_s: float
-    rate_hz: float
-    train_frac: float
-    oracle: OracleParams
-    decomposition: DecompositionConfig
-    clip_len_s: float
-    stride_samples: int | None
-    ridge_lambda: float
-    limits: AccelLimits
-    integral_clamp: float
-    detectors: tuple[DetectorParams, ...]
-    budget: int
-    optimizer_seed: int
-    mode: str
-    explore_frac: float
-    sigma_scale: float
-    halve_after: int
-    ranges: GainRanges
     svg: bool
+    synth: dict[str, object]
+    train: dict[str, object]
+    optimize: dict[str, object]
+    evaluate: dict[str, object]
 
     # conventional artifact locations inside output_dir
     @property
@@ -219,90 +221,73 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
             for key, (_tag, default) in keys.items()
         }
 
-    output_dir = values["run"]["output_dir"]
+    _validate(values)
+    run, o = values["run"], values["optimizer"]
+    output_dir = run["output_dir"]
     if output_dir_flag is not None:
         output_dir = output_dir_flag
     elif os.environ.get(ENV_OUTPUT_DIR):
         output_dir = os.environ[ENV_OUTPUT_DIR]
     output_dir = Path(output_dir)
-
-    dataset_dir = values["dataset"]["dir"]
+    dataset = dict(values["dataset"])
+    dataset_dir = dataset.pop("dir")
     dataset_dir = Path(dataset_dir) if dataset_dir else output_dir / "dataset"
-
-    mode = values["optimizer"]["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"[optimizer] mode must be one of {MODES}, got {mode!r}")
-    o = values["optimizer"]
+    search = {key: o[key] for key in ("budget", *_SEARCH_KEYS)}
+    control = dict(values["control"])
     try:
-        oracle = OracleParams(**values["oracle"])
-        decomposition = DecompositionConfig(**values["decomposition"])
-        control = dict(values["control"])
-        integral_clamp = control.pop("integral_clamp")
-        limits = AccelLimits(**control)
-        detectors = tuple(
-            DetectorParams(method=method, **values[f"detector.{method}"]) for method in METHODS
-        )
-        k_lo, k_hi = o["k_lo"], o["k_hi"]
-        beta_lo, beta_hi = o["beta_lo"], o["beta_hi"]
-        lo = np.array([k_lo] * 9 + [beta_lo] * 2)
-        hi = np.array([k_hi] * 9 + [beta_hi] * 2)
+        check_search_settings(**search, workers=run["workers"])
+        box = GainRanges.default(**{key: o[key] for key in _keyword_defaults(GainRanges.default)})
+        lo, hi = np.array(box.lo), np.array(box.hi)
         for i, key in enumerate(GAIN_KEYS):
             if o[f"lo_{key}"] is not None:
                 lo[i] = o[f"lo_{key}"]
             if o[f"hi_{key}"] is not None:
                 hi[i] = o[f"hi_{key}"]
         ranges = GainRanges(lo=lo, hi=hi)
+        oracle = OracleParams(**values["oracle"])
+        decomposition = DecompositionConfig(**values["decomposition"])
+        detectors = tuple(
+            DetectorParams(method=method, **values[f"detector.{method}"]) for method in METHODS
+        )
+        integral_clamp = control.pop("integral_clamp")
+        limits = AccelLimits(**control)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    cfg = RunConfig(
-        seed=values["run"]["seed"],
+    shared = {
+        "detectors": detectors,
+        "mode": o["mode"],
+        "limits": limits,
+        "integral_clamp": integral_clamp,
+        "decomposition": decomposition,
+    }
+    return RunConfig(
         output_dir=output_dir,
-        workers=values["run"]["workers"],
         dataset_dir=dataset_dir,
-        n_sessions=values["dataset"]["n_sessions"],
-        duration_s=values["dataset"]["duration_s"],
-        rate_hz=values["dataset"]["rate_hz"],
-        train_frac=values["dataset"]["train_frac"],
-        oracle=oracle,
-        decomposition=decomposition,
-        clip_len_s=values["surrogate"]["clip_len_s"],
-        stride_samples=values["surrogate"]["stride_samples"],
-        ridge_lambda=values["surrogate"]["ridge_lambda"],
-        limits=limits,
-        integral_clamp=integral_clamp,
-        detectors=detectors,
-        budget=o["budget"],
-        optimizer_seed=o["seed"],
-        mode=mode,
-        explore_frac=o["explore_frac"],
-        sigma_scale=o["sigma_scale"],
-        halve_after=o["halve_after"],
-        ranges=ranges,
         svg=values["report"]["svg"],
+        synth={**dataset, "oracle": oracle, "seed": run["seed"]},
+        train={**values["surrogate"], "decomposition": decomposition},
+        optimize={**shared, **search, "seed": o["seed"], "ranges": ranges,
+                  "workers": run["workers"]},
+        evaluate=shared,
     )
-    _validate(cfg)
-    return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(values: dict[str, dict[str, object]]) -> None:
+    """Bounds checked here so that every command rejects them before it writes."""
+    dataset, surrogate = values["dataset"], values["surrogate"]
     checks = [
-        (cfg.n_sessions >= 1, "[dataset] n_sessions must be >= 1"),
-        (cfg.duration_s > 0, "[dataset] duration_s must be positive"),
-        (cfg.rate_hz > 0, "[dataset] rate_hz must be positive"),
-        (0.0 <= cfg.train_frac <= 1.0, "[dataset] train_frac must be in [0, 1]"),
-        (cfg.clip_len_s > 0, "[surrogate] clip_len_s must be positive"),
+        (dataset["n_sessions"] >= 1, "[dataset] n_sessions must be >= 1"),
+        (dataset["duration_s"] > 0, "[dataset] duration_s must be positive"),
+        (dataset["rate_hz"] > 0, "[dataset] rate_hz must be positive"),
+        (0.0 <= dataset["train_frac"] <= 1.0, "[dataset] train_frac must be in [0, 1]"),
+        (surrogate["clip_len_s"] > 0, "[surrogate] clip_len_s must be positive"),
         (
-            cfg.stride_samples is None or cfg.stride_samples >= 1,
+            surrogate["stride_samples"] is None or surrogate["stride_samples"] >= 1,
             "[surrogate] stride_samples must be >= 1 when set",
         ),
-        (cfg.ridge_lambda >= 0, "[surrogate] ridge_lambda must be >= 0"),
-        (cfg.integral_clamp > 0, "[control] integral_clamp must be positive"),
-        (cfg.budget >= 1, "[optimizer] budget must be >= 1"),
-        (0.0 < cfg.explore_frac <= 1.0, "[optimizer] explore_frac must be in (0, 1]"),
-        (cfg.sigma_scale > 0, "[optimizer] sigma_scale must be positive"),
-        (cfg.halve_after >= 1, "[optimizer] halve_after must be >= 1"),
-        (cfg.workers >= 1, "[run] workers must be >= 1"),
+        (surrogate["ridge_lambda"] >= 0, "[surrogate] ridge_lambda must be >= 0"),
+        (values["control"]["integral_clamp"] > 0, "[control] integral_clamp must be positive"),
     ]
     for ok, message in checks:
         if not ok:

@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .signals import Trace, Unit, format_float, read_trace_csv, write_trace_csv
+from .signals import (
+    Trace,
+    Unit,
+    format_float,
+    read_samples_csv,
+    read_trace_csv,
+    write_samples_csv,
+    write_trace_csv,
+)
 from .surrogate import OracleParams, synth_session
 
 SPLITS = ("train", "eval")
@@ -171,47 +179,16 @@ def synth_cohort(
 # ---------------------------------------------------------------------------
 
 def _write_accel_csv(a_l: Trace, a_r: Trace, path: Path) -> None:
-    lines = [
-        f"# rate_hz={format_float(a_l.rate_hz)} unit_a_l={a_l.unit.value} unit_a_r={a_r.unit.value}",
-        "t_s,a_l,a_r",
-    ]
-    for i in range(len(a_l)):
-        t = i / a_l.rate_hz
-        lines.append(f"{t:.6f},{format_float(a_l.samples[i])},{format_float(a_r.samples[i])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = {"rate_hz": format_float(a_l.rate_hz), "unit_a_l": a_l.unit.value,
+            "unit_a_r": a_r.unit.value}
+    write_samples_csv(path, meta, a_l.rate_hz, {"a_l": a_l.samples, "a_r": a_r.samples})
 
 
 def _read_accel_csv(path: Path) -> tuple[Trace, Trace]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) < 3:
-        raise FileFormatError(path, "accel file needs metadata, header, and rows")
-    meta = {}
-    if not lines[0].startswith("#"):
-        raise FileFormatError(path, "expected metadata line starting with '#'", 1)
-    for token in lines[0][1:].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
-    try:
-        rate_hz = float(meta["rate_hz"])
-    except (KeyError, ValueError):
-        raise FileFormatError(path, "metadata must define a numeric rate_hz", 1) from None
-    if lines[1] != "t_s,a_l,a_r":
-        raise FileFormatError(path, f"expected header 't_s,a_l,a_r', got {lines[1]!r}", 2)
-    al, ar = [], []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(path, f"expected three columns, got {len(parts)}", lineno)
-        try:
-            al.append(float(parts[1]))
-            ar.append(float(parts[2]))
-        except ValueError:
-            raise FileFormatError(path, "bad acceleration value", lineno) from None
-    unit_l = Unit(meta.get("unit_a_l", Unit.M_PER_S2.value))
-    unit_r = Unit(meta.get("unit_a_r", Unit.RAD_PER_S2.value))
-    return Trace(al, rate_hz, unit_l), Trace(ar, rate_hz, unit_r)
+    rate_hz, (unit_l, unit_r), (a_l, a_r) = read_samples_csv(
+        path, "acceleration", ("unit_a_l", "unit_a_r"), ("a_l", "a_r")
+    )
+    return Trace(a_l, rate_hz, unit_l), Trace(a_r, rate_hz, unit_r)
 
 
 def save_dataset(records: list[SessionRecord], directory) -> None:

@@ -20,6 +20,7 @@ consecutive non-improving trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,12 +195,10 @@ def _simulate(
         adapted_l = Trace(out_l, rate, record.a_l.unit)
         adapted_r = Trace(out_r, rate, record.a_r.unit)
         pred = predict_session(model, adapted_l, adapted_r)
-    elif mode == "closed_loop":
+    else:
         out_l, out_r, pred = _closed_loop_adapt(ctx, model, gains, limits)
         adapted_l = Trace(out_l, rate, record.a_l.unit)
         adapted_r = Trace(out_r, rate, record.a_r.unit)
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return SimulationResult(
         session_id=record.session_id,
         adapted_a_l=adapted_l,
@@ -224,6 +223,7 @@ def evaluate_sessions(
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> list[SimulationResult]:
     """Replay each session under ``gains`` and score it with the surrogate."""
+    check_search_settings(mode=mode)
     if detectors is None:
         detectors = default_detectors()
     return [
@@ -261,9 +261,35 @@ class GainRanges:
         object.__setattr__(self, "hi", hi)
 
     @staticmethod
-    def default(k_hi: float = 0.5, beta_hi: float = 0.01) -> "GainRanges":
-        hi = np.array([k_hi] * 9 + [beta_hi] * 2)
-        return GainRanges(np.zeros(len(GAIN_KEYS)), hi)
+    def default(
+        k_lo: float = 0.0, k_hi: float = 0.5, beta_lo: float = 0.0, beta_hi: float = 0.01
+    ) -> "GainRanges":
+        """One bracket for the nine PID gains and one for the two betas."""
+        return GainRanges(np.array([k_lo] * 9 + [beta_lo] * 2),
+                          np.array([k_hi] * 9 + [beta_hi] * 2))
+
+
+# search setting -> (accepts the value, the rule it must satisfy)
+_SEARCH_RULES = {
+    "budget": (lambda v: v >= 1, "must be >= 1"),
+    "mode": (lambda v: v in MODES, f"must be one of {MODES}"),
+    "explore_frac": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "sigma_scale": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    "halve_after": (lambda v: v >= 1, "must be >= 1"),
+    "workers": (lambda v: v >= 1, "must be >= 1"),
+}
+
+
+def check_search_settings(**settings) -> None:
+    """Raise ValueError for the first of ``settings`` outside its range.
+
+    The names are `optimize`'s keywords budget, mode, explore_frac,
+    sigma_scale, halve_after and workers; any subset may be given.
+    """
+    for name, value in settings.items():
+        accepts, rule = _SEARCH_RULES[name]
+        if not accepts(value):
+            raise ValueError(f"{name} {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -308,19 +334,14 @@ def optimize(
     `metrics.build_report` over the replayed sessions, and its objective is
     their sum. Results are fully deterministic for a given seed.
     ``workers`` must be >= 1 and has no effect: every trial runs in the
-    calling thread.
+    calling thread. `check_search_settings` holds the bounds of every
+    setting; the keyword defaults here are also the config file's.
     """
+    check_search_settings(budget=budget, mode=mode, explore_frac=explore_frac,
+                          sigma_scale=sigma_scale, halve_after=halve_after, workers=workers)
     records = list(records)
     if not records:
         raise ValueError("optimize needs at least one session")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not 0.0 < explore_frac <= 1.0:
-        raise ValueError("explore_frac must be in (0, 1]")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if ranges is None:
         ranges = GainRanges.default()
     if detectors is None:

@@ -51,7 +51,8 @@ class DetectorParams:
 
     ``min_amplitude`` is a fraction of the trace's peak-to-peak range for
     kim2004 and an absolute value (normalized units) for the other methods.
-    ``prominence_frac`` applies to neurokit only.
+    ``min_separation_s`` applies to gamboa2008 only, ``prominence_frac`` to
+    neurokit only.
     """
 
     method: str

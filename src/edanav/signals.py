@@ -225,7 +225,8 @@ def decompose(eda: Trace, cfg: DecompositionConfig = DecompositionConfig()) -> E
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV format: one metadata line, a header, then t_s,value rows.
+# Sample CSV format: one metadata line, a header, then one row per sample
+# (its time, then one value per column). A single trace is written as
 #
 #   # unit=microsiemens rate_hz=4.0
 #   t_s,value
@@ -237,57 +238,85 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    """Write a trace in the sidecar-metadata CSV format."""
-    lines = [f"# unit={trace.unit.value} rate_hz={format_float(trace.rate_hz)}", "t_s,value"]
-    for i, v in enumerate(trace.samples):
-        lines.append(f"{i / trace.rate_hz:.6f},{format_float(v)}")
+def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict) -> None:
+    """Write ``# key=value ...``, the header ``t_s,<column names>`` and the rows."""
+    cells = [list(map(format_float, np.asarray(values).tolist())) for values in columns.values()]
+    times = [f"{i / rate_hz:.6f}" for i in range(len(cells[0]))]
+    lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
+             ",".join(["t_s", *columns]), *map(",".join, zip(times, *cells))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_meta_line(line: str, path, lineno: int) -> dict:
-    if not line.startswith("#"):
-        raise FileFormatError(path, "expected metadata line starting with '#'", lineno)
-    meta = {}
-    for token in line[1:].split():
-        if "=" not in token:
-            raise FileFormatError(path, f"malformed metadata token {token!r}", lineno)
-        key, value = token.split("=", 1)
-        meta[key] = value
-    return meta
+def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[str, ...]):
+    """Read a file written by `write_samples_csv`.
 
-
-def read_trace_csv(path) -> Trace:
-    """Read a trace written by `write_trace_csv`."""
+    The metadata must define ``rate_hz`` and a `Unit` for each of
+    ``unit_keys``; the header must be ``t_s`` and ``names``. Returns the
+    rate, the units in ``unit_keys`` order and a [len(names), n] array.
+    ``kind`` names the file in error messages.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if len(lines) < 3:
-        raise FileFormatError(path, "trace file needs metadata, header, and at least one row")
-    meta = _parse_meta_line(lines[0], path, 1)
-    if "unit" not in meta or "rate_hz" not in meta:
-        raise FileFormatError(path, "metadata line must define unit and rate_hz", 1)
-    try:
-        unit = Unit(meta["unit"])
-    except ValueError:
-        raise FileFormatError(path, f"unknown unit {meta['unit']!r}", 1) from None
+        raise FileFormatError(path, f"{kind} file needs metadata, header, and at least one row")
+    if not lines[0].startswith("#"):
+        raise FileFormatError(path, "expected metadata line starting with '#'", 1)
+    meta = {}
+    for token in lines[0][1:].split():
+        if "=" not in token:
+            raise FileFormatError(path, f"malformed metadata token {token!r}", 1)
+        key, value = token.split("=", 1)
+        meta[key] = value
+    keys = (*unit_keys, "rate_hz")
+    if any(key not in meta for key in keys):
+        raise FileFormatError(path, f"metadata line must define {' and '.join(keys)}", 1)
+    units = []
+    for key in unit_keys:
+        try:
+            units.append(Unit(meta[key]))
+        except ValueError:
+            raise FileFormatError(path, f"unknown unit {meta[key]!r}", 1) from None
     try:
         rate_hz = float(meta["rate_hz"])
     except ValueError:
         raise FileFormatError(path, f"bad rate_hz {meta['rate_hz']!r}", 1) from None
-    if lines[1] != "t_s,value":
-        raise FileFormatError(path, f"expected header 't_s,value', got {lines[1]!r}", 2)
-    values = []
+    header = ",".join(["t_s", *names])
+    if lines[1] != header:
+        raise FileFormatError(path, f"expected header {header!r}, got {lines[1]!r}", 2)
+    cells, linenos = [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 2:
-            raise FileFormatError(path, f"expected two columns, got {len(parts)}", lineno)
-        try:
-            values.append(float(parts[1]))
-        except ValueError:
-            raise FileFormatError(path, f"bad value {parts[1]!r}", lineno) from None
-    if not values:
-        raise FileFormatError(path, "trace file contains no samples")
-    return Trace(np.asarray(values), rate_hz, unit)
+        if len(parts) != len(names) + 1:
+            raise FileFormatError(
+                path, f"expected {len(names) + 1} columns, got {len(parts)}", lineno
+            )
+        cells += parts[1:]  # the time column is implied by the rate
+        linenos.append(lineno)
+    if not cells:
+        raise FileFormatError(path, f"{kind} file contains no samples")
+    try:
+        values = np.array(cells, dtype=np.float64)  # float() on each cell
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                lineno = linenos[i // len(names)]
+                raise FileFormatError(path, f"bad {kind} value {cell!r}", lineno) from None
+        raise
+    return rate_hz, units, values.reshape(-1, len(names)).T
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write a trace in the sidecar-metadata CSV format."""
+    meta = {"unit": trace.unit.value, "rate_hz": format_float(trace.rate_hz)}
+    write_samples_csv(path, meta, trace.rate_hz, {"value": trace.samples})
+
+
+def read_trace_csv(path) -> Trace:
+    """Read a trace written by `write_trace_csv`."""
+    rate_hz, (unit,), (values,) = read_samples_csv(path, "trace", ("unit",), ("value",))
+    return Trace(values, rate_hz, unit)

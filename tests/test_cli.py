@@ -1,5 +1,6 @@
 """Pipeline-step and command-line tests: config handling, exit codes, artifacts."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from edanav.config import _SCHEMA, ENV_OUTPUT_DIR, load_config
 from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
 from edanav.dataset import SessionRecord, synth_cohort
 from edanav.errors import ConfigError
+from edanav.optimize import GainRanges, evaluate_sessions, optimize
 from edanav.pipeline import eval_split, held_out_mae, train_split, train_surrogate
 from edanav.scr import default_detectors
 from edanav.signals import DecompositionConfig, Trace, Unit
@@ -75,26 +77,43 @@ def test_train_surrogate_split_edge_cases():
 def test_config_defaults(monkeypatch):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     cfg = load_config()
-    assert cfg.n_sessions == 40
-    assert cfg.duration_s == 240.0
-    assert cfg.rate_hz == 4.0
-    assert cfg.budget == 400
+    assert cfg.synth["n_sessions"] == 40
+    assert cfg.synth["duration_s"] == 240.0
+    assert cfg.synth["rate_hz"] == 4.0
+    assert cfg.optimize["budget"] == 400
     assert str(cfg.output_dir) == "out"
     assert cfg.dataset_dir == cfg.output_dir / "dataset"
     assert cfg.model_path == cfg.output_dir / "model.csv"
-    assert tuple(d.method for d in cfg.detectors) == ("kim2004", "gamboa2008", "neurokit")
-    np.testing.assert_array_equal(cfg.ranges.hi, [0.5] * 9 + [0.01] * 2)
-    assert cfg.stride_samples is None
+    detectors = cfg.evaluate["detectors"]
+    assert tuple(d.method for d in detectors) == ("kim2004", "gamboa2008", "neurokit")
+    np.testing.assert_array_equal(cfg.optimize["ranges"].hi, [0.5] * 9 + [0.01] * 2)
+    assert cfg.train["stride_samples"] is None
     assert cfg.svg is True
-    assert cfg.oracle == OracleParams()
-    assert cfg.decomposition == DecompositionConfig()
-    assert cfg.limits == AccelLimits()
-    assert cfg.integral_clamp == DEFAULT_INTEGRAL_CLAMP
-    assert cfg.detectors == default_detectors()
+    assert cfg.synth["oracle"] == OracleParams()
+    assert cfg.train["decomposition"] == DecompositionConfig()
+    assert cfg.evaluate["limits"] == AccelLimits()
+    assert cfg.evaluate["integral_clamp"] == DEFAULT_INTEGRAL_CLAMP
+    assert detectors == default_detectors()
+    # optimize and evaluate_sessions share their replay settings
+    for key, value in cfg.evaluate.items():
+        assert cfg.optimize[key] == value, key
+
+
+def test_config_defaults_are_the_library_defaults(monkeypatch):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    cfg = load_config()
+    for fn, kwargs in ((synth_cohort, cfg.synth), (optimize, cfg.optimize),
+                       (train_surrogate, cfg.train), (evaluate_sessions, cfg.evaluate)):
+        for name, param in inspect.signature(fn).parameters.items():
+            if name in kwargs and param.default not in (inspect.Parameter.empty, None):
+                assert kwargs[name] == param.default, (fn.__name__, name)
+    box = GainRanges.default()
+    np.testing.assert_array_equal(cfg.optimize["ranges"].lo, box.lo)
+    np.testing.assert_array_equal(cfg.optimize["ranges"].hi, box.hi)
 
 
 def test_config_accepts_exactly_the_documented_keys():
-    rise = {"min_amplitude", "min_separation_s", "rise_time_min_s", "rise_time_max_s"}
+    rise = {"min_amplitude", "rise_time_min_s", "rise_time_max_s"}
     assert {section: set(keys) for section, keys in _SCHEMA.items()} == {
         "run": {"seed", "output_dir", "workers"},
         "dataset": {"dir", "n_sessions", "duration_s", "rate_hz", "train_frac"},
@@ -104,7 +123,7 @@ def test_config_accepts_exactly_the_documented_keys():
         "surrogate": {"clip_len_s", "stride_samples", "ridge_lambda"},
         "control": {"integral_clamp", "max_longitudinal", "max_rotational"},
         "detector.kim2004": rise,
-        "detector.gamboa2008": rise,
+        "detector.gamboa2008": rise | {"min_separation_s"},
         "detector.neurokit": rise | {"prominence_frac"},
         "optimizer": {"budget", "seed", "mode", "explore_frac", "sigma_scale", "halve_after",
                       "k_lo", "k_hi", "beta_lo", "beta_hi",
@@ -123,15 +142,15 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
         "[report]\nsvg = no\n"
     )
     cfg = load_config(path, overrides=["optimizer.budget=7", "dataset.rate_hz=8"])
-    assert cfg.seed == 3
-    assert cfg.budget == 7  # --set beats the file
-    assert cfg.rate_hz == 8.0
-    assert cfg.stride_samples == 3
+    assert cfg.synth["seed"] == 3
+    assert cfg.optimize["budget"] == 7  # --set beats the file
+    assert cfg.synth["rate_hz"] == 8.0
+    assert cfg.train["stride_samples"] == 3
     assert cfg.svg is False
     assert str(cfg.output_dir) == "from_file"
     # per-gain bracket override tightens one entry, k_hi covers the rest
-    assert cfg.ranges.hi[1] == 0.02
-    assert cfg.ranges.hi[0] == 0.3
+    assert cfg.optimize["ranges"].hi[1] == 0.02
+    assert cfg.optimize["ranges"].hi[0] == 0.3
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
@@ -170,6 +189,10 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(overrides=["run.workers=0"])
     with pytest.raises(ConfigError, match="mode"):
         load_config(overrides=["optimizer.mode=online"])
+    for key in ("sigma_scale=0", "sigma_scale=-1", "sigma_scale=nan", "halve_after=0",
+                "explore_frac=0"):
+        with pytest.raises(ConfigError, match=key.partition("=")[0]):
+            load_config(overrides=[f"optimizer.{key}"])
     with pytest.raises(ConfigError, match="empty range"):
         load_config(overrides=["optimizer.hi_K_Pl=0.1", "optimizer.lo_K_Pl=0.2"])
     with pytest.raises(ConfigError):
@@ -252,6 +275,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "run.speed=1"]) == 1
     assert "config error" in capsys.readouterr().err
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.budget=-4"]) == 1
+    assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.sigma_scale=0"]) == 1
+    assert "sigma_scale must be positive" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_two(tmp_path, capsys):

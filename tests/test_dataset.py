@@ -181,8 +181,26 @@ def test_load_dataset_rejects_corrupt_accel(tmp_path):
     accel = ds / "s000" / "accel.csv"
     lines = accel.read_text().splitlines()
     accel.write_text("\n".join(lines[:4] + ["1.0,oops,3.0"] + lines[5:]) + "\n")
-    with pytest.raises(FileFormatError, match="bad acceleration value"):
+    with pytest.raises(FileFormatError, match="bad acceleration value") as excinfo:
         load_dataset(ds)
+    assert excinfo.value.line == 5
     accel.write_text("\n".join(lines[:2]) + "\n")
     with pytest.raises(FileFormatError, match="needs metadata"):
         load_dataset(ds)
+
+
+def test_load_dataset_rejects_malformed_accel_metadata(tmp_path):
+    records = synth_cohort(1, 120.0, 4.0, seed=11)
+    ds = tmp_path / "ds"
+    save_dataset(records, ds)
+    accel = ds / "s000" / "accel.csv"
+    lines = accel.read_text().splitlines()
+    assert lines[0] == "# rate_hz=4.0 unit_a_l=m_per_s2 unit_a_r=rad_per_s2"
+    for meta, message in (
+        ("# rate_hz=4.0 unit_a_l=furlongs unit_a_r=rad_per_s2", "unknown unit 'furlongs'"),
+        ("# rate_hz=4.0 unit_a_l=m_per_s2 unit_a_r=rad_per_s2 stray", "malformed metadata"),
+    ):
+        accel.write_text("\n".join([meta, *lines[1:]]) + "\n")
+        with pytest.raises(FileFormatError, match=message) as excinfo:
+            load_dataset(ds)
+        assert excinfo.value.line == 1

@@ -256,6 +256,13 @@ def test_optimize_validation(small):
         optimize(sessions, model, budget=5, explore_frac=0.0)
     with pytest.raises(ValueError):
         optimize(sessions, model, budget=5, workers=0)
+    for sigma_scale in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma_scale"):
+            optimize(sessions, model, budget=5, sigma_scale=sigma_scale)
+    with pytest.raises(ValueError, match="halve_after"):
+        optimize(sessions, model, budget=5, halve_after=0)
+    with pytest.raises(ValueError, match="mode"):
+        evaluate_sessions(sessions, PidGains(), model, mode="online")
     with pytest.raises(ValueError, match="integral_clamp"):
         optimize(sessions, model, budget=5, integral_clamp=-1.0)
 
