@@ -11,8 +11,9 @@ Over a recorded session the PID state does not depend on the gains: every
 error, clamped integral and error difference comes from the recording.
 `pid_terms` computes them once per session, `apply_gains` turns them into
 the adapted accelerations for one gain set with whole-array arithmetic,
-and `adapt_trace` is the two in sequence. `_pid` is the same update for one
-sample, for feedback that is only known sample by sample (closed loop).
+and `adapt_trace` is the two in sequence. `constant_step_integral` is the
+same integral over a stretch of constant error, as in the closed loop,
+where the feedback is held clip by clip.
 
 `plouzeau_step` is the prior linear law a' = a - 0.5 * dEDA/dt, kept as a
 baseline; it drifts without bound under monotone EDA, which is the flaw the
@@ -93,17 +94,6 @@ class AccelLimits:
             raise ValueError("acceleration limits must be positive")
 
 
-def _pid(integral, prev_error, e, k_p, k_i, k_d, dt, clamp):
-    """One scalar PID update; returns (output, integral, new prev_error)."""
-    integral = integral + e * dt
-    if integral > clamp:
-        integral = clamp
-    elif integral < -clamp:
-        integral = -clamp
-    out = k_p * e + k_i * integral + k_d * (e - prev_error) / dt
-    return out, integral, e
-
-
 @dataclass(frozen=True)
 class PidTerms:
     """Per-sample PID state of one recorded session, independent of the gains.
@@ -121,7 +111,7 @@ class PidTerms:
 
 
 def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
-    """The anti-windup integral of `_pid`: s[i] = clamp(s[i-1] + steps[i]) from s = 0.0."""
+    """The anti-windup integral: s[i] = clamp(s[i-1] + steps[i]) from s = 0.0."""
     sums = []
     integral = 0.0
     for step in steps.tolist():
@@ -132,6 +122,21 @@ def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
             integral = -clamp
         sums.append(integral)
     return np.array(sums)
+
+
+def constant_step_integral(
+    start: np.ndarray, step: np.ndarray, width: int, clamp: float
+) -> np.ndarray:
+    """The anti-windup integral [m, width] from ``start`` [m, 1] under a constant ``step`` [m, 1].
+
+    With every step of one sign and ``start`` inside [-clamp, clamp], the
+    clamp is absorbing: clamping the plain running sum once makes the same
+    additions, in the same order, as clamping after every step.
+    """
+    sums = np.empty((start.shape[0], width + 1))
+    sums[:, :1] = start
+    sums[:, 1:] = step
+    return np.clip(np.cumsum(sums, axis=1)[:, 1:], -clamp, clamp)
 
 
 def pid_terms(

@@ -1,14 +1,20 @@
 """Session replay, the P_pn objective, and gain search.
 
 Every evaluation takes one path: `build_contexts` precomputes what does not
-depend on the gains, `_simulate` replays one session under one gain set and
-scores it with the phasic surrogate, and `metrics.build_report` turns the
-per-session outcomes into per-detector statistics. ``n_raw`` counts events
-on the surrogate's prediction for the unmodified acceleration,
-``n_adapted`` on its prediction for the adapted acceleration, so both
-conditions go through the identical pipeline and zero gains give identical
-counts. ``n_recorded`` (events on the recorded, decomposed phasic) is
-carried along for reporting only.
+depend on the gains, `_simulate` replays the sessions under one gain set and
+scores each with the phasic surrogate, and `metrics.build_report` turns the
+per-session outcomes into per-detector statistics. Offline mode replays
+each session on its own against the recorded feedback; closed-loop mode
+replays sessions of one length together, one clip step for all of them.
+``n_raw`` counts events on the surrogate's offline prediction (stride 1)
+for the unmodified acceleration, ``n_adapted`` on its prediction for the
+adapted acceleration. Offline, both go through the identical pipeline and
+zero gains give identical counts. Closed loop, they do not: the adapted
+prediction there is made at stride L from windows whose future third holds
+the newest sample, so zero gains can still change the counts (the first
+acceptance eval session gives n_raw (7, 10, 5) and n_adapted (8, 80, 5)).
+``n_recorded`` (events on the recorded, decomposed phasic) is carried
+along for reporting only.
 
 The objective P_pn sums, over detectors, the report's percentage of
 sessions whose adapted event count dropped below the raw one; its range is
@@ -32,10 +38,10 @@ from .control import (
     AccelLimits,
     PidGains,
     PidTerms,
-    _pid,
     accel_coefficients,
     adapted_accel,
     apply_gains,
+    constant_step_integral,
     pid_outputs,
     pid_terms,
 )
@@ -43,7 +49,7 @@ from .dataset import SessionRecord
 from .metrics import SessionStats, build_report, msdv
 from .scr import DetectorParams, count_er_scr, default_detectors
 from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
-from .surrogate import SurrogateModel, predict_clip, predict_session
+from .surrogate import SurrogateModel, predict_rows, predict_session
 
 MODES = ("offline", "closed_loop")
 
@@ -123,13 +129,40 @@ def build_contexts(records, model, detectors=None, decomposition=DecompositionCo
     return [build_context(r, model, detectors, decomposition, integral_clamp) for r in records]
 
 
-def _closed_loop_adapt(
-    ctx: SessionContext,
-    model: SurrogateModel,
-    gains: PidGains,
-    limits: AccelLimits,
-) -> tuple[np.ndarray, np.ndarray, Trace]:
-    """Clip-granular loop: adapt clip k under the feedback predicted so far.
+def _adapted(ctx: SessionContext, out_l: np.ndarray, out_r: np.ndarray) -> tuple[Trace, Trace]:
+    record = ctx.record
+    rate = record.a_l.rate_hz
+    return Trace(out_l, rate, record.a_l.unit), Trace(out_r, rate, record.a_r.unit)
+
+
+def _offline_replay(ctx, model, gains, limits) -> tuple[Trace, Trace, Trace]:
+    adapted_l, adapted_r = _adapted(ctx, *apply_gains(ctx.terms, gains, limits))
+    return adapted_l, adapted_r, predict_session(model, adapted_l, adapted_r)
+
+
+def _closed_loop_replay(contexts, model, gains, limits) -> list[tuple[Trace, Trace, Trace]]:
+    """Closed-loop (adapted a_l, adapted a_r, prediction) of every context, in input order.
+
+    Sessions of one length replay together, one clip step for all of them
+    (`_replay_clips`).
+    """
+    groups: dict[int, list[int]] = {}
+    for i, ctx in enumerate(contexts):
+        groups.setdefault(ctx.terms.accel.shape[1], []).append(i)
+    replays: list = [None] * len(contexts)
+    for members in groups.values():
+        out, preds = _replay_clips([contexts[i].terms for i in members], model, gains, limits)
+        for row, i in enumerate(members):
+            ctx = contexts[i]
+            replays[i] = (*_adapted(ctx, out[row, 0], out[row, 1]),
+                          Trace(preds[row], ctx.record.a_l.rate_hz, Unit.NORMALIZED))
+    return replays
+
+
+def _replay_clips(
+    terms: list[PidTerms], model: SurrogateModel, gains: PidGains, limits: AccelLimits
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip-granular loop over m sessions of n samples: (adapted [m, 2, n], predictions).
 
     The controller holds f at the last predicted sample of clip k-1 while
     adapting clip k; the model then predicts clip k from a window of
@@ -137,79 +170,83 @@ def _closed_loop_adapt(
     future third being unknowable mid-run. Samples past the last full clip
     are adapted under the final hold but stay unpredicted, matching the
     offline prediction span. The acceleration channels see only the
-    recording, so their PID outputs come from the session context; only the
-    phasic channel runs sample by sample.
+    recording, so their PID outputs come from the session terms.
+
+    Each step adapts and predicts clip k of every session at once, with the
+    float operations of one sample-by-sample session replay: the phasic
+    error 0 - hold is constant within a clip, so its integral is
+    `constant_step_integral`; the error difference is 0.0 past the clip's
+    first sample; and `predict_rows` is `predict_clip` row by row.
     """
-    terms = ctx.terms
-    rate = ctx.record.a_l.rate_hz
+    m, n = len(terms), terms[0].accel.shape[1]
     L = model.L
-    n = terms.accel.shape[1]
-    n_clips = (n - L) // L + 1
-    covered = n_clips * L
-    base = terms.accel + pid_outputs(terms, gains, channels=2)
+    covered = n // L * L
+    dt, clamp = terms[0].dt, terms[0].integral_clamp
+    k_p, k_i, k_d = gains.K_Pf, gains.K_If, gains.K_Df
+    base = np.stack([t.accel + pid_outputs(t, gains, channels=2) for t in terms])
     beta, bound = accel_coefficients(gains, limits)
-    out = np.empty((2, n))
-    preds = np.empty(covered)
-    psi_f = np.empty(n)
-    integral = prev_error = f_hold = 0.0
+    out = np.empty((m, 2, n))
+    integral = prev_error = np.zeros((m, 1))
 
-    def adapt(first: int, last: int) -> None:
+    def adapt(first: int, last: int, hold: np.ndarray) -> None:
         nonlocal integral, prev_error
-        for i in range(first, last):
-            psi_f[i], integral, prev_error = _pid(
-                integral, prev_error, 0.0 - f_hold, gains.K_Pf, gains.K_If, gains.K_Df,
-                terms.dt, terms.integral_clamp,
-            )
-        out[:, first:last] = adapted_accel(base[:, first:last], psi_f[first:last], beta, bound)
+        error = 0.0 - hold
+        running = constant_step_integral(integral, error * dt, last - first, clamp)
+        delta = np.zeros_like(running)
+        delta[:, :1] = error - prev_error
+        psi_f = k_p * error + k_i * running + k_d * delta / dt
+        out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None], beta, bound)
+        integral, prev_error = running[:, -1:], error
 
-    def normalized(accel: np.ndarray) -> np.ndarray:
-        return np.stack([model.norm.a_l.apply(accel[0]), model.norm.a_r.apply(accel[1])])
-
-    # normalization is element by element, so each adapted clip is
-    # normalized once and the window is assembled from normalized pieces
-    prev = normalized(np.zeros((2, L)))
-    for k in range(n_clips):
-        adapt(k * L, (k + 1) * L)
-        cur = normalized(out[:, k * L : (k + 1) * L])
-        window = np.concatenate([prev, cur, np.repeat(cur[:, -1:], L, axis=1)], axis=1)
-        clip_pred = predict_clip(model, window)
-        preds[k * L : (k + 1) * L] = clip_pred
-        f_hold = float(clip_pred[-1])
-        prev = cur
-    adapt(covered, n)
-    return out[0], out[1], Trace(preds, rate, Unit.NORMALIZED)
+    norm = model.norm
+    vmin = np.array([[norm.a_l.vmin], [norm.a_r.vmin]])
+    span = np.array([[norm.a_l.span], [norm.a_r.span]])
+    rows = np.empty((m, 6 * L + 1))
+    rows[:, -1] = 1.0
+    window = rows[:, :-1].reshape(m, 2, 3 * L)
+    window[:, :, L : 2 * L] = (0.0 - vmin) / span  # moves to the first clip's past
+    preds = np.empty((m, covered))
+    hold = np.zeros((m, 1))
+    for first in range(0, covered, L):
+        last = first + L
+        adapt(first, last, hold)
+        window[:, :, :L] = window[:, :, L : 2 * L]
+        window[:, :, L : 2 * L] = (out[:, :, first:last] - vmin) / span
+        window[:, :, 2 * L :] = window[:, :, 2 * L - 1 : 2 * L]
+        preds[:, first:last] = predict_rows(model, rows)
+        hold = preds[:, last - 1 : last]
+    if covered < n:
+        adapt(covered, n, hold)
+    return out, preds
 
 
 def _simulate(
-    ctx: SessionContext,
+    contexts: list[SessionContext],
     gains: PidGains,
     model: SurrogateModel,
     detectors,
     mode: str,
     limits: AccelLimits,
-) -> SimulationResult:
-    record = ctx.record
-    rate = record.a_l.rate_hz
+) -> list[SimulationResult]:
+    """Replay every context under ``gains`` and score it; results in input order."""
     if mode == "offline":
-        out_l, out_r = apply_gains(ctx.terms, gains, limits)
-        adapted_l = Trace(out_l, rate, record.a_l.unit)
-        adapted_r = Trace(out_r, rate, record.a_r.unit)
-        pred = predict_session(model, adapted_l, adapted_r)
+        replays = [_offline_replay(ctx, model, gains, limits) for ctx in contexts]
     else:
-        out_l, out_r, pred = _closed_loop_adapt(ctx, model, gains, limits)
-        adapted_l = Trace(out_l, rate, record.a_l.unit)
-        adapted_r = Trace(out_r, rate, record.a_r.unit)
-    return SimulationResult(
-        session_id=record.session_id,
-        adapted_a_l=adapted_l,
-        adapted_a_r=adapted_r,
-        predicted_phasic=pred,
-        n_raw=ctx.n_raw,
-        n_adapted=_count_all(pred, detectors),
-        n_recorded=ctx.n_recorded,
-        msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
-        msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
-    )
+        replays = _closed_loop_replay(contexts, model, gains, limits)
+    return [
+        SimulationResult(
+            session_id=ctx.record.session_id,
+            adapted_a_l=adapted_l,
+            adapted_a_r=adapted_r,
+            predicted_phasic=pred,
+            n_raw=ctx.n_raw,
+            n_adapted=_count_all(pred, detectors),
+            n_recorded=ctx.n_recorded,
+            msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
+            msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
+        )
+        for ctx, (adapted_l, adapted_r, pred) in zip(contexts, replays)
+    ]
 
 
 def evaluate_sessions(
@@ -226,10 +263,8 @@ def evaluate_sessions(
     check_search_settings(mode=mode)
     if detectors is None:
         detectors = default_detectors()
-    return [
-        _simulate(ctx, gains, model, detectors, mode, limits)
-        for ctx in build_contexts(records, model, detectors, decomposition, integral_clamp)
-    ]
+    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    return _simulate(contexts, gains, model, detectors, mode, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +398,7 @@ def optimize(
             x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
                         ranges.lo, ranges.hi)
         gains = PidGains.from_array(x)
-        stats = [_simulate(ctx, gains, model, detectors, mode, limits).stats for ctx in contexts]
+        stats = [r.stats for r in _simulate(contexts, gains, model, detectors, mode, limits)]
         report = build_report(stats, methods)
         percentages = tuple(report.stats[m].percentage for m in methods)
         trials.append(Trial(t, gains, sum(percentages), percentages))

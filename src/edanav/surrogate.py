@@ -199,6 +199,16 @@ def predict_clip(model: SurrogateModel, accel_window) -> np.ndarray:
     return np.clip(model.weights @ x, 0.0, 1.0)
 
 
+def predict_rows(model: SurrogateModel, rows: np.ndarray) -> np.ndarray:
+    """`predict_clip` of every row of ``rows`` [m, 6L+1] (a flattened window, then 1.0).
+
+    A stacked `np.matmul` runs one matrix-vector product per row, the
+    product `predict_clip` computes, so each output row equals
+    `predict_clip` of its window bit for bit; ``rows @ weights.T`` does not.
+    """
+    return np.clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
+
+
 def predict_windows(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
     """Vectorized `predict_clip` over a [n, 2, 3L] stack."""
     return np.clip(_design_matrix(windows) @ model.weights.T, 0.0, 1.0)

@@ -172,6 +172,20 @@ def adapt_trace_naive(a_l, a_r, f, rate_hz, gains, max_l, max_r, clamp):
     return out_l, out_r
 
 
+def clamped_sum_naive(start, steps, clamp):
+    """Running sum from ``start``, clamped to [-clamp, clamp] after every step; a list."""
+    integral = float(start)
+    sums = []
+    for step in steps:
+        integral = integral + float(step)
+        if integral > clamp:
+            integral = clamp
+        elif integral < -clamp:
+            integral = -clamp
+        sums.append(integral)
+    return sums
+
+
 def reconstruct_naive(predictions, stride):
     """Overlap-average of equal-length clips placed ``stride`` apart, clip by clip."""
     n_clips = len(predictions)

@@ -18,6 +18,7 @@ from edanav.control import (
     AccelLimits,
     PidGains,
     adapt_trace,
+    constant_step_integral,
     pid_outputs,
     pid_terms,
     plouzeau_step,
@@ -26,7 +27,7 @@ from edanav.control import (
 )
 from edanav.errors import FileFormatError
 
-from oracles import adapt_trace_naive
+from oracles import adapt_trace_naive, clamped_sum_naive
 
 DT = 0.25
 
@@ -276,6 +277,31 @@ def test_adapt_trace_matches_scalar_oracle(session):
     )
     assert out_l.tobytes() == np.array(ref_l, dtype=np.float64).tobytes()
     assert out_r.tobytes() == np.array(ref_r, dtype=np.float64).tobytes()
+
+
+@st.composite
+def _constant_step_runs(draw):
+    clamp = draw(st.sampled_from([0.05, 1.0, DEFAULT_INTEGRAL_CLAMP]) | st.floats(0.01, 100.0))
+    m = draw(st.integers(1, 4))
+    starts = st.sampled_from([0.0, -0.0, clamp, -clamp]) | st.floats(-clamp, clamp)
+    steps = st.sampled_from([0.0, -0.0]) | st.floats(-3.0 * clamp, 3.0 * clamp)
+    start = draw(arrays(np.float64, (m, 1), elements=starts))
+    step = draw(arrays(np.float64, (m, 1), elements=steps))
+    return start, step, draw(st.integers(1, 40)), clamp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constant_step_runs())
+def test_constant_step_integral_matches_scalar_clamp(run):
+    # each row adds one constant step, of either sign or a signed zero, from
+    # a start inside the clamp (at +-clamp included): clamping the plain
+    # running sum once equals clamping after every step, bit for bit
+    start, step, width, clamp = run
+    out = constant_step_integral(start, step, width, clamp)
+    assert out.shape == (start.shape[0], width)
+    for row, s0, d in zip(out, start[:, 0], step[:, 0]):
+        ref = clamped_sum_naive(s0, [d] * width, clamp)
+        assert row.tobytes() == np.array(ref, dtype=np.float64).tobytes()
 
 
 def test_adapt_trace_zero_gains_is_identity():

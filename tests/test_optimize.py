@@ -1,9 +1,18 @@
 """Simulation, objective, and gain-search tests on a small synthetic cohort."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, PidGains, adapt_trace
+from edanav.control import (
+    DEFAULT_INTEGRAL_CLAMP,
+    GAIN_KEYS,
+    AccelLimits,
+    PidGains,
+    adapt_trace,
+    pid_terms,
+)
 from edanav.dataset import synth_cohort
 from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, msdv
 from edanav.optimize import (
@@ -16,6 +25,7 @@ from edanav.optimize import (
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
+from edanav.signals import DecompositionConfig
 from edanav.surrogate import predict_clip, predict_session
 
 from oracles import adapt_trace_naive
@@ -106,29 +116,31 @@ def test_closed_loop_mode(small):
         evaluate_sessions([records[0]], PidGains(), model, mode="online")
 
 
-def test_closed_loop_follows_the_stepwise_law(small):
-    # clip k is adapted under a hold of the last sample predicted for clip
-    # k-1 (0.0 before the first prediction), and predicted from the window
-    # [adapted k-1 | adapted k | hold of its newest sample]
-    records, model = small
-    record = records[1]
-    gains = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
-    result = evaluate_sessions([record], gains, model, mode="closed_loop")[0]
+def _assert_follows_closed_loop_law(record, result, gains, model,
+                                    integral_clamp=DEFAULT_INTEGRAL_CLAMP):
+    """Check one closed-loop replay against the law stepped sample by sample.
+
+    Clip k is adapted under a hold of the last sample predicted for clip
+    k-1 (0.0 before the first prediction), and predicted from the window
+    [adapted k-1 | adapted k | hold of its newest sample]. Returns the
+    feedback f the law read (step i reads f[i - 1], the hold at sample i).
+    """
     L = model.L
     pred = result.predicted_phasic.samples
     n = len(record.a_l)
     rate = record.a_l.rate_hz
+    assert pred.size == n // L * L
     hold = [float(pred[min(i // L, pred.size // L) * L - 1]) if i >= L else 0.0 for i in range(n)]
-    f = np.array([*hold[1:], 0.0])  # step i reads f[i - 1], the hold at sample i
+    f = np.array([*hold[1:], 0.0])
     a_l, a_r = record.a_l.samples, record.a_r.samples
     limits = AccelLimits()
     ref_l, ref_r = adapt_trace_naive(
         a_l, a_r, f, rate, gains.as_array(),
-        limits.max_longitudinal, limits.max_rotational, DEFAULT_INTEGRAL_CLAMP,
+        limits.max_longitudinal, limits.max_rotational, integral_clamp,
     )
     assert result.adapted_a_l.samples.tolist() == ref_l
     assert result.adapted_a_r.samples.tolist() == ref_r
-    out_l, out_r = adapt_trace(a_l, a_r, f, rate, gains, limits)
+    out_l, out_r = adapt_trace(a_l, a_r, f, rate, gains, limits, integral_clamp)
     assert np.array_equal(out_l, result.adapted_a_l.samples)
     assert np.array_equal(out_r, result.adapted_a_r.samples)
     adapted = np.stack([result.adapted_a_l.samples, result.adapted_a_r.samples])
@@ -141,7 +153,49 @@ def test_closed_loop_follows_the_stepwise_law(small):
             for c, norm in enumerate(norms)
         ])
         assert np.array_equal(pred[k * L : (k + 1) * L], predict_clip(model, window))
-    assert not np.array_equal(adapted[0], record.a_l.samples)
+    return f
+
+
+def test_closed_loop_follows_the_stepwise_law(small):
+    records, model = small
+    record = records[1]
+    gains = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
+    result = evaluate_sessions([record], gains, model, mode="closed_loop")[0]
+    _assert_follows_closed_loop_law(record, result, gains, model)
+    assert not np.array_equal(result.adapted_a_l.samples, record.a_l.samples)
+
+
+def _head(record, n):
+    return replace(record, **{k: getattr(record, k).with_samples(getattr(record, k).samples[:n])
+                              for k in ("a_l", "a_r", "eda")})
+
+
+def test_closed_loop_sessions_replay_together(small):
+    # sessions of mixed lengths (3L, 3L+1, 5L+4 and full length, two of
+    # them sharing a length) replay in one call; each result equals its
+    # own one-session replay and follows the stepwise law, under gains
+    # whose phasic integral binds a small clamp and under zero gains
+    records, model = small
+    L = model.L
+    lengths = [3 * L, len(records[1].a_l), 3 * L + 1, 5 * L + 4, 3 * L]
+    sessions = [_head(r, n) for r, n in zip(records, lengths)]
+    assert len(records[1].a_l) % L
+    settings = dict(mode="closed_loop", integral_clamp=0.05,
+                    decomposition=DecompositionConfig(1.0, 1.0))
+    binding = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
+    for gains in (binding, PidGains()):
+        results = evaluate_sessions(sessions, gains, model, **settings)
+        assert [r.session_id for r in results] == [r.session_id for r in sessions]
+        for record, result in zip(sessions, results):
+            alone = evaluate_sessions([record], gains, model, **settings)[0]
+            for trace in ("adapted_a_l", "adapted_a_r", "predicted_phasic"):
+                assert getattr(result, trace).samples.tobytes() == getattr(alone, trace).samples.tobytes()
+            assert result.stats == alone.stats
+            f = _assert_follows_closed_loop_law(record, result, gains, model, 0.05)
+            if gains == binding and record is sessions[1]:
+                a_l, a_r = record.a_l.samples, record.a_r.samples
+                integral = pid_terms(a_l, a_r, f, record.a_l.rate_hz, 0.05).integral[2]
+                assert np.any(integral == -0.05)  # the clamp binds
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from edanav.surrogate import (
     fit_surrogate,
     make_clips,
     predict_clip,
+    predict_rows,
     predict_session,
     predict_windows,
     read_model,
@@ -257,6 +258,36 @@ def test_predictions_are_clamped():
     np.testing.assert_array_equal(out, [1.0, 0.0])
     with pytest.raises(ValueError):
         predict_clip(model, np.zeros((2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4.0, 8.0]), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_predict_rows_is_predict_clip_row_by_row(rate, m, seed):
+    # The closed-loop replay predicts every session's clip with one stacked
+    # matmul and relies on it being bit-equal to `predict_clip`'s
+    # matrix-vector product for each row. numpy runs a stacked matmul as one
+    # BLAS gemv per row; if a numpy or BLAS upgrade changes that dispatch,
+    # this test fails instead of a bare closed-loop digest mismatch.
+    rng = np.random.default_rng(seed)
+    L = clip_samples(2.25, rate)  # 9 at 4 Hz, 18 at 8 Hz
+    norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
+    weights = rng.normal(0.0, 0.25 / (6 * L), (L, 6 * L + 1))
+    weights[:, -1] = rng.uniform(0.4, 0.6, L)  # keeps outputs inside the clamp
+    windows = rng.uniform(0.0, 1.0, (m, 2, 3 * L))
+    kinds = rng.integers(0, 4, m)
+    windows[kinds == 1] = 0.0
+    windows[kinds == 2] = rng.integers(0, 2, (int(np.sum(kinds == 2)), 2, 3 * L))
+    edges = rng.random((m, 2, 3 * L)) < 0.3
+    windows[(kinds == 3)[:, None, None] & edges] = 1.0  # some entries at the top edge
+    rows = np.concatenate([windows.reshape(m, -1), np.ones((m, 1))], axis=1)
+    # fit_surrogate leaves the weights column-major, read_model row-major
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        model = SurrogateModel(layout(weights), 2.25, rate, norm, 0.0)
+        out = predict_rows(model, rows)
+        assert out.shape == (m, L)
+        for window, row in zip(windows, out):
+            assert np.array_equal(row, predict_clip(model, window))
+        assert np.all((out > 0.0) & (out < 1.0))
 
 
 # ---------------------------------------------------------------------------
