@@ -9,9 +9,11 @@ environment variable (flag > environment > file > default).
 A default or bound the library already states is taken from it: the
 dataclass sections from their dataclasses, the seeds, ``train_frac``,
 ``workers`` and search settings from the keyword defaults of
-`synth_cohort`, `optimize` and `GainRanges.default`, and the search
-settings' bounds from `check_search_settings`. `RunConfig` carries each
-call's keyword arguments whole, so the CLI passes them on with ``**``.
+`synth_cohort`, `optimize` and `GainRanges.default`, and the bounds of the
+search settings, the cohort and the integral clamp from
+`check_search_settings`, `check_cohort_settings` and
+`check_integral_clamp`. `RunConfig` carries each call's keyword arguments
+whole, so the CLI passes them on with ``**``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
-from .dataset import synth_cohort
+from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, check_integral_clamp
+from .dataset import check_cohort_settings, synth_cohort
 from .errors import ConfigError
 from .optimize import GainRanges, check_search_settings, optimize
 from .scr import METHODS, DetectorParams, default_detectors
@@ -236,6 +238,8 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
     control = dict(values["control"])
     try:
         check_search_settings(**search, workers=run["workers"])
+        check_cohort_settings(dataset["n_sessions"], dataset["train_frac"])
+        check_integral_clamp(control["integral_clamp"])
         box = GainRanges.default(**{key: o[key] for key in _keyword_defaults(GainRanges.default)})
         lo, hi = np.array(box.lo), np.array(box.hi)
         for i, key in enumerate(GAIN_KEYS):
@@ -277,17 +281,14 @@ def _validate(values: dict[str, dict[str, object]]) -> None:
     """Bounds checked here so that every command rejects them before it writes."""
     dataset, surrogate = values["dataset"], values["surrogate"]
     checks = [
-        (dataset["n_sessions"] >= 1, "[dataset] n_sessions must be >= 1"),
         (dataset["duration_s"] > 0, "[dataset] duration_s must be positive"),
         (dataset["rate_hz"] > 0, "[dataset] rate_hz must be positive"),
-        (0.0 <= dataset["train_frac"] <= 1.0, "[dataset] train_frac must be in [0, 1]"),
         (surrogate["clip_len_s"] > 0, "[surrogate] clip_len_s must be positive"),
         (
             surrogate["stride_samples"] is None or surrogate["stride_samples"] >= 1,
             "[surrogate] stride_samples must be >= 1 when set",
         ),
         (surrogate["ridge_lambda"] >= 0, "[surrogate] ridge_lambda must be >= 0"),
-        (values["control"]["integral_clamp"] > 0, "[control] integral_clamp must be positive"),
     ]
     for ok, message in checks:
         if not ok:

@@ -10,8 +10,9 @@ the rectangle rule, clamps the integral to +-integral_clamp before use
 Over a recorded session the PID state does not depend on the gains: every
 error, clamped integral and error difference comes from the recording.
 `pid_terms` computes them once per session, `apply_gains` turns them into
-the adapted accelerations for one gain set with whole-array arithmetic,
-and `adapt_trace` is the two in sequence. `constant_step_integral` is the
+the adapted accelerations for one gain set with whole-array arithmetic
+(over one session, or over sessions stacked by `stack_terms`), and
+`adapt_trace` is the two in sequence. `constant_step_integral` is the
 same integral over a stretch of constant error, as in the closed loop,
 where the feedback is held clip by clip.
 
@@ -96,16 +97,18 @@ class AccelLimits:
 
 @dataclass(frozen=True)
 class PidTerms:
-    """Per-sample PID state of one recorded session, independent of the gains.
+    """Per-sample PID state of recorded sessions, independent of the gains.
 
     Rows of ``error``, ``integral`` and ``delta`` are the longitudinal,
-    rotational and phasic channels.
+    rotational and phasic channels. `pid_terms` gives one session's state;
+    `stack_terms` stacks sessions of one length and rate along a leading
+    session axis, which `pid_outputs` and `apply_gains` carry through.
     """
 
-    accel: np.ndarray  # [2, n]
-    error: np.ndarray  # [3, n], 0 - a_l, 0 - a_r, 0 - f_prev
-    integral: np.ndarray  # [3, n], clamped rectangle-rule sums of error * dt
-    delta: np.ndarray  # [3, n], error - previous error
+    accel: np.ndarray  # [..., 2, n]
+    error: np.ndarray  # [..., 3, n], 0 - a_l, 0 - a_r, 0 - f_prev
+    integral: np.ndarray  # [..., 3, n], clamped rectangle-rule sums of error * dt
+    delta: np.ndarray  # [..., 3, n], error - previous error
     dt: float
     integral_clamp: float
 
@@ -139,6 +142,12 @@ def constant_step_integral(
     return np.clip(np.cumsum(sums, axis=1)[:, 1:], -clamp, clamp)
 
 
+def check_integral_clamp(integral_clamp: float) -> None:
+    """Raise ValueError unless the anti-windup clamp is positive."""
+    if not integral_clamp > 0:
+        raise ValueError(f"integral_clamp must be positive, got {integral_clamp}")
+
+
 def pid_terms(
     a_l: np.ndarray,
     a_r: np.ndarray,
@@ -152,8 +161,7 @@ def pid_terms(
     channel's integral is the sum of error * dt, clamped after every step
     to [-integral_clamp, +integral_clamp], which must be positive.
     """
-    if not integral_clamp > 0:
-        raise ValueError(f"integral_clamp must be positive, got {integral_clamp}")
+    check_integral_clamp(integral_clamp)
     accel = np.array([a_l, a_r], dtype=np.float64)
     f_prev = np.concatenate(([0.0], f))[:-1]
     dt = 1.0 / rate_hz
@@ -163,10 +171,20 @@ def pid_terms(
     return PidTerms(accel, error, integral, delta, dt, integral_clamp)
 
 
+def stack_terms(terms) -> PidTerms:
+    """The PID state of sessions of one length and rate, stacked along a leading axis."""
+    first = terms[0]
+    return PidTerms(*(np.stack([getattr(t, name) for t in terms])
+                      for name in ("accel", "error", "integral", "delta")),
+                    first.dt, first.integral_clamp)
+
+
 def pid_outputs(terms: PidTerms, gains: PidGains, channels: int = 3) -> np.ndarray:
-    """PID outputs psi [channels, n] of the first ``channels`` channels under ``gains``."""
+    """PID outputs psi [..., channels, n] of the first ``channels`` channels under ``gains``."""
     k = gains.as_array()[: 3 * channels].reshape(channels, 3)
-    error, integral, delta = (t[:channels] for t in (terms.error, terms.integral, terms.delta))
+    error, integral, delta = (
+        t[..., :channels, :] for t in (terms.error, terms.integral, terms.delta)
+    )
     return k[:, :1] * error + k[:, 1:2] * integral + k[:, 2:] * delta / terms.dt
 
 
@@ -183,19 +201,23 @@ def adapted_accel(
 ) -> np.ndarray:
     """base + beta * psi_f per channel, clamped to +-bound.
 
-    ``base`` is [2, n]: each acceleration plus its own channel's PID output;
-    ``beta`` and ``bound`` come from `accel_coefficients`.
+    ``base`` is [..., 2, n]: each acceleration plus its own channel's PID
+    output; ``beta`` and ``bound`` come from `accel_coefficients`.
     """
     return np.clip(base + beta * psi_f, -bound, bound)
 
 
 def apply_gains(
     terms: PidTerms, gains: PidGains, limits: AccelLimits = AccelLimits()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adapted (a_l', a_r') of the session ``terms`` describes, under ``gains``."""
+) -> np.ndarray:
+    """Adapted accelerations [..., 2, n] (a_l' then a_r') of the sessions ``terms`` describes.
+
+    Every operation is elementwise, so each session of a stack adapts to
+    the same bits as on its own.
+    """
     psi = pid_outputs(terms, gains)
-    out = adapted_accel(terms.accel + psi[:2], psi[2], *accel_coefficients(gains, limits))
-    return out[0], out[1]
+    return adapted_accel(terms.accel + psi[..., :2, :], psi[..., 2:, :],
+                         *accel_coefficients(gains, limits))
 
 
 def adapt_trace(
@@ -213,7 +235,8 @@ def adapt_trace(
     step i reads f[i-1] (0.0 at the first step, idle start). The result is
     identical, bit for bit, to stepping the law one sample at a time.
     """
-    return apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
+    out = apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
+    return out[0], out[1]
 
 
 def plouzeau_step(a_prev: float, d_eda: float) -> float:

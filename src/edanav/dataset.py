@@ -105,6 +105,14 @@ def _pulse_profile(
     return profile
 
 
+def check_cohort_settings(n_sessions: int, train_frac: float) -> None:
+    """Raise ValueError unless ``n_sessions`` >= 1 and ``train_frac`` lies in [0, 1]."""
+    if n_sessions < 1:
+        raise ValueError(f"n_sessions must be >= 1, got {n_sessions!r}")
+    if not 0.0 <= train_frac <= 1.0:
+        raise ValueError(f"train_frac must be in [0, 1], got {train_frac!r}")
+
+
 def synth_cohort(
     n_sessions: int,
     duration_s: float,
@@ -120,10 +128,7 @@ def synth_cohort(
     cohort is a pure function of (seed, parameters). The first
     round(train_frac * n) sessions are the train split.
     """
-    if n_sessions < 1:
-        raise ValueError("n_sessions must be >= 1")
-    if not 0.0 <= train_frac <= 1.0:
-        raise ValueError("train_frac must be in [0, 1]")
+    check_cohort_settings(n_sessions, train_frac)
     n = int(round(duration_s * rate_hz))
     if n < 2:
         raise ValueError("session too short")

@@ -3,9 +3,13 @@
 Every evaluation takes one path: `build_contexts` precomputes what does not
 depend on the gains, `_simulate` replays the sessions under one gain set and
 scores each with the phasic surrogate, and `metrics.build_report` turns the
-per-session outcomes into per-detector statistics. Offline mode replays
-each session on its own against the recorded feedback; closed-loop mode
-replays sessions of one length together, one clip step for all of them.
+per-session outcomes into per-detector statistics. Sessions of one length
+are replayed, predicted and counted together in both modes, with the bits
+of one session on its own: offline mode adapts them against the recorded
+feedback in one `apply_gains` call and predicts them in one
+`predict_sessions` call; closed-loop mode replays them clip by clip, one
+step for all of them. One `count_events` call per length then counts their
+events.
 ``n_raw`` counts events on the surrogate's offline prediction (stride 1)
 for the unmodified acceleration, ``n_adapted`` on its prediction for the
 adapted acceleration. Offline, both go through the identical pipeline and
@@ -44,12 +48,13 @@ from .control import (
     constant_step_integral,
     pid_outputs,
     pid_terms,
+    stack_terms,
 )
 from .dataset import SessionRecord
 from .metrics import SessionStats, build_report, msdv
-from .scr import DetectorParams, count_er_scr, default_detectors
+from .scr import count_events, default_detectors
 from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
-from .surrogate import SurrogateModel, predict_rows, predict_session
+from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
 
@@ -95,74 +100,57 @@ class SimulationResult:
         )
 
 
-def _count_all(phasic: Trace, detectors) -> tuple[int, ...]:
-    return tuple(count_er_scr(phasic, d) for d in detectors)
-
-
-def build_context(
-    record: SessionRecord,
-    model: SurrogateModel,
-    detectors=None,
-    decomposition: DecompositionConfig = DecompositionConfig(),
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
-) -> SessionContext:
-    if detectors is None:
-        detectors = default_detectors()
-    dec = decompose(record.eda, decomposition)
-    phasic_scaled = model.norm.phasic.apply(dec.phasic.samples)
-    recorded = Trace(phasic_scaled, record.eda.rate_hz, Unit.NORMALIZED)
-    raw_pred = predict_session(model, record.a_l, record.a_r)
-    f_feedback = np.clip(phasic_scaled, 0.0, 1.0)
-    return SessionContext(
-        record=record,
-        terms=pid_terms(record.a_l.samples, record.a_r.samples, f_feedback,
-                        record.a_l.rate_hz, integral_clamp),
-        n_raw=_count_all(raw_pred, detectors),
-        n_recorded=_count_all(recorded, detectors),
-        msdv_raw_l=msdv(record.a_l),
-        msdv_raw_r=msdv(record.a_r),
-    )
+def _by_length(items) -> list[list[int]]:
+    """Indices of ``items`` grouped by length, each group in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(len(item), []).append(i)
+    return list(groups.values())
 
 
 def build_contexts(records, model, detectors=None, decomposition=DecompositionConfig(),
                    integral_clamp=DEFAULT_INTEGRAL_CLAMP) -> list[SessionContext]:
-    return [build_context(r, model, detectors, decomposition, integral_clamp) for r in records]
+    """The `SessionContext` of each record, in input order.
 
-
-def _adapted(ctx: SessionContext, out_l: np.ndarray, out_r: np.ndarray) -> tuple[Trace, Trace]:
-    record = ctx.record
-    rate = record.a_l.rate_hz
-    return Trace(out_l, rate, record.a_l.unit), Trace(out_r, rate, record.a_r.unit)
-
-
-def _offline_replay(ctx, model, gains, limits) -> tuple[Trace, Trace, Trace]:
-    adapted_l, adapted_r = _adapted(ctx, *apply_gains(ctx.terms, gains, limits))
-    return adapted_l, adapted_r, predict_session(model, adapted_l, adapted_r)
-
-
-def _closed_loop_replay(contexts, model, gains, limits) -> list[tuple[Trace, Trace, Trace]]:
-    """Closed-loop (adapted a_l, adapted a_r, prediction) of every context, in input order.
-
-    Sessions of one length replay together, one clip step for all of them
-    (`_replay_clips`).
+    Sessions of one length are predicted and counted together:
+    ``n_raw`` by `predict_sessions` and `count_events` over their
+    recorded acceleration, ``n_recorded`` by `count_events` over their
+    decomposed phasic, in the model's normalized scale.
     """
-    groups: dict[int, list[int]] = {}
-    for i, ctx in enumerate(contexts):
-        groups.setdefault(ctx.terms.accel.shape[1], []).append(i)
-    replays: list = [None] * len(contexts)
-    for members in groups.values():
-        out, preds = _replay_clips([contexts[i].terms for i in members], model, gains, limits)
-        for row, i in enumerate(members):
-            ctx = contexts[i]
-            replays[i] = (*_adapted(ctx, out[row, 0], out[row, 1]),
-                          Trace(preds[row], ctx.record.a_l.rate_hz, Unit.NORMALIZED))
-    return replays
+    if detectors is None:
+        detectors = default_detectors()
+    records = list(records)
+    for record in records:
+        if record.a_l.rate_hz != model.rate_hz:
+            raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
+                             f"does not match model rate {model.rate_hz}Hz")
+    contexts: list = [None] * len(records)
+    for members in _by_length([r.a_l for r in records]):
+        group = [records[i] for i in members]
+        recorded = np.stack([
+            model.norm.phasic.apply(decompose(r.eda, decomposition).phasic.samples) for r in group
+        ])
+        accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
+        n_raw = count_events(predict_sessions(model, accel), model.rate_hz, detectors)
+        n_recorded = count_events(recorded, model.rate_hz, detectors)
+        for row, (i, record) in enumerate(zip(members, group)):
+            f_feedback = np.clip(recorded[row], 0.0, 1.0)
+            contexts[i] = SessionContext(
+                record=record,
+                terms=pid_terms(record.a_l.samples, record.a_r.samples, f_feedback,
+                                model.rate_hz, integral_clamp),
+                n_raw=tuple(n_raw[row].tolist()),
+                n_recorded=tuple(n_recorded[row].tolist()),
+                msdv_raw_l=msdv(record.a_l),
+                msdv_raw_r=msdv(record.a_r),
+            )
+    return contexts
 
 
 def _replay_clips(
-    terms: list[PidTerms], model: SurrogateModel, gains: PidGains, limits: AccelLimits
+    terms: PidTerms, model: SurrogateModel, gains: PidGains, limits: AccelLimits
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-granular loop over m sessions of n samples: (adapted [m, 2, n], predictions).
+    """Clip-granular loop over the m sessions of ``terms``: (adapted [m, 2, n], predictions).
 
     The controller holds f at the last predicted sample of clip k-1 while
     adapting clip k; the model then predicts clip k from a window of
@@ -178,12 +166,12 @@ def _replay_clips(
     `constant_step_integral`; the error difference is 0.0 past the clip's
     first sample; and `predict_rows` is `predict_clip` row by row.
     """
-    m, n = len(terms), terms[0].accel.shape[1]
+    m, _, n = terms.accel.shape
     L = model.L
     covered = n // L * L
-    dt, clamp = terms[0].dt, terms[0].integral_clamp
+    dt, clamp = terms.dt, terms.integral_clamp
     k_p, k_i, k_d = gains.K_Pf, gains.K_If, gains.K_Df
-    base = np.stack([t.accel + pid_outputs(t, gains, channels=2) for t in terms])
+    base = terms.accel + pid_outputs(terms, gains, channels=2)
     beta, bound = accel_coefficients(gains, limits)
     out = np.empty((m, 2, n))
     integral = prev_error = np.zeros((m, 1))
@@ -220,33 +208,64 @@ def _replay_clips(
     return out, preds
 
 
+@dataclass(frozen=True)
+class _Group:
+    """Contexts of one sample count and their PID state, stacked once per search.
+
+    Every trial reads the same stack, so no trial copies the state again.
+    """
+
+    members: list[int]  # positions in the context list
+    contexts: list[SessionContext]
+    terms: PidTerms  # [m, ...]
+
+
+def _group(contexts: list[SessionContext]) -> list[_Group]:
+    groups = []
+    for members in _by_length([ctx.record.a_l for ctx in contexts]):
+        group = [contexts[i] for i in members]
+        groups.append(_Group(members, group, stack_terms([ctx.terms for ctx in group])))
+    return groups
+
+
 def _simulate(
-    contexts: list[SessionContext],
+    groups: list[_Group],
     gains: PidGains,
     model: SurrogateModel,
     detectors,
     mode: str,
     limits: AccelLimits,
 ) -> list[SimulationResult]:
-    """Replay every context under ``gains`` and score it; results in input order."""
-    if mode == "offline":
-        replays = [_offline_replay(ctx, model, gains, limits) for ctx in contexts]
-    else:
-        replays = _closed_loop_replay(contexts, model, gains, limits)
-    return [
-        SimulationResult(
-            session_id=ctx.record.session_id,
-            adapted_a_l=adapted_l,
-            adapted_a_r=adapted_r,
-            predicted_phasic=pred,
-            n_raw=ctx.n_raw,
-            n_adapted=_count_all(pred, detectors),
-            n_recorded=ctx.n_recorded,
-            msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
-            msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
-        )
-        for ctx, (adapted_l, adapted_r, pred) in zip(contexts, replays)
-    ]
+    """Replay every context of ``groups`` (from `_group`) under ``gains`` and score it.
+
+    Results come in the order of the contexts `_group` was given. The
+    sessions of a group replay, predict and count together: offline in one
+    `apply_gains`, `predict_sessions` and `count_events` call each, closed
+    loop in one clip step per clip (`_replay_clips`).
+    """
+    results: list = [None] * sum(len(g.members) for g in groups)
+    for g in groups:
+        if mode == "offline":
+            out = apply_gains(g.terms, gains, limits)
+            preds = predict_sessions(model, out)
+        else:
+            out, preds = _replay_clips(g.terms, model, gains, limits)
+        n_adapted = count_events(preds, model.rate_hz, detectors)
+        for row, (i, ctx) in enumerate(zip(g.members, g.contexts)):
+            adapted_l = Trace(out[row, 0], model.rate_hz, ctx.record.a_l.unit)
+            adapted_r = Trace(out[row, 1], model.rate_hz, ctx.record.a_r.unit)
+            results[i] = SimulationResult(
+                session_id=ctx.record.session_id,
+                adapted_a_l=adapted_l,
+                adapted_a_r=adapted_r,
+                predicted_phasic=Trace(preds[row], model.rate_hz, Unit.NORMALIZED),
+                n_raw=ctx.n_raw,
+                n_adapted=tuple(n_adapted[row].tolist()),
+                n_recorded=ctx.n_recorded,
+                msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
+                msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
+            )
+    return results
 
 
 def evaluate_sessions(
@@ -264,7 +283,7 @@ def evaluate_sessions(
     if detectors is None:
         detectors = default_detectors()
     contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    return _simulate(contexts, gains, model, detectors, mode, limits)
+    return _simulate(_group(contexts), gains, model, detectors, mode, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +400,7 @@ def optimize(
         ranges = GainRanges.default()
     if detectors is None:
         detectors = default_detectors()
-    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    groups = _group(build_contexts(records, model, detectors, decomposition, integral_clamp))
     methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
@@ -398,7 +417,7 @@ def optimize(
             x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
                         ranges.lo, ranges.hi)
         gains = PidGains.from_array(x)
-        stats = [r.stats for r in _simulate(contexts, gains, model, detectors, mode, limits)]
+        stats = [r.stats for r in _simulate(groups, gains, model, detectors, mode, limits)]
         report = build_report(stats, methods)
         percentages = tuple(report.stats[m].percentage for m in methods)
         trials.append(Trial(t, gains, sum(percentages), percentages))

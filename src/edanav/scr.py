@@ -16,6 +16,13 @@ All methods discard events whose rise time falls outside
 expected to reach their peak within one to five seconds of the stimulus).
 The ER-SCR count is the detector output length and is the quantity the
 coefficient search minimizes.
+
+Every detector runs over a stack of equal-length traces [m, n] at once:
+rising runs come from each row's own differences, thresholds from each
+row's own range, gamboa2008's merge restarts at each row, and one
+prominence query covers all rows, a +inf sample between rows stopping
+every search at its row's ends. `count_events` counts every row under
+every detector; `detect_scr` and `count_er_scr` are its one-trace calls.
 """
 
 from __future__ import annotations
@@ -82,12 +89,19 @@ def default_detectors() -> tuple[DetectorParams, DetectorParams, DetectorParams]
     )
 
 
-def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Onset and peak indices of the maximal strictly-rising segments."""
-    pos = np.diff(x) > 0
-    starts = pos & ~np.concatenate(([False], pos[:-1]))
-    ends = pos & ~np.concatenate((pos[1:], [False]))
-    return np.flatnonzero(starts), np.flatnonzero(ends) + 1
+def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, onset and peak indices of the maximal strictly-rising segments of x [m, n].
+
+    Runs come from each row's own differences, so none crosses a row; they
+    are ordered by row, then by onset.
+    """
+    pos = np.diff(x, axis=1) > 0
+    starts = pos.copy()
+    starts[:, 1:] &= ~pos[:, :-1]
+    ends = pos.copy()
+    ends[:, :-1] &= ~pos[:, 1:]
+    rows, onsets = np.nonzero(starts)
+    return rows, onsets, np.nonzero(ends)[1] + 1
 
 
 def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: DetectorParams):
@@ -96,33 +110,35 @@ def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: Dete
     return (params.rise_time_min_s <= rise) & (rise <= params.rise_time_max_s)
 
 
-def _detect_kim2004(x: np.ndarray, rate_hz: float, params: DetectorParams):
-    threshold = params.min_amplitude * float(np.ptp(x))
-    onsets, peaks = _rising_runs(x)
-    keep = (x[peaks] - x[onsets] >= threshold) & _rise_ok(onsets, peaks, rate_hz, params)
-    return onsets[keep], peaks[keep]
+def _detect_kim2004(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
+    threshold = params.min_amplitude * np.ptp(x, axis=1)
+    rows, onsets, peaks = runs
+    keep = ((x[rows, peaks] - x[rows, onsets] >= threshold[rows])
+            & _rise_ok(onsets, peaks, rate_hz, params))
+    return rows[keep], onsets[keep], peaks[keep]
 
 
-def _detect_gamboa2008(x: np.ndarray, rate_hz: float, params: DetectorParams):
-    onsets, peaks = _rising_runs(x)
-    kept = x[peaks] - x[onsets] >= params.min_amplitude
-    # merge bursts whose onset follows the previous peak too closely
-    merged_onsets: list[int] = []
-    merged_peaks: list[int] = []
-    for onset, peak in zip(onsets[kept].tolist(), peaks[kept].tolist()):
-        if merged_peaks and (onset - merged_peaks[-1]) / rate_hz < params.min_separation_s:
-            if x[peak] >= x[merged_peaks[-1]]:
-                merged_peaks[-1] = peak
+def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
+    rows, onsets, peaks = runs
+    kept = x[rows, peaks] - x[rows, onsets] >= params.min_amplitude
+    rows, onsets, peaks = rows[kept], onsets[kept], peaks[kept]
+    # merge bursts whose onset follows the previous peak of the same row too
+    # closely, keeping the higher peak
+    merged: list[list] = []  # [row, onset, peak, peak height]
+    for event in zip(rows.tolist(), onsets.tolist(), peaks.tolist(), x[rows, peaks].tolist()):
+        row, onset, peak, height = event
+        last = merged[-1] if merged else None
+        if last and last[0] == row and (onset - last[2]) / rate_hz < params.min_separation_s:
+            if height >= last[3]:
+                last[2:] = peak, height
         else:
-            merged_onsets.append(onset)
-            merged_peaks.append(peak)
-    onsets = np.array(merged_onsets, dtype=np.intp)
-    peaks = np.array(merged_peaks, dtype=np.intp)
+            merged.append(list(event))
+    rows, onsets, peaks = np.array([e[:3] for e in merged], dtype=np.intp).reshape(-1, 3).T
     keep = _rise_ok(onsets, peaks, rate_hz, params)
-    return onsets[keep], peaks[keep]
+    return rows[keep], onsets[keep], peaks[keep]
 
 
-def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int | None = None) -> np.ndarray:
     """Topographic prominence of each strict local maximum in ``peaks``.
 
     A peak's bases are the lowest samples between it and the nearest
@@ -131,17 +147,19 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     x[i : i + 2**k]. Binary lifting over the maxima finds both stops in
     O(log n) whole-array steps, and two overlapping blocks of the minima give
     each base, so the cost is O(n log n) on any trace. Minima are exact, and
-    the prominence is one subtraction.
+    the prominence is one subtraction. ``reach``, when given, bounds how far
+    from its peak a stop can lie (the row length of sentinel-joined rows),
+    and the tables stop at the levels a search that long needs.
     """
     n = x.size
-    levels = n.bit_length()
+    levels = (n if reach is None else reach).bit_length()
     hi = np.empty((levels, n))
     lo = np.empty((levels, n))
     hi[0] = lo[0] = x
     for k in range(1, levels):
         half, m = 1 << (k - 1), n - (1 << k) + 1
-        hi[k, :m] = np.maximum(hi[k - 1, :m], hi[k - 1, half : half + m])
-        lo[k, :m] = np.minimum(lo[k - 1, :m], lo[k - 1, half : half + m])
+        np.maximum(hi[k - 1, :m], hi[k - 1, half : half + m], out=hi[k, :m])
+        np.minimum(lo[k - 1, :m], lo[k - 1, half : half + m], out=lo[k, :m])
     height = x[peaks]
     left = peaks.copy()  # x[left : peak] holds nothing higher than the peak
     right = peaks + 1  # nor does x[peak + 1 : right]
@@ -159,25 +177,30 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return height - np.maximum(range_min(left, peaks), range_min(peaks, right - 1))
 
 
-def _detect_neurokit(x: np.ndarray, rate_hz: float, params: DetectorParams):
-    threshold = params.prominence_frac * float(np.ptp(x))
+def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
+    m, n = x.shape
+    threshold = params.prominence_frac * np.ptp(x, axis=1)
     # the strict local maxima are the rising-run peaks followed by a drop;
     # each one's onset is the start of its run
-    onsets, peaks = _rising_runs(x)
-    drop = x[peaks] > x[np.minimum(peaks + 1, x.size - 1)]
-    onsets, peaks = onsets[drop], peaks[drop]
+    rows, onsets, peaks = runs
+    drop = x[rows, peaks] > x[rows, np.minimum(peaks + 1, n - 1)]
+    rows, onsets, peaks = rows[drop], onsets[drop], peaks[drop]
     if peaks.size == 0:
-        return onsets, peaks
-    amp = x[peaks] - x[onsets]
+        return rows, onsets, peaks
+    amp = x[rows, peaks] - x[rows, onsets]
+    # one prominence query over all rows: a +inf column after each row is
+    # higher than any sample, so every search stops at its own row's ends
+    joined = np.concatenate([x, np.full((m, 1), np.inf)], axis=1).ravel()
     keep = (
-        (_prominences(x, peaks) >= threshold)
+        (_prominences(joined, rows * (n + 1) + peaks, n) >= threshold[rows])
         & (amp >= params.min_amplitude) & (amp > 0)
         & _rise_ok(onsets, peaks, rate_hz, params)
     )
-    return onsets[keep], peaks[keep]
+    return rows[keep], onsets[keep], peaks[keep]
 
 
-# each returns the (onset, peak) index arrays of its events, ordered by onset
+# each takes finite rows x [m, n] with their `_rising_runs` and returns the
+# (row, onset, peak) index arrays of their events, ordered by row, then by onset
 _DETECTORS = {
     "kim2004": _detect_kim2004,
     "gamboa2008": _detect_gamboa2008,
@@ -185,21 +208,32 @@ _DETECTORS = {
 }
 
 
-def _event_indices(phasic: Trace, params: DetectorParams) -> tuple[np.ndarray, np.ndarray]:
-    if len(phasic) < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return _DETECTORS[params.method](phasic.samples, phasic.rate_hz, params)
+def count_events(x, rate_hz: float, detectors) -> np.ndarray:
+    """ER-SCR counts [m, d] of each row of ``x`` [m, n] under each of the d ``detectors``.
+
+    Every row is a trace of its own: each detector runs once over all rows,
+    and no event, threshold or merge reaches across rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"traces must be [m, n], got shape {x.shape}")
+    runs = _rising_runs(x)
+    counts = np.empty((x.shape[0], len(detectors)), dtype=np.intp)
+    for j, params in enumerate(detectors):
+        rows = _DETECTORS[params.method](x, runs, rate_hz, params)[0]
+        counts[:, j] = np.bincount(rows, minlength=x.shape[0])
+    return counts
 
 
 def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
     """Detect ER-SCR events in a phasic trace, ordered by onset."""
-    x = phasic.samples
-    onsets, peaks = _event_indices(phasic, params)
+    x = phasic.samples[None]
+    _, onsets, peaks = _DETECTORS[params.method](x, _rising_runs(x), phasic.rate_hz, params)
     return [
         ScrEvent(
             onset_idx=onset,
             peak_idx=peak,
-            amplitude=float(x[peak] - x[onset]),
+            amplitude=float(x[0, peak] - x[0, onset]),
             rise_time_s=(peak - onset) / phasic.rate_hz,
         )
         for onset, peak in zip(onsets.tolist(), peaks.tolist())
@@ -208,7 +242,7 @@ def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
 
 def count_er_scr(phasic: Trace, params: DetectorParams) -> int:
     """Number of ER-SCR events under the given detector."""
-    return int(_event_indices(phasic, params)[0].size)
+    return int(count_events(phasic.samples[None], phasic.rate_hz, (params,))[0, 0])
 
 
 def write_events_csv(events: list[ScrEvent], rate_hz: float, path) -> None:

@@ -8,6 +8,12 @@ map fit in closed form; predictions are clamped to [0, 1] and reconstructed
 back into a sequence by concatenation (stride = L) or overlap-averaging
 (stride < L), one `np.bincount` over all clips.
 
+`predict_sessions` predicts a stack of equal-length sessions: one
+normalization for all of them, windows written from a sliding view into
+one design buffer, one 2-D gemm per session (never one across sessions,
+which would round differently) and one reconstruction for all rows.
+`predict_session` is its one-session call.
+
 Also provides a synthetic physiological oracle (`synth_session`) that turns
 acceleration into EDA through a Bateman difference-of-exponentials kernel,
 used to manufacture ground-truth cohorts for testing and benchmarks.
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, FileFormatError
 from .signals import NormParams, Trace, Unit, format_float
@@ -43,14 +50,17 @@ class ClipNorm:
     phasic: NormParams
 
 
-def _window_stack(a_l: np.ndarray, a_r: np.ndarray, L: int, stride: int) -> np.ndarray:
-    """All acceleration windows as an array [n_clips, 2, 3L] (zero-padded edges)."""
-    n = a_l.size
-    n_clips = (n - L) // stride + 1
-    padded_l = np.concatenate([np.zeros(L), a_l, np.zeros(2 * L)])
-    padded_r = np.concatenate([np.zeros(L), a_r, np.zeros(2 * L)])
-    idx = (np.arange(n_clips) * stride)[:, None] + np.arange(3 * L)[None, :]
-    return np.stack([padded_l[idx], padded_r[idx]], axis=1)
+def _windows(channels: np.ndarray, L: int, stride: int) -> np.ndarray:
+    """Every window of the normalized ``channels`` [..., 2, n] as a view [..., n_clips, 2, 3L].
+
+    Window k covers session samples [k * stride - L, k * stride + 2L),
+    zero-padded past the session edges. The view is read-only.
+    """
+    n = channels.shape[-1]
+    padded = np.zeros((*channels.shape[:-1], n + 3 * L))
+    padded[..., L : L + n] = channels
+    starts = slice(0, (n - L) // stride * stride + 1, stride)
+    return np.moveaxis(sliding_window_view(padded, 3 * L, axis=-1)[..., starts, :], -2, -3)
 
 
 def trace_norm(traces) -> NormParams:
@@ -103,7 +113,8 @@ def make_clips(
         norm = ClipNorm(
             a_l=trace_norm([a_l]), a_r=trace_norm([a_r]), phasic=trace_norm([phasic])
         )
-    windows = _window_stack(norm.a_l.apply(a_l.samples), norm.a_r.apply(a_r.samples), L, stride)
+    channels = np.stack([norm.a_l.apply(a_l.samples), norm.a_r.apply(a_r.samples)])
+    windows = _windows(channels, L, stride).copy()
     index = (np.arange(windows.shape[0]) * stride)[:, None] + np.arange(L)[None, :]
     return windows, norm.phasic.apply(phasic.samples)[index], norm
 
@@ -214,29 +225,79 @@ def predict_windows(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
     return np.clip(_design_matrix(windows) @ model.weights.T, 0.0, 1.0)
 
 
+def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
+    """Rows [m, stride * (n_clips - 1) + L] reassembled from clips ``preds`` [m, n_clips, L].
+
+    Each sample sums its clips in clip order, starting from 0.0, then
+    divides by their count: `np.bincount` adds its weights in input order,
+    and every row's clips occupy their own span of bins.
+    """
+    m, n_clips, L = preds.shape
+    length = stride * (n_clips - 1) + L
+    index = (np.arange(n_clips) * stride)[:, None] + np.arange(L)
+    rows = (np.arange(m) * length)[:, None, None] + index
+    acc = np.bincount(rows.ravel(), weights=preds.ravel(), minlength=m * length)
+    return acc.reshape(m, length) / np.bincount(index.ravel(), minlength=length)
+
+
 def reconstruct(predictions, stride_samples: int, rate_hz: float) -> Trace:
     """Reassemble predicted clips into one normalized trace.
 
     stride = L concatenates; stride < L averages overlapping samples
     (stride 0 stacks all clips onto one span). Output length is
     stride * (n_clips - 1) + L. Each sample sums its clips in clip order,
-    starting from 0.0: `np.bincount` adds its weights in input order, and
-    the predictions are flattened clip by clip.
+    starting from 0.0.
     """
     if not isinstance(predictions, np.ndarray):
         predictions = list(predictions)
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("need a non-empty sequence of equal-length clips")
-    n_clips, L = preds.shape
     stride = int(stride_samples)
     if stride < 0:
         raise ValueError("stride_samples must be >= 0")
-    length = stride * (n_clips - 1) + L
-    index = (np.arange(n_clips) * stride)[:, None] + np.arange(L)[None, :]
-    acc = np.bincount(index.ravel(), weights=preds.ravel(), minlength=length)
-    cnt = np.bincount(index.ravel(), minlength=length)
-    return Trace(acc / cnt, rate_hz, Unit.NORMALIZED)
+    return Trace(_overlap_average(preds[None], stride)[0], rate_hz, Unit.NORMALIZED)
+
+
+def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> np.ndarray:
+    """Normalized phasic predictions [m, length] for m sessions of raw acceleration [m, 2, n].
+
+    Row i of ``accel`` holds session i's a_l and a_r in raw units; all rows
+    are normalized with the model's frozen parameters in one operation,
+    windowed at ``stride_samples`` and predicted, clamped to [0, 1] and
+    reconstructed as `reconstruct` does (length = stride * (n_clips - 1)
+    + L, which is n at stride 1).
+
+    Each session gets its own 2-D gemm over a design buffer [n_clips, 6L+1]
+    that every session of the call reuses. A gemm over the rows of several
+    sessions at once would round differently, so every row equals its
+    one-session prediction bit for bit.
+    """
+    accel = np.asarray(accel, dtype=np.float64)
+    if accel.ndim != 3 or accel.shape[1] != 2:
+        raise ValueError(f"accel must be [m, 2, n], got {accel.shape}")
+    stride = int(stride_samples)
+    if stride < 1:
+        raise ValueError("stride_samples must be >= 1")
+    L = model.L
+    m, _, n = accel.shape
+    if n < 3 * L:
+        raise ValueError("session shorter than one full window")
+    norm = model.norm
+    vmin = np.array([[norm.a_l.vmin], [norm.a_r.vmin]])
+    span = np.array([[norm.a_l.span], [norm.a_r.span]])
+    windows = _windows((accel - vmin) / span, L, stride)
+    n_clips = windows.shape[1]
+    design = np.empty((n_clips, 6 * L + 1))
+    design[:, -1] = 1.0
+    preds = np.empty((m, n_clips, L))
+    weights_t = model.weights.T
+    for i in range(m):
+        design[:, : 3 * L] = windows[i, :, 0]
+        design[:, 3 * L : -1] = windows[i, :, 1]
+        np.matmul(design, weights_t, out=preds[i])
+    np.clip(preds, 0.0, 1.0, out=preds)
+    return _overlap_average(preds, stride)
 
 
 def predict_session(
@@ -244,12 +305,11 @@ def predict_session(
 ) -> Trace:
     """Predict a session's normalized phasic from raw-unit acceleration traces.
 
-    Channels are normalized with the model's frozen parameters, windowed at
-    the given stride, predicted, and reconstructed. The default stride of 1
-    predicts a window at every sample and averages the overlaps, covering the
-    whole session; stride = model.L tiles the training geometry instead and
-    leaves up to L-1 trailing samples unpredicted when the length does not
-    divide evenly.
+    The one-session call of `predict_sessions`. The default stride of 1
+    predicts a window at every sample and averages the overlaps, covering
+    the whole session; stride = model.L tiles the training geometry instead
+    and leaves up to L-1 trailing samples unpredicted when the length does
+    not divide evenly.
     """
     if len(a_l) != len(a_r):
         raise ValueError("acceleration traces must share length")
@@ -257,16 +317,8 @@ def predict_session(
         raise ValueError(
             f"trace rate {a_l.rate_hz}Hz does not match model rate {model.rate_hz}Hz"
         )
-    stride = int(stride_samples)
-    if stride < 1:
-        raise ValueError("stride_samples must be >= 1")
-    L = model.L
-    if len(a_l) < 3 * L:
-        raise ValueError("session shorter than one full window")
-    windows = _window_stack(
-        model.norm.a_l.apply(a_l.samples), model.norm.a_r.apply(a_r.samples), L, stride
-    )
-    return reconstruct(predict_windows(model, windows), stride, model.rate_hz)
+    accel = np.stack([a_l.samples, a_r.samples])[None]
+    return Trace(predict_sessions(model, accel, stride_samples)[0], model.rate_hz, Unit.NORMALIZED)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 Everything here is written as plainly as possible (explicit Python loops,
 no vectorization, no shared code with the package) so it can serve as an
-oracle for the production implementations.
+oracle for the production implementations. The one exception is
+`predict_session_naive`, whose matrix product must be numpy's own 2-D gemm:
+the property it pins is that batching sessions leaves that product's bits
+alone.
 """
 
 import math
+
+import numpy as np
 
 
 def bateman_pulse(n, rate_hz, onset_s, amplitude, tau_rise_s=0.75, tau_decay_s=2.0):
@@ -198,3 +203,23 @@ def reconstruct_naive(predictions, stride):
             acc[k * stride + j] += float(predictions[k][j])
             cnt[k * stride + j] += 1.0
     return [a / c for a, c in zip(acc, cnt)]
+
+
+def predict_session_naive(weights, a_l, a_r, L, stride):
+    """One session's prediction the plain way; a list.
+
+    ``a_l`` and ``a_r`` are the normalized channels. The windows around
+    every ``stride``-th sample are gathered by index from the zero-padded
+    channels, flattened a_l then a_r with a trailing 1.0, multiplied by
+    ``weights`` [L, 6L+1] in one 2-D gemm, clamped to [0, 1] and
+    overlap-averaged by `reconstruct_naive`.
+    """
+    n = len(a_l)
+    n_clips = (n - L) // stride + 1
+    padded_l = np.concatenate([np.zeros(L), a_l, np.zeros(2 * L)])
+    padded_r = np.concatenate([np.zeros(L), a_r, np.zeros(2 * L)])
+    index = (np.arange(n_clips) * stride)[:, None] + np.arange(3 * L)[None, :]
+    windows = np.stack([padded_l[index], padded_r[index]], axis=1)
+    design = np.concatenate([windows.reshape(n_clips, -1), np.ones((n_clips, 1))], axis=1)
+    preds = np.clip(design @ np.asarray(weights).T, 0.0, 1.0)
+    return reconstruct_naive(preds.tolist(), stride)

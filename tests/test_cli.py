@@ -277,6 +277,13 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.budget=-4"]) == 1
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.sigma_scale=0"]) == 1
     assert "sigma_scale must be positive" in capsys.readouterr().err
+    # the library's own cohort and clamp checks reject these for every command
+    for setting, message in (("dataset.n_sessions=0", "n_sessions must be >= 1"),
+                             ("dataset.train_frac=1.5", "train_frac must be in [0, 1]"),
+                             ("control.integral_clamp=0", "integral_clamp must be positive")):
+        for command in ("synth", "train", "optimize", "evaluate", "report"):
+            assert main([command, "--output-dir", str(tmp_path), "--set", setting]) == 1
+            assert message in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_two(tmp_path, capsys):

@@ -18,14 +18,14 @@ from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, msd
 from edanav.optimize import (
     GainRanges,
     OptimizeResult,
-    build_context,
+    build_contexts,
     evaluate_sessions,
     optimize,
     write_history_csv,
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
-from edanav.signals import DecompositionConfig
+from edanav.signals import DecompositionConfig, Trace, decompose
 from edanav.surrogate import predict_clip, predict_session
 
 from oracles import adapt_trace_naive
@@ -76,7 +76,7 @@ def test_simulation_stats_are_consistent(small):
 def test_raw_counts_come_from_the_surrogate(small):
     records, model = small
     detectors = default_detectors()
-    ctx = build_context(records[2], model)
+    ctx = build_contexts([records[2]], model)[0]
     pred = predict_session(model, records[2].a_l, records[2].a_r)
     assert ctx.n_raw == tuple(count_er_scr(pred, d) for d in detectors)
     f_prev = -ctx.terms.error[2]
@@ -170,29 +170,71 @@ def _head(record, n):
                               for k in ("a_l", "a_r", "eda")})
 
 
+def _mixed_sessions(records, L):
+    """Sessions of 3L, full (not a multiple of L), 3L+1, 5L+4 and again 3L samples."""
+    lengths = [3 * L, len(records[1].a_l), 3 * L + 1, 5 * L + 4, 3 * L]
+    assert len(records[1].a_l) % L
+    return [_head(r, n) for r, n in zip(records, lengths)]
+
+
+# short decomposition windows suit the short sessions; under BINDING the
+# phasic integral hits the small clamp
+MIXED_SETTINGS = dict(integral_clamp=0.05, decomposition=DecompositionConfig(1.0, 1.0))
+BINDING = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
+
+
+def _assert_equals_alone(sessions, results, gains, model, settings):
+    """Each result of a joint replay equals its session's own replay, bit for bit."""
+    assert [r.session_id for r in results] == [r.session_id for r in sessions]
+    for record, result in zip(sessions, results):
+        alone = evaluate_sessions([record], gains, model, **settings)[0]
+        for trace in ("adapted_a_l", "adapted_a_r", "predicted_phasic"):
+            mine, own = getattr(result, trace), getattr(alone, trace)
+            assert mine.samples.tobytes() == own.samples.tobytes()
+        assert result.stats == alone.stats
+
+
+def test_offline_sessions_replay_together(small):
+    # sessions of mixed lengths are adapted, predicted and counted in one
+    # call per length; each result equals its own replay and the plain
+    # per-session path (adapt_trace, predict_session, count_er_scr)
+    records, model = small
+    sessions = _mixed_sessions(records, model.L)
+    detectors = default_detectors()
+    for gains in (BINDING, PidGains()):
+        results = evaluate_sessions(sessions, gains, model, **MIXED_SETTINGS)
+        _assert_equals_alone(sessions, results, gains, model, MIXED_SETTINGS)
+        for record, result in zip(sessions, results):
+            # the recorded feedback: step i of the law reads f[i - 1]
+            ctx = build_contexts([record], model, **MIXED_SETTINGS)[0]
+            f = np.concatenate([-ctx.terms.error[2, 1:], [0.0]])
+            out_l, out_r = adapt_trace(record.a_l.samples, record.a_r.samples, f,
+                                       record.a_l.rate_hz, gains, integral_clamp=0.05)
+            assert result.adapted_a_l.samples.tobytes() == out_l.tobytes()
+            assert result.adapted_a_r.samples.tobytes() == out_r.tobytes()
+            pred = predict_session(model, result.adapted_a_l, result.adapted_a_r)
+            assert result.predicted_phasic.samples.tobytes() == pred.samples.tobytes()
+            raw = predict_session(model, record.a_l, record.a_r)
+            assert result.n_adapted == tuple(count_er_scr(pred, d) for d in detectors)
+            assert result.n_raw == tuple(count_er_scr(raw, d) for d in detectors)
+            phasic = decompose(record.eda, MIXED_SETTINGS["decomposition"]).phasic
+            recorded = Trace(model.norm.phasic.apply(phasic.samples), record.eda.rate_hz)
+            assert result.n_recorded == tuple(count_er_scr(recorded, d) for d in detectors)
+
+
 def test_closed_loop_sessions_replay_together(small):
-    # sessions of mixed lengths (3L, 3L+1, 5L+4 and full length, two of
-    # them sharing a length) replay in one call; each result equals its
+    # sessions of mixed lengths replay in one call; each result equals its
     # own one-session replay and follows the stepwise law, under gains
     # whose phasic integral binds a small clamp and under zero gains
     records, model = small
-    L = model.L
-    lengths = [3 * L, len(records[1].a_l), 3 * L + 1, 5 * L + 4, 3 * L]
-    sessions = [_head(r, n) for r, n in zip(records, lengths)]
-    assert len(records[1].a_l) % L
-    settings = dict(mode="closed_loop", integral_clamp=0.05,
-                    decomposition=DecompositionConfig(1.0, 1.0))
-    binding = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
-    for gains in (binding, PidGains()):
+    sessions = _mixed_sessions(records, model.L)
+    settings = dict(mode="closed_loop", **MIXED_SETTINGS)
+    for gains in (BINDING, PidGains()):
         results = evaluate_sessions(sessions, gains, model, **settings)
-        assert [r.session_id for r in results] == [r.session_id for r in sessions]
+        _assert_equals_alone(sessions, results, gains, model, settings)
         for record, result in zip(sessions, results):
-            alone = evaluate_sessions([record], gains, model, **settings)[0]
-            for trace in ("adapted_a_l", "adapted_a_r", "predicted_phasic"):
-                assert getattr(result, trace).samples.tobytes() == getattr(alone, trace).samples.tobytes()
-            assert result.stats == alone.stats
             f = _assert_follows_closed_loop_law(record, result, gains, model, 0.05)
-            if gains == binding and record is sessions[1]:
+            if gains == BINDING and record is sessions[1]:
                 a_l, a_r = record.a_l.samples, record.a_r.samples
                 integral = pid_terms(a_l, a_r, f, record.a_l.rate_hz, 0.05).integral[2]
                 assert np.any(integral == -0.05)  # the clamp binds

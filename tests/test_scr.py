@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edanav.scr import (
+    _DETECTORS,
     METHODS,
     DetectorParams,
     ScrEvent,
     _prominences,
+    _rising_runs,
     count_er_scr,
+    count_events,
     default_detectors,
     detect_scr,
     write_events_csv,
@@ -162,6 +165,62 @@ def test_rising_run_detectors_match_brute_force_on_adversarial_traces(
     for method in ("kim2004", "gamboa2008"):
         _assert_agrees(x, _params(method, min_amplitude=min_amplitude,
                                   min_separation_s=min_separation_s, rise_time_max_s=60.0))
+
+
+@st.composite
+def _trace_rows(draw):
+    """Rows [m, n] that test every place a batched detector could leak across rows.
+
+    Rows may be constant, falling (no peaks), end on a strict rise or a
+    plateau, or start on a peak; a row ending on a rise is often followed
+    by a higher row. Lengths go down to n = 2.
+    """
+    n = draw(st.sampled_from([2, 3, 4, 7, 20, 60]))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["levels", "constant", "falling", "rise_to_end",
+                                     "plateau_end", "peak_start", "any"]))
+        if kind == "constant":
+            row = [draw(st.sampled_from([0.0, 0.5, 1.0]))] * n
+        elif kind == "falling":
+            row = np.linspace(1.0, 0.0, n).tolist()
+        elif kind == "any":
+            row = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        else:
+            row = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+            if kind == "rise_to_end":
+                row[-2:] = [0.0, 0.5]
+            elif kind == "plateau_end":
+                row[-2:] = [1.0, 1.0]
+            elif kind == "peak_start":
+                row[0] = 2.0
+        if rows and rows[-1][-1] == 0.5 and draw(st.booleans()):
+            row[0] = 1.0  # higher than the previous row's last rise
+        rows.append(row[:n])
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_rows(), st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([0.25, 0.5]),
+       st.sampled_from([0.0, 1.0]))
+def test_batched_detectors_match_brute_force_row_by_row(x, prominence_frac, min_amplitude,
+                                                          min_separation_s):
+    detectors = (
+        _params("kim2004", min_amplitude=min_amplitude, rise_time_max_s=60.0),
+        _params("gamboa2008", min_amplitude=min_amplitude, min_separation_s=min_separation_s,
+                rise_time_max_s=60.0),
+        _params("neurokit", prominence_frac=prominence_frac, rise_time_max_s=60.0),
+    )
+    counts = count_events(x, RATE, detectors)
+    assert counts.shape == (x.shape[0], len(detectors))
+    runs = _rising_runs(x)
+    for j, params in enumerate(detectors):
+        rows, onsets, peaks = _DETECTORS[params.method](x, runs, RATE, params)
+        for i, row in enumerate(x):
+            expected = [(o, p) for o, p, _ in _oracle(row, params)]
+            mine = rows == i
+            assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
+            assert counts[i, j] == len(expected)
 
 
 def test_fixture_counts_zero_one_two():

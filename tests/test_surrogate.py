@@ -20,6 +20,7 @@ from edanav.surrogate import (
     predict_clip,
     predict_rows,
     predict_session,
+    predict_sessions,
     predict_windows,
     read_model,
     reconstruct,
@@ -27,7 +28,7 @@ from edanav.surrogate import (
     write_model,
 )
 
-from oracles import bateman_pulse, reconstruct_naive
+from oracles import bateman_pulse, predict_session_naive, reconstruct_naive
 
 RATE = 4.0
 L = 9  # 2.25 s at 4 Hz
@@ -330,6 +331,35 @@ def test_predict_session_stride_L_tiles():
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4.0, 8.0]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_predict_sessions_matches_the_per_session_oracle(rate, m, seed):
+    # every row of a batched prediction is bit-equal to the plain
+    # per-session path: windows gathered by index, one 2-D gemm, clamping
+    # and a clip-by-clip overlap average, at strides from 1 to L
+    rng = np.random.default_rng(seed)
+    L = clip_samples(2.25, rate)  # 9 at 4 Hz, 18 at 8 Hz
+    n = 3 * L + int(rng.integers(0, 4 * L))
+    norm = ClipNorm(NormParams(-1.0, 4.0), NormParams(0.5, 2.0), NormParams(0, 1))
+    weights = rng.normal(0.0, 1.0 / (6 * L), (L, 6 * L + 1))
+    weights[:, -1] = rng.uniform(-0.2, 1.2, L)  # some outputs clamp at each end
+    accel = rng.uniform(-2.0, 5.0, (m, 2, n))
+    accel[rng.random(m) < 0.3] = 0.0  # idle sessions
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        model = SurrogateModel(layout(weights), 2.25, rate, norm, 0.0)
+        for stride in sorted({1, 2, L // 2, L}):
+            out = predict_sessions(model, accel, stride)
+            for row, session in zip(out, accel):
+                expected = predict_session_naive(
+                    model.weights, norm.a_l.apply(session[0]), norm.a_r.apply(session[1]),
+                    L, stride,
+                )
+                assert row.tobytes() == np.array(expected).tobytes()
+            single = predict_session(model, Trace(accel[0, 0], rate), Trace(accel[0, 1], rate),
+                                     stride)
+            assert single.samples.tobytes() == out[0].tobytes()
+
+
 def test_predict_session_validation():
     rng = np.random.default_rng(28)
     model, a_l, a_r = _small_model(rng)
@@ -341,6 +371,8 @@ def test_predict_session_validation():
         predict_session(model, a_l, a_r, stride_samples=0)
     with pytest.raises(ValueError, match="shorter"):
         predict_session(model, Trace(a_l.samples[:20], RATE), Trace(a_r.samples[:20], RATE))
+    with pytest.raises(ValueError, match=r"\[m, 2, n\]"):
+        predict_sessions(model, np.zeros((1, 3, 40)))
 
 
 # ---------------------------------------------------------------------------
