@@ -27,6 +27,7 @@ from .signals import (
     read_samples_csv,
     read_trace_csv,
     write_samples_csv,
+    write_text_atomic,
     write_trace_csv,
 )
 from .surrogate import OracleParams, synth_session
@@ -197,7 +198,11 @@ def _read_accel_csv(path: Path) -> tuple[Trace, Trace]:
 
 
 def save_dataset(records: list[SessionRecord], directory) -> None:
-    """Write sessions and the manifest under ``directory``."""
+    """Write sessions and the manifest under ``directory``.
+
+    Each file is written with `write_text_atomic`; the directory itself is
+    not staged, so a failure part-way leaves the files written so far.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = ["id,split"]
@@ -207,7 +212,7 @@ def save_dataset(records: list[SessionRecord], directory) -> None:
         session_dir.mkdir(exist_ok=True)
         _write_accel_csv(rec.a_l, rec.a_r, session_dir / "accel.csv")
         write_trace_csv(rec.eda, session_dir / "eda.csv")
-    (directory / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    write_text_atomic(directory / "manifest.csv", "\n".join(manifest) + "\n")
 
 
 def load_dataset(directory) -> list[SessionRecord]:

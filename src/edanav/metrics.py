@@ -106,6 +106,14 @@ class Report:
     sessions: tuple[SessionStats, ...]
 
 
+def detector_stats(n_raw, n_adapted) -> list[StatResult]:
+    """One `chi_square_phi` row per detector (column) of the [sessions,
+    detectors] event counts: a session improved when its raw count
+    strictly exceeds the adapted one."""
+    improved = np.asarray(n_raw) > np.asarray(n_adapted)
+    return [chi_square_phi(int(p), improved.shape[0]) for p in improved.sum(axis=0)]
+
+
 def build_report(sessions, methods) -> Report:
     """Aggregate per-session outcomes into chi-square rows.
 
@@ -120,10 +128,10 @@ def build_report(sessions, methods) -> Report:
     if len(set(methods)) != len(methods):
         raise ValueError(f"detector methods must be distinct, got {methods}")
     total = len(sessions)
-    stats: dict[str, StatResult] = {}
-    for d, method in enumerate(methods):
-        positives = sum(1 for s in sessions if s.n_raw[d] - s.n_adapted[d] > 0)
-        stats[method] = chi_square_phi(positives, total)
+    if any(len(s.n_raw) != len(methods) or len(s.n_adapted) != len(methods) for s in sessions):
+        raise ValueError(f"every session needs one raw and one adapted count per method {methods}")
+    stats = dict(zip(methods, detector_stats([s.n_raw for s in sessions],
+                                             [s.n_adapted for s in sessions])))
     for key, idx in ((MSDV_LONGITUDINAL, "msdv_l"), (MSDV_ROTATIONAL, "msdv_r")):
         positives = sum(1 for s in sessions if getattr(s, idx)[1] < getattr(s, idx)[0])
         stats[key] = chi_square_phi(positives, total)

@@ -1,9 +1,11 @@
 """Session replay, the P_pn objective, and gain search.
 
 Every evaluation takes one path: `build_contexts` precomputes what does not
-depend on the gains, `_simulate` replays the sessions under one gain set and
-scores each with the phasic surrogate, and `metrics.build_report` turns the
-per-session outcomes into per-detector statistics. Sessions of one length
+depend on the gains, and `_simulate` replays the sessions under one gain set
+and counts the events of each surrogate prediction. `evaluate_sessions`
+wraps each session's outcome into a `SimulationResult`; a search trial
+scores the counts alone with `metrics.detector_stats`, the detector rows of
+`metrics.build_report`. Sessions of one length
 are replayed, predicted and counted together in both modes, with the bits
 of one session on its own: offline mode adapts them against the recorded
 feedback in one `apply_gains` call and predicts them in one
@@ -51,7 +53,7 @@ from .control import (
     stack_terms,
 )
 from .dataset import SessionRecord
-from .metrics import SessionStats, build_report, msdv
+from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
 from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
@@ -235,37 +237,24 @@ def _simulate(
     detectors,
     mode: str,
     limits: AccelLimits,
-) -> list[SimulationResult]:
-    """Replay every context of ``groups`` (from `_group`) under ``gains`` and score it.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Replay every group of ``groups`` (from `_group`) under ``gains``.
 
-    Results come in the order of the contexts `_group` was given. The
-    sessions of a group replay, predict and count together: offline in one
-    `apply_gains`, `predict_sessions` and `count_events` call each, closed
-    loop in one clip step per clip (`_replay_clips`).
+    Returns one (adapted [m, 2, n], predictions [m, length],
+    n_adapted [m, n_detectors]) per group. The sessions of a group replay,
+    predict and count together: offline in one `apply_gains`,
+    `predict_sessions` and `count_events` call each, closed loop in one
+    clip step per clip (`_replay_clips`).
     """
-    results: list = [None] * sum(len(g.members) for g in groups)
+    out = []
     for g in groups:
         if mode == "offline":
-            out = apply_gains(g.terms, gains, limits)
-            preds = predict_sessions(model, out)
+            adapted = apply_gains(g.terms, gains, limits)
+            preds = predict_sessions(model, adapted)
         else:
-            out, preds = _replay_clips(g.terms, model, gains, limits)
-        n_adapted = count_events(preds, model.rate_hz, detectors)
-        for row, (i, ctx) in enumerate(zip(g.members, g.contexts)):
-            adapted_l = Trace(out[row, 0], model.rate_hz, ctx.record.a_l.unit)
-            adapted_r = Trace(out[row, 1], model.rate_hz, ctx.record.a_r.unit)
-            results[i] = SimulationResult(
-                session_id=ctx.record.session_id,
-                adapted_a_l=adapted_l,
-                adapted_a_r=adapted_r,
-                predicted_phasic=Trace(preds[row], model.rate_hz, Unit.NORMALIZED),
-                n_raw=ctx.n_raw,
-                n_adapted=tuple(n_adapted[row].tolist()),
-                n_recorded=ctx.n_recorded,
-                msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
-                msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
-            )
-    return results
+            adapted, preds = _replay_clips(g.terms, model, gains, limits)
+        out.append((adapted, preds, count_events(preds, model.rate_hz, detectors)))
+    return out
 
 
 def evaluate_sessions(
@@ -283,7 +272,26 @@ def evaluate_sessions(
     if detectors is None:
         detectors = default_detectors()
     contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    return _simulate(_group(contexts), gains, model, detectors, mode, limits)
+    groups = _group(contexts)
+    results: list = [None] * len(contexts)
+    for g, (adapted, preds, n_adapted) in zip(
+        groups, _simulate(groups, gains, model, detectors, mode, limits)
+    ):
+        for row, (i, ctx) in enumerate(zip(g.members, g.contexts)):
+            adapted_l = Trace(adapted[row, 0], model.rate_hz, ctx.record.a_l.unit)
+            adapted_r = Trace(adapted[row, 1], model.rate_hz, ctx.record.a_r.unit)
+            results[i] = SimulationResult(
+                session_id=ctx.record.session_id,
+                adapted_a_l=adapted_l,
+                adapted_a_r=adapted_r,
+                predicted_phasic=Trace(preds[row], model.rate_hz, Unit.NORMALIZED),
+                n_raw=ctx.n_raw,
+                n_adapted=tuple(n_adapted[row].tolist()),
+                n_recorded=ctx.n_recorded,
+                msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
+                msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
+            )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +393,8 @@ def optimize(
     box. Strict improvement moves the incumbent (ties keep the earliest),
     and sigma halves after ``halve_after`` consecutive phase-two trials
     without improvement. Each trial's percentages are those of
-    `metrics.build_report` over the replayed sessions, and its objective is
-    their sum. Results are fully deterministic for a given seed.
+    `metrics.detector_stats` over the replayed sessions' raw and adapted
+    counts, and its objective is their sum. Results are fully deterministic for a given seed.
     ``workers`` must be >= 1 and has no effect: every trial runs in the
     calling thread. `check_search_settings` holds the bounds of every
     setting; the keyword defaults here are also the config file's.
@@ -401,6 +409,7 @@ def optimize(
     if detectors is None:
         detectors = default_detectors()
     groups = _group(build_contexts(records, model, detectors, decomposition, integral_clamp))
+    n_raw = np.array([ctx.n_raw for g in groups for ctx in g.contexts])
     methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
@@ -417,9 +426,10 @@ def optimize(
             x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
                         ranges.lo, ranges.hi)
         gains = PidGains.from_array(x)
-        stats = [r.stats for r in _simulate(groups, gains, model, detectors, mode, limits)]
-        report = build_report(stats, methods)
-        percentages = tuple(report.stats[m].percentage for m in methods)
+        n_adapted = np.concatenate(
+            [sim[2] for sim in _simulate(groups, gains, model, detectors, mode, limits)]
+        )
+        percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
         trials.append(Trial(t, gains, sum(percentages), percentages))
         if trials[-1].objective > best_obj:
             best_obj = trials[-1].objective

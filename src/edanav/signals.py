@@ -16,7 +16,10 @@ replicate edge padding; the phasic component is the residual, so
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import median_filter, uniform_filter1d
@@ -238,14 +241,37 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory.
+
+    `os.replace` then moves it into place, so ``path`` holds its old bytes
+    or the new ones, never a part. On any error the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict) -> None:
-    """Write ``# key=value ...``, the header ``t_s,<column names>`` and the rows."""
-    cells = [list(map(format_float, np.asarray(values).tolist())) for values in columns.values()]
-    times = [f"{i / rate_hz:.6f}" for i in range(len(cells[0]))]
-    lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
-             ",".join(["t_s", *columns]), *map(",".join, zip(times, *cells))]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``# key=value ...``, the header ``t_s,<column names>`` and the rows.
+
+    The body is one ``%`` format over every row: ``%.6f`` spells the time
+    i / rate_hz and ``%r`` each value's `format_float`. The file is written
+    with `write_text_atomic`.
+    """
+    values = [np.asarray(v, dtype=np.float64).tolist() for v in columns.values()]
+    times = (np.arange(len(values[0])) / rate_hz).tolist()
+    rows = list(zip(times, *values))
+    body = ("%.6f" + ",%r" * len(values) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
+    head = "# " + " ".join(f"{key}={value}" for key, value in meta.items())
+    write_text_atomic(path, head + "\n" + ",".join(["t_s", *columns]) + "\n" + body)
 
 
 def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[str, ...]):
@@ -255,9 +281,15 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     ``unit_keys``; the header must be ``t_s`` and ``names``. Returns the
     rate, the units in ``unit_keys`` order and a [len(names), n] array.
     ``kind`` names the file in error messages.
+
+    The body is parsed with one `np.loadtxt` call. The per-line loop
+    `_parse_rows` runs only where that parse rejects the body: it reports
+    the bad line, or reads what float() accepts and loadtxt does not
+    (``1_0``, or any cell of the time column, which the rate implies).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if len(lines) < 3:
         raise FileFormatError(path, f"{kind} file needs metadata, header, and at least one row")
     if not lines[0].startswith("#"):
@@ -284,14 +316,37 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     header = ",".join(["t_s", *names])
     if lines[1] != header:
         raise FileFormatError(path, f"expected header {header!r}, got {lines[1]!r}", 2)
+    body = lines[2:]
+    # float() does not strip U+001F from a cell; loadtxt does
+    values = _loadtxt(body, len(names) + 1) if "\x1f" not in text else None
+    if values is None:
+        values = _parse_rows(path, kind, body, len(names))
+    return rate_hz, units, values
+
+
+def _loadtxt(lines: list[str], n_cols: int) -> np.ndarray | None:
+    """[n_cols - 1, rows] of ``lines`` without the time column, or None
+    where one C parse rejects them or finds another column count."""
+    if not any(lines):  # loadtxt warns on a body with no rows
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    return values[:, 1:].T if values.shape[1] == n_cols else None
+
+
+def _parse_rows(path, kind: str, lines: list[str], n_names: int) -> np.ndarray:
+    """`_loadtxt`'s result by a per-line loop with float(); raises
+    FileFormatError naming the first bad line (file line 3 is ``lines[0]``)."""
     cells, linenos = [], []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines, start=3):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != len(names) + 1:
+        if len(parts) != n_names + 1:
             raise FileFormatError(
-                path, f"expected {len(names) + 1} columns, got {len(parts)}", lineno
+                path, f"expected {n_names + 1} columns, got {len(parts)}", lineno
             )
         cells += parts[1:]  # the time column is implied by the rate
         linenos.append(lineno)
@@ -304,10 +359,10 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
             try:
                 float(cell)
             except ValueError:
-                lineno = linenos[i // len(names)]
+                lineno = linenos[i // n_names]
                 raise FileFormatError(path, f"bad {kind} value {cell!r}", lineno) from None
         raise
-    return rate_hz, units, values.reshape(-1, len(names)).T
+    return values.reshape(-1, n_names).T
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -223,3 +223,46 @@ def predict_session_naive(weights, a_l, a_r, L, stride):
     design = np.concatenate([windows.reshape(n_clips, -1), np.ones((n_clips, 1))], axis=1)
     preds = np.clip(design @ np.asarray(weights).T, 0.0, 1.0)
     return reconstruct_naive(preds.tolist(), stride)
+
+
+def write_samples_csv_naive(meta, rate_hz, columns):
+    """The text of a sample CSV, formatted one float at a time.
+
+    Row i is the time i / rate_hz with six decimals, then repr(float(v))
+    of each column's i-th value.
+    """
+    lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
+             ",".join(["t_s", *columns])]
+    cols = [list(values) for values in columns.values()]
+    for i in range(len(cols[0])):
+        row = [f"{i / rate_hz:.6f}"]
+        for col in cols:
+            row.append(repr(float(col[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def read_samples_rows_naive(text, kind, n_names):
+    """The value columns of a sample CSV's body, one line at a time.
+
+    ``text`` is the whole file; its first two lines (metadata and header)
+    are skipped unread. Empty lines are skipped, the time column is
+    ignored and every other cell goes through float(). Returns
+    ``n_names`` lists of floats, or raises ValueError(message, line)
+    for the first bad line (line None when the body holds no row).
+    """
+    cols = [[] for _ in range(n_names)]
+    for lineno, line in enumerate(text.splitlines()[2:], start=3):
+        if line == "":
+            continue
+        cells = line.split(",")
+        if len(cells) != n_names + 1:
+            raise ValueError(f"expected {n_names + 1} columns, got {len(cells)}", lineno)
+        for j, cell in enumerate(cells[1:]):
+            try:
+                cols[j].append(float(cell))
+            except ValueError:
+                raise ValueError(f"bad {kind} value {cell!r}", lineno) from None
+    if not cols[0]:
+        raise ValueError(f"{kind} file contains no samples", None)
+    return cols

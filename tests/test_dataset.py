@@ -149,6 +149,13 @@ def test_save_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_save_leaves_no_temporary_files(tmp_path):
+    save_dataset(synth_cohort(2, 120.0, 4.0, seed=10), tmp_path / "ds")
+    files = sorted(str(p.relative_to(tmp_path / "ds")) for p in (tmp_path / "ds").rglob("*"))
+    assert files == ["manifest.csv", "s000", "s000/accel.csv", "s000/eda.csv",
+                     "s001", "s001/accel.csv", "s001/eda.csv"]
+
+
 def test_load_dataset_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nowhere")

@@ -14,6 +14,7 @@ from edanav.metrics import (
     StatResult,
     build_report,
     chi_square_phi,
+    detector_stats,
     msdv,
     read_per_session_csv,
     write_msdv_svg,
@@ -199,6 +200,20 @@ def test_build_report_needs_sessions():
     # rows are keyed by method, so a repeated method would overwrite a row
     with pytest.raises(ValueError, match="distinct"):
         build_report(_cohort_sessions((2, 1, 0), 4), ("kim2004", "kim2004", "neurokit"))
+
+
+def test_detector_stats_are_the_report_rows():
+    sessions = _cohort_sessions((5, 2, 0), 7)
+    rows = detector_stats([s.n_raw for s in sessions], [s.n_adapted for s in sessions])
+    report = build_report(sessions, METHODS)
+    assert rows == [report.stats[m] for m in METHODS]
+    assert [r.positives for r in rows] == [5, 2, 0]
+
+
+def test_build_report_needs_one_count_per_method():
+    short = [_session(0, (3, 3), (2, 3), (1.0, 1.0), (1.0, 1.0))]
+    with pytest.raises(ValueError, match="one raw and one adapted count per method"):
+        build_report(short, METHODS)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,19 @@ def test_objective_counts_strict_reductions(small):
     assert 0.0 < result.best.objective <= 300.0
 
 
+def test_closed_loop_trial_scores_its_replay(small):
+    # the trial loop reads only event counts; they give the report's rows
+    records, model = small
+    sessions = eval_split(records)
+    g = TUNED_GAINS.as_array()
+    result = optimize(sessions, model, budget=2, seed=4, ranges=GainRanges(g, g),
+                      mode="closed_loop")
+    results = evaluate_sessions(sessions, TUNED_GAINS, model, mode="closed_loop")
+    report = build_report([r.stats for r in results], result.methods)
+    percentages = tuple(report.stats[m].percentage for m in result.methods)
+    assert [t.percentages for t in result.trials] == [percentages, percentages]
+
+
 # ---------------------------------------------------------------------------
 # Gain search
 # ---------------------------------------------------------------------------

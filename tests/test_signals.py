@@ -1,8 +1,13 @@
 """Tests for traces, normalization, resampling, and EDA decomposition."""
 
+import builtins
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edanav import signals
 from edanav.errors import DegenerateInputError, FileFormatError
 from edanav.signals import (
     DecompositionConfig,
@@ -14,10 +19,13 @@ from edanav.signals import (
     derivative,
     format_float,
     normalize,
+    read_samples_csv,
     read_trace_csv,
     resample,
+    write_samples_csv,
     write_trace_csv,
 )
+from oracles import read_samples_rows_naive, write_samples_csv_naive
 
 
 def _smooth_trace(rng, n=120, rate_hz=4.0, unit=Unit.MICROSIEMENS):
@@ -320,3 +328,130 @@ def test_trace_csv_skips_blank_lines(tmp_path):
     )
     tr = read_trace_csv(path)
     np.testing.assert_array_equal(tr.samples, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Sample CSV body: one C-level parse and one format against per-cell oracles
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308]),
+    st.integers(-(2**62), 2**62).map(float),
+)
+
+
+@st.composite
+def _sample_tables(draw):
+    n = draw(st.integers(1, 60))
+    cols = draw(st.lists(st.lists(_FLOATS, min_size=n, max_size=n), min_size=1, max_size=3))
+    return draw(st.sampled_from([4.0, 8.0, 3.7, 1000.0])), cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sample_tables())
+def test_write_samples_csv_matches_per_float_oracle(tmp_path_factory, table):
+    rate_hz, cols = table
+    names = tuple(f"c{j}" for j in range(len(cols)))
+    meta = {"unit": "normalized", "rate_hz": format_float(rate_hz)}
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    write_samples_csv(path, meta, rate_hz, dict(zip(names, map(np.array, cols))))
+    assert path.read_bytes() == write_samples_csv_naive(meta, rate_hz, dict(zip(names, cols))).encode()
+    back_rate, (unit,), values = read_samples_csv(path, "table", ("unit",), names)
+    assert back_rate == rate_hz and unit == Unit.NORMALIZED
+    assert values.tobytes() == np.array(cols).tobytes()  # bit-equal, -0.0 included
+
+
+_ACCEL_HEAD = "# rate_hz=4.0 unit_a_l=m_per_s2 unit_a_r=rad_per_s2\nt_s,a_l,a_r\n"
+_BODIES = {
+    "blank line": "0.0,1.0,2.0\n\n0.25,3.0,4.0\n",
+    "whitespace-only line": "0.0,1.0,2.0\n  \t\n0.25,3.0,4.0\n",
+    "extra column": "0.0,1.0,2.0\n0.25,3.0,4.0,5.0\n",
+    "extra column on every row": "0.0,1.0,2.0,9.0\n0.25,3.0,4.0,5.0\n",
+    "missing column": "0.0,1.0,2.0\n0.25,3.0\n",
+    "missing column on every row": "0.0,1.0\n0.25,3.0\n",
+    "underscore digits": "0.0,1_0,2.0\n0.25,3.0,4_000.5\n",
+    "bad t_s cell": "zero,1.0,2.0\n0.25,3.0,4.0\n",
+    "padded cells": " 0.0 , 1.0\t,\u00a02.0 \n0.25,3.0,  4.0\n",
+    "crlf line ends": "0.0,1.0,2.0\r\n0.25,3.0,4.0\r\n",
+    "inline comment": "0.0,1.0 # c,2.0\n",
+    "single row": "0.0,-0.0,5e-324\n",
+    "no rows": "\n\n",
+    "empty cell": "0.0,,2.0\n",
+    "bad value on a later line": "0.0,1.0,2.0\n\n0.5,3.0,oops\n",
+    "unit separator": "0.0,\x1f1.0,2.0\n",
+    "form feed splits a line": "0.0,1.0\x0c,2.0\n",
+    "no final newline": "0.0,1.0,2.0\n0.25,3.0,4.0",
+}
+
+
+@pytest.mark.parametrize("body", list(_BODIES.values()), ids=list(_BODIES))
+def test_read_samples_csv_matches_per_line_oracle(tmp_path, body):
+    text = _ACCEL_HEAD + body
+    path = tmp_path / "accel.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def read():
+        return read_samples_csv(path, "acceleration", ("unit_a_l", "unit_a_r"), ("a_l", "a_r"))
+
+    try:
+        expected = read_samples_rows_naive(text, "acceleration", 2)
+    except ValueError as exc:
+        message, line = exc.args
+        with pytest.raises(FileFormatError) as excinfo:
+            read()
+        assert excinfo.value.line == line
+        where = str(path) if line is None else f"{path}:{line}"
+        assert str(excinfo.value) == f"{where}: {message}"
+    else:
+        _, _, values = read()
+        assert values.tobytes() == np.array(expected).tobytes()
+
+
+def test_read_samples_csv_parses_a_clean_body_without_the_line_loop(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(Trace([1.5, -0.0, 2.0], 4.0), path)
+
+    def no_loop(*args):
+        raise AssertionError("per-line loop reached on a clean body")
+
+    monkeypatch.setattr(signals, "_parse_rows", no_loop)
+    assert read_trace_csv(path).samples.tobytes() == np.array([1.5, -0.0, 2.0]).tobytes()
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, stage):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(Trace([1.0, 2.0], 4.0), path)
+    before = path.read_bytes()
+    if stage == "write":
+        monkeypatch.setattr(signals, "open",
+                            lambda *a, **k: _HalfWriter(builtins.open(*a, **k)), raising=False)
+    else:
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(signals.os, "replace", fail)
+    with pytest.raises(OSError):
+        write_trace_csv(Trace([3.0, 4.0, 5.0], 8.0), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
