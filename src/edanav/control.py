@@ -14,7 +14,9 @@ the adapted accelerations for one gain set with whole-array arithmetic
 (over one session, or over sessions stacked by `stack_terms`), and
 `adapt_trace` is the two in sequence. `constant_step_integral` is the
 same integral over a stretch of constant error, as in the closed loop,
-where the feedback is held clip by clip.
+where the feedback is held clip by clip. `pid_law` is the one place the
+PID output is written; the gain helpers take a `PidGains` or a gain array
+[..., 11] (a block of gain sets, one per leading index).
 
 `plouzeau_step` is the prior linear law a' = a - 0.5 * dEDA/dt, kept as a
 baseline; it drifts without bound under monotone EDA, which is the flaw the
@@ -179,19 +181,44 @@ def stack_terms(terms) -> PidTerms:
                     first.dt, first.integral_clamp)
 
 
-def pid_outputs(terms: PidTerms, gains: PidGains, channels: int = 3) -> np.ndarray:
-    """PID outputs psi [..., channels, n] of the first ``channels`` channels under ``gains``."""
-    k = gains.as_array()[: 3 * channels].reshape(channels, 3)
+def _gain_array(gains) -> np.ndarray:
+    """``gains`` as an array [..., 11] in GAIN_KEYS order; a `PidGains` is its one-row case."""
+    if isinstance(gains, PidGains):
+        return gains.as_array()
+    return np.asarray(gains, dtype=np.float64)
+
+
+def pid_law(k: np.ndarray, error, integral, delta, dt: float) -> np.ndarray:
+    """The PID output k_P * error + k_I * integral + k_D * delta / dt.
+
+    ``k`` holds (k_P, k_I, k_D) along its last axis [..., 3]; each gain
+    column broadcasts against its term.
+    """
+    return k[..., :1] * error + k[..., 1:2] * integral + k[..., 2:] * delta / dt
+
+
+def pid_outputs(terms: PidTerms, gains, channels: int = 3) -> np.ndarray:
+    """PID outputs psi [..., channels, n] of the first ``channels`` channels under ``gains``.
+
+    ``gains`` is a `PidGains` or an array [..., 11] whose leading axes
+    broadcast against the terms': a block [B, 1, 11] over sessions stacked
+    [m, 3, n] gives [B, m, channels, n], with the bits of each gain set alone.
+    """
+    g = _gain_array(gains)
+    k = g[..., : 3 * channels].reshape(*g.shape[:-1], channels, 3)
     error, integral, delta = (
         t[..., :channels, :] for t in (terms.error, terms.integral, terms.delta)
     )
-    return k[:, :1] * error + k[:, 1:2] * integral + k[:, 2:] * delta / terms.dt
+    return pid_law(k, error, integral, delta, terms.dt)
 
 
-def accel_coefficients(gains: PidGains, limits: AccelLimits) -> tuple[np.ndarray, np.ndarray]:
-    """Column vectors (beta, bound) of the longitudinal and rotational channels."""
+def accel_coefficients(gains, limits: AccelLimits) -> tuple[np.ndarray, np.ndarray]:
+    """(beta [..., 2, 1], bound [2, 1]) of the longitudinal and rotational channels.
+
+    ``gains`` is a `PidGains` ([2, 1] beta) or an array [..., 11].
+    """
     return (
-        np.array([[gains.beta_l], [gains.beta_r]]),
+        _gain_array(gains)[..., 9:11, None],
         np.array([[limits.max_longitudinal], [limits.max_rotational]]),
     )
 
@@ -208,12 +235,13 @@ def adapted_accel(
 
 
 def apply_gains(
-    terms: PidTerms, gains: PidGains, limits: AccelLimits = AccelLimits()
+    terms: PidTerms, gains, limits: AccelLimits = AccelLimits()
 ) -> np.ndarray:
     """Adapted accelerations [..., 2, n] (a_l' then a_r') of the sessions ``terms`` describes.
 
-    Every operation is elementwise, so each session of a stack adapts to
-    the same bits as on its own.
+    ``gains`` is a `PidGains` or a gain array, as for `pid_outputs`. Every
+    operation is elementwise, so each session of a stack adapts to the same
+    bits as on its own.
     """
     psi = pid_outputs(terms, gains)
     return adapted_accel(terms.accel + psi[..., :2, :], psi[..., 2:, :],

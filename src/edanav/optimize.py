@@ -1,17 +1,19 @@
 """Session replay, the P_pn objective, and gain search.
 
 Every evaluation takes one path: `build_contexts` precomputes what does not
-depend on the gains, and `_simulate` replays the sessions under one gain set
-and counts the events of each surrogate prediction. `evaluate_sessions`
-wraps each session's outcome into a `SimulationResult`; a search trial
-scores the counts alone with `metrics.detector_stats`, the detector rows of
-`metrics.build_report`. Sessions of one length
-are replayed, predicted and counted together in both modes, with the bits
-of one session on its own: offline mode adapts them against the recorded
-feedback in one `apply_gains` call and predicts them in one
-`predict_sessions` call; closed-loop mode replays them clip by clip, one
-step for all of them. One `count_events` call per length then counts their
-events.
+depend on the gains, and `_simulate` replays the sessions under a block of
+gain sets and counts the events of each surrogate prediction.
+`evaluate_sessions` runs a block of one and wraps each session's outcome
+into a `SimulationResult`; a search trial scores the counts alone with
+`metrics.detector_stats`, the detector rows of `metrics.build_report`.
+Sessions of one length are replayed, predicted and counted together in both
+modes, with the bits of one session on its own: offline mode adapts them
+against the recorded feedback in one `apply_gains` call and predicts them
+in one `predict_sessions` call per gain set; closed-loop mode replays them
+clip by clip under every gain set of the block, one step for all of them
+(`_replay_clips`). One `count_events` call per length and gain set then
+counts their events, so a search holds one trial's detector tables at a
+time.
 ``n_raw`` counts events on the surrogate's offline prediction (stride 1)
 for the unmodified acceleration, ``n_adapted`` on its prediction for the
 adapted acceleration. Offline, both go through the identical pipeline and
@@ -27,7 +29,11 @@ sessions whose adapted event count dropped below the raw one; its range is
 [0, 100 * n_detectors]. The optimizer is a seeded two-phase random search:
 uniform exploration over the gain ranges, then Gaussian sampling around the
 incumbent with the step size halved after every ``halve_after``
-consecutive non-improving trials.
+consecutive non-improving trials. Phase-one draws are independent, so they
+are drawn and handed to `_simulate` in blocks of max(1, ``ROWS`` // m)
+trials, m the largest group of equal-length sessions (closed loop replays a
+block in one clip loop), and then recorded in index order; phase two
+depends on the incumbent and runs one trial at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .control import (
     adapted_accel,
     apply_gains,
     constant_step_integral,
+    pid_law,
     pid_outputs,
     pid_terms,
     stack_terms,
@@ -59,6 +66,9 @@ from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
+# rows of one closed-loop clip step: phase one of a search replays
+# max(1, ROWS // m) trials at once, m the largest group of equal-length sessions
+ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -150,9 +160,11 @@ def build_contexts(records, model, detectors=None, decomposition=DecompositionCo
 
 
 def _replay_clips(
-    terms: PidTerms, model: SurrogateModel, gains: PidGains, limits: AccelLimits
+    terms: PidTerms, model: SurrogateModel, gains: np.ndarray, limits: AccelLimits
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-granular loop over the m sessions of ``terms``: (adapted [m, 2, n], predictions).
+    """Clip-granular loop over the m sessions of ``terms`` under each of B gain sets [B, 11].
+
+    Returns adapted [B, m, 2, n] and predictions [B, m, n // L * L].
 
     The controller holds f at the last predicted sample of clip k-1 while
     adapting clip k; the model then predicts clip k from a window of
@@ -162,21 +174,26 @@ def _replay_clips(
     offline prediction span. The acceleration channels see only the
     recording, so their PID outputs come from the session terms.
 
-    Each step adapts and predicts clip k of every session at once, with the
-    float operations of one sample-by-sample session replay: the phasic
-    error 0 - hold is constant within a clip, so its integral is
+    Each step adapts and predicts clip k of all B * m replays at once, one
+    row per (gain set, session), trial-major, each row carrying its own
+    gain columns; every row gets the float operations of one
+    sample-by-sample session replay under its own gains: the phasic error
+    0 - hold is constant within a clip, so its integral is
     `constant_step_integral`; the error difference is 0.0 past the clip's
     first sample; and `predict_rows` is `predict_clip` row by row.
     """
     m, _, n = terms.accel.shape
+    n_sets = len(gains)
+    R = n_sets * m
     L = model.L
     covered = n // L * L
     dt, clamp = terms.dt, terms.integral_clamp
-    k_p, k_i, k_d = gains.K_Pf, gains.K_If, gains.K_Df
-    base = terms.accel + pid_outputs(terms, gains, channels=2)
-    beta, bound = accel_coefficients(gains, limits)
-    out = np.empty((m, 2, n))
-    integral = prev_error = np.zeros((m, 1))
+    row_gains = np.repeat(gains, m, axis=0)  # [R, 11]
+    k_f = row_gains[:, 6:9]  # the phasic channel's (K_Pf, K_If, K_Df)
+    base = (terms.accel + pid_outputs(terms, gains[:, None], channels=2)).reshape(R, 2, n)
+    beta, bound = accel_coefficients(row_gains, limits)
+    out = np.empty((R, 2, n))
+    integral = prev_error = np.zeros((R, 1))
 
     def adapt(first: int, last: int, hold: np.ndarray) -> None:
         nonlocal integral, prev_error
@@ -184,19 +201,19 @@ def _replay_clips(
         running = constant_step_integral(integral, error * dt, last - first, clamp)
         delta = np.zeros_like(running)
         delta[:, :1] = error - prev_error
-        psi_f = k_p * error + k_i * running + k_d * delta / dt
+        psi_f = pid_law(k_f, error, running, delta, dt)
         out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None], beta, bound)
         integral, prev_error = running[:, -1:], error
 
     norm = model.norm
     vmin = np.array([[norm.a_l.vmin], [norm.a_r.vmin]])
     span = np.array([[norm.a_l.span], [norm.a_r.span]])
-    rows = np.empty((m, 6 * L + 1))
+    rows = np.empty((R, 6 * L + 1))
     rows[:, -1] = 1.0
-    window = rows[:, :-1].reshape(m, 2, 3 * L)
+    window = rows[:, :-1].reshape(R, 2, 3 * L)
     window[:, :, L : 2 * L] = (0.0 - vmin) / span  # moves to the first clip's past
-    preds = np.empty((m, covered))
-    hold = np.zeros((m, 1))
+    preds = np.empty((R, covered))
+    hold = np.zeros((R, 1))
     for first in range(0, covered, L):
         last = first + L
         adapt(first, last, hold)
@@ -207,7 +224,7 @@ def _replay_clips(
         hold = preds[:, last - 1 : last]
     if covered < n:
         adapt(covered, n, hold)
-    return out, preds
+    return out.reshape(n_sets, m, 2, n), preds.reshape(n_sets, m, covered)
 
 
 @dataclass(frozen=True)
@@ -232,29 +249,36 @@ def _group(contexts: list[SessionContext]) -> list[_Group]:
 
 def _simulate(
     groups: list[_Group],
-    gains: PidGains,
+    gains: np.ndarray,
     model: SurrogateModel,
     detectors,
     mode: str,
     limits: AccelLimits,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Replay every group of ``groups`` (from `_group`) under ``gains``.
+):
+    """Replay every group of ``groups`` (from `_group`) under each gain set of ``gains`` [B, 11].
 
-    Returns one (adapted [m, 2, n], predictions [m, length],
-    n_adapted [m, n_detectors]) per group. The sessions of a group replay,
-    predict and count together: offline in one `apply_gains`,
-    `predict_sessions` and `count_events` call each, closed loop in one
-    clip step per clip (`_replay_clips`).
+    Yields, for each gain set in block order, one (adapted [m, 2, n],
+    predictions [m, length], n_adapted [m, n_detectors]) per group. The
+    sessions of a group replay, predict and count together. Closed loop,
+    one `_replay_clips` call replays a group under the whole block, one
+    clip step per clip. Offline, each gain set runs through one
+    `apply_gains` and one `predict_sessions` call of its own: an offline
+    trial is bound by flops and memory, not by numpy calls. Either way each
+    gain set's sessions are counted by one `count_events` call, so a caller
+    that keeps only the counts holds one trial's detector tables at a time.
     """
-    out = []
-    for g in groups:
-        if mode == "offline":
-            adapted = apply_gains(g.terms, gains, limits)
-            preds = predict_sessions(model, adapted)
-        else:
-            adapted, preds = _replay_clips(g.terms, model, gains, limits)
-        out.append((adapted, preds, count_events(preds, model.rate_hz, detectors)))
-    return out
+    if mode == "closed_loop":
+        replays = [_replay_clips(g.terms, model, gains, limits) for g in groups]
+    for b, x in enumerate(gains):
+        sims = []
+        for j, g in enumerate(groups):
+            if mode == "offline":
+                adapted = apply_gains(g.terms, x, limits)
+                preds = predict_sessions(model, adapted)
+            else:
+                adapted, preds = replays[j][0][b], replays[j][1][b]
+            sims.append((adapted, preds, count_events(preds, model.rate_hz, detectors)))
+        yield sims
 
 
 def evaluate_sessions(
@@ -274,9 +298,8 @@ def evaluate_sessions(
     contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
     groups = _group(contexts)
     results: list = [None] * len(contexts)
-    for g, (adapted, preds, n_adapted) in zip(
-        groups, _simulate(groups, gains, model, detectors, mode, limits)
-    ):
+    [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
+    for g, (adapted, preds, n_adapted) in zip(groups, sims):
         for row, (i, ctx) in enumerate(zip(g.members, g.contexts)):
             adapted_l = Trace(adapted[row, 0], model.rate_hz, ctx.record.a_l.unit)
             adapted_r = Trace(adapted[row, 1], model.rate_hz, ctx.record.a_r.unit)
@@ -394,7 +417,9 @@ def optimize(
     and sigma halves after ``halve_after`` consecutive phase-two trials
     without improvement. Each trial's percentages are those of
     `metrics.detector_stats` over the replayed sessions' raw and adapted
-    counts, and its objective is their sum. Results are fully deterministic for a given seed.
+    counts, and its objective is their sum. Results are fully deterministic for a given seed,
+    and phase one's blocks leave every draw, its order and every score as
+    one trial at a time would give them.
     ``workers`` must be >= 1 and has no effect: every trial runs in the
     calling thread. `check_search_settings` holds the bounds of every
     setting; the keyword defaults here are also the config file's.
@@ -419,28 +444,30 @@ def optimize(
     best_index = 0
     stall = 0
     trials: list[Trial] = []
-    for t in range(budget):
-        if t < n_explore:  # phase one: uniform exploration
-            x = rng.uniform(ranges.lo, ranges.hi)
+    block = max(1, ROWS // max(len(g.members) for g in groups))
+    while len(trials) < budget:
+        t = len(trials)
+        if t < n_explore:  # phase one: uniform exploration, a block of draws at a time
+            xs = np.array([rng.uniform(ranges.lo, ranges.hi)
+                           for _ in range(min(block, n_explore - t))])
         else:  # phase two: Gaussian refinement around the incumbent
-            x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
-                        ranges.lo, ranges.hi)
-        gains = PidGains.from_array(x)
-        n_adapted = np.concatenate(
-            [sim[2] for sim in _simulate(groups, gains, model, detectors, mode, limits)]
-        )
-        percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
-        trials.append(Trial(t, gains, sum(percentages), percentages))
-        if trials[-1].objective > best_obj:
-            best_obj = trials[-1].objective
-            best_x = x
-            best_index = t
-            stall = 0
-        elif t >= n_explore:
-            stall += 1
-            if stall >= halve_after:
-                sigma = sigma / 2.0
+            xs = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
+                         ranges.lo, ranges.hi)[None]
+        for x, sims in zip(xs, _simulate(groups, xs, model, detectors, mode, limits)):
+            t = len(trials)
+            n_adapted = np.concatenate([sim[2] for sim in sims])
+            percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
+            trials.append(Trial(t, PidGains.from_array(x), sum(percentages), percentages))
+            if trials[-1].objective > best_obj:
+                best_obj = trials[-1].objective
+                best_x = x
+                best_index = t
                 stall = 0
+            elif t >= n_explore:
+                stall += 1
+                if stall >= halve_after:
+                    sigma = sigma / 2.0
+                    stall = 0
     return OptimizeResult(best=trials[best_index], trials=tuple(trials), methods=methods)
 
 

@@ -122,18 +122,27 @@ def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorPara
     rows, onsets, peaks = runs
     kept = x[rows, peaks] - x[rows, onsets] >= params.min_amplitude
     rows, onsets, peaks = rows[kept], onsets[kept], peaks[kept]
-    # merge bursts whose onset follows the previous peak of the same row too
-    # closely, keeping the higher peak
-    merged: list[list] = []  # [row, onset, peak, peak height]
-    for event in zip(rows.tolist(), onsets.tolist(), peaks.tolist(), x[rows, peaks].tolist()):
-        row, onset, peak, height = event
-        last = merged[-1] if merged else None
-        if last and last[0] == row and (onset - last[2]) / rate_hz < params.min_separation_s:
-            if height >= last[3]:
-                last[2:] = peak, height
+    # merge bursts whose onset follows the group's peak in the same row too
+    # closely, moving the group's peak to any burst at least as high. A
+    # group's peak never lies after the previous burst's peak, so a burst
+    # that opens its row or starts min_separation_s after that peak starts
+    # a group for certain; only the others need the sequential rule.
+    sep = params.min_separation_s
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | ((onsets[1:] - peaks[:-1]) / rate_hz >= sep)
+    group_peaks = peaks.copy()  # each group's peak, at its first burst
+    starts, tops, heights = onsets.tolist(), peaks.tolist(), x[rows, peaks].tolist()
+    for i in np.flatnonzero(~new).tolist():
+        if new[i - 1]:  # the previous burst opened the group
+            first, top, height = i - 1, tops[i - 1], heights[i - 1]
+        if (starts[i] - top) / rate_hz < sep:
+            if heights[i] >= height:
+                top = group_peaks[first] = tops[i]
+                height = heights[i]
         else:
-            merged.append(list(event))
-    rows, onsets, peaks = np.array([e[:3] for e in merged], dtype=np.intp).reshape(-1, 3).T
+            new[i] = True
+            first, top, height = i, tops[i], heights[i]
+    rows, onsets, peaks = rows[new], onsets[new], group_peaks[new]
     keep = _rise_ok(onsets, peaks, rate_hz, params)
     return rows[keep], onsets[keep], peaks[keep]
 

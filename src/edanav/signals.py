@@ -274,6 +274,10 @@ def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict)
     write_text_atomic(path, head + "\n" + ",".join(["t_s", *columns]) + "\n" + body)
 
 
+# information separators: loadtxt strips them from a cell, float() rejects them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[str, ...]):
     """Read a file written by `write_samples_csv`.
 
@@ -286,10 +290,16 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     `_parse_rows` runs only where that parse rejects the body: it reports
     the bad line, or reads what float() accepts and loadtxt does not
     (``1_0``, or any cell of the time column, which the rate implies).
+    Lines end only at a newline ("\n", or "\r\n" and a lone "\r", which
+    open() reads as "\n"): a form feed, U+001C-U+001E, U+0085 or U+2028/9
+    stays inside its line, whose cells are read as float() reads them, and
+    a bad one is reported on its own line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline ends the last line
     if len(lines) < 3:
         raise FileFormatError(path, f"{kind} file needs metadata, header, and at least one row")
     if not lines[0].startswith("#"):
@@ -317,8 +327,8 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     if lines[1] != header:
         raise FileFormatError(path, f"expected header {header!r}, got {lines[1]!r}", 2)
     body = lines[2:]
-    # float() does not strip U+001F from a cell; loadtxt does
-    values = _loadtxt(body, len(names) + 1) if "\x1f" not in text else None
+    clean = not any(c in text for c in _SEPARATORS)
+    values = _loadtxt(body, len(names) + 1) if clean else None
     if values is None:
         values = _parse_rows(path, kind, body, len(names))
     return rate_hz, units, values

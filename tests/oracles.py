@@ -246,13 +246,15 @@ def read_samples_rows_naive(text, kind, n_names):
     """The value columns of a sample CSV's body, one line at a time.
 
     ``text`` is the whole file; its first two lines (metadata and header)
-    are skipped unread. Empty lines are skipped, the time column is
-    ignored and every other cell goes through float(). Returns
-    ``n_names`` lists of floats, or raises ValueError(message, line)
-    for the first bad line (line None when the body holds no row).
+    are skipped unread. Lines end at "\n", "\r\n" or a lone "\r" and
+    nowhere else. Empty lines are skipped, the time column is ignored and
+    every other cell goes through float(). Returns ``n_names`` lists of
+    floats, or raises ValueError(message, line) for the first bad line
+    (line None when the body holds no row).
     """
     cols = [[] for _ in range(n_names)]
-    for lineno, line in enumerate(text.splitlines()[2:], start=3):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines[2:], start=3):
         if line == "":
             continue
         cells = line.split(",")

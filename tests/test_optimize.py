@@ -1,5 +1,7 @@
 """Simulation, objective, and gain-search tests on a small synthetic cohort."""
 
+import importlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +16,14 @@ from edanav.control import (
     pid_terms,
 )
 from edanav.dataset import synth_cohort
-from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, msdv
+from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, detector_stats, msdv
 from edanav.optimize import (
+    MODES,
+    ROWS,
     GainRanges,
     OptimizeResult,
+    _group,
+    _simulate,
     build_contexts,
     evaluate_sessions,
     optimize,
@@ -29,6 +35,9 @@ from edanav.signals import DecompositionConfig, Trace, decompose
 from edanav.surrogate import predict_clip, predict_session
 
 from oracles import adapt_trace_naive
+
+# the module itself: the package binds the name `optimize` to the function
+optimize_module = importlib.import_module("edanav.optimize")
 
 TUNED_GAINS = PidGains(
     K_Pl=0.0113, K_Il=0.0065, K_Dl=0.0137,
@@ -240,6 +249,31 @@ def test_closed_loop_sessions_replay_together(small):
                 assert np.any(integral == -0.05)  # the clamp binds
 
 
+def test_replay_blocks_equal_each_gain_set_alone(small):
+    # a block of gain sets replays, predicts and counts each set to the
+    # bytes of that set on its own, over sessions of mixed lengths, with
+    # binding clamps and zero gains inside one block; blocks of 2 over the
+    # five sets end on a partial block
+    records, model = small
+    sessions = _mixed_sessions(records, model.L)
+    detectors, limits = default_detectors(), AccelLimits()
+    groups = _group(build_contexts(sessions, model, detectors, **MIXED_SETTINGS))
+    box = GainRanges.default()
+    sets = np.vstack([BINDING.as_array(), np.zeros(len(GAIN_KEYS)),
+                      np.random.default_rng(3).uniform(box.lo, box.hi, (3, len(GAIN_KEYS)))])
+    for mode in MODES:
+        alone = [next(_simulate(groups, x[None], model, detectors, mode, limits)) for x in sets]
+        for size in (1, 2, 5):
+            for start in range(0, len(sets), size):
+                block = sets[start : start + size]
+                trials = list(_simulate(groups, block, model, detectors, mode, limits))
+                assert len(trials) == len(block)
+                for sims, own in zip(trials, alone[start:]):
+                    for mine, theirs in zip(sims, own, strict=True):
+                        for a, b in zip(mine, theirs, strict=True):  # adapted, preds, counts
+                            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Objective
 # ---------------------------------------------------------------------------
@@ -317,31 +351,70 @@ def test_optimize_bookkeeping(small):
     assert result.best.index == first_best
 
 
-def test_search_follows_its_schedule(small):
-    # replay the documented schedule from the trial objectives: uniform
-    # draws in phase one, then Gaussian steps around the incumbent whose
-    # sigma halves after every halve_after phase-two trials without a strict
-    # improvement; phase-one trials never count toward a halving
-    records, model = small
+def _assert_follows_schedule(result, seed, n_explore, halve_after):
+    """Replay the documented schedule from the trial objectives of a search in the default box."""
     box = GainRanges.default()
-    result = optimize(eval_split(records), model, budget=24, seed=8, explore_frac=0.25,
-                      halve_after=2)
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(seed)
     sigma = 0.2 * (box.hi - box.lo)
     best_x, best_obj, stall = None, -np.inf, 0
     for t, trial in enumerate(result.trials):
-        if t < 6:
+        assert trial.index == t
+        if t < n_explore:
             x = rng.uniform(box.lo, box.hi)
         else:
             x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma, box.lo, box.hi)
         assert trial.gains.as_array().tolist() == x.tolist()
         if trial.objective > best_obj:
             best_x, best_obj, stall = x, trial.objective, 0
-        elif t >= 6:
+        elif t >= n_explore:
             stall += 1
-            if stall == 2:
+            if stall == halve_after:
                 sigma, stall = sigma / 2.0, 0
     assert result.best.objective == best_obj
+
+
+def test_search_follows_its_schedule(small):
+    # replay the documented schedule from the trial objectives: uniform
+    # draws in phase one, then Gaussian steps around the incumbent whose
+    # sigma halves after every halve_after phase-two trials without a strict
+    # improvement; phase-one trials never count toward a halving
+    records, model = small
+    result = optimize(eval_split(records), model, budget=24, seed=8, explore_frac=0.25,
+                      halve_after=2)
+    _assert_follows_schedule(result, 8, 6, 2)
+
+
+def test_closed_loop_search_follows_its_schedule_across_blocks(small, monkeypatch):
+    # closed loop, phase one replays max(1, ROWS // m) trials per block, m
+    # the largest group of equal-length sessions; here phase one spans two
+    # full blocks and a partial one, and every trial still follows the
+    # schedule and scores as its own replay does
+    records, model = small
+    sessions = _mixed_sessions(records, model.L)
+    block = max(1, ROWS // max(Counter(len(r.a_l) for r in sessions).values()))
+    n_explore = 2 * block + block // 2 + 1
+    budget = n_explore + 8
+    blocks = []
+
+    def spy(terms, model, gains, limits):
+        blocks.append(len(gains))
+        return replay(terms, model, gains, limits)
+
+    replay = optimize_module._replay_clips
+    monkeypatch.setattr(optimize_module, "_replay_clips", spy)
+    settings = dict(mode="closed_loop", **MIXED_SETTINGS)
+    result = optimize(sessions, model, budget=budget, seed=9, explore_frac=n_explore / budget,
+                      halve_after=2, **settings)
+    monkeypatch.undo()
+    n_groups = len(set(len(r.a_l) for r in sessions))
+    assert blocks == ([block] * n_groups * 2 + [block // 2 + 1] * n_groups
+                      + [1] * n_groups * (budget - n_explore))
+    _assert_follows_schedule(result, 9, n_explore, 2)
+    for trial in result.trials:
+        results = evaluate_sessions(sessions, trial.gains, model, **settings)
+        expected = detector_stats([r.n_raw for r in results], [r.n_adapted for r in results])
+        assert trial.percentages == tuple(s.percentage for s in expected)
+        assert trial.objective == sum(trial.percentages)
 
 
 def test_optimize_ties_keep_earliest_trial(small):

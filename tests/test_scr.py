@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edanav.scr import (
@@ -221,6 +221,43 @@ def test_batched_detectors_match_brute_force_row_by_row(x, prominence_frac, min_
             mine = rows == i
             assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
             assert counts[i, j] == len(expected)
+
+
+@st.composite
+def _dense_bursts(draw):
+    """Rows [m, n] of back-to-back gamboa2008 bursts.
+
+    Each burst drops to a low level for a few samples, then rises in one to
+    four samples to a height from a small set, so gaps fall under and over
+    min_separation_s, peaks tie, and chains of rising heights move a
+    group's peak while falling ones leave it behind the previous burst.
+    """
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = [0.0]
+        for _ in range(draw(st.integers(1, 14))):
+            row += [draw(st.sampled_from([0.0, 0.25]))] * draw(st.integers(1, 5))
+            rise, top = draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 1.0, 1.5]))
+            row += np.linspace(row[-1], top, rise + 1)[1:].tolist()
+        rows.append(row)
+    n = max(map(len, rows))
+    return np.array([row + [row[-1]] * (n - len(row)) for row in rows])
+
+
+# burst 2 merges into burst 1 without moving its peak (index 2); burst 3
+# trails burst 2's peak by 1 sample but burst 1's by 3 (= 0.75 s), so it
+# opens a new event
+@example(np.array([[0.0, 0.5, 1.0, 0.25, 0.75, 0.25, 0.75]]), 0.25, 0.75)
+@settings(max_examples=200, deadline=None)
+@given(_dense_bursts(), st.sampled_from([0.25, 0.5]), st.sampled_from([0.5, 0.75, 1.0, 2.0]))
+def test_gamboa2008_merges_dense_bursts_as_brute_force(x, min_amplitude, min_separation_s):
+    params = _params("gamboa2008", min_amplitude=min_amplitude,
+                     min_separation_s=min_separation_s, rise_time_max_s=60.0)
+    rows, onsets, peaks = _DETECTORS["gamboa2008"](x, _rising_runs(x), RATE, params)
+    for i, row in enumerate(x):
+        expected = [(o, p) for o, p, _ in _oracle(row, params)]
+        mine = rows == i
+        assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
 
 
 def test_fixture_counts_zero_one_two():

@@ -380,7 +380,11 @@ _BODIES = {
     "empty cell": "0.0,,2.0\n",
     "bad value on a later line": "0.0,1.0,2.0\n\n0.5,3.0,oops\n",
     "unit separator": "0.0,\x1f1.0,2.0\n",
+    # splitlines() used to break this line at the form feed; it is one row
     "form feed splits a line": "0.0,1.0\x0c,2.0\n",
+    "form feed between rows": "0.0,1.0,2.0\x0c0.25,3.0,4.0\n",
+    "record separator in a cell": "0.0,1.0\x1e,2.0\n0.25,3.0,4.0\n",
+    "line separators pad cells": "0.0,\u20281.0,2.0\u2029\n0.25,3.0\x85,4.0\x1c\n",
     "no final newline": "0.0,1.0,2.0\n0.25,3.0,4.0",
 }
 
@@ -406,6 +410,28 @@ def test_read_samples_csv_matches_per_line_oracle(tmp_path, body):
     else:
         _, _, values = read()
         assert values.tobytes() == np.array(expected).tobytes()
+
+
+def test_read_samples_csv_breaks_lines_only_at_newlines(tmp_path):
+    # a form feed, U+001C-U+001E, U+0085 and U+2028/9 do not end a line, so
+    # a row holding one fails, or reads, on its own physical line
+    path = tmp_path / "eda.csv"
+    head = "# unit=normalized rate_hz=4\nt_s,value\n"
+    path.write_bytes((head + "0.0,1.0\f0.25,2.0\n0.5,3.0\n").encode("utf-8"))
+    with pytest.raises(FileFormatError, match="expected 2 columns, got 3") as excinfo:
+        read_trace_csv(path)
+    assert excinfo.value.line == 3
+    path.write_bytes((head + "0.0,1.0\f\n0.25,oops\n").encode("utf-8"))
+    with pytest.raises(FileFormatError, match="bad trace value 'oops'") as excinfo:
+        read_trace_csv(path)
+    assert excinfo.value.line == 4
+    for sep in "\x1c\x1d\x1e":
+        path.write_bytes((head + f"0.0,1.0\n0.25,2.0{sep}\n").encode("utf-8"))
+        with pytest.raises(FileFormatError, match="bad trace value") as excinfo:
+            read_trace_csv(path)
+        assert excinfo.value.line == 4
+    path.write_bytes((head + "0.0,1.0\r\n0.25,2.0\u2028\r\n").encode("utf-8"))
+    assert read_trace_csv(path).samples.tolist() == [1.0, 2.0]
 
 
 def test_read_samples_csv_parses_a_clean_body_without_the_line_loop(tmp_path, monkeypatch):
