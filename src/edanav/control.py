@@ -9,14 +9,15 @@ the rectangle rule, clamps the integral to +-integral_clamp before use
 
 Over a recorded session the PID state does not depend on the gains: every
 error, clamped integral and error difference comes from the recording.
-`pid_terms` computes them once per session, `apply_gains` turns them into
-the adapted accelerations for one gain set with whole-array arithmetic
-(over one session, or over sessions stacked by `stack_terms`), and
-`adapt_trace` is the two in sequence. `constant_step_integral` is the
-same integral over a stretch of constant error, as in the closed loop,
-where the feedback is held clip by clip. `pid_law` is the one place the
-PID output is written; the gain helpers take a `PidGains` or a gain array
-[..., 11] (a block of gain sets, one per leading index).
+`pid_terms` computes them once, for one session or for a stack of
+sessions of one length; `apply_gains` turns them into the adapted
+accelerations for one gain set with whole-array arithmetic, and
+`adapt_trace` is the two in sequence for one session.
+`constant_step_integral` is the same integral over a stretch of constant
+error, as in the closed loop, where the feedback is held clip by clip.
+`pid_law` is the one place the PID output is written; the gain helpers
+take a `PidGains` or a gain array [..., 11] (a block of gain sets, one per
+leading index).
 
 `plouzeau_step` is the prior linear law a' = a - 0.5 * dEDA/dt, kept as a
 baseline; it drifts without bound under monotone EDA, which is the flaw the
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
+from .signals import write_text_atomic
 
 DEFAULT_INTEGRAL_CLAMP = 10.0
 DEFAULT_MAX_LONGITUDINAL = 5.0  # m/s^2
@@ -102,9 +104,9 @@ class PidTerms:
     """Per-sample PID state of recorded sessions, independent of the gains.
 
     Rows of ``error``, ``integral`` and ``delta`` are the longitudinal,
-    rotational and phasic channels. `pid_terms` gives one session's state;
-    `stack_terms` stacks sessions of one length and rate along a leading
-    session axis, which `pid_outputs` and `apply_gains` carry through.
+    rotational and phasic channels. `pid_terms` gives one session's state,
+    or that of a stack of sessions of one length along a leading session
+    axis, which `pid_outputs` and `apply_gains` carry through.
     """
 
     accel: np.ndarray  # [..., 2, n]
@@ -157,28 +159,25 @@ def pid_terms(
     rate_hz: float,
     integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
 ) -> PidTerms:
-    """PID state of a whole session fed back from the recorded phasic ``f``.
+    """PID state of whole sessions fed back from the recorded phasic ``f``.
 
-    Step i reads f[i-1] (0.0 at the first step, idle start). Each
-    channel's integral is the sum of error * dt, clamped after every step
-    to [-integral_clamp, +integral_clamp], which must be positive.
+    ``a_l``, ``a_r`` and ``f`` are [..., n]: one session, or a stack of
+    sessions of one length, each row its own session. Step i reads f[i-1]
+    (0.0 at the first step, idle start). Each channel's integral is the
+    sum of error * dt, clamped after every step to [-integral_clamp,
+    +integral_clamp], which must be positive.
     """
     check_integral_clamp(integral_clamp)
-    accel = np.array([a_l, a_r], dtype=np.float64)
-    f_prev = np.concatenate(([0.0], f))[:-1]
+    accel = np.stack([a_l, a_r], axis=-2, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    f_prev = np.concatenate([np.zeros_like(f[..., :1]), f[..., :-1]], axis=-1)
     dt = 1.0 / rate_hz
-    error = 0.0 - np.vstack([accel, f_prev])
-    integral = np.stack([_clamped_running_sum(e * dt, integral_clamp) for e in error])
-    delta = error - np.concatenate([np.zeros((3, 1)), error[:, :-1]], axis=1)
+    error = 0.0 - np.concatenate([accel, f_prev[..., None, :]], axis=-2)
+    integral = np.empty_like(error)
+    for row in np.ndindex(error.shape[:-1]):
+        integral[row] = _clamped_running_sum(error[row] * dt, integral_clamp)
+    delta = error - np.concatenate([np.zeros_like(error[..., :1]), error[..., :-1]], axis=-1)
     return PidTerms(accel, error, integral, delta, dt, integral_clamp)
-
-
-def stack_terms(terms) -> PidTerms:
-    """The PID state of sessions of one length and rate, stacked along a leading axis."""
-    first = terms[0]
-    return PidTerms(*(np.stack([getattr(t, name) for t in terms])
-                      for name in ("accel", "error", "integral", "delta")),
-                    first.dt, first.integral_clamp)
 
 
 def _gain_array(gains) -> np.ndarray:
@@ -281,8 +280,7 @@ def plouzeau_step(a_prev: float, d_eda: float) -> float:
 def write_gains(gains: PidGains, path) -> None:
     """Write gains as ``key = value`` lines in canonical order."""
     lines = [f"{key} = {repr(float(getattr(gains, key)))}" for key in GAIN_KEYS]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_gains(path) -> PidGains:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .signals import Trace, format_float
+from .signals import Trace, format_float, write_text_atomic
 
 CHI2_CRITICAL_P05 = 3.841
 CHI2_CRITICAL_P01 = 6.635
@@ -159,7 +159,7 @@ def write_report_csv(report: Report, path) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _per_session_header(methods) -> str:
@@ -182,7 +182,7 @@ def write_per_session_csv(sessions, methods, path) -> None:
             for v in (s.msdv_l[0], s.msdv_l[1], s.msdv_r[0], s.msdv_r[1])
         )
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_per_session_csv(path) -> tuple[tuple[str, ...], list[SessionStats]]:
@@ -278,4 +278,4 @@ def write_msdv_svg(sessions, path) -> None:
         f'<text x="{left + 74}" y="{legend_y}">adapted</text>'
     )
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(out) + "\n")

@@ -1,8 +1,9 @@
 """Session replay, the P_pn objective, and gain search.
 
-Every evaluation takes one path: `build_contexts` precomputes what does not
-depend on the gains, and `_simulate` replays the sessions under a block of
-gain sets and counts the events of each surrogate prediction.
+Every evaluation takes one path: `build_contexts` groups the sessions by
+length, once, and precomputes what does not depend on the gains for each
+`SessionGroup`; `_simulate` replays the groups under a block of gain sets
+and counts the events of each surrogate prediction.
 `evaluate_sessions` runs a block of one and wraps each session's outcome
 into a `SimulationResult`; a search trial scores the counts alone with
 `metrics.detector_stats`, the detector rows of `metrics.build_report`.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,12 +57,11 @@ from .control import (
     pid_law,
     pid_outputs,
     pid_terms,
-    stack_terms,
 )
 from .dataset import SessionRecord
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .signals import DecompositionConfig, Trace, Unit, decompose, format_float
+from .signals import DecompositionConfig, Trace, Unit, decompose, format_float, write_text_atomic
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
@@ -72,22 +71,22 @@ ROWS = 64
 
 
 @dataclass(frozen=True)
-class SessionContext:
-    """Gain-independent precomputation for one session.
+class SessionGroup:
+    """The sessions of one sample count and their gain-independent state.
 
-    ``terms`` is the controller's PID state over the session, fed back from
-    the recorded phasic in the model's normalized scale, clipped to [0, 1];
-    offline mode uses all of it, closed-loop mode its acceleration rows. The
-    PID state, raw counts and dose values do not change across trials, so a
-    search over gains computes them once.
+    ``terms`` is the controller's PID state over the m sessions [m, ...],
+    fed back from the recorded phasic in the model's normalized scale,
+    clipped to [0, 1]; offline mode uses all of it, closed-loop mode its
+    acceleration rows. The PID state, raw counts and dose values do not
+    change across trials, so a search over gains computes them once.
     """
 
-    record: SessionRecord
-    terms: PidTerms
-    n_raw: tuple[int, ...]
-    n_recorded: tuple[int, ...]
-    msdv_raw_l: float
-    msdv_raw_r: float
+    members: list[int]  # positions in the input record list
+    records: list[SessionRecord]
+    terms: PidTerms  # [m, ...]
+    msdv_raw: list[tuple[float, float]]  # (longitudinal, rotational) per session
+    n_raw: np.ndarray  # [m, n_detectors]
+    n_recorded: np.ndarray  # [m, n_detectors]
 
 
 @dataclass(frozen=True)
@@ -112,22 +111,15 @@ class SimulationResult:
         )
 
 
-def _by_length(items) -> list[list[int]]:
-    """Indices of ``items`` grouped by length, each group in input order."""
-    groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(len(item), []).append(i)
-    return list(groups.values())
-
-
 def build_contexts(records, model, detectors=None, decomposition=DecompositionConfig(),
-                   integral_clamp=DEFAULT_INTEGRAL_CLAMP) -> list[SessionContext]:
-    """The `SessionContext` of each record, in input order.
+                   integral_clamp=DEFAULT_INTEGRAL_CLAMP) -> list[SessionGroup]:
+    """One `SessionGroup` per sample count, in order of first appearance.
 
-    Sessions of one length are predicted and counted together:
-    ``n_raw`` by `predict_sessions` and `count_events` over their
-    recorded acceleration, ``n_recorded`` by `count_events` over their
-    decomposed phasic, in the model's normalized scale.
+    Each group's members keep their input order. Sessions of one length are
+    predicted and counted together: ``n_raw`` by `predict_sessions` and
+    `count_events` over their recorded acceleration, ``n_recorded`` by
+    `count_events` over their decomposed phasic, in the model's normalized
+    scale.
     """
     if detectors is None:
         detectors = default_detectors()
@@ -136,27 +128,26 @@ def build_contexts(records, model, detectors=None, decomposition=DecompositionCo
         if record.a_l.rate_hz != model.rate_hz:
             raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
                              f"does not match model rate {model.rate_hz}Hz")
-    contexts: list = [None] * len(records)
-    for members in _by_length([r.a_l for r in records]):
+    by_length: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        by_length.setdefault(len(record.a_l), []).append(i)
+    groups = []
+    for members in by_length.values():
         group = [records[i] for i in members]
         recorded = np.stack([
             model.norm.phasic.apply(decompose(r.eda, decomposition).phasic.samples) for r in group
         ])
         accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
-        n_raw = count_events(predict_sessions(model, accel), model.rate_hz, detectors)
-        n_recorded = count_events(recorded, model.rate_hz, detectors)
-        for row, (i, record) in enumerate(zip(members, group)):
-            f_feedback = np.clip(recorded[row], 0.0, 1.0)
-            contexts[i] = SessionContext(
-                record=record,
-                terms=pid_terms(record.a_l.samples, record.a_r.samples, f_feedback,
-                                model.rate_hz, integral_clamp),
-                n_raw=tuple(n_raw[row].tolist()),
-                n_recorded=tuple(n_recorded[row].tolist()),
-                msdv_raw_l=msdv(record.a_l),
-                msdv_raw_r=msdv(record.a_r),
-            )
-    return contexts
+        groups.append(SessionGroup(
+            members=members,
+            records=group,
+            terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
+                            model.rate_hz, integral_clamp),
+            msdv_raw=[(msdv(r.a_l), msdv(r.a_r)) for r in group],
+            n_raw=count_events(predict_sessions(model, accel), model.rate_hz, detectors),
+            n_recorded=count_events(recorded, model.rate_hz, detectors),
+        ))
+    return groups
 
 
 def _replay_clips(
@@ -180,7 +171,7 @@ def _replay_clips(
     sample-by-sample session replay under its own gains: the phasic error
     0 - hold is constant within a clip, so its integral is
     `constant_step_integral`; the error difference is 0.0 past the clip's
-    first sample; and `predict_rows` is `predict_clip` row by row.
+    first sample; and `predict_rows` predicts each row as on its own.
     """
     m, _, n = terms.accel.shape
     n_sets = len(gains)
@@ -227,35 +218,15 @@ def _replay_clips(
     return out.reshape(n_sets, m, 2, n), preds.reshape(n_sets, m, covered)
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Contexts of one sample count and their PID state, stacked once per search.
-
-    Every trial reads the same stack, so no trial copies the state again.
-    """
-
-    members: list[int]  # positions in the context list
-    contexts: list[SessionContext]
-    terms: PidTerms  # [m, ...]
-
-
-def _group(contexts: list[SessionContext]) -> list[_Group]:
-    groups = []
-    for members in _by_length([ctx.record.a_l for ctx in contexts]):
-        group = [contexts[i] for i in members]
-        groups.append(_Group(members, group, stack_terms([ctx.terms for ctx in group])))
-    return groups
-
-
 def _simulate(
-    groups: list[_Group],
+    groups: list[SessionGroup],
     gains: np.ndarray,
     model: SurrogateModel,
     detectors,
     mode: str,
     limits: AccelLimits,
 ):
-    """Replay every group of ``groups`` (from `_group`) under each gain set of ``gains`` [B, 11].
+    """Replay every group (from `build_contexts`) under each gain set of ``gains`` [B, 11].
 
     Yields, for each gain set in block order, one (adapted [m, 2, n],
     predictions [m, length], n_adapted [m, n_detectors]) per group. The
@@ -295,24 +266,24 @@ def evaluate_sessions(
     check_search_settings(mode=mode)
     if detectors is None:
         detectors = default_detectors()
-    contexts = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    groups = _group(contexts)
-    results: list = [None] * len(contexts)
+    groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    results: list = [None] * sum(len(g.members) for g in groups)
     [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
     for g, (adapted, preds, n_adapted) in zip(groups, sims):
-        for row, (i, ctx) in enumerate(zip(g.members, g.contexts)):
-            adapted_l = Trace(adapted[row, 0], model.rate_hz, ctx.record.a_l.unit)
-            adapted_r = Trace(adapted[row, 1], model.rate_hz, ctx.record.a_r.unit)
+        for row, (i, record) in enumerate(zip(g.members, g.records)):
+            adapted_l = Trace(adapted[row, 0], model.rate_hz, record.a_l.unit)
+            adapted_r = Trace(adapted[row, 1], model.rate_hz, record.a_r.unit)
+            raw_l, raw_r = g.msdv_raw[row]
             results[i] = SimulationResult(
-                session_id=ctx.record.session_id,
+                session_id=record.session_id,
                 adapted_a_l=adapted_l,
                 adapted_a_r=adapted_r,
                 predicted_phasic=Trace(preds[row], model.rate_hz, Unit.NORMALIZED),
-                n_raw=ctx.n_raw,
+                n_raw=tuple(g.n_raw[row].tolist()),
                 n_adapted=tuple(n_adapted[row].tolist()),
-                n_recorded=ctx.n_recorded,
-                msdv_l=(ctx.msdv_raw_l, msdv(adapted_l)),
-                msdv_r=(ctx.msdv_raw_r, msdv(adapted_r)),
+                n_recorded=tuple(g.n_recorded[row].tolist()),
+                msdv_l=(raw_l, msdv(adapted_l)),
+                msdv_r=(raw_r, msdv(adapted_r)),
             )
     return results
 
@@ -433,8 +404,8 @@ def optimize(
         ranges = GainRanges.default()
     if detectors is None:
         detectors = default_detectors()
-    groups = _group(build_contexts(records, model, detectors, decomposition, integral_clamp))
-    n_raw = np.array([ctx.n_raw for g in groups for ctx in g.contexts])
+    groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    n_raw = np.concatenate([g.n_raw for g in groups])
     methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
@@ -481,4 +452,4 @@ def write_history_csv(result: OptimizeResult, path) -> None:
         row.append(format_float(trial.objective))
         row.extend(format_float(p) for p in trial.percentages)
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")

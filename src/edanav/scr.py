@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Trace, format_float
+from .signals import Trace, format_float, write_text_atomic
 
 METHODS = ("kim2004", "gamboa2008", "neurokit")
 
@@ -261,5 +261,4 @@ def write_events_csv(events: list[ScrEvent], rate_hz: float, path) -> None:
         lines.append(
             f"{ev.onset_idx / rate_hz:.6f},{ev.peak_idx / rate_hz:.6f},{format_float(ev.amplitude)}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -21,13 +21,14 @@ used to manufacture ground-truth cohorts for testing and benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, FileFormatError
-from .signals import NormParams, Trace, Unit, format_float
+from .signals import NormParams, Trace, Unit, format_float, write_text_atomic
 
 DEFAULT_CLIP_LEN_S = 2.25
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -201,27 +202,18 @@ def fit_surrogate(
     )
 
 
-def predict_clip(model: SurrogateModel, accel_window) -> np.ndarray:
-    """Predict one phasic clip from one [2, 3L] normalized window; clamped to [0, 1]."""
-    window = np.asarray(accel_window, dtype=np.float64)
-    if window.shape != (2, 3 * model.L):
-        raise ValueError(f"window must be [2, {3 * model.L}], got {window.shape}")
-    x = np.concatenate([window.ravel(), [1.0]])
-    return np.clip(model.weights @ x, 0.0, 1.0)
-
-
 def predict_rows(model: SurrogateModel, rows: np.ndarray) -> np.ndarray:
-    """`predict_clip` of every row of ``rows`` [m, 6L+1] (a flattened window, then 1.0).
+    """Clamped phasic clips [m, L] of the rows ``rows`` [m, 6L+1] (a flattened window, then 1.0).
 
-    A stacked `np.matmul` runs one matrix-vector product per row, the
-    product `predict_clip` computes, so each output row equals
-    `predict_clip` of its window bit for bit; ``rows @ weights.T`` does not.
+    A stacked `np.matmul` runs one matrix-vector product ``weights @ row``
+    per row, so each output row has the bits of that row's window predicted
+    on its own; ``rows @ weights.T`` does not.
     """
     return np.clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
 
 
 def predict_windows(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
-    """Vectorized `predict_clip` over a [n, 2, 3L] stack."""
+    """Clamped phasic clips [n, L] of a stack of normalized windows [n, 2, 3L]."""
     return np.clip(_design_matrix(windows) @ model.weights.T, 0.0, 1.0)
 
 
@@ -337,15 +329,29 @@ def write_model(model: SurrogateModel, path) -> None:
     ]
     for row in model.weights:
         lines.append(",".join(format_float(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_norm(text: str, path, lineno: int) -> NormParams:
     parts = text.split(",")
     if len(parts) != 2:
         raise FileFormatError(path, f"expected 'vmin,vmax', got {text!r}", lineno)
-    return NormParams(float(parts[0]), float(parts[1]))
+    try:
+        return NormParams(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        raise FileFormatError(path, f"bad normalization bounds {text!r} ({exc})", lineno) from None
+
+
+def _parse_number(header: dict, key: str, path) -> float:
+    """The finite float of header ``key``, else a FileFormatError naming its line."""
+    value, lineno = header[key]
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise FileFormatError(path, f"bad numeric header value {key}={value!r}", lineno)
+    return number
 
 
 def read_model(path) -> SurrogateModel:
@@ -360,6 +366,8 @@ def read_model(path) -> SurrogateModel:
         if "=" not in line:
             raise FileFormatError(path, f"expected 'key=value' header line, got {line!r}", lineno)
         key, _, value = line.partition("=")
+        if key in header:
+            raise FileFormatError(path, f"duplicate header key {key!r}", lineno)
         header[key] = (value, lineno)
     if row_start is None:
         raise FileFormatError(path, "missing 'weights' marker")
@@ -367,12 +375,9 @@ def read_model(path) -> SurrogateModel:
     missing = [k for k in required if k not in header]
     if missing:
         raise FileFormatError(path, f"missing header keys: {', '.join(missing)}")
-    try:
-        clip_len_s = float(header["clip_len_s"][0])
-        rate_hz = float(header["rate_hz"][0])
-        train_mae = float(header["train_mae"][0])
-    except ValueError as exc:
-        raise FileFormatError(path, f"bad numeric header value ({exc})") from None
+    clip_len_s, rate_hz, train_mae = (
+        _parse_number(header, key, path) for key in ("clip_len_s", "rate_hz", "train_mae")
+    )
     norm = ClipNorm(
         a_l=_parse_norm(header["norm_a_l"][0], path, header["norm_a_l"][1]),
         a_r=_parse_norm(header["norm_a_r"][0], path, header["norm_a_r"][1]),
@@ -383,9 +388,14 @@ def read_model(path) -> SurrogateModel:
         if not line:
             continue
         try:
-            rows.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError:
             raise FileFormatError(path, "bad weight row", lineno) from None
+        if rows and len(row) != len(rows[0]):
+            raise FileFormatError(
+                path, f"weight row has {len(row)} values, the first has {len(rows[0])}", lineno
+            )
+        rows.append(row)
     if not rows:
         raise FileFormatError(path, "model file has no weight rows")
     weights = np.asarray(rows)

@@ -2,10 +2,10 @@
 
 Everything here is written as plainly as possible (explicit Python loops,
 no vectorization, no shared code with the package) so it can serve as an
-oracle for the production implementations. The one exception is
-`predict_session_naive`, whose matrix product must be numpy's own 2-D gemm:
-the property it pins is that batching sessions leaves that product's bits
-alone.
+oracle for the production implementations. The exceptions are the two
+predictors, whose matrix products must be numpy's own: `predict_session_naive`
+runs one 2-D gemm and `predict_clip` one gemv, and the properties they pin
+are that batching sessions or rows leaves those products' bits alone.
 """
 
 import math
@@ -203,6 +203,16 @@ def reconstruct_naive(predictions, stride):
             acc[k * stride + j] += float(predictions[k][j])
             cnt[k * stride + j] += 1.0
     return [a / c for a, c in zip(acc, cnt)]
+
+
+def predict_clip(model, window):
+    """One phasic clip from one normalized window [2, 3L], clamped to [0, 1].
+
+    The window is flattened a_l then a_r with a trailing 1.0 and multiplied
+    by ``model.weights`` [L, 6L+1] in one matrix-vector product.
+    """
+    x = np.concatenate([np.asarray(window, dtype=np.float64).ravel(), [1.0]])
+    return np.clip(model.weights @ x, 0.0, 1.0)
 
 
 def predict_session_naive(weights, a_l, a_r, L, stride):

@@ -18,6 +18,7 @@ from edanav.control import (
     AccelLimits,
     PidGains,
     adapt_trace,
+    apply_gains,
     constant_step_integral,
     pid_outputs,
     pid_terms,
@@ -258,7 +259,9 @@ _GAINS = st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_nan=False, allow_inf
 
 @st.composite
 def _sessions(draw):
-    a_l, a_r, f = draw(arrays(np.float64, (3, draw(st.integers(1, 40))), elements=_SAMPLES))
+    """A stack of 1-4 equal-length sessions: a_l, a_r and f each [m, n]."""
+    shape = (3, draw(st.integers(1, 4)), draw(st.integers(1, 40)))
+    a_l, a_r, f = draw(arrays(np.float64, shape, elements=_SAMPLES))
     gains = draw(arrays(np.float64, len(GAIN_KEYS), elements=_GAINS))
     limits = AccelLimits(draw(st.floats(0.1, 60.0)), draw(st.floats(0.1, 60.0)))
     clamp = draw(st.sampled_from([0.05, 1.0, DEFAULT_INTEGRAL_CLAMP]) | st.floats(0.01, 100.0))
@@ -266,17 +269,59 @@ def _sessions(draw):
     return a_l, a_r, f, rate, gains, limits, clamp
 
 
+def _oracle_bytes(a_l, a_r, f, rate, gains, limits, clamp):
+    """The scalar oracle's (a_l', a_r') of one session, as float64 bytes."""
+    ref = adapt_trace_naive(
+        a_l, a_r, f, rate, gains, limits.max_longitudinal, limits.max_rotational, clamp
+    )
+    return tuple(np.array(out, dtype=np.float64).tobytes() for out in ref)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_sessions())
 def test_adapt_trace_matches_scalar_oracle(session):
     # bit for bit, signed zeros included, whether or not the clamps bind
     a_l, a_r, f, rate, gains, limits, clamp = session
-    out_l, out_r = adapt_trace(a_l, a_r, f, rate, PidGains.from_array(gains), limits, clamp)
-    ref_l, ref_r = adapt_trace_naive(
-        a_l, a_r, f, rate, gains, limits.max_longitudinal, limits.max_rotational, clamp
-    )
-    assert out_l.tobytes() == np.array(ref_l, dtype=np.float64).tobytes()
-    assert out_r.tobytes() == np.array(ref_r, dtype=np.float64).tobytes()
+    for row in zip(a_l, a_r, f):
+        out_l, out_r = adapt_trace(*row, rate, PidGains.from_array(gains), limits, clamp)
+        assert (out_l.tobytes(), out_r.tobytes()) == _oracle_bytes(
+            *row, rate, gains, limits, clamp
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sessions())
+def test_stacked_pid_terms_match_scalar_oracle(session):
+    # `pid_terms` over a stack [m, n], then `apply_gains`, gives each row
+    # the bytes of that session stepped alone through the scalar law
+    a_l, a_r, f, rate, gains, limits, clamp = session
+    terms = pid_terms(a_l, a_r, f, rate, clamp)
+    assert terms.integral.shape == (len(a_l), 3, a_l.shape[1])
+    out = apply_gains(terms, gains, limits)
+    for adapted, row in zip(out, zip(a_l, a_r, f)):
+        assert (adapted[0].tobytes(), adapted[1].tobytes()) == _oracle_bytes(
+            *row, rate, gains, limits, clamp
+        )
+
+
+def test_stacked_pid_terms_bind_the_clamps():
+    # a stack whose rows bind the integral clamp at different steps, and
+    # one that never does, matches the oracle row by row
+    n, clamp = 12, 0.5
+    a_l = np.array([np.full(n, 1.0), np.full(n, -3.0), np.zeros(n)])
+    a_r = np.array([np.full(n, -2.0), np.linspace(-1.0, 1.0, n), np.zeros(n)])
+    f = np.array([np.full(n, 1.0), np.zeros(n), np.full(n, 0.01)])
+    terms = pid_terms(a_l, a_r, f, 4.0, clamp)
+    bound = np.abs(terms.integral) == clamp
+    assert np.any(bound[0]) and np.any(bound[1]) and not np.any(bound[2])
+    gains = np.linspace(0.05, 0.6, len(GAIN_KEYS))
+    limits = AccelLimits(0.4, 0.3)
+    out = apply_gains(terms, gains, limits)
+    assert np.any(np.abs(out) == 0.4) and np.any(np.abs(out) == 0.3)  # the limits bind too
+    for adapted, row in zip(out, zip(a_l, a_r, f)):
+        assert (adapted[0].tobytes(), adapted[1].tobytes()) == _oracle_bytes(
+            *row, 4.0, gains, limits, clamp
+        )
 
 
 @st.composite

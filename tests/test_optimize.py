@@ -22,7 +22,6 @@ from edanav.optimize import (
     ROWS,
     GainRanges,
     OptimizeResult,
-    _group,
     _simulate,
     build_contexts,
     evaluate_sessions,
@@ -32,9 +31,9 @@ from edanav.optimize import (
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
 from edanav.signals import DecompositionConfig, Trace, decompose
-from edanav.surrogate import predict_clip, predict_session
+from edanav.surrogate import predict_session
 
-from oracles import adapt_trace_naive
+from oracles import adapt_trace_naive, predict_clip
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
@@ -85,10 +84,10 @@ def test_simulation_stats_are_consistent(small):
 def test_raw_counts_come_from_the_surrogate(small):
     records, model = small
     detectors = default_detectors()
-    ctx = build_contexts([records[2]], model)[0]
+    [group] = build_contexts([records[2]], model)
     pred = predict_session(model, records[2].a_l, records[2].a_r)
-    assert ctx.n_raw == tuple(count_er_scr(pred, d) for d in detectors)
-    f_prev = -ctx.terms.error[2]
+    assert tuple(group.n_raw[0]) == tuple(count_er_scr(pred, d) for d in detectors)
+    f_prev = -group.terms.error[0, 2]
     assert np.all(f_prev >= 0.0) and np.all(f_prev <= 1.0)
 
 
@@ -215,8 +214,8 @@ def test_offline_sessions_replay_together(small):
         _assert_equals_alone(sessions, results, gains, model, MIXED_SETTINGS)
         for record, result in zip(sessions, results):
             # the recorded feedback: step i of the law reads f[i - 1]
-            ctx = build_contexts([record], model, **MIXED_SETTINGS)[0]
-            f = np.concatenate([-ctx.terms.error[2, 1:], [0.0]])
+            [group] = build_contexts([record], model, **MIXED_SETTINGS)
+            f = np.concatenate([-group.terms.error[0, 2, 1:], [0.0]])
             out_l, out_r = adapt_trace(record.a_l.samples, record.a_r.samples, f,
                                        record.a_l.rate_hz, gains, integral_clamp=0.05)
             assert result.adapted_a_l.samples.tobytes() == out_l.tobytes()
@@ -257,7 +256,7 @@ def test_replay_blocks_equal_each_gain_set_alone(small):
     records, model = small
     sessions = _mixed_sessions(records, model.L)
     detectors, limits = default_detectors(), AccelLimits()
-    groups = _group(build_contexts(sessions, model, detectors, **MIXED_SETTINGS))
+    groups = build_contexts(sessions, model, detectors, **MIXED_SETTINGS)
     box = GainRanges.default()
     sets = np.vstack([BINDING.as_array(), np.zeros(len(GAIN_KEYS)),
                       np.random.default_rng(3).uniform(box.lo, box.hi, (3, len(GAIN_KEYS)))])
@@ -272,6 +271,25 @@ def test_replay_blocks_equal_each_gain_set_alone(small):
                     for mine, theirs in zip(sims, own, strict=True):
                         for a, b in zip(mine, theirs, strict=True):  # adapted, preds, counts
                             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_build_contexts_groups_sessions_by_length(small):
+    # one group per sample count, members in input order; each member's row
+    # of the stacked state equals that session's state built on its own
+    records, model = small
+    sessions = _mixed_sessions(records, model.L)
+    groups = build_contexts(sessions, model, **MIXED_SETTINGS)
+    assert [g.members for g in groups] == [[0, 4], [1], [2], [3]]
+    for g in groups:
+        assert g.records == [sessions[i] for i in g.members]
+        assert g.n_raw.shape == g.n_recorded.shape == (len(g.members), 3)
+        for row, i in enumerate(g.members):
+            [alone] = build_contexts([sessions[i]], model, **MIXED_SETTINGS)
+            for name in ("accel", "error", "integral", "delta"):
+                assert getattr(g.terms, name)[row].tobytes() == getattr(alone.terms, name).tobytes()
+            assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()
+            assert g.n_recorded[row].tolist() == alone.n_recorded[0].tolist()
+            assert g.msdv_raw[row] == alone.msdv_raw[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edanav import signals
+from edanav.control import PidGains, write_gains
 from edanav.errors import DegenerateInputError, FileFormatError
+from edanav.metrics import (
+    SessionStats,
+    build_report,
+    write_msdv_svg,
+    write_per_session_csv,
+    write_report_csv,
+)
+from edanav.optimize import OptimizeResult, Trial, write_history_csv
+from edanav.scr import ScrEvent, write_events_csv
 from edanav.signals import (
     DecompositionConfig,
     NormParams,
@@ -25,6 +35,7 @@ from edanav.signals import (
     write_samples_csv,
     write_trace_csv,
 )
+from edanav.surrogate import ClipNorm, SurrogateModel, write_model
 from oracles import read_samples_rows_naive, write_samples_csv_naive
 
 
@@ -463,10 +474,45 @@ class _HalfWriter:
         raise OSError("disk full")
 
 
-@pytest.mark.parametrize("stage", ["write", "replace"])
-def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, stage):
-    path = tmp_path / "trace.csv"
-    write_trace_csv(Trace([1.0, 2.0], 4.0), path)
+METHODS = ("kim2004", "gamboa2008", "neurokit")
+
+
+def _model(bias):
+    norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
+    return SurrogateModel(np.full((2, 13), bias), 0.5, 4.0, norm, 0.0)
+
+
+def _sessions(k):
+    return [SessionStats(f"s{i}", (k, 1, 2), (0, 1, 2), (1, 1, 1), (1.0, 0.5 * k), (2.0, 1.0))
+            for i in range(3)]
+
+
+def _history(k):
+    trial = Trial(0, PidGains(K_Pl=0.1 * k), 50.0 * k, (50.0 * k, 0.0, 0.0))
+    return OptimizeResult(trial, (trial,), METHODS)
+
+
+# artifact writer -> (path, k) -> writes the k-th version of its artifact
+WRITERS = {
+    "trace": lambda path, k: write_trace_csv(Trace([1.0, 2.0, 3.0][: k + 1], 4.0 * k), path),
+    "model": lambda path, k: write_model(_model(0.1 * k), path),
+    "gains": lambda path, k: write_gains(PidGains(K_Pl=0.1 * k), path),
+    "history": lambda path, k: write_history_csv(_history(k), path),
+    "report": lambda path, k: write_report_csv(build_report(_sessions(k), METHODS), path),
+    "per_session": lambda path, k: write_per_session_csv(_sessions(k), METHODS, path),
+    "svg": lambda path, k: write_msdv_svg(_sessions(k), path),
+    "events": lambda path, k: write_events_csv([ScrEvent(0, k, 0.1 * k, 0.25)] * k, 4.0, path),
+}
+
+
+@pytest.mark.parametrize("stage, writer", [
+    pytest.param(stage, writer, id=stage if writer == "trace" else f"{stage}-{writer}")
+    for writer in WRITERS for stage in ("write", "replace")
+])
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch, stage, writer):
+    # every artifact writer goes through `write_text_atomic`
+    path = tmp_path / "artifact"
+    WRITERS[writer](path, 1)
     before = path.read_bytes()
     if stage == "write":
         monkeypatch.setattr(signals, "open",
@@ -477,7 +523,9 @@ def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch,
 
         monkeypatch.setattr(signals.os, "replace", fail)
     with pytest.raises(OSError):
-        write_trace_csv(Trace([3.0, 4.0, 5.0], 8.0), path)
+        WRITERS[writer](path, 2)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    WRITERS[writer](path, 2)
+    assert path.read_bytes() != before

@@ -17,7 +17,6 @@ from edanav.surrogate import (
     corpus_clip_norm,
     fit_surrogate,
     make_clips,
-    predict_clip,
     predict_rows,
     predict_session,
     predict_sessions,
@@ -28,7 +27,7 @@ from edanav.surrogate import (
     write_model,
 )
 
-from oracles import bateman_pulse, predict_session_naive, reconstruct_naive
+from oracles import bateman_pulse, predict_clip, predict_session_naive, reconstruct_naive
 
 RATE = 4.0
 L = 9  # 2.25 s at 4 Hz
@@ -255,17 +254,16 @@ def test_predictions_are_clamped():
     weights[0, -1] = 5.0  # bias far above the valid range
     weights[1, -1] = -5.0
     model = SurrogateModel(weights, 0.5, RATE, norm, 0.0)
-    out = predict_clip(model, np.full((2, 6), 0.5))
-    np.testing.assert_array_equal(out, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        predict_clip(model, np.zeros((2, 5)))
+    row = np.concatenate([np.full(12, 0.5), [1.0]])  # a flattened window, then 1.0
+    out = predict_rows(model, row[None])
+    np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([4.0, 8.0]), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_predict_rows_is_predict_clip_row_by_row(rate, m, seed):
     # The closed-loop replay predicts every session's clip with one stacked
-    # matmul and relies on it being bit-equal to `predict_clip`'s
+    # matmul and relies on it being bit-equal to the oracle `predict_clip`'s
     # matrix-vector product for each row. numpy runs a stacked matmul as one
     # BLAS gemv per row; if a numpy or BLAS upgrade changes that dispatch,
     # this test fails instead of a bare closed-loop digest mismatch.
@@ -408,8 +406,17 @@ def test_model_file_errors(tmp_path):
         read_model(variant("nomarker.csv", [l for l in lines if l != "weights"][:6]))
     with pytest.raises(FileFormatError, match="missing header keys"):
         read_model(variant("nohdr.csv", lines[1:]))
-    with pytest.raises(FileFormatError, match="bad numeric header"):
+    with pytest.raises(FileFormatError, match="badnum.csv:1: bad numeric header"):
         read_model(variant("badnum.csv", ["clip_len_s=soon"] + lines[1:]))
+    with pytest.raises(FileFormatError, match="infrate.csv:2: bad numeric header value rate_hz"):
+        read_model(variant("infrate.csv", lines[:1] + ["rate_hz=inf"] + lines[2:]))
+    with pytest.raises(FileFormatError, match="duphdr.csv:2: duplicate header key 'clip_len_s'"):
+        read_model(variant("duphdr.csv", lines[:1] + ["clip_len_s=4.5"] + lines[1:]))
+    with pytest.raises(FileFormatError, match="badbound.csv:3: bad normalization bounds"):
+        bounds = ["norm_a_l=low,1.0" if l.startswith("norm_a_l=") else l for l in lines]
+        read_model(variant("badbound.csv", bounds))
+    with pytest.raises(FileFormatError, match="ragged.csv:9: weight row has 3 values"):
+        read_model(variant("ragged.csv", lines[:8] + ["1.0,2.0,3.0"] + lines[9:]))
     with pytest.raises(FileFormatError, match="bad weight row"):
         bad = lines[:7] + ["1.0,oops"] + lines[8:]
         read_model(variant("badrow.csv", bad))
