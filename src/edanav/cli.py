@@ -93,6 +93,15 @@ def _cmd_optimize(cfg: RunConfig) -> None:
     print(f"wrote {cfg.history_path}")
 
 
+def _write_report(cfg: RunConfig, report, stats) -> None:
+    """Write report.csv and, if enabled, msdv.svg: the files `report` rebuilds."""
+    write_report_csv(report, cfg.report_path)
+    print(f"wrote {cfg.report_path}")
+    if cfg.svg:
+        write_msdv_svg(stats, cfg.svg_path)
+        print(f"wrote {cfg.svg_path}")
+
+
 def _cmd_evaluate(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir)
     model = read_model(cfg.model_path)
@@ -102,13 +111,10 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
     stats = [r.stats for r in results]
     report = build_report(stats, methods)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, cfg.report_path)
+    # first, so that `report` can rebuild the other files after a crash
     write_per_session_csv(stats, methods, cfg.per_session_path)
-    print(f"wrote {cfg.report_path}")
     print(f"wrote {cfg.per_session_path}")
-    if cfg.svg:
-        write_msdv_svg(stats, cfg.svg_path)
-        print(f"wrote {cfg.svg_path}")
+    _write_report(cfg, report, stats)
     for method, stat in report.stats.items():
         print(
             f"  {method}: {stat.positives}/{stat.total} improved, "
@@ -119,12 +125,7 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
 
 def _cmd_report(cfg: RunConfig) -> None:
     methods, stats = read_per_session_csv(cfg.per_session_path)
-    report = build_report(stats, methods)
-    write_report_csv(report, cfg.report_path)
-    print(f"wrote {cfg.report_path}")
-    if cfg.svg:
-        write_msdv_svg(stats, cfg.svg_path)
-        print(f"wrote {cfg.svg_path}")
+    _write_report(cfg, build_report(stats, methods), stats)
 
 
 _COMMANDS = {

@@ -103,7 +103,6 @@ class Report:
 
     methods: tuple[str, ...]
     stats: dict[str, StatResult]
-    sessions: tuple[SessionStats, ...]
 
 
 def detector_stats(n_raw, n_adapted) -> list[StatResult]:
@@ -135,7 +134,7 @@ def build_report(sessions, methods) -> Report:
     for key, idx in ((MSDV_LONGITUDINAL, "msdv_l"), (MSDV_ROTATIONAL, "msdv_r")):
         positives = sum(1 for s in sessions if getattr(s, idx)[1] < getattr(s, idx)[0])
         stats[key] = chi_square_phi(positives, total)
-    return Report(methods, stats, sessions)
+    return Report(methods, stats)
 
 
 REPORT_HEADER = "method,positives,total,percentage,chi2,significant_at,phi,direction"

@@ -91,24 +91,12 @@ class SessionGroup:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything one simulated session produced."""
+    """Everything one simulated session produced: its report row and its traces."""
 
-    session_id: str
+    stats: SessionStats
     adapted_a_l: Trace
     adapted_a_r: Trace
     predicted_phasic: Trace
-    n_raw: tuple[int, ...]
-    n_adapted: tuple[int, ...]
-    n_recorded: tuple[int, ...]
-    msdv_l: tuple[float, float]  # (raw, adapted)
-    msdv_r: tuple[float, float]
-
-    @property
-    def stats(self) -> SessionStats:
-        return SessionStats(
-            self.session_id, self.n_raw, self.n_adapted, self.n_recorded,
-            self.msdv_l, self.msdv_r,
-        )
 
 
 def build_contexts(records, model, detectors=None, decomposition=DecompositionConfig(),
@@ -160,10 +148,12 @@ def _replay_clips(
     The controller holds f at the last predicted sample of clip k-1 while
     adapting clip k; the model then predicts clip k from a window of
     [adapted clip k-1 | adapted clip k | hold of the newest sample], the
-    future third being unknowable mid-run. Samples past the last full clip
-    are adapted under the final hold but stay unpredicted, matching the
-    offline prediction span. The acceleration channels see only the
-    recording, so their PID outputs come from the session terms.
+    future third being unknowable mid-run; the first clip's past is 0.0
+    after scaling, the zero padding the model was trained with. Samples
+    past the last full clip are adapted under the final hold but stay
+    unpredicted, matching the offline prediction span. The acceleration
+    channels see only the recording, so their PID outputs come from the
+    session terms.
 
     Each step adapts and predicts clip k of all B * m replays at once, one
     row per (gain set, session), trial-major, each row carrying its own
@@ -196,20 +186,17 @@ def _replay_clips(
         out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None], beta, bound)
         integral, prev_error = running[:, -1:], error
 
-    norm = model.norm
-    vmin = np.array([[norm.a_l.vmin], [norm.a_r.vmin]])
-    span = np.array([[norm.a_l.span], [norm.a_r.span]])
     rows = np.empty((R, 6 * L + 1))
     rows[:, -1] = 1.0
     window = rows[:, :-1].reshape(R, 2, 3 * L)
-    window[:, :, L : 2 * L] = (0.0 - vmin) / span  # moves to the first clip's past
+    window[:, :, L : 2 * L] = 0.0  # moves to the first clip's past
     preds = np.empty((R, covered))
     hold = np.zeros((R, 1))
     for first in range(0, covered, L):
         last = first + L
         adapt(first, last, hold)
         window[:, :, :L] = window[:, :, L : 2 * L]
-        window[:, :, L : 2 * L] = (out[:, :, first:last] - vmin) / span
+        window[:, :, L : 2 * L] = model.norm.accel(out[:, :, first:last])
         window[:, :, 2 * L :] = window[:, :, 2 * L - 1 : 2 * L]
         preds[:, first:last] = predict_rows(model, rows)
         hold = preds[:, last - 1 : last]
@@ -274,16 +261,16 @@ def evaluate_sessions(
             adapted_l = Trace(adapted[row, 0], model.rate_hz, record.a_l.unit)
             adapted_r = Trace(adapted[row, 1], model.rate_hz, record.a_r.unit)
             raw_l, raw_r = g.msdv_raw[row]
-            results[i] = SimulationResult(
+            stats = SessionStats(
                 session_id=record.session_id,
-                adapted_a_l=adapted_l,
-                adapted_a_r=adapted_r,
-                predicted_phasic=Trace(preds[row], model.rate_hz, Unit.NORMALIZED),
                 n_raw=tuple(g.n_raw[row].tolist()),
                 n_adapted=tuple(n_adapted[row].tolist()),
                 n_recorded=tuple(g.n_recorded[row].tolist()),
                 msdv_l=(raw_l, msdv(adapted_l)),
                 msdv_r=(raw_r, msdv(adapted_r)),
+            )
+            results[i] = SimulationResult(
+                stats, adapted_l, adapted_r, Trace(preds[row], model.rate_hz, Unit.NORMALIZED)
             )
     return results
 

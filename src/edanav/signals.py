@@ -3,8 +3,9 @@
 Provides the `Trace` container used across the package plus the basic
 operations the adaptation pipeline is built from:
 
+    * NormParams -- invertible min-max scaling to [0, 1]
+    * trace_norm -- the min-max scale of one channel over a set of traces
     * resample   -- linear interpolation onto a uniform grid
-    * normalize  -- invertible min-max scaling to [0, 1]
     * derivative -- causal backward difference
     * decompose  -- split EDA into tonic (SCL) and phasic (SCR) components
 
@@ -110,6 +111,15 @@ class NormParams:
         return np.asarray(values, dtype=np.float64) * self.span + self.vmin
 
 
+def trace_norm(traces) -> NormParams:
+    """Min-max parameters over a collection of traces (one channel)."""
+    vmin = min(float(np.min(t.samples)) for t in traces)
+    vmax = max(float(np.max(t.samples)) for t in traces)
+    if vmax == vmin:
+        raise DegenerateInputError("channel is constant across the corpus")
+    return NormParams(vmin, vmax)
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     """Window lengths (seconds) for the tonic estimator."""
@@ -153,27 +163,6 @@ def resample(trace: Trace, target_hz: float) -> Trace:
     t_out = np.arange(n_out) / target_hz
     values = np.interp(t_out, trace.times(), trace.samples)
     return Trace(values, float(target_hz), trace.unit)
-
-
-def normalize(trace: Trace) -> tuple[Trace, NormParams]:
-    """Min-max normalize to [0, 1]; returns the trace and invertible params.
-
-    Raises
-    ------
-    DegenerateInputError
-        If the trace is constant (empty range).
-    """
-    vmin = float(np.min(trace.samples))
-    vmax = float(np.max(trace.samples))
-    if vmax == vmin:
-        raise DegenerateInputError("cannot min-max normalize a constant trace")
-    params = NormParams(vmin, vmax)
-    return Trace(params.apply(trace.samples), trace.rate_hz, Unit.NORMALIZED), params
-
-
-def denormalize(trace: Trace, params: NormParams, unit: Unit = Unit.MICROSIEMENS) -> Trace:
-    """Invert `normalize` using the stored parameters."""
-    return Trace(params.invert(trace.samples), trace.rate_hz, unit)
 
 
 def derivative(trace: Trace) -> Trace:

@@ -22,13 +22,13 @@ used to manufacture ground-truth cohorts for testing and benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, FileFormatError
-from .signals import NormParams, Trace, Unit, format_float, write_text_atomic
+from .signals import NormParams, Trace, Unit, format_float, trace_norm, write_text_atomic
 
 DEFAULT_CLIP_LEN_S = 2.25
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -49,6 +49,20 @@ class ClipNorm:
     a_l: NormParams
     a_r: NormParams
     phasic: NormParams
+    # the two acceleration scales as [2, 1] columns, built once
+    _vmin: np.ndarray = field(init=False, repr=False, compare=False)
+    _span: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_vmin", np.array([[self.a_l.vmin], [self.a_r.vmin]]))
+        object.__setattr__(self, "_span", np.array([[self.a_l.span], [self.a_r.span]]))
+
+    def accel(self, values: np.ndarray) -> np.ndarray:
+        """Acceleration ``values`` [..., 2, n] (a_l row, then a_r) scaled to the model.
+
+        Each channel gets the bits of its `NormParams.apply`.
+        """
+        return (values - self._vmin) / self._span
 
 
 def _windows(channels: np.ndarray, L: int, stride: int) -> np.ndarray:
@@ -62,15 +76,6 @@ def _windows(channels: np.ndarray, L: int, stride: int) -> np.ndarray:
     padded[..., L : L + n] = channels
     starts = slice(0, (n - L) // stride * stride + 1, stride)
     return np.moveaxis(sliding_window_view(padded, 3 * L, axis=-1)[..., starts, :], -2, -3)
-
-
-def trace_norm(traces) -> NormParams:
-    """Min-max parameters over a collection of traces (one channel)."""
-    vmin = min(float(np.min(t.samples)) for t in traces)
-    vmax = max(float(np.max(t.samples)) for t in traces)
-    if vmax == vmin:
-        raise DegenerateInputError("channel is constant across the corpus")
-    return NormParams(vmin, vmax)
 
 
 def corpus_clip_norm(a_l_traces, a_r_traces, phasic_traces) -> ClipNorm:
@@ -111,11 +116,8 @@ def make_clips(
     if n < 3 * L:
         raise ValueError(f"session of {n} samples is shorter than one full window (3L = {3 * L})")
     if norm is None:
-        norm = ClipNorm(
-            a_l=trace_norm([a_l]), a_r=trace_norm([a_r]), phasic=trace_norm([phasic])
-        )
-    channels = np.stack([norm.a_l.apply(a_l.samples), norm.a_r.apply(a_r.samples)])
-    windows = _windows(channels, L, stride).copy()
+        norm = corpus_clip_norm([a_l], [a_r], [phasic])
+    windows = _windows(norm.accel(np.stack([a_l.samples, a_r.samples])), L, stride).copy()
     index = (np.arange(windows.shape[0]) * stride)[:, None] + np.arange(L)[None, :]
     return windows, norm.phasic.apply(phasic.samples)[index], norm
 
@@ -275,10 +277,7 @@ def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> n
     m, _, n = accel.shape
     if n < 3 * L:
         raise ValueError("session shorter than one full window")
-    norm = model.norm
-    vmin = np.array([[norm.a_l.vmin], [norm.a_r.vmin]])
-    span = np.array([[norm.a_l.span], [norm.a_r.span]])
-    windows = _windows((accel - vmin) / span, L, stride)
+    windows = _windows(model.norm.accel(accel), L, stride)
     n_clips = windows.shape[1]
     design = np.empty((n_clips, 6 * L + 1))
     design[:, -1] = 1.0
@@ -401,10 +400,13 @@ def read_model(path) -> SurrogateModel:
     weights = np.asarray(rows)
     if not np.all(np.isfinite(weights)):
         raise FileFormatError(path, "model weights must be finite")
-    return SurrogateModel(
-        weights=weights, clip_len_s=clip_len_s, rate_hz=rate_hz,
-        norm=norm, train_mae=train_mae,
-    )
+    try:
+        return SurrogateModel(
+            weights=weights, clip_len_s=clip_len_s, rate_hz=rate_hz,
+            norm=norm, train_mae=train_mae,
+        )
+    except ValueError as exc:  # a shape or value the model rejects
+        raise FileFormatError(path, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def test_criterion_5_optimizer_beats_baseline_everywhere(capsys, cohort, trained
     sessions = eval_split(cohort)
     results = evaluate_sessions(sessions, optimized.best.gains, model)
     reduced = sum(
-        1 for r in results if r.msdv_l[1] < r.msdv_l[0] and r.msdv_r[1] < r.msdv_r[0]
+        1 for r in results
+        if r.stats.msdv_l[1] < r.stats.msdv_l[0] and r.stats.msdv_r[1] < r.stats.msdv_r[0]
     )
     objective = optimized.best.objective
     elapsed = timings["optimize"]

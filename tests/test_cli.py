@@ -2,10 +2,12 @@
 
 import inspect
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from edanav import cli
 from edanav.cli import main
 from edanav.config import _SCHEMA, ENV_OUTPUT_DIR, load_config
 from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits
@@ -235,6 +237,27 @@ def test_report_rebuilds_from_per_session_table(pipeline_dir):
     (pipeline_dir / "report.csv").unlink()
     assert main(["report", "--output-dir", str(pipeline_dir)]) == 0
     assert (pipeline_dir / "report.csv").read_bytes() == before
+
+
+def test_evaluate_writes_the_per_session_table_first(pipeline_dir, tmp_path, monkeypatch):
+    # a crash after the per-session table leaves what `report` rebuilds the rest from
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    names = ("per_session.csv", "report.csv", "msdv.svg")
+    before = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        (out / name).unlink()
+
+    def crash(report, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_report_csv", crash)
+    assert main(["evaluate", "--output-dir", str(out), *SMALL]) == 2
+    assert (out / "per_session.csv").read_bytes() == before["per_session.csv"]
+    assert not (out / "report.csv").exists() and not (out / "msdv.svg").exists()
+    monkeypatch.undo()
+    assert main(["report", "--output-dir", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_report_svg_toggle(pipeline_dir):

@@ -30,7 +30,7 @@ from edanav.optimize import (
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
-from edanav.signals import DecompositionConfig, Trace, decompose
+from edanav.signals import DecompositionConfig, NormParams, Trace, decompose
 from edanav.surrogate import predict_session
 
 from oracles import adapt_trace_naive, predict_clip
@@ -62,23 +62,22 @@ def test_zero_gains_change_nothing(small):
     result = evaluate_sessions([records[0]], PidGains(), model)[0]
     np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
     np.testing.assert_array_equal(result.adapted_a_r.samples, records[0].a_r.samples)
-    assert result.n_adapted == result.n_raw
-    assert result.msdv_l[0] == result.msdv_l[1]
-    assert result.msdv_r[0] == result.msdv_r[1]
+    assert result.stats.n_adapted == result.stats.n_raw
+    assert result.stats.msdv_l[0] == result.stats.msdv_l[1]
+    assert result.stats.msdv_r[0] == result.stats.msdv_r[1]
 
 
 def test_simulation_stats_are_consistent(small):
     records, model = small
     detectors = default_detectors()
     result = evaluate_sessions([records[1]], TUNED_GAINS, model)[0]
-    assert result.n_adapted == tuple(
+    stats = result.stats
+    assert stats.n_adapted == tuple(
         count_er_scr(result.predicted_phasic, d) for d in detectors
     )
-    assert result.msdv_l == (msdv(records[1].a_l), msdv(result.adapted_a_l))
-    assert result.msdv_r == (msdv(records[1].a_r), msdv(result.adapted_a_r))
-    stats = result.stats
+    assert stats.msdv_l == (msdv(records[1].a_l), msdv(result.adapted_a_l))
+    assert stats.msdv_r == (msdv(records[1].a_r), msdv(result.adapted_a_r))
     assert stats.session_id == records[1].session_id
-    assert stats.n_raw == result.n_raw and stats.msdv_l == result.msdv_l
 
 
 def test_raw_counts_come_from_the_surrogate(small):
@@ -105,7 +104,7 @@ def test_tuned_gains_reduce_dose_everywhere(small):
     # both channels, whatever it does to event counts
     records, model = small
     results = evaluate_sessions(records, TUNED_GAINS, model)
-    assert [r.session_id for r in results] == [r.session_id for r in records]
+    assert [r.stats.session_id for r in results] == [r.session_id for r in records]
     report = build_report([r.stats for r in results], ("kim2004", "gamboa2008", "neurokit"))
     assert report.stats[MSDV_LONGITUDINAL].positives == len(records)
     assert report.stats[MSDV_ROTATIONAL].positives == len(records)
@@ -117,7 +116,7 @@ def test_closed_loop_mode(small):
     result = evaluate_sessions([records[0]], PidGains(), model, mode="closed_loop")[0]
     # with zero gains the adapted profile is untouched even in closed loop
     np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
-    assert result.n_adapted == tuple(
+    assert result.stats.n_adapted == tuple(
         count_er_scr(result.predicted_phasic, d) for d in detectors
     )
     with pytest.raises(ValueError, match="mode"):
@@ -130,8 +129,10 @@ def _assert_follows_closed_loop_law(record, result, gains, model,
 
     Clip k is adapted under a hold of the last sample predicted for clip
     k-1 (0.0 before the first prediction), and predicted from the window
-    [adapted k-1 | adapted k | hold of its newest sample]. Returns the
-    feedback f the law read (step i reads f[i - 1], the hold at sample i).
+    [adapted k-1 | adapted k | hold of its newest sample] in the model's
+    scale, whose past third is 0.0 after scaling for the first clip (the
+    zero padding of training). Returns the feedback f the law read (step i
+    reads f[i - 1], the hold at sample i).
     """
     L = model.L
     pred = result.predicted_phasic.samples
@@ -160,6 +161,8 @@ def _assert_follows_closed_loop_law(record, result, gains, model,
             norm.apply(np.concatenate([prev[c], cur[c], np.full(L, cur[c, -1])]))
             for c, norm in enumerate(norms)
         ])
+        if not k:
+            window[:, :L] = 0.0
         assert np.array_equal(pred[k * L : (k + 1) * L], predict_clip(model, window))
     return f
 
@@ -171,6 +174,18 @@ def test_closed_loop_follows_the_stepwise_law(small):
     result = evaluate_sessions([record], gains, model, mode="closed_loop")[0]
     _assert_follows_closed_loop_law(record, result, gains, model)
     assert not np.array_equal(result.adapted_a_l.samples, record.a_l.samples)
+
+
+def test_closed_loop_pads_the_first_clip_after_scaling(small):
+    # a scale that does not map raw 0.0 to 0.0: the first clip's past is
+    # still the 0.0 that training pads windows with
+    records, model = small
+    shift = replace(model.norm, a_l=NormParams(model.norm.a_l.vmin - 1.0, model.norm.a_l.vmax),
+                    a_r=NormParams(model.norm.a_r.vmin - 0.5, model.norm.a_r.vmax))
+    shifted = replace(model, norm=shift)
+    assert shifted.norm.accel(np.zeros((2, 1))).min() > 0.0
+    result = evaluate_sessions([records[1]], BINDING, shifted, mode="closed_loop")[0]
+    _assert_follows_closed_loop_law(records[1], result, BINDING, shifted)
 
 
 def _head(record, n):
@@ -193,7 +208,7 @@ BINDING = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
 
 def _assert_equals_alone(sessions, results, gains, model, settings):
     """Each result of a joint replay equals its session's own replay, bit for bit."""
-    assert [r.session_id for r in results] == [r.session_id for r in sessions]
+    assert [r.stats.session_id for r in results] == [r.session_id for r in sessions]
     for record, result in zip(sessions, results):
         alone = evaluate_sessions([record], gains, model, **settings)[0]
         for trace in ("adapted_a_l", "adapted_a_r", "predicted_phasic"):
@@ -223,11 +238,11 @@ def test_offline_sessions_replay_together(small):
             pred = predict_session(model, result.adapted_a_l, result.adapted_a_r)
             assert result.predicted_phasic.samples.tobytes() == pred.samples.tobytes()
             raw = predict_session(model, record.a_l, record.a_r)
-            assert result.n_adapted == tuple(count_er_scr(pred, d) for d in detectors)
-            assert result.n_raw == tuple(count_er_scr(raw, d) for d in detectors)
+            assert result.stats.n_adapted == tuple(count_er_scr(pred, d) for d in detectors)
+            assert result.stats.n_raw == tuple(count_er_scr(raw, d) for d in detectors)
             phasic = decompose(record.eda, MIXED_SETTINGS["decomposition"]).phasic
             recorded = Trace(model.norm.phasic.apply(phasic.samples), record.eda.rate_hz)
-            assert result.n_recorded == tuple(count_er_scr(recorded, d) for d in detectors)
+            assert result.stats.n_recorded == tuple(count_er_scr(recorded, d) for d in detectors)
 
 
 def test_closed_loop_sessions_replay_together(small):
@@ -430,7 +445,8 @@ def test_closed_loop_search_follows_its_schedule_across_blocks(small, monkeypatc
     _assert_follows_schedule(result, 9, n_explore, 2)
     for trial in result.trials:
         results = evaluate_sessions(sessions, trial.gains, model, **settings)
-        expected = detector_stats([r.n_raw for r in results], [r.n_adapted for r in results])
+        expected = detector_stats([r.stats.n_raw for r in results],
+                                  [r.stats.n_adapted for r in results])
         assert trial.percentages == tuple(s.percentage for s in expected)
         assert trial.objective == sum(trial.percentages)
 

@@ -25,13 +25,12 @@ from edanav.signals import (
     Trace,
     Unit,
     decompose,
-    denormalize,
     derivative,
     format_float,
-    normalize,
     read_samples_csv,
     read_trace_csv,
     resample,
+    trace_norm,
     write_samples_csv,
     write_trace_csv,
 )
@@ -109,10 +108,10 @@ def test_unit_round_trips_through_value():
 def test_normalize_hits_unit_interval_exactly():
     rng = np.random.default_rng(7)
     tr = _smooth_trace(rng)
-    normed, params = normalize(tr)
-    assert normed.unit == Unit.NORMALIZED
-    assert float(np.min(normed.samples)) == 0.0
-    assert float(np.max(normed.samples)) == 1.0
+    params = trace_norm([tr])
+    normed = params.apply(tr.samples)
+    assert float(np.min(normed)) == 0.0
+    assert float(np.max(normed)) == 1.0
     assert params.vmin == float(np.min(tr.samples))
     assert params.vmax == float(np.max(tr.samples))
 
@@ -121,15 +120,14 @@ def test_normalize_denormalize_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(20):
         tr = _smooth_trace(rng)
-        normed, params = normalize(tr)
-        back = denormalize(normed, params)
-        np.testing.assert_allclose(back.samples, tr.samples, rtol=1e-12, atol=1e-12)
-        assert back.unit == Unit.MICROSIEMENS
+        params = trace_norm([tr])
+        back = params.invert(params.apply(tr.samples))
+        np.testing.assert_allclose(back, tr.samples, rtol=1e-12, atol=1e-12)
 
 
 def test_normalize_rejects_constant_trace():
     with pytest.raises(DegenerateInputError):
-        normalize(Trace(np.full(10, 3.3), 4.0))
+        trace_norm([Trace(np.full(10, 3.3), 4.0)])
 
 
 def test_norm_params_validation():

@@ -358,6 +358,25 @@ def test_predict_sessions_matches_the_per_session_oracle(rate, m, seed):
             assert single.samples.tobytes() == out[0].tobytes()
 
 
+_VMIN = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+_SPAN = st.floats(1e-3, 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 3), st.just(2), st.integers(1, 6)),
+           elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))),
+    _VMIN, _SPAN, _VMIN, _SPAN,
+)
+def test_clip_norm_accel_equals_each_channel_scale(accel, vmin_l, span_l, vmin_r, span_r):
+    # the stacked scale of ClipNorm.accel has the bits of NormParams.apply
+    # on each channel of each session
+    norm = ClipNorm(NormParams(vmin_l, vmin_l + span_l), NormParams(vmin_r, vmin_r + span_r),
+                    NormParams(0, 1))
+    expected = np.stack([(norm.a_l.apply(a[0]), norm.a_r.apply(a[1])) for a in accel])
+    assert norm.accel(accel).tobytes() == expected.tobytes()
+
+
 def test_predict_session_validation():
     rng = np.random.default_rng(28)
     model, a_l, a_r = _small_model(rng)
@@ -425,6 +444,15 @@ def test_model_file_errors(tmp_path):
     with pytest.raises(FileFormatError, match="expected 'vmin,vmax'"):
         swapped = ["norm_a_l=1.0" if l.startswith("norm_a_l=") else l for l in lines]
         read_model(variant("badnorm.csv", swapped))
+    # files that parse but do not make a valid model
+    with pytest.raises(FileFormatError, match=r"fewrows.csv: weights must be \[9, 55\]"):
+        read_model(variant("fewrows.csv", lines[:-1]))
+    with pytest.raises(FileFormatError, match="shortclip.csv: clip length 0.01s"):
+        read_model(variant("shortclip.csv", ["clip_len_s=0.01"] + lines[1:]))
+    with pytest.raises(FileFormatError, match="zerorate.csv: clip length 2.25s at 0.0Hz"):
+        read_model(variant("zerorate.csv", lines[:1] + ["rate_hz=0.0"] + lines[2:]))
+    with pytest.raises(FileFormatError, match="negmae.csv: train_mae must be >= 0"):
+        read_model(variant("negmae.csv", lines[:5] + ["train_mae=-1.0"] + lines[6:]))
 
 
 def test_model_file_rejects_non_finite_weights(tmp_path):
