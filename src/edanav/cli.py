@@ -22,7 +22,7 @@ from .metrics import (
     write_report_csv,
 )
 from .optimize import evaluate_sessions, optimize, write_history_csv
-from .pipeline import eval_split, train_split, train_surrogate
+from .pipeline import train_split, train_surrogate
 from .signals import format_float
 from .surrogate import read_model, write_model
 
@@ -79,9 +79,9 @@ def _cmd_train(cfg: RunConfig) -> None:
 
 
 def _cmd_optimize(cfg: RunConfig) -> None:
-    records = load_dataset(cfg.dataset_dir)
+    records = load_dataset(cfg.dataset_dir, splits=("eval",))
     model = read_model(cfg.model_path)
-    result = optimize(eval_split(records), model, **cfg.optimize)
+    result = optimize(records, model, **cfg.optimize)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_gains(result.best.gains, cfg.gains_path)
     write_history_csv(result, cfg.history_path)
@@ -103,10 +103,10 @@ def _write_report(cfg: RunConfig, report, stats) -> None:
 
 
 def _cmd_evaluate(cfg: RunConfig) -> None:
-    records = load_dataset(cfg.dataset_dir)
+    records = load_dataset(cfg.dataset_dir, splits=("eval",))
     model = read_model(cfg.model_path)
     gains = read_gains(cfg.gains_path)
-    results = evaluate_sessions(eval_split(records), gains, model, **cfg.evaluate)
+    results = evaluate_sessions(records, gains, model, **cfg.evaluate)
     methods = tuple(d.method for d in cfg.evaluate["detectors"])
     stats = [r.stats for r in results]
     report = build_report(stats, methods)

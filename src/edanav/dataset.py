@@ -2,7 +2,8 @@
 
 A dataset directory holds one sub-directory per session::
 
-    <dir>/manifest.csv      id,split rows (split is train or eval)
+    <dir>/manifest.csv      id,split rows (split is train or eval; each id
+                            a plain directory name, listed once)
     <dir>/<id>/accel.csv    # rate_hz=<r> unit_a_l=m_per_s2 unit_a_r=rad_per_s2
                             t_s,a_l,a_r
     <dir>/<id>/eda.csv      trace CSV (microsiemens)
@@ -215,8 +216,24 @@ def save_dataset(records: list[SessionRecord], directory) -> None:
     write_text_atomic(directory / "manifest.csv", "\n".join(manifest) + "\n")
 
 
-def load_dataset(directory) -> list[SessionRecord]:
-    """Read a dataset written by `save_dataset`, in manifest order."""
+def load_dataset(directory, splits=SPLITS) -> list[SessionRecord]:
+    """Read the sessions of ``splits`` from a dataset written by `save_dataset`.
+
+    The whole manifest is checked whatever ``splits`` holds: its header,
+    each row's ``id,split`` shape and split name, and each id, which must
+    be one plain path component (not empty, ``.`` or ``..``, no ``/`` or
+    ``\\``) listed once. Only the files of sessions whose split is in
+    ``splits`` are opened; they are returned in manifest order, so a
+    selection no row falls in returns ``[]``.
+
+    Raises
+    ------
+    FileNotFoundError
+        If the manifest, or a selected session's file, is missing.
+    FileFormatError
+        If the manifest lists no sessions, a row is malformed, or a
+        selected session's file is.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.csv"
     if not manifest_path.is_file():
@@ -224,7 +241,7 @@ def load_dataset(directory) -> list[SessionRecord]:
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "id,split":
         raise FileFormatError(manifest_path, "expected header 'id,split'", 1)
-    records = []
+    rows = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -234,10 +251,21 @@ def load_dataset(directory) -> list[SessionRecord]:
         session_id, split = parts
         if split not in SPLITS:
             raise FileFormatError(manifest_path, f"unknown split {split!r}", lineno)
+        if session_id in ("", ".", "..") or "/" in session_id or "\\" in session_id:
+            raise FileFormatError(
+                manifest_path, f"session id {session_id!r} is not a plain name", lineno
+            )
+        if session_id in rows:
+            raise FileFormatError(manifest_path, f"duplicate session id {session_id!r}", lineno)
+        rows[session_id] = split
+    if not rows:
+        raise FileFormatError(manifest_path, "manifest lists no sessions")
+    records = []
+    for session_id, split in rows.items():
+        if split not in splits:
+            continue
         session_dir = directory / session_id
         a_l, a_r = _read_accel_csv(session_dir / "accel.csv")
         eda = read_trace_csv(session_dir / "eda.csv")
         records.append(SessionRecord(session_id, a_l, a_r, eda, split))
-    if not records:
-        raise FileFormatError(manifest_path, "manifest lists no sessions")
     return records

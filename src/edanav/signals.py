@@ -5,8 +5,6 @@ operations the adaptation pipeline is built from:
 
     * NormParams -- invertible min-max scaling to [0, 1]
     * trace_norm -- the min-max scale of one channel over a set of traces
-    * resample   -- linear interpolation onto a uniform grid
-    * derivative -- causal backward difference
     * decompose  -- split EDA into tonic (SCL) and phasic (SCR) components
 
 The tonic estimator is a moving-median followed by a moving-average with
@@ -17,6 +15,7 @@ replicate edge padding; the phasic component is the residual, so
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from dataclasses import dataclass, field
 from itertools import chain
@@ -148,36 +147,6 @@ class EdaDecomposition:
             raise ValueError("decomposition traces must share rate")
 
 
-def resample(trace: Trace, target_hz: float) -> Trace:
-    """Resample a trace onto a uniform grid at ``target_hz`` by linear interpolation.
-
-    The output grid spans the input duration: sample k sits at k / target_hz,
-    and the last sample does not pass the input's final timestamp.
-    """
-    if not target_hz > 0:
-        raise ValueError(f"target_hz must be positive, got {target_hz}")
-    if trace.rate_hz == target_hz:
-        return Trace(trace.samples, trace.rate_hz, trace.unit)
-    # tiny relative slack so exact integer boundaries survive float rounding
-    n_out = int(np.floor(trace.duration_s * target_hz * (1.0 + 1e-12))) + 1
-    t_out = np.arange(n_out) / target_hz
-    values = np.interp(t_out, trace.times(), trace.samples)
-    return Trace(values, float(target_hz), trace.unit)
-
-
-def derivative(trace: Trace) -> Trace:
-    """Backward-difference derivative scaled by the sample rate.
-
-    out[0] = 0 by convention, so the result is causal and length-preserving.
-    """
-    if len(trace) < 2:
-        raise ValueError("derivative needs at least two samples")
-    out = np.empty_like(trace.samples)
-    out[0] = 0.0
-    out[1:] = np.diff(trace.samples) * trace.rate_hz
-    return Trace(out, trace.rate_hz, trace.unit)
-
-
 def _odd_window(window_s: float, rate_hz: float) -> int:
     w = int(round(window_s * rate_hz))
     w = max(w, 1)
@@ -248,17 +217,26 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+@functools.lru_cache(maxsize=8)
+def _time_cells(n: int, rate_hz: float) -> tuple[str, ...]:
+    """The time column of an n-row file: i / rate_hz spelled ``%.6f``.
+
+    Every file of one length and rate shares it, so a dataset's files
+    format it once.
+    """
+    return tuple("%.6f" % t for t in (np.arange(n) / rate_hz).tolist())
+
+
 def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict) -> None:
     """Write ``# key=value ...``, the header ``t_s,<column names>`` and the rows.
 
-    The body is one ``%`` format over every row: ``%.6f`` spells the time
-    i / rate_hz and ``%r`` each value's `format_float`. The file is written
-    with `write_text_atomic`.
+    The body is one ``%`` format over every row: the time i / rate_hz in
+    ``%.6f`` (`_time_cells`) and ``%r``, each value's `format_float`. The
+    file is written with `write_text_atomic`.
     """
     values = [np.asarray(v, dtype=np.float64).tolist() for v in columns.values()]
-    times = (np.arange(len(values[0])) / rate_hz).tolist()
-    rows = list(zip(times, *values))
-    body = ("%.6f" + ",%r" * len(values) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
+    rows = list(zip(_time_cells(len(values[0]), rate_hz), *values))
+    body = ("%s" + ",%r" * len(values) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
     head = "# " + " ".join(f"{key}={value}" for key, value in meta.items())
     write_text_atomic(path, head + "\n" + ",".join(["t_s", *columns]) + "\n" + body)
 

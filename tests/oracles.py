@@ -235,17 +235,23 @@ def predict_session_naive(weights, a_l, a_r, L, stride):
     return reconstruct_naive(preds.tolist(), stride)
 
 
+def time_cells_naive(n, rate_hz):
+    """The time column of an n-row sample CSV, one row at a time."""
+    return ["%.6f" % (i / rate_hz) for i in range(n)]
+
+
 def write_samples_csv_naive(meta, rate_hz, columns):
     """The text of a sample CSV, formatted one float at a time.
 
-    Row i is the time i / rate_hz with six decimals, then repr(float(v))
-    of each column's i-th value.
+    Row i is the time i / rate_hz with six decimals (`time_cells_naive`),
+    then repr(float(v)) of each column's i-th value.
     """
     lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
              ",".join(["t_s", *columns])]
     cols = [list(values) for values in columns.values()]
+    times = time_cells_naive(len(cols[0]), rate_hz)
     for i in range(len(cols[0])):
-        row = [f"{i / rate_hz:.6f}"]
+        row = [times[i]]
         for col in cols:
             row.append(repr(float(col[i])))
         lines.append(",".join(row))

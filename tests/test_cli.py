@@ -353,3 +353,33 @@ def test_optimize_needs_eval_sessions(tmp_path):
     assert main(["train", "--output-dir", str(out), *flags]) == 0
     assert main(["optimize", "--output-dir", str(out), *flags]) == 2
     assert not (out / "gains.txt").exists()
+
+
+def test_optimize_and_evaluate_read_only_eval_sessions(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["synth", "--output-dir", str(out), *SMALL]) == 0
+    assert main(["train", "--output-dir", str(out), *SMALL]) == 0
+    accel = out / "dataset" / "s000" / "accel.csv"  # a train session
+    lines = accel.read_text().splitlines()
+    accel.write_text("\n".join(lines[:4] + ["1.0,oops,3.0"] + lines[5:]) + "\n")
+    assert main(["optimize", "--output-dir", str(out), *SMALL]) == 0
+    assert main(["evaluate", "--output-dir", str(out), *SMALL]) == 0
+    capsys.readouterr()
+    assert main(["train", "--output-dir", str(out), *SMALL]) == 2
+    assert "bad acceleration value" in capsys.readouterr().err
+
+
+def test_bad_manifest_ids_exit_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["synth", "--output-dir", str(out), *SMALL]) == 0
+    assert main(["train", "--output-dir", str(out), *SMALL]) == 0
+    manifest = out / "dataset" / "manifest.csv"
+    rows = manifest.read_text()
+    for extra, message in (("s000,train\n", "duplicate session id"),
+                           ("../dataset/s000,train\n", "is not a plain name")):
+        manifest.write_text(rows + extra)
+        for command in ("train", "optimize", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--output-dir", str(out), *SMALL]) == 2, command
+            assert message in capsys.readouterr().err
+    assert not (out / "gains.txt").exists()

@@ -1,5 +1,7 @@
 """Cohort generator and dataset disk-layout tests."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,69 @@ def test_load_dataset_rejects_malformed_accel_metadata(tmp_path):
         with pytest.raises(FileFormatError, match=message) as excinfo:
             load_dataset(ds)
         assert excinfo.value.line == 1
+
+
+def test_load_dataset_rejects_bad_session_ids(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(synth_cohort(2, 120.0, 4.0, seed=12), ds)
+    shutil.copytree(ds / "s000", tmp_path / "x_s")  # a session outside the dataset
+    manifest = ds / "manifest.csv"
+    for row, message in (
+        ("s000,train", "duplicate session id 's000'"),
+        (",train", "session id '' is not a plain name"),
+        (".,train", "session id '.' is not a plain name"),
+        ("..,train", "session id '..' is not a plain name"),
+        ("../x_s,train", "session id '../x_s' is not a plain name"),
+        ("s0/x,train", "is not a plain name"),
+        ("s0\\x,train", "is not a plain name"),
+    ):
+        manifest.write_text(f"id,split\ns000,train\n{row}\ns001,eval\n")
+        for splits in (("train", "eval"), ("eval",)):
+            with pytest.raises(FileFormatError, match=message) as excinfo:
+                load_dataset(ds, splits=splits)
+            assert excinfo.value.line == 3, row
+
+
+def _corrupt_train_accel(ds):
+    """Break the first train session's accel.csv; returns that session's id."""
+    session_id = (ds / "manifest.csv").read_text().splitlines()[1].split(",")[0]
+    accel = ds / session_id / "accel.csv"
+    lines = accel.read_text().splitlines()
+    accel.write_text("\n".join(lines[:4] + ["1.0,oops,3.0"] + lines[5:]) + "\n")
+    return session_id
+
+
+def test_load_dataset_reads_only_the_selected_splits(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(synth_cohort(5, 120.0, 4.0, seed=13, train_frac=0.4), ds)
+    clean = [r for r in load_dataset(ds) if r.split == "eval"]
+    assert len(clean) == 3
+    assert _corrupt_train_accel(ds) == "s000"
+
+    back = load_dataset(ds, splits=("eval",))
+    assert [r.session_id for r in back] == [r.session_id for r in clean]
+    for a, b in zip(clean, back):
+        assert b.split == "eval"
+        for name in ("a_l", "a_r", "eda"):
+            ta, tb = getattr(a, name), getattr(b, name)
+            assert tb.samples.tobytes() == ta.samples.tobytes()
+            assert (tb.rate_hz, tb.unit) == (ta.rate_hz, ta.unit)
+
+    with pytest.raises(FileFormatError, match="bad acceleration value"):
+        load_dataset(ds)  # the full load still reads the corrupt train file
+    with pytest.raises(FileFormatError, match="bad acceleration value"):
+        load_dataset(ds, splits=("train",))
+
+    manifest = ds / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([lines[0], "s000,test", *lines[2:]]) + "\n")
+    with pytest.raises(FileFormatError, match="unknown split 'test'") as excinfo:
+        load_dataset(ds, splits=("eval",))  # every row is checked, selected or not
+    assert excinfo.value.line == 2
+
+
+def test_load_dataset_empty_selection(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(synth_cohort(2, 120.0, 4.0, seed=14, train_frac=1.0), ds)
+    assert load_dataset(ds, splits=("eval",)) == []
+    assert [r.session_id for r in load_dataset(ds, splits=("train",))] == ["s000", "s001"]

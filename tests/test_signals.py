@@ -1,4 +1,4 @@
-"""Tests for traces, normalization, resampling, and EDA decomposition."""
+"""Tests for traces, normalization, EDA decomposition, and the sample CSV format."""
 
 import builtins
 
@@ -25,11 +25,9 @@ from edanav.signals import (
     Trace,
     Unit,
     decompose,
-    derivative,
     format_float,
     read_samples_csv,
     read_trace_csv,
-    resample,
     trace_norm,
     write_samples_csv,
     write_trace_csv,
@@ -141,59 +139,6 @@ def test_norm_params_validation():
     assert p.span == 4.0
     np.testing.assert_array_equal(p.apply([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
     np.testing.assert_array_equal(p.invert([0.0, 0.5, 1.0]), [2.0, 4.0, 6.0])
-
-
-# ---------------------------------------------------------------------------
-# Resampling and differentiation
-# ---------------------------------------------------------------------------
-
-def test_resample_same_rate_is_identity():
-    tr = Trace([1.0, 5.0, 2.0], 4.0, Unit.M_PER_S2)
-    out = resample(tr, 4.0)
-    np.testing.assert_array_equal(out.samples, tr.samples)
-    assert out.unit == tr.unit
-
-
-def test_resample_output_grid_length():
-    tr = Trace(np.zeros(41), 4.0)  # duration exactly 10 s
-    assert len(resample(tr, 8.0)) == 81
-    assert len(resample(tr, 3.0)) == 31
-    assert len(resample(tr, 1.0)) == 11
-
-
-def test_resample_is_exact_on_linear_signals():
-    tr = Trace(np.arange(41) / 4.0, 4.0)  # value == time
-    up = resample(tr, 8.0)
-    np.testing.assert_allclose(up.samples, up.times(), rtol=0, atol=1e-12)
-
-
-def test_resample_down_recovers_aligned_grid_points():
-    rng = np.random.default_rng(9)
-    tr = Trace(rng.normal(size=81), 8.0)
-    down = resample(tr, 4.0)
-    np.testing.assert_array_equal(down.samples, tr.samples[::2])
-
-
-def test_resample_rejects_bad_rate():
-    tr = Trace([1.0, 2.0], 4.0)
-    with pytest.raises(ValueError):
-        resample(tr, 0.0)
-    with pytest.raises(ValueError):
-        resample(tr, -1.0)
-
-
-def test_derivative_backward_difference():
-    rng = np.random.default_rng(10)
-    tr = Trace(rng.normal(size=50), 4.0)
-    d = derivative(tr)
-    assert d.samples[0] == 0.0
-    np.testing.assert_array_equal(d.samples[1:], np.diff(tr.samples) * 4.0)
-    assert d.rate_hz == tr.rate_hz
-
-
-def test_derivative_needs_two_samples():
-    with pytest.raises(ValueError):
-        derivative(Trace([1.0], 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +314,25 @@ def test_write_samples_csv_matches_per_float_oracle(tmp_path_factory, table):
     back_rate, (unit,), values = read_samples_csv(path, "table", ("unit",), names)
     assert back_rate == rate_hz and unit == Unit.NORMALIZED
     assert values.tobytes() == np.array(cols).tobytes()  # bit-equal, -0.0 included
+
+
+_RATES = (4.0, 8.0, 3.0, 7.5, 1000.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 2]), st.integers(200, 400)),
+    rates=st.lists(st.sampled_from(_RATES), min_size=2, max_size=2, unique=True),
+)
+def test_write_samples_csv_time_column_matches_per_row_oracle(tmp_path_factory, n, rates):
+    # files of one length at two rates, one after the other: each must get
+    # its own rate's time column
+    values = np.arange(n) * 0.5
+    for rate_hz in rates:
+        meta = {"unit": "normalized", "rate_hz": format_float(rate_hz)}
+        path = tmp_path_factory.mktemp("times") / "trace.csv"
+        write_samples_csv(path, meta, rate_hz, {"value": values})
+        assert path.read_bytes() == write_samples_csv_naive(meta, rate_hz, {"value": values}).encode()
 
 
 _ACCEL_HEAD = "# rate_hz=4.0 unit_a_l=m_per_s2 unit_a_r=rad_per_s2\nt_s,a_l,a_r\n"
