@@ -86,7 +86,10 @@ def _cmd_optimize(cfg: RunConfig) -> None:
     write_gains(result.best.gains, cfg.gains_path)
     write_history_csv(result, cfg.history_path)
     best = result.best
-    print(f"best objective {format_float(best.objective)} of 300 (trial {best.index})")
+    print(
+        f"best objective {format_float(best.objective)} of {100 * len(result.methods)} "
+        f"(trial {best.index})"
+    )
     for method, pct in zip(result.methods, best.percentages):
         print(f"  {method}: {format_float(pct)}% of sessions improved")
     print(f"wrote {cfg.gains_path}")

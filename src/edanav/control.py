@@ -19,10 +19,6 @@ error, as in the closed loop, where the feedback is held clip by clip.
 take a `PidGains` or a gain array [..., 11] (a block of gain sets, one per
 leading index).
 
-`plouzeau_step` is the prior linear law a' = a - 0.5 * dEDA/dt, kept as a
-baseline; it drifts without bound under monotone EDA, which is the flaw the
-PID law fixes.
-
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
 
@@ -264,13 +260,6 @@ def adapt_trace(
     """
     out = apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
     return out[0], out[1]
-
-
-def plouzeau_step(a_prev: float, d_eda: float) -> float:
-    """Prior linear adaptation law: a' = a_prev - 0.5 * dEDA/dt."""
-    if not (math.isfinite(a_prev) and math.isfinite(d_eda)):
-        raise ValueError("inputs must be finite")
-    return a_prev - 0.5 * d_eda
 
 
 # ---------------------------------------------------------------------------

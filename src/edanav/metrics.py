@@ -1,7 +1,8 @@
 """Cybersickness metrics and cohort-level statistics.
 
-MSDV is the motion-sickness dose value of an acceleration trace:
-(sum |a_i|^n * dt)^(1/n) with the rectangle rule, n = 2 by default.
+MSDV is the motion-sickness dose value of an acceleration trace, the
+square root of its time-integrated square: (sum a_i^2 * dt)^(1/2) with the
+rectangle rule.
 
 Cohort outcomes are scored against a 50/50 null: out of ``total``
 sessions, ``positives`` improved under adaptation. The chi-square value
@@ -27,13 +28,11 @@ MSDV_LONGITUDINAL = "msdv_longitudinal"
 MSDV_ROTATIONAL = "msdv_rotational"
 
 
-def msdv(trace: Trace, exponent: int = 2) -> float:
-    """Motion-sickness dose value, (sum |a|^n dt)^(1/n)."""
-    if exponent < 2 or exponent % 2 != 0:
-        raise ValueError(f"exponent must be a positive even integer, got {exponent}")
+def msdv(trace: Trace) -> float:
+    """Motion-sickness dose value, (sum a^2 dt)^(1/2)."""
     dt = 1.0 / trace.rate_hz
-    total = float(np.sum(np.abs(trace.samples) ** exponent) * dt)
-    return total ** (1.0 / exponent)
+    total = float(np.sum(np.abs(trace.samples) ** 2) * dt)
+    return total ** 0.5
 
 
 @dataclass(frozen=True)

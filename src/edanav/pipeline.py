@@ -14,7 +14,7 @@ from .surrogate import (
     corpus_clip_norm,
     fit_surrogate,
     make_clips,
-    predict_windows,
+    predict_session,
 )
 
 
@@ -35,22 +35,21 @@ def held_out_mae(
     records,
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> float:
-    """Mean absolute error of clip predictions on sessions the fit never saw.
+    """Mean absolute error of the predicted phasic on sessions the fit never saw.
 
-    Clips are cut with the model's frozen normalization at the default
-    stride, predictions clamped to [0, 1] as in training.
+    Each session is predicted with `predict_session` at stride L, the
+    geometry of the training clips, and scored against its phasic under the
+    model's frozen normalization; the up to L-1 trailing samples that no
+    clip covers are not scored.
     """
     records = list(records)
     if not records:
         return math.nan
     errors = []
     for record, phasic in zip(records, _phasics(records, decomposition)):
-        windows, targets, _ = make_clips(
-            record.a_l, record.a_r, phasic,
-            clip_len_s=model.clip_len_s, norm=model.norm,
-        )
-        errors.append(np.abs(predict_windows(model, windows) - targets))
-    return float(np.mean(np.concatenate([e.ravel() for e in errors])))
+        pred = predict_session(model, record.a_l, record.a_r, model.L).samples
+        errors.append(np.abs(pred - model.norm.phasic.apply(phasic.samples)[: len(pred)]))
+    return float(np.mean(np.concatenate(errors)))
 
 
 def train_surrogate(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Trace, format_float, write_text_atomic
+from .signals import Trace
 
 METHODS = ("kim2004", "gamboa2008", "neurokit")
 
@@ -252,13 +252,3 @@ def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
 def count_er_scr(phasic: Trace, params: DetectorParams) -> int:
     """Number of ER-SCR events under the given detector."""
     return int(count_events(phasic.samples[None], phasic.rate_hz, (params,))[0, 0])
-
-
-def write_events_csv(events: list[ScrEvent], rate_hz: float, path) -> None:
-    """Write detected events as ``onset_s,peak_s,amplitude`` rows."""
-    lines = ["onset_s,peak_s,amplitude"]
-    for ev in events:
-        lines.append(
-            f"{ev.onset_idx / rate_hz:.6f},{ev.peak_idx / rate_hz:.6f},{format_float(ev.amplitude)}"
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")

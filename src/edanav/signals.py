@@ -3,7 +3,7 @@
 Provides the `Trace` container used across the package plus the basic
 operations the adaptation pipeline is built from:
 
-    * NormParams -- invertible min-max scaling to [0, 1]
+    * NormParams -- min-max scaling to [0, 1]
     * trace_norm -- the min-max scale of one channel over a set of traces
     * decompose  -- split EDA into tonic (SCL) and phasic (SCR) components
 
@@ -75,10 +75,6 @@ class Trace:
         """Time spanned by the samples, (n - 1) / rate."""
         return (self.samples.size - 1) / self.rate_hz
 
-    def times(self) -> np.ndarray:
-        """Sample timestamps in seconds, starting at 0."""
-        return np.arange(self.samples.size) / self.rate_hz
-
     def with_samples(self, samples: np.ndarray, unit: Unit | None = None) -> "Trace":
         """New trace with the same rate, different samples."""
         return Trace(samples, self.rate_hz, self.unit if unit is None else unit)
@@ -86,7 +82,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class NormParams:
-    """Min-max scaling parameters; ``vmax > vmin`` so the map is invertible."""
+    """Min-max scaling parameters; ``vmax > vmin`` so the span is positive."""
 
     vmin: float
     vmax: float
@@ -105,9 +101,6 @@ class NormParams:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.vmin) / self.span
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.span + self.vmin
 
 
 def trace_norm(traces) -> NormParams:

@@ -153,12 +153,6 @@ class SurrogateModel:
         return int(self.weights.shape[0])
 
 
-def _design_matrix(windows: np.ndarray) -> np.ndarray:
-    n = windows.shape[0]
-    flat = windows.reshape(n, -1)
-    return np.concatenate([flat, np.ones((n, 1))], axis=1)
-
-
 def fit_surrogate(
     windows,
     targets,
@@ -187,7 +181,7 @@ def fit_surrogate(
             f"clips must be windows [n, 2, {3 * L}] and targets [n, {L}], "
             f"got {windows.shape} and {Y.shape}"
         )
-    X = _design_matrix(windows)
+    X = np.concatenate([windows.reshape(len(windows), -1), np.ones((len(windows), 1))], axis=1)
     d = X.shape[1]
     A = X.T @ X + ridge_lambda * np.eye(d)
     B = X.T @ Y
@@ -212,11 +206,6 @@ def predict_rows(model: SurrogateModel, rows: np.ndarray) -> np.ndarray:
     on its own; ``rows @ weights.T`` does not.
     """
     return np.clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
-
-
-def predict_windows(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
-    """Clamped phasic clips [n, L] of a stack of normalized windows [n, 2, 3L]."""
-    return np.clip(_design_matrix(windows) @ model.weights.T, 0.0, 1.0)
 
 
 def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
@@ -439,15 +428,11 @@ class OracleParams:
             raise ValueError("noise_sd must be >= 0")
 
 
-def bateman_kernel(
-    tau_rise_s: float, tau_decay_s: float, rate_hz: float, duration_s: float | None = None
-) -> np.ndarray:
-    """Difference-of-exponentials impulse response, normalized to unit peak."""
+def bateman_kernel(tau_rise_s: float, tau_decay_s: float, rate_hz: float) -> np.ndarray:
+    """Difference-of-exponentials impulse response over 8 * tau_decay_s, unit peak."""
     if not 0 < tau_rise_s < tau_decay_s:
         raise ValueError("need 0 < tau_rise_s < tau_decay_s")
-    if duration_s is None:
-        duration_s = 8.0 * tau_decay_s
-    t = np.arange(int(round(duration_s * rate_hz)) + 1) / rate_hz
+    t = np.arange(int(round(8.0 * tau_decay_s * rate_hz)) + 1) / rate_hz
     h = np.exp(-t / tau_decay_s) - np.exp(-t / tau_rise_s)
     return h / h.max()
 

@@ -2,10 +2,11 @@
 
 Everything here is written as plainly as possible (explicit Python loops,
 no vectorization, no shared code with the package) so it can serve as an
-oracle for the production implementations. The exceptions are the two
+oracle for the production implementations. The exceptions are the
 predictors, whose matrix products must be numpy's own: `predict_session_naive`
-runs one 2-D gemm and `predict_clip` one gemv, and the properties they pin
-are that batching sessions or rows leaves those products' bits alone.
+and `held_out_mae_naive` run one 2-D gemm per session and `predict_clip` one
+gemv, and the properties they pin are that batching sessions or rows leaves
+those products' bits alone.
 """
 
 import math
@@ -284,3 +285,23 @@ def read_samples_rows_naive(text, kind, n_names):
     if not cols[0]:
         raise ValueError(f"{kind} file contains no samples", None)
     return cols
+
+
+def held_out_mae_naive(model, records, phasics):
+    """Mean absolute error of non-overlapping clip predictions on ``records``.
+
+    Each session's channels and ``phasics`` [n] are scaled with the model's
+    frozen min-max parameters; `predict_session_naive` at stride L predicts
+    every clip that lies inside the session, and the errors of all sessions
+    are averaged in one mean.
+    """
+    L = len(model.weights)
+    norm = model.norm
+    errors = []
+    for record, phasic in zip(records, phasics):
+        a_l = (record.a_l.samples - norm.a_l.vmin) / (norm.a_l.vmax - norm.a_l.vmin)
+        a_r = (record.a_r.samples - norm.a_r.vmin) / (norm.a_r.vmax - norm.a_r.vmin)
+        target = (np.asarray(phasic) - norm.phasic.vmin) / (norm.phasic.vmax - norm.phasic.vmin)
+        pred = np.asarray(predict_session_naive(model.weights, a_l, a_r, L, L))
+        errors.append(np.abs(pred - target[: len(pred)]))
+    return float(np.mean(np.concatenate(errors)))

@@ -19,7 +19,7 @@ from edanav.optimize import GainRanges, evaluate_sessions, optimize
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import METHODS, detect_scr
 from edanav.signals import Trace, Unit
-from edanav.surrogate import fit_surrogate, make_clips, predict_windows, reconstruct
+from edanav.surrogate import fit_surrogate, make_clips, predict_session, reconstruct
 
 from test_control import (
     run_channel_symmetry,
@@ -114,7 +114,8 @@ def test_criterion_3_surrogate_recovery_and_round_trip(capsys):
     a_l, a_r, phasic = _planted_session(rng)
     windows, targets, norm = make_clips(a_l, a_r, phasic)
     model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
-    mae = float(np.mean(np.abs(predict_windows(model, windows) - targets)))
+    pred = predict_session(model, a_l, a_r, model.L).samples
+    mae = float(np.mean(np.abs(pred - targets.ravel())))
 
     a_l2, a_r2 = _accel_pair(rng)
     wiggle = Trace(rng.uniform(0.0, 0.5, 960), RATE)

@@ -16,8 +16,10 @@ from edanav.errors import ConfigError
 from edanav.optimize import GainRanges, evaluate_sessions, optimize
 from edanav.pipeline import eval_split, held_out_mae, train_split, train_surrogate
 from edanav.scr import default_detectors
-from edanav.signals import DecompositionConfig, Trace, Unit
-from edanav.surrogate import OracleParams, synth_session
+from edanav.signals import DecompositionConfig, Trace, Unit, decompose
+from edanav.surrogate import OracleParams, clip_samples, synth_session
+
+from oracles import held_out_mae_naive
 
 SMALL = [
     "--set", "dataset.n_sessions=8",
@@ -70,6 +72,26 @@ def test_train_surrogate_split_edge_cases():
     assert math.isnan(held_out_mae(model, []))
     with pytest.raises(ValueError, match="no train sessions"):
         train_surrogate(synth_cohort(2, 120.0, 4.0, seed=3, train_frac=0.0))
+
+
+@pytest.mark.parametrize("rate_hz", [4.0, 8.0])
+@pytest.mark.parametrize("clip_len_s", [2.25, 1.0, 3.1])
+def test_held_out_mae_equals_clip_oracle(clip_len_s, rate_hz):
+    records = synth_cohort(4, 120.25, rate_hz, seed=11, train_frac=0.5)
+    # a second eval length: neither session length is a multiple of L
+    records += synth_cohort(2, 97.75, rate_hz, seed=12, train_frac=0.0)
+    L = clip_samples(clip_len_s, rate_hz)
+    assert all(len(r.a_l) % L for r in records)
+    model, heldout = train_surrogate(records, clip_len_s=clip_len_s)
+    held = eval_split(records)
+    phasics = [decompose(r.eda, DecompositionConfig()).phasic.samples for r in held]
+    assert heldout == held_out_mae(model, held) == held_out_mae_naive(model, held, phasics)
+
+
+def test_held_out_mae_rejects_another_rate():
+    model, _ = train_surrogate(synth_cohort(4, 120.0, 4.0, seed=2, train_frac=0.5))
+    with pytest.raises(ValueError, match="does not match model rate"):
+        held_out_mae(model, synth_cohort(2, 120.0, 8.0, seed=3, train_frac=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from edanav.control import (
     constant_step_integral,
     pid_outputs,
     pid_terms,
-    plouzeau_step,
     read_gains,
     write_gains,
 )
@@ -89,18 +88,6 @@ def test_non_positive_integral_clamp_is_rejected():
             pid_terms(ones, ones, ones, 4.0, clamp)
         with pytest.raises(ValueError, match="integral_clamp"):
             adapt_trace(ones, ones, ones, 4.0, TUNED_GAINS, integral_clamp=clamp)
-
-
-def test_plouzeau_step():
-    assert plouzeau_step(2.0, 1.0) == 1.5
-    assert plouzeau_step(0.0, -0.5) == 0.25
-    # under a monotone EDA slope the prior law walks off without bound
-    a = 0.0
-    for _ in range(100):
-        a = plouzeau_step(a, 1.0)
-    assert a == -50.0
-    with pytest.raises(ValueError):
-        plouzeau_step(np.nan, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from edanav.scr import (
     count_events,
     default_detectors,
     detect_scr,
-    write_events_csv,
 )
 from edanav.signals import Trace, Unit
 
@@ -403,17 +402,3 @@ def test_scr_event_validation():
 def test_short_trace_has_no_events():
     for method in METHODS:
         assert detect_scr(Trace([1.0], RATE), _params(method)) == []
-
-
-def test_write_events_csv(tmp_path):
-    x = _pulse_train(200, [(10.0, 0.6), (30.0, 0.4)])
-    events = detect_scr(Trace(x, RATE), _params("kim2004"))
-    path = tmp_path / "events.csv"
-    write_events_csv(events, RATE, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "onset_s,peak_s,amplitude"
-    assert len(lines) == 1 + len(events)
-    onset_s, peak_s, amp = lines[1].split(",")
-    assert float(onset_s) == events[0].onset_idx / RATE
-    assert float(peak_s) == events[0].peak_idx / RATE
-    assert float(amp) == events[0].amplitude
