@@ -16,8 +16,8 @@ accelerations for one gain set with whole-array arithmetic, and
 `constant_step_integral` is the same integral over a stretch of constant
 error, as in the closed loop, where the feedback is held clip by clip.
 `pid_law` is the one place the PID output is written; the gain helpers
-take a `PidGains` or a gain array [..., 11] (a block of gain sets, one per
-leading index).
+take a gain array [..., 11] in GAIN_KEYS order (a block of gain sets, one
+per leading index), and `adapt_trace` converts its `PidGains` once.
 
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
@@ -93,6 +93,11 @@ class AccelLimits:
     def __post_init__(self):
         if self.max_longitudinal <= 0 or self.max_rotational <= 0:
             raise ValueError("acceleration limits must be positive")
+
+    @property
+    def bound(self) -> np.ndarray:
+        """The clamp column [2, 1]: longitudinal, then rotational."""
+        return np.array([[self.max_longitudinal], [self.max_rotational]])
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,6 @@ def pid_terms(
     return PidTerms(accel, error, integral, delta, dt, integral_clamp)
 
 
-def _gain_array(gains) -> np.ndarray:
-    """``gains`` as an array [..., 11] in GAIN_KEYS order; a `PidGains` is its one-row case."""
-    if isinstance(gains, PidGains):
-        return gains.as_array()
-    return np.asarray(gains, dtype=np.float64)
-
-
 def pid_law(k: np.ndarray, error, integral, delta, dt: float) -> np.ndarray:
     """The PID output k_P * error + k_I * integral + k_D * delta / dt.
 
@@ -192,55 +190,41 @@ def pid_law(k: np.ndarray, error, integral, delta, dt: float) -> np.ndarray:
     return k[..., :1] * error + k[..., 1:2] * integral + k[..., 2:] * delta / dt
 
 
-def pid_outputs(terms: PidTerms, gains, channels: int = 3) -> np.ndarray:
+def pid_outputs(terms: PidTerms, gains: np.ndarray, channels: int = 3) -> np.ndarray:
     """PID outputs psi [..., channels, n] of the first ``channels`` channels under ``gains``.
 
-    ``gains`` is a `PidGains` or an array [..., 11] whose leading axes
-    broadcast against the terms': a block [B, 1, 11] over sessions stacked
-    [m, 3, n] gives [B, m, channels, n], with the bits of each gain set alone.
+    ``gains`` is a gain array [..., 11] whose leading axes broadcast
+    against the terms': a block [B, 1, 11] over sessions stacked [m, 3, n]
+    gives [B, m, channels, n], with the bits of each gain set alone.
     """
-    g = _gain_array(gains)
-    k = g[..., : 3 * channels].reshape(*g.shape[:-1], channels, 3)
+    k = gains[..., : 3 * channels].reshape(*gains.shape[:-1], channels, 3)
     error, integral, delta = (
         t[..., :channels, :] for t in (terms.error, terms.integral, terms.delta)
     )
     return pid_law(k, error, integral, delta, terms.dt)
 
 
-def accel_coefficients(gains, limits: AccelLimits) -> tuple[np.ndarray, np.ndarray]:
-    """(beta [..., 2, 1], bound [2, 1]) of the longitudinal and rotational channels.
-
-    ``gains`` is a `PidGains` ([2, 1] beta) or an array [..., 11].
-    """
-    return (
-        _gain_array(gains)[..., 9:11, None],
-        np.array([[limits.max_longitudinal], [limits.max_rotational]]),
-    )
-
-
 def adapted_accel(
-    base: np.ndarray, psi_f: np.ndarray, beta: np.ndarray, bound: np.ndarray
+    base: np.ndarray, psi_f: np.ndarray, gains: np.ndarray, bound: np.ndarray
 ) -> np.ndarray:
     """base + beta * psi_f per channel, clamped to +-bound.
 
     ``base`` is [..., 2, n]: each acceleration plus its own channel's PID
-    output; ``beta`` and ``bound`` come from `accel_coefficients`.
+    output; beta is (beta_l, beta_r) of the gain array ``gains`` [..., 11]
+    as a column [..., 2, 1], and ``bound`` is `AccelLimits.bound`.
     """
-    return np.clip(base + beta * psi_f, -bound, bound)
+    return np.clip(base + gains[..., 9:11, None] * psi_f, -bound, bound)
 
 
-def apply_gains(
-    terms: PidTerms, gains, limits: AccelLimits = AccelLimits()
-) -> np.ndarray:
+def apply_gains(terms: PidTerms, gains: np.ndarray, limits: AccelLimits) -> np.ndarray:
     """Adapted accelerations [..., 2, n] (a_l' then a_r') of the sessions ``terms`` describes.
 
-    ``gains`` is a `PidGains` or a gain array, as for `pid_outputs`. Every
-    operation is elementwise, so each session of a stack adapts to the same
-    bits as on its own.
+    ``gains`` is a gain array, as for `pid_outputs`. Every operation is
+    elementwise, so each session of a stack adapts to the same bits as on
+    its own.
     """
     psi = pid_outputs(terms, gains)
-    return adapted_accel(terms.accel + psi[..., :2, :], psi[..., 2:, :],
-                         *accel_coefficients(gains, limits))
+    return adapted_accel(terms.accel + psi[..., :2, :], psi[..., 2:, :], gains, limits.bound)
 
 
 def adapt_trace(
@@ -258,7 +242,7 @@ def adapt_trace(
     step i reads f[i-1] (0.0 at the first step, idle start). The result is
     identical, bit for bit, to stepping the law one sample at a time.
     """
-    out = apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains, limits)
+    out = apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains.as_array(), limits)
     return out[0], out[1]
 
 

@@ -34,6 +34,9 @@ from .signals import (
 from .surrogate import OracleParams, synth_session
 
 SPLITS = ("train", "eval")
+# synthetic pulses: the duration band (s) and the least gap between onsets (s)
+PULSE_S = (1.0, 3.0)
+MIN_GAP_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -61,21 +64,20 @@ def _onset_times(
     duration_s: float,
     n_pulses: int,
     taken: list[float],
-    dur_hi_s: float = 3.0,
-    min_gap_s: float = 8.0,
 ) -> list[float]:
     """Rejection-sample pulse onsets separated from each other and `taken`.
 
     The shared gap keeps every event's electrodermal response well clear of
     its neighbours on both channels, so each pulse produces one separable
-    response. Gives up after 1000 attempts and returns what it has.
+    response. Each onset leaves room for the longest pulse of ``PULSE_S``.
+    Gives up after 1000 attempts and returns what it has.
     """
     onsets: list[float] = []
     attempts = 0
     while len(onsets) < n_pulses and attempts < 1000:
-        t0 = float(rng.uniform(2.0, duration_s - dur_hi_s - 4.0))
-        if all(abs(t0 - t) >= min_gap_s for t in taken) and all(
-            abs(t0 - t) >= min_gap_s for t in onsets
+        t0 = float(rng.uniform(2.0, duration_s - PULSE_S[1] - 4.0))
+        if all(abs(t0 - t) >= MIN_GAP_S for t in taken) and all(
+            abs(t0 - t) >= MIN_GAP_S for t in onsets
         ):
             onsets.append(t0)
         attempts += 1
@@ -87,8 +89,6 @@ def _pulse_profile(
     n: int,
     rate_hz: float,
     groups: list[tuple[list[float], float, float]],
-    dur_lo_s: float = 1.0,
-    dur_hi_s: float = 3.0,
 ) -> np.ndarray:
     """Rectangular pulses at pre-separated onsets; each group draws its
     amplitudes from its own (onsets, amp_lo, amp_hi) range.
@@ -99,7 +99,7 @@ def _pulse_profile(
     profile = np.zeros(n)
     for onsets, amp_lo, amp_hi in groups:
         for t0 in sorted(onsets):
-            dur = float(rng.uniform(dur_lo_s, dur_hi_s))
+            dur = float(rng.uniform(*PULSE_S))
             amp = float(rng.uniform(amp_lo, amp_hi))
             i0 = int(round(t0 * rate_hz))
             i1 = min(n, i0 + max(1, int(round(dur * rate_hz))))

@@ -31,10 +31,12 @@ sessions whose adapted event count dropped below the raw one; its range is
 uniform exploration over the gain ranges, then Gaussian sampling around the
 incumbent with the step size halved after every ``halve_after``
 consecutive non-improving trials. Phase-one draws are independent, so they
-are drawn and handed to `_simulate` in blocks of max(1, ``ROWS`` // m)
+are drawn and handed to `_simulate` in blocks of k = max(1, ``ROWS`` // m)
 trials, m the largest group of equal-length sessions (closed loop replays a
-block in one clip loop), and then recorded in index order; phase two
-depends on the incumbent and runs one trial at a time.
+block in one clip loop), and then recorded in index order. A block is one
+``rng.uniform`` draw of shape [k, 11], which gives the same doubles in the
+same order as k one-row draws; phase two depends on the incumbent and runs
+one trial at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .control import (
     AccelLimits,
     PidGains,
     PidTerms,
-    accel_coefficients,
     adapted_accel,
     apply_gains,
     constant_step_integral,
@@ -58,7 +59,6 @@ from .control import (
     pid_outputs,
     pid_terms,
 )
-from .dataset import SessionRecord
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
 from .signals import DecompositionConfig, Trace, Unit, decompose, format_float, write_text_atomic
@@ -82,7 +82,6 @@ class SessionGroup:
     """
 
     members: list[int]  # positions in the input record list
-    records: list[SessionRecord]
     terms: PidTerms  # [m, ...]
     msdv_raw: list[tuple[float, float]]  # (longitudinal, rotational) per session
     n_raw: np.ndarray  # [m, n_detectors]
@@ -99,19 +98,15 @@ class SimulationResult:
     predicted_phasic: Trace
 
 
-def build_contexts(records, model, detectors=None, decomposition=DecompositionConfig(),
-                   integral_clamp=DEFAULT_INTEGRAL_CLAMP) -> list[SessionGroup]:
+def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
     """One `SessionGroup` per sample count, in order of first appearance.
 
     Each group's members keep their input order. Sessions of one length are
     predicted and counted together: ``n_raw`` by `predict_sessions` and
     `count_events` over their recorded acceleration, ``n_recorded`` by
     `count_events` over their decomposed phasic, in the model's normalized
-    scale.
+    scale. ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
-    if detectors is None:
-        detectors = default_detectors()
-    records = list(records)
     for record in records:
         if record.a_l.rate_hz != model.rate_hz:
             raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
@@ -128,7 +123,6 @@ def build_contexts(records, model, detectors=None, decomposition=DecompositionCo
         accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
         groups.append(SessionGroup(
             members=members,
-            records=group,
             terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
                             model.rate_hz, integral_clamp),
             msdv_raw=[(msdv(r.a_l), msdv(r.a_r)) for r in group],
@@ -172,7 +166,7 @@ def _replay_clips(
     row_gains = np.repeat(gains, m, axis=0)  # [R, 11]
     k_f = row_gains[:, 6:9]  # the phasic channel's (K_Pf, K_If, K_Df)
     base = (terms.accel + pid_outputs(terms, gains[:, None], channels=2)).reshape(R, 2, n)
-    beta, bound = accel_coefficients(row_gains, limits)
+    bound = limits.bound
     out = np.empty((R, 2, n))
     integral = prev_error = np.zeros((R, 1))
 
@@ -183,7 +177,8 @@ def _replay_clips(
         delta = np.zeros_like(running)
         delta[:, :1] = error - prev_error
         psi_f = pid_law(k_f, error, running, delta, dt)
-        out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None], beta, bound)
+        out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None],
+                                              row_gains, bound)
         integral, prev_error = running[:, -1:], error
 
     rows = np.empty((R, 6 * L + 1))
@@ -253,11 +248,13 @@ def evaluate_sessions(
     check_search_settings(mode=mode)
     if detectors is None:
         detectors = default_detectors()
+    records = list(records)
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    results: list = [None] * sum(len(g.members) for g in groups)
+    results: list = [None] * len(records)
     [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
     for g, (adapted, preds, n_adapted) in zip(groups, sims):
-        for row, (i, record) in enumerate(zip(g.members, g.records)):
+        for row, i in enumerate(g.members):
+            record = records[i]
             adapted_l = Trace(adapted[row, 0], model.rate_hz, record.a_l.unit)
             adapted_r = Trace(adapted[row, 1], model.rate_hz, record.a_r.unit)
             raw_l, raw_r = g.msdv_raw[row]
@@ -406,8 +403,7 @@ def optimize(
     while len(trials) < budget:
         t = len(trials)
         if t < n_explore:  # phase one: uniform exploration, a block of draws at a time
-            xs = np.array([rng.uniform(ranges.lo, ranges.hi)
-                           for _ in range(min(block, n_explore - t))])
+            xs = rng.uniform(ranges.lo, ranges.hi, (min(block, n_explore - t), len(GAIN_KEYS)))
         else:  # phase two: Gaussian refinement around the incumbent
             xs = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
                          ranges.lo, ranges.hi)[None]

@@ -147,7 +147,7 @@ def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorPara
     return rows[keep], onsets[keep], peaks[keep]
 
 
-def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int | None = None) -> np.ndarray:
+def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
     """Topographic prominence of each strict local maximum in ``peaks``.
 
     A peak's bases are the lowest samples between it and the nearest
@@ -156,12 +156,12 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int | None = None) -> 
     x[i : i + 2**k]. Binary lifting over the maxima finds both stops in
     O(log n) whole-array steps, and two overlapping blocks of the minima give
     each base, so the cost is O(n log n) on any trace. Minima are exact, and
-    the prominence is one subtraction. ``reach``, when given, bounds how far
-    from its peak a stop can lie (the row length of sentinel-joined rows),
-    and the tables stop at the levels a search that long needs.
+    the prominence is one subtraction. ``reach`` bounds how far from its
+    peak a stop can lie (the row length of sentinel-joined rows, ``x.size``
+    for one trace); the tables stop at the levels a search that long needs.
     """
     n = x.size
-    levels = (n if reach is None else reach).bit_length()
+    levels = reach.bit_length()
     hi = np.empty((levels, n))
     lo = np.empty((levels, n))
     hi[0] = lo[0] = x

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -43,7 +43,7 @@ class Trace:
     Parameters
     ----------
     samples : array-like
-        Sample values; copied to a read-only float64 array.
+        Sample values, one dimension; copied to a read-only float64 array.
     rate_hz : float
         Sample rate in Hz, > 0.
     unit : Unit
@@ -55,7 +55,9 @@ class Trace:
     unit: Unit = Unit.NORMALIZED
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64, copy=True).ravel()
+        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise ValueError(f"trace samples must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("trace must contain at least one sample")
         if not np.all(np.isfinite(arr)):
@@ -75,9 +77,9 @@ class Trace:
         """Time spanned by the samples, (n - 1) / rate."""
         return (self.samples.size - 1) / self.rate_hz
 
-    def with_samples(self, samples: np.ndarray, unit: Unit | None = None) -> "Trace":
-        """New trace with the same rate, different samples."""
-        return Trace(samples, self.rate_hz, self.unit if unit is None else unit)
+    def with_samples(self, samples: np.ndarray) -> "Trace":
+        """New trace with the same rate and unit, different samples."""
+        return Trace(samples, self.rate_hz, self.unit)
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,6 @@ def reconstruct(predictions, stride_samples: int, rate_hz: float) -> Trace:
     stride * (n_clips - 1) + L. Each sample sums its clips in clip order,
     starting from 0.0.
     """
-    if not isinstance(predictions, np.ndarray):
-        predictions = list(predictions)
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("need a non-empty sequence of equal-length clips")

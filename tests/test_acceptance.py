@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from edanav.cli import main
-from edanav.control import PidGains
 from edanav.dataset import synth_cohort
 from edanav.metrics import chi_square_phi, msdv
 from edanav.optimize import GainRanges, evaluate_sessions, optimize

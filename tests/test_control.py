@@ -55,7 +55,7 @@ def _longitudinal_terms(errors):
 def test_pure_integral_sequence():
     # K_I = 1, dt = 0.25, constant unit error: the integral accumulates
     # before use, so the outputs are 0.25, 0.5, 0.75, 1.0
-    outs = pid_outputs(_longitudinal_terms([1.0] * 4), PidGains(K_Il=1.0))[0]
+    outs = pid_outputs(_longitudinal_terms([1.0] * 4), PidGains(K_Il=1.0).as_array())[0]
     np.testing.assert_allclose(outs, [0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-12)
 
 
@@ -75,7 +75,7 @@ def test_integral_clamps_at_plus_minus_ten():
 
 
 def test_derivative_term_uses_previous_error():
-    outs = pid_outputs(_longitudinal_terms([1.0, 1.0]), PidGains(K_Dl=1.0))[0]
+    outs = pid_outputs(_longitudinal_terms([1.0, 1.0]), PidGains(K_Dl=1.0).as_array())[0]
     assert outs[0] == 4.0  # (1 - 0) / 0.25
     assert outs[1] == 0.0  # (1 - 1) / 0.25
 

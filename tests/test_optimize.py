@@ -83,7 +83,8 @@ def test_simulation_stats_are_consistent(small):
 def test_raw_counts_come_from_the_surrogate(small):
     records, model = small
     detectors = default_detectors()
-    [group] = build_contexts([records[2]], model)
+    [group] = build_contexts([records[2]], model, detectors, DecompositionConfig(),
+                             DEFAULT_INTEGRAL_CLAMP)
     pred = predict_session(model, records[2].a_l, records[2].a_r)
     assert tuple(group.n_raw[0]) == tuple(count_er_scr(pred, d) for d in detectors)
     f_prev = -group.terms.error[0, 2]
@@ -229,7 +230,7 @@ def test_offline_sessions_replay_together(small):
         _assert_equals_alone(sessions, results, gains, model, MIXED_SETTINGS)
         for record, result in zip(sessions, results):
             # the recorded feedback: step i of the law reads f[i - 1]
-            [group] = build_contexts([record], model, **MIXED_SETTINGS)
+            [group] = build_contexts([record], model, detectors, **MIXED_SETTINGS)
             f = np.concatenate([-group.terms.error[0, 2, 1:], [0.0]])
             out_l, out_r = adapt_trace(record.a_l.samples, record.a_r.samples, f,
                                        record.a_l.rate_hz, gains, integral_clamp=0.05)
@@ -293,13 +294,13 @@ def test_build_contexts_groups_sessions_by_length(small):
     # of the stacked state equals that session's state built on its own
     records, model = small
     sessions = _mixed_sessions(records, model.L)
-    groups = build_contexts(sessions, model, **MIXED_SETTINGS)
+    detectors = default_detectors()
+    groups = build_contexts(sessions, model, detectors, **MIXED_SETTINGS)
     assert [g.members for g in groups] == [[0, 4], [1], [2], [3]]
     for g in groups:
-        assert g.records == [sessions[i] for i in g.members]
         assert g.n_raw.shape == g.n_recorded.shape == (len(g.members), 3)
         for row, i in enumerate(g.members):
-            [alone] = build_contexts([sessions[i]], model, **MIXED_SETTINGS)
+            [alone] = build_contexts([sessions[i]], model, detectors, **MIXED_SETTINGS)
             for name in ("accel", "error", "integral", "delta"):
                 assert getattr(g.terms, name)[row].tobytes() == getattr(alone.terms, name).tobytes()
             assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()

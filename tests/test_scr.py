@@ -17,7 +17,7 @@ from edanav.scr import (
     default_detectors,
     detect_scr,
 )
-from edanav.signals import Trace, Unit
+from edanav.signals import Trace
 
 from oracles import _prominence_naive, bateman_pulse, brute_force_events
 
@@ -143,7 +143,7 @@ def _adversarial_traces(draw):
 def test_prominences_match_the_scan(x):
     peaks = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
     expected = [_prominence_naive(x.tolist(), int(p)) for p in peaks]
-    assert _prominences(x, peaks).tolist() == expected
+    assert _prominences(x, peaks, x.size).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)

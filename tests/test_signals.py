@@ -83,13 +83,21 @@ def test_trace_rejects_bad_input():
         Trace([1.0], -4.0)
 
 
+def test_trace_holds_one_dimension():
+    # two stacked channels are not one 2n-sample trace, nor a scalar one sample
+    a = np.arange(5.0)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(2, 5\)"):
+        Trace(np.stack([a, -a]), 4.0)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(\)"):
+        Trace(np.float64(3.0), 4.0)
+
+
 def test_with_samples_keeps_rate_and_unit():
     tr = Trace([1.0, 2.0], 8.0, Unit.RAD_PER_S2)
     out = tr.with_samples([3.0, 4.0, 5.0])
     assert out.rate_hz == 8.0
     assert out.unit == Unit.RAD_PER_S2
     assert len(out) == 3
-    assert tr.with_samples([0.0], unit=Unit.NORMALIZED).unit == Unit.NORMALIZED
 
 
 def test_unit_round_trips_through_value():
