@@ -13,6 +13,9 @@ error, clamped integral and error difference comes from the recording.
 sessions of one length; `apply_gains` turns them into the adapted
 accelerations for one gain set with whole-array arithmetic, and
 `adapt_trace` is the two in sequence for one session.
+A clamped integral is computed in runs: np.cumsum up to the first sum
+past the clamp, then one fill for the steps that hold it there. The
+cumsum adds in order, so the bits are those of clamping after every step.
 `constant_step_integral` is the same integral over a stretch of constant
 error, as in the closed loop, where the feedback is held clip by clip.
 `pid_law` is the one place the PID output is written; the gain helpers
@@ -118,18 +121,95 @@ class PidTerms:
     integral_clamp: float
 
 
-def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
-    """The anti-windup integral: s[i] = clamp(s[i-1] + steps[i]) from s = 0.0."""
-    sums = []
-    integral = 0.0
-    for step in steps.tolist():
+# First look-ahead of a free run's cumsum; it doubles while no sum leaves the clamp.
+FIRST_WIDTH = 512
+# A free run plus pinned run shorter than this is chatter at the clamp: the
+# next stretch of steps goes through the scalar update, FIRST_STRETCH steps
+# at first and twice as many after each further short one.
+SHORT_RUN = 64
+FIRST_STRETCH = 512
+
+
+def _free_run(x: np.ndarray, sums: np.ndarray, i: int, clamp: float) -> int:
+    """Fill sums[i + 1:] with the running sum from sums[i] up to the first sum past the clamp.
+
+    Returns that sum's index, or sums.size when every sum stays inside
+    [-clamp, clamp]. ``x[i]`` is overwritten with the start value, so each
+    window is one in-order np.cumsum.
+    """
+    n = sums.size - 1
+    width = FIRST_WIDTH
+    while i < n:
+        j = min(i + width, n)
+        x[i] = sums[i]
+        over = np.abs(np.cumsum(x[i : j + 1], out=sums[i : j + 1])) > clamp
+        k = int(over.argmax())
+        if over[k]:
+            return i + k
+        i = j
+        width *= 2
+    return sums.size
+
+
+def _pinned_run(x: np.ndarray, sums: np.ndarray, i: int) -> int:
+    """Hold sums[i] = +-clamp over the steps that keep it there; return the last index held.
+
+    At +clamp every step >= 0 (signed zeros too) rounds back to +clamp, and
+    at -clamp every step <= 0; NaN and a step of the other sign end the run.
+    """
+    pinned = sums[i]
+    held = x[i + 1 :] >= 0.0 if pinned > 0 else x[i + 1 :] <= 0.0
+    k = held.size if held.all() else int(held.argmin())
+    sums[i + 1 : i + 1 + k] = pinned
+    return i + k
+
+
+def _stepped_run(x: np.ndarray, sums: np.ndarray, i: int, j: int, clamp: float) -> None:
+    """Fill sums[i + 1 : j + 1] from sums[i], clamping after every step."""
+    integral = float(sums[i])
+    stepped = []
+    for step in x[i + 1 : j + 1].tolist():
         integral = integral + step
         if integral > clamp:
             integral = clamp
         elif integral < -clamp:
             integral = -clamp
-        sums.append(integral)
-    return np.array(sums)
+        stepped.append(integral)
+    sums[i + 1 : j + 1] = stepped
+
+
+def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
+    """The anti-windup integral s[t] = clamp(s[t-1] + steps[t]) from s = 0.0, with the loop's bits.
+
+    Works on x = [0.0, *steps] and sums[t], the integral after step t
+    (sums[0] = 0.0). Each round is a free run, np.cumsum from the current
+    value, which adds in the loop's order; its first sum past the clamp
+    becomes +-clamp, and the pinned run of steps that leave it there is
+    filled in one step. After a round shorter than SHORT_RUN, the next
+    stretch of steps is clamped one at a time. A window's sums past the
+    hit are thrown away, so overflow or inf - inf there warns of nothing,
+    as in the loop.
+    """
+    n = steps.size
+    x = np.concatenate([[0.0], steps])
+    sums = np.zeros(n + 1)
+    stretch = FIRST_STRETCH
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < n:
+            start = i
+            i = _free_run(x, sums, i, clamp)
+            if i == sums.size:  # no sum left the clamp
+                break
+            sums[i] = clamp if sums[i] > 0 else -clamp
+            i = _pinned_run(x, sums, i)
+            if i - start >= SHORT_RUN:
+                stretch = FIRST_STRETCH
+            elif i < n:
+                j = min(i + stretch, n)
+                _stepped_run(x, sums, i, j, clamp)
+                i, stretch = j, 2 * stretch
+    return sums[1:]
 
 
 def constant_step_integral(

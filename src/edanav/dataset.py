@@ -27,6 +27,7 @@ from .signals import (
     format_float,
     read_samples_csv,
     read_trace_csv,
+    same_rate,
     write_samples_csv,
     write_text_atomic,
     write_trace_csv,
@@ -55,7 +56,8 @@ class SessionRecord:
         n = len(self.a_l)
         if len(self.a_r) != n or len(self.eda) != n:
             raise ValueError(f"session {self.session_id}: traces must share length")
-        if not (self.a_l.rate_hz == self.a_r.rate_hz == self.eda.rate_hz):
+        rate = self.a_l.rate_hz
+        if not (same_rate(self.a_r.rate_hz, rate) and same_rate(self.eda.rate_hz, rate)):
             raise ValueError(f"session {self.session_id}: traces must share rate")
 
 

@@ -61,7 +61,15 @@ from .control import (
 )
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .signals import DecompositionConfig, Trace, Unit, decompose, format_float, write_text_atomic
+from .signals import (
+    DecompositionConfig,
+    Trace,
+    Unit,
+    decompose,
+    format_float,
+    same_rate,
+    write_text_atomic,
+)
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
@@ -108,7 +116,7 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
     scale. ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
     for record in records:
-        if record.a_l.rate_hz != model.rate_hz:
+        if not same_rate(record.a_l.rate_hz, model.rate_hz):
             raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
                              f"does not match model rate {model.rate_hz}Hz")
     by_length: dict[int, list[int]] = {}

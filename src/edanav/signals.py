@@ -3,6 +3,7 @@
 Provides the `Trace` container used across the package plus the basic
 operations the adaptation pipeline is built from:
 
+    * same_rate  -- whether two sampling rates agree
     * NormParams -- min-max scaling to [0, 1]
     * trace_norm -- the min-max scale of one channel over a set of traces
     * decompose  -- split EDA into tonic (SCL) and phasic (SCR) components
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -34,6 +36,15 @@ class Unit(str, enum.Enum):
     M_PER_S2 = "m_per_s2"
     RAD_PER_S2 = "rad_per_s2"
     NORMALIZED = "normalized"
+
+
+def same_rate(a: float, b: float) -> bool:
+    """Whether two sampling rates agree to a relative 1e-9.
+
+    A rate read back from text or computed from a period may differ from
+    the one it stands for in the last bits; every rate check uses this.
+    """
+    return math.isclose(a, b, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,6 @@ class Trace:
     def duration_s(self) -> float:
         """Time spanned by the samples, (n - 1) / rate."""
         return (self.samples.size - 1) / self.rate_hz
-
-    def with_samples(self, samples: np.ndarray) -> "Trace":
-        """New trace with the same rate and unit, different samples."""
-        return Trace(samples, self.rate_hz, self.unit)
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,8 @@ class EdaDecomposition:
         n = len(self.original)
         if len(self.tonic) != n or len(self.phasic) != n:
             raise ValueError("decomposition traces must share length")
-        if self.tonic.rate_hz != self.original.rate_hz or self.phasic.rate_hz != self.original.rate_hz:
+        rate = self.original.rate_hz
+        if not (same_rate(self.tonic.rate_hz, rate) and same_rate(self.phasic.rate_hz, rate)):
             raise ValueError("decomposition traces must share rate")
 
 

@@ -4,14 +4,14 @@ Clip construction follows the moving-window scheme: the phasic target on
 [kS, kS+L) is predicted from the bi-channel acceleration window
 [kS-L, kS+2L) (previous, current, and next clip), zero-padded where the
 window crosses a session edge. The regressor is a ridge-regularized linear
-map fit in closed form; predictions are clamped to [0, 1] and reconstructed
-back into a sequence by concatenation (stride = L) or overlap-averaging
-(stride < L), one `np.bincount` over all clips.
+map fit in closed form; predictions are clamped to [0, 1] and put back
+into a sequence by `_overlap_average`: concatenation at stride = L, the
+mean of overlapping clips at stride < L, one `np.bincount` over all clips.
 
 `predict_sessions` predicts a stack of equal-length sessions: one
 normalization for all of them, windows written from a sliding view into
 one design buffer, one 2-D gemm per session (never one across sessions,
-which would round differently) and one reconstruction for all rows.
+which would round differently) and one overlap average for all rows.
 `predict_session` is its one-session call.
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
@@ -28,7 +28,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, FileFormatError
-from .signals import NormParams, Trace, Unit, format_float, trace_norm, write_text_atomic
+from .signals import (
+    NormParams,
+    Trace,
+    Unit,
+    format_float,
+    same_rate,
+    trace_norm,
+    write_text_atomic,
+)
 
 DEFAULT_CLIP_LEN_S = 2.25
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -106,7 +114,7 @@ def make_clips(
     """
     if not (len(a_l) == len(a_r) == len(phasic)):
         raise ValueError("traces must share length")
-    if not (a_l.rate_hz == a_r.rate_hz == phasic.rate_hz):
+    if not (same_rate(a_r.rate_hz, a_l.rate_hz) and same_rate(phasic.rate_hz, a_l.rate_hz)):
         raise ValueError("traces must share rate")
     L = clip_samples(clip_len_s, a_l.rate_hz)
     stride = L if stride_samples is None else int(stride_samples)
@@ -223,31 +231,14 @@ def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
     return acc.reshape(m, length) / np.bincount(index.ravel(), minlength=length)
 
 
-def reconstruct(predictions, stride_samples: int, rate_hz: float) -> Trace:
-    """Reassemble predicted clips into one normalized trace.
-
-    stride = L concatenates; stride < L averages overlapping samples
-    (stride 0 stacks all clips onto one span). Output length is
-    stride * (n_clips - 1) + L. Each sample sums its clips in clip order,
-    starting from 0.0.
-    """
-    preds = np.asarray(predictions, dtype=np.float64)
-    if preds.ndim != 2 or preds.shape[0] == 0:
-        raise ValueError("need a non-empty sequence of equal-length clips")
-    stride = int(stride_samples)
-    if stride < 0:
-        raise ValueError("stride_samples must be >= 0")
-    return Trace(_overlap_average(preds[None], stride)[0], rate_hz, Unit.NORMALIZED)
-
-
 def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> np.ndarray:
     """Normalized phasic predictions [m, length] for m sessions of raw acceleration [m, 2, n].
 
     Row i of ``accel`` holds session i's a_l and a_r in raw units; all rows
     are normalized with the model's frozen parameters in one operation,
     windowed at ``stride_samples`` and predicted, clamped to [0, 1] and
-    reconstructed as `reconstruct` does (length = stride * (n_clips - 1)
-    + L, which is n at stride 1).
+    overlap-averaged back into rows by `_overlap_average` (length =
+    stride * (n_clips - 1) + L, which is n at stride 1).
 
     Each session gets its own 2-D gemm over a design buffer [n_clips, 6L+1]
     that every session of the call reuses. A gemm over the rows of several
@@ -291,7 +282,7 @@ def predict_session(
     """
     if len(a_l) != len(a_r):
         raise ValueError("acceleration traces must share length")
-    if a_l.rate_hz != model.rate_hz or a_r.rate_hz != model.rate_hz:
+    if not (same_rate(a_l.rate_hz, model.rate_hz) and same_rate(a_r.rate_hz, model.rate_hz)):
         raise ValueError(
             f"trace rate {a_l.rate_hz}Hz does not match model rate {model.rate_hz}Hz"
         )
@@ -437,7 +428,7 @@ def bateman_kernel(tau_rise_s: float, tau_decay_s: float, rate_hz: float) -> np.
 
 def synth_session(a_l: Trace, a_r: Trace, params: OracleParams) -> Trace:
     """Generate a microsiemens EDA trace from acceleration via the oracle."""
-    if len(a_l) != len(a_r) or a_l.rate_hz != a_r.rate_hz:
+    if len(a_l) != len(a_r) or not same_rate(a_l.rate_hz, a_r.rate_hz):
         raise ValueError("acceleration traces must be aligned")
     rate = a_l.rate_hz
     n = len(a_l)

@@ -17,6 +17,7 @@ from edanav.control import (
     GAIN_KEYS,
     AccelLimits,
     PidGains,
+    _clamped_running_sum,
     adapt_trace,
     apply_gains,
     constant_step_integral,
@@ -309,6 +310,89 @@ def test_stacked_pid_terms_bind_the_clamps():
         assert (adapted[0].tobytes(), adapted[1].tobytes()) == _oracle_bytes(
             *row, 4.0, gains, limits, clamp
         )
+
+
+INTEGRAL_CLAMPS = (0.05, 1.0, DEFAULT_INTEGRAL_CLAMP)
+
+
+def _edge_steps(clamp):
+    """Steps that sit on the scan's branch points: signed zeros, subnormals,
+    a step that rounds back onto the clamp (fl(clamp + x) == clamp), the
+    clamp itself and steps past it."""
+    return [0.0, -0.0, 5e-324, -5e-324, clamp * 2.0**-53, -clamp * 2.0**-53,
+            clamp, -clamp, 2.0 * clamp, -2.0 * clamp]
+
+
+@st.composite
+def _integral_rows(draw):
+    """A clamp and a row of up to 2,000 steps, built from runs of six kinds.
+
+    Hypothesis picks the runs, their lengths and scales; a seeded generator
+    fills them in. "hold" repeats one step, so the sum sits at a clamp for
+    long stretches; "chatter" alternates signs at the clamp; "monotone" is
+    the phasic channel's error in [-1, 0] times dt = 0.25; "extreme" is one
+    NaN, infinity or step near the largest double.
+    """
+    clamp = draw(st.sampled_from(INTEGRAL_CLAMPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = _edge_steps(clamp)
+    runs = []
+    kinds = st.sampled_from(["edge", "walk", "hold", "chatter", "monotone", "extreme"])
+    for kind in draw(st.lists(kinds, max_size=6)):
+        size = draw(st.integers(0, 600))
+        if kind == "edge":
+            runs.append(rng.choice(edges, size))
+        elif kind == "walk":
+            runs.append(rng.normal(0.0, clamp * draw(st.sampled_from([0.01, 0.2, 1.0, 3.0])), size))
+        elif kind == "hold":
+            runs.append(np.full(size, draw(st.sampled_from(edges) | st.floats(-clamp, clamp))))
+        elif kind == "chatter":
+            up, down = clamp * rng.uniform(0.0, 0.5, 2)
+            runs.append(np.resize([up, -down], size))
+        elif kind == "monotone":
+            runs.append(rng.uniform(-1.0, 0.0, size) * 0.25)
+        else:
+            runs.append(np.array([draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]))]))
+    return clamp, np.concatenate([np.zeros(0), *runs])[:2000]
+
+
+def _assert_integral_matches_oracle(steps, clamp):
+    out = _clamped_running_sum(steps, clamp)
+    ref = clamped_sum_naive(0.0, steps.tolist(), clamp)
+    assert out.tobytes() == np.array(ref, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integral_rows())
+def test_clamped_running_sum_matches_scalar_loop(row):
+    # the whole-array scan (cumsum runs, pinned runs and scalar stretches)
+    # gives the bytes of clamping after every step, NaN included
+    clamp, steps = row
+    _assert_integral_matches_oracle(steps, clamp)
+
+
+@pytest.mark.parametrize("clamp", INTEGRAL_CLAMPS)
+def test_clamped_running_sum_of_short_rows(clamp):
+    # every row of 0, 1 or 2 edge steps
+    edges = _edge_steps(clamp)
+    for steps in [[]] + [[a] for a in edges] + [[a, b] for a in edges for b in edges]:
+        _assert_integral_matches_oracle(np.array(steps, dtype=np.float64), clamp)
+
+
+def test_clamped_running_sum_row_classes():
+    # a clean ramp, long pinned runs at both clamps, chatter at the clamp,
+    # coin flips and random walks of growing step, each 960 steps at clamp 10
+    rng = np.random.default_rng(107)
+    n = 960
+    rows = [
+        np.full(n, 0.001),
+        np.concatenate([np.full(300, 1.0), np.zeros(200), np.full(460, -1.0)]),
+        np.concatenate([[10.0], np.resize([0.75, -0.5], n - 1)]),
+        rng.choice([-5.0, 5.0], n),
+        *(rng.normal(0.0, sigma, n) for sigma in (1.0, 2.0, 4.0, 8.0)),
+    ]
+    for steps in rows:
+        _assert_integral_matches_oracle(steps, DEFAULT_INTEGRAL_CLAMP)
 
 
 @st.composite

@@ -1,10 +1,15 @@
-"""Every module reads every name it imports.
+"""Every module reads every name it imports, and every src definition has a caller.
 
 An AST scan of each module under src/, tests/ and demos/: the names an
 ``import`` binds, against the names the module reads anywhere (a ``Name``
 in load context; a dotted read ``a.b`` reads ``a``). Package
 ``__init__.py`` files re-export what they import and are skipped, as are
 ``from __future__`` imports.
+
+A second scan takes each top-level function and class of src/ and each
+non-dunder method, and looks for its name in src/, demos/ and perfbench/:
+as a ``Name``, an ``Attribute``, an import alias or a string that is an
+identifier. A name found only in the tests is code that nothing runs.
 """
 
 import ast
@@ -57,3 +62,78 @@ def test_the_scan_sees_every_module():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# ---------------------------------------------------------------------------
+# Every src definition has a caller outside the tests
+# ---------------------------------------------------------------------------
+
+CALLER_FOLDERS = ("src", "demos", "perfbench")
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes, and ``Class.method`` for each non-dunder method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, functions)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return found
+
+
+def named(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` mentions: a Name, an Attribute, an import alias or an identifier string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def unreferenced(defining: list[str], callers: list[str]) -> list[str]:
+    """The definitions in the ``defining`` sources that no ``callers`` source names, sorted."""
+    used = set().union(*(named(ast.parse(source)) for source in callers))
+    return sorted(
+        name
+        for source in defining
+        for name in definitions(ast.parse(source))
+        if name.rpartition(".")[2] not in used
+    )
+
+
+def test_the_unreferenced_scan_finds_a_dead_name():
+    defining = (
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def open(self): pass\n"
+        "    def shut(self): pass\n"
+        "def used(): pass\n"
+        "def by_string(): pass\n"
+        "def dead(): pass\n"
+    )
+    caller = "from pkg import used as u\nb = Box()\nb.open()\ngetattr(b, 'by_string')\n"
+    assert unreferenced([defining], [defining, caller]) == ["Box.shut", "dead"]
+
+
+def test_every_src_definition_is_named_outside_the_tests():
+    # a function, class or method only the tests reach is dead code in src
+    callers = sorted(p for folder in CALLER_FOLDERS for p in (ROOT / folder).rglob("*.py"))
+    assert unreferenced(
+        [p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")],
+        [p.read_text(encoding="utf-8") for p in callers],
+    ) == []

@@ -61,7 +61,7 @@ def test_msdv_homogeneity():
         c = float(rng.uniform(-5.0, 5.0))
         if c == 0.0:
             continue
-        scaled = tr.with_samples(c * tr.samples)
+        scaled = Trace(c * tr.samples, tr.rate_hz, tr.unit)
         assert abs(msdv(scaled) - abs(c) * msdv(tr)) <= 1e-9 * (abs(c) * msdv(tr))
 
 

@@ -1,6 +1,7 @@
 """Simulation, objective, and gain-search tests on a small synthetic cohort."""
 
 import importlib
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -30,10 +31,17 @@ from edanav.optimize import (
 )
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import count_er_scr, default_detectors
-from edanav.signals import DecompositionConfig, NormParams, Trace, decompose
-from edanav.surrogate import predict_session
+from edanav.signals import (
+    DecompositionConfig,
+    EdaDecomposition,
+    NormParams,
+    Trace,
+    decompose,
+    same_rate,
+)
+from edanav.surrogate import OracleParams, make_clips, predict_session, synth_session
 
-from oracles import adapt_trace_naive, predict_clip
+from oracles import adapt_trace_naive, clamped_sum_naive, predict_clip
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
@@ -190,8 +198,9 @@ def test_closed_loop_pads_the_first_clip_after_scaling(small):
 
 
 def _head(record, n):
-    return replace(record, **{k: getattr(record, k).with_samples(getattr(record, k).samples[:n])
-                              for k in ("a_l", "a_r", "eda")})
+    def cut(tr):
+        return Trace(tr.samples[:n], tr.rate_hz, tr.unit)
+    return replace(record, a_l=cut(record.a_l), a_r=cut(record.a_r), eda=cut(record.eda))
 
 
 def _mixed_sessions(records, L):
@@ -306,6 +315,58 @@ def test_build_contexts_groups_sessions_by_length(small):
             assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()
             assert g.n_recorded[row].tolist() == alone.n_recorded[0].tolist()
             assert g.msdv_raw[row] == alone.msdv_raw[0]
+
+
+def test_build_contexts_integral_matches_the_scalar_loop():
+    # the acceptance eval sessions: every row of the stacked integral has the
+    # bytes of clamping after every step, and every longitudinal row sits at
+    # -clamp for a long run, which the scan fills without stepping
+    records = synth_cohort(40, 240.0, 4.0, seed=12345)
+    model, _ = train_surrogate(records)
+    clamp = DEFAULT_INTEGRAL_CLAMP
+    groups = build_contexts(eval_split(records), model, default_detectors(),
+                            DecompositionConfig(), clamp)
+    for terms in (g.terms for g in groups):
+        for row in np.ndindex(terms.error.shape[:-1]):
+            expected = clamped_sum_naive(0.0, (terms.error[row] * terms.dt).tolist(), clamp)
+            assert terms.integral[row].tobytes() == np.array(expected).tobytes()
+        n = terms.integral.shape[-1]
+        assert np.all(np.sum(terms.integral[:, 0] == -clamp, axis=-1) > n // 5)
+
+
+ONE_ULP_UP = math.nextafter(4.0, 5.0)
+
+
+def _rate_checks(record, model, rate):
+    """Each rate check of the package, as a call whose traces disagree with 4 Hz at ``rate``."""
+    def at_rate(tr):
+        return Trace(tr.samples, rate, tr.unit)
+    a_l, a_r, eda = record.a_l, record.a_r, record.eda
+    moved = {k: at_rate(getattr(record, k)) for k in ("a_l", "a_r", "eda")}
+    moved_phasic = at_rate(decompose(eda).phasic)
+    return [
+        (lambda: replace(record, eda=moved["eda"]), "traces must share rate"),
+        (lambda: EdaDecomposition(eda, decompose(eda).tonic, moved_phasic),
+         "decomposition traces must share rate"),
+        (lambda: make_clips(a_l, a_r, moved_phasic), "traces must share rate"),
+        (lambda: predict_session(model, moved["a_l"], moved["a_r"]), "does not match model rate"),
+        (lambda: synth_session(a_l, moved["a_r"], OracleParams()), "traces must be aligned"),
+        (lambda: build_contexts([replace(record, **moved)], model, default_detectors(),
+                                DecompositionConfig(), DEFAULT_INTEGRAL_CLAMP),
+         "does not match model rate"),
+    ]
+
+
+def test_rate_checks_take_a_rate_one_ulp_away(small):
+    # every rate check compares with `same_rate`: one ulp passes, 4 Hz
+    # against 8 Hz raises as before
+    records, model = small
+    assert model.rate_hz == 4.0 and same_rate(4.0, ONE_ULP_UP) and not same_rate(4.0, 8.0)
+    for check, _ in _rate_checks(records[0], model, ONE_ULP_UP):
+        check()
+    for check, message in _rate_checks(records[0], model, 8.0):
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from edanav.surrogate import (
     make_clips,
     predict_rows,
     predict_session,
+    _overlap_average,
     predict_sessions,
     read_model,
-    reconstruct,
     synth_session,
     write_model,
 )
@@ -131,28 +131,23 @@ def test_corpus_norm_spans_all_traces():
 # Reconstruction
 # ---------------------------------------------------------------------------
 
+def _reconstruct(preds, stride):
+    """One session's clips overlap-averaged, as `predict_sessions` reassembles them."""
+    return _overlap_average(preds[None], stride)[0]
+
+
 def test_reconstruct_stride_L_concatenates():
     preds = np.arange(27.0).reshape(3, 9)
-    out = reconstruct(preds, 9, RATE)
-    np.testing.assert_array_equal(out.samples, np.arange(27.0))
-    assert out.rate_hz == RATE and out.unit == Unit.NORMALIZED
+    out = _reconstruct(preds, 9)
+    np.testing.assert_array_equal(out, np.arange(27.0))
 
 
 def test_reconstruct_overlap_average():
     preds = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    out = reconstruct(preds, 1, RATE)
-    np.testing.assert_array_equal(out.samples, [0.0, 0.5, 0.5, 1.0])
-    stacked = reconstruct(preds, 0, RATE)
-    np.testing.assert_array_equal(stacked.samples, [0.5, 0.5, 0.5])
-
-
-def test_reconstruct_validation():
-    with pytest.raises(ValueError):
-        reconstruct(np.zeros((0, 3)), 1, RATE)
-    with pytest.raises(ValueError):
-        reconstruct(np.zeros(5), 1, RATE)
-    with pytest.raises(ValueError):
-        reconstruct(np.zeros((2, 3)), -1, RATE)
+    out = _reconstruct(preds, 1)
+    np.testing.assert_array_equal(out, [0.0, 0.5, 0.5, 1.0])
+    stacked = _reconstruct(preds, 0)
+    np.testing.assert_array_equal(stacked, [0.5, 0.5, 0.5])
 
 
 @st.composite
@@ -171,9 +166,9 @@ def _clip_stacks(draw):
 def test_reconstruct_matches_clip_loop(stack):
     # every stride from 0 (all clips on one span) to L (concatenation)
     preds, stride = stack
-    out = reconstruct(preds, stride, RATE)
+    out = _reconstruct(preds, stride)
     expected = np.array(reconstruct_naive(preds.tolist(), stride), dtype=np.float64)
-    assert out.samples.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_clip_reconstruct_round_trip():
@@ -184,9 +179,9 @@ def test_clip_reconstruct_round_trip():
     phasic = Trace(rng.uniform(0.0, 0.5, 960), RATE)
     for stride in (L, 3, 1):
         _, targets, norm = make_clips(a_l, a_r, phasic, stride_samples=stride)
-        out = reconstruct(targets, stride, RATE)
+        out = _reconstruct(targets, stride)
         expected = norm.phasic.apply(phasic.samples)[: len(out)]
-        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
