@@ -30,13 +30,20 @@ sessions whose adapted event count dropped below the raw one; its range is
 [0, 100 * n_detectors]. The optimizer is a seeded two-phase random search:
 uniform exploration over the gain ranges, then Gaussian sampling around the
 incumbent with the step size halved after every ``halve_after``
-consecutive non-improving trials. Phase-one draws are independent, so they
-are drawn and handed to `_simulate` in blocks of k = max(1, ``ROWS`` // m)
-trials, m the largest group of equal-length sessions (closed loop replays a
-block in one clip loop), and then recorded in index order. A block is one
-``rng.uniform`` draw of shape [k, 11], which gives the same doubles in the
-same order as k one-row draws; phase two depends on the incumbent and runs
-one trial at a time.
+consecutive non-improving trials. Both phases hand `_simulate` blocks of up
+to k = max(1, ``ROWS`` // m) trials, m the largest group of equal-length
+sessions (closed loop replays a block in one clip loop), and record them in
+index order. A phase-one block is one ``rng.uniform`` draw of shape [k, 11],
+which gives the same doubles in the same order as k one-row draws. Phase
+two is speculative: a Gaussian step does not depend on the incumbent, so a
+block takes the next k steps and builds every candidate as if none of the
+block's trials improves, the step size following the halving rule across
+the block. At the first trial that strictly improves, the rest of the block
+is dropped unrecorded and its steps, drawn but unused, lead the next block
+around the new incumbent. Every step is drawn once, in order, and no
+further than the budget, so each trial is the one a search of one trial at
+a time gives; a dropped closed-loop trial costs its share of the block's
+replay, a dropped offline one nothing past its candidate.
 """
 
 from __future__ import annotations
@@ -227,6 +234,8 @@ def _simulate(
     trial is bound by flops and memory, not by numpy calls. Either way each
     gain set's sessions are counted by one `count_events` call, so a caller
     that keeps only the counts holds one trial's detector tables at a time.
+    A caller may stop early: the gain sets it does not reach are never
+    counted, nor, offline, replayed.
     """
     if mode == "closed_loop":
         replays = [_replay_clips(g.terms, model, gains, limits) for g in groups]
@@ -380,9 +389,12 @@ def optimize(
     and sigma halves after ``halve_after`` consecutive phase-two trials
     without improvement. Each trial's percentages are those of
     `metrics.detector_stats` over the replayed sessions' raw and adapted
-    counts, and its objective is their sum. Results are fully deterministic for a given seed,
-    and phase one's blocks leave every draw, its order and every score as
-    one trial at a time would give them.
+    counts, and its objective is their sum. Results are fully deterministic for a given seed.
+    Trials run in blocks of up to max(1, ``ROWS`` // m), m the largest group of
+    equal-length sessions; a phase-two block is built as if none of its
+    trials improves and is cut after the first that does (the module
+    docstring has the rule). The blocks leave every draw, its order and
+    every score as one trial at a time would give them.
     ``workers`` must be >= 1 and has no effect: every trial runs in the
     calling thread. `check_search_settings` holds the bounds of every
     setting; the keyword defaults here are also the config file's.
@@ -408,28 +420,38 @@ def optimize(
     stall = 0
     trials: list[Trial] = []
     block = max(1, ROWS // max(len(g.members) for g in groups))
+    n_gains = len(GAIN_KEYS)
+    zs = np.empty((0, n_gains))  # phase-two steps drawn but not yet recorded
     while len(trials) < budget:
-        t = len(trials)
-        if t < n_explore:  # phase one: uniform exploration, a block of draws at a time
-            xs = rng.uniform(ranges.lo, ranges.hi, (min(block, n_explore - t), len(GAIN_KEYS)))
-        else:  # phase two: Gaussian refinement around the incumbent
-            xs = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma,
-                         ranges.lo, ranges.hi)[None]
-        for x, sims in zip(xs, _simulate(groups, xs, model, detectors, mode, limits)):
-            t = len(trials)
-            n_adapted = np.concatenate([sim[2] for sim in sims])
+        t0 = len(trials)
+        if t0 < n_explore:  # phase one: uniform exploration, a block of draws at a time
+            xs = rng.uniform(ranges.lo, ranges.hi, (min(block, n_explore - t0), n_gains))
+        else:  # phase two: Gaussian steps around the incumbent, as if none of them improves
+            zs = np.concatenate([zs, rng.standard_normal((min(block, budget - t0) - len(zs),
+                                                          n_gains))])
+            sigmas = np.empty_like(zs)
+            for i in range(len(zs)):
+                sigmas[i] = sigma
+                stall += 1
+                if stall >= halve_after:
+                    sigma = sigma / 2.0
+                    stall = 0
+            xs = np.clip(best_x + zs * sigmas, ranges.lo, ranges.hi)
+        # a new generator per block, so the last block's replays are freed before this one runs
+        counts = (np.concatenate([sim[2] for sim in sims])
+                  for sims in _simulate(groups, xs, model, detectors, mode, limits))
+        for i, (x, n_adapted) in enumerate(zip(xs, counts)):
+            t = t0 + i
             percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
             trials.append(Trial(t, PidGains.from_array(x), sum(percentages), percentages))
             if trials[-1].objective > best_obj:
                 best_obj = trials[-1].objective
                 best_x = x
                 best_index = t
-                stall = 0
-            elif t >= n_explore:
-                stall += 1
-                if stall >= halve_after:
-                    sigma = sigma / 2.0
-                    stall = 0
+                if t >= n_explore:  # the later candidates of the block assumed no improvement
+                    sigma, stall = sigmas[i], 0
+                    break
+        zs = zs[len(trials) - t0 :]
     return OptimizeResult(best=trials[best_index], trials=tuple(trials), methods=methods)
 
 

@@ -6,12 +6,21 @@ oracle for the production implementations. The exceptions are the
 predictors, whose matrix products must be numpy's own: `predict_session_naive`
 and `held_out_mae_naive` run one 2-D gemm per session and `predict_clip` one
 gemv, and the properties they pin are that batching sessions or rows leaves
-those products' bits alone.
+those products' bits alone. `search_naive` is the other exception: it is the
+gain search one trial at a time, and it scores each trial with the
+package's own replay (`build_contexts`, `_simulate`, `detector_stats`), so
+what it pins is the search's schedule of draws, candidates and incumbents.
 """
 
 import math
 
 import numpy as np
+
+from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, PidGains
+from edanav.metrics import detector_stats
+from edanav.optimize import GainRanges, OptimizeResult, Trial, _simulate, build_contexts
+from edanav.scr import default_detectors
+from edanav.signals import DecompositionConfig
 
 
 def bateman_pulse(n, rate_hz, onset_s, amplitude, tau_rise_s=0.75, tau_decay_s=2.0):
@@ -305,3 +314,41 @@ def held_out_mae_naive(model, records, phasics):
         pred = np.asarray(predict_session_naive(model.weights, a_l, a_r, L, L))
         errors.append(np.abs(pred - target[: len(pred)]))
     return float(np.mean(np.concatenate(errors)))
+
+
+def search_naive(records, model, budget, seed, mode, explore_frac=0.6, sigma_scale=0.2,
+                 halve_after=10, integral_clamp=DEFAULT_INTEGRAL_CLAMP,
+                 decomposition=DecompositionConfig()):
+    """The two-phase random search in the default box, one draw and one replay per trial.
+
+    Phase one draws each trial uniformly with its own ``uniform`` call. Phase
+    two draws one ``standard_normal(11)`` step per trial around the incumbent
+    of that moment; sigma halves after ``halve_after`` phase-two trials in a
+    row without a strict improvement. Every trial is one `_simulate` call of
+    one gain set.
+    """
+    detectors = default_detectors()
+    groups = build_contexts(list(records), model, detectors, decomposition, integral_clamp)
+    n_raw = np.concatenate([g.n_raw for g in groups])
+    box = GainRanges.default()
+    rng = np.random.default_rng(seed)
+    n_explore = min(budget, max(1, int(round(budget * explore_frac))))
+    sigma = sigma_scale * (box.hi - box.lo)
+    best_x, best_obj, best_index, stall = None, -math.inf, 0, 0
+    trials = []
+    for t in range(budget):
+        if t < n_explore:
+            x = rng.uniform(box.lo, box.hi)
+        else:
+            x = np.clip(best_x + rng.standard_normal(len(GAIN_KEYS)) * sigma, box.lo, box.hi)
+        [sims] = _simulate(groups, x[None], model, detectors, mode, AccelLimits())
+        n_adapted = np.concatenate([sim[2] for sim in sims])
+        percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
+        trials.append(Trial(t, PidGains.from_array(x), sum(percentages), percentages))
+        if trials[-1].objective > best_obj:
+            best_x, best_obj, best_index, stall = x, trials[-1].objective, t, 0
+        elif t >= n_explore:
+            stall += 1
+            if stall == halve_after:
+                sigma, stall = sigma / 2.0, 0
+    return OptimizeResult(trials[best_index], tuple(trials), tuple(d.method for d in detectors))

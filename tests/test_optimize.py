@@ -2,8 +2,10 @@
 
 import importlib
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from edanav.signals import (
 )
 from edanav.surrogate import OracleParams, make_clips, predict_session, synth_session
 
-from oracles import adapt_trace_naive, clamped_sum_naive, predict_clip
+from oracles import adapt_trace_naive, clamped_sum_naive, predict_clip, search_naive
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
@@ -501,9 +503,21 @@ def test_closed_loop_search_follows_its_schedule_across_blocks(small, monkeypatc
     result = optimize(sessions, model, budget=budget, seed=9, explore_frac=n_explore / budget,
                       halve_after=2, **settings)
     monkeypatch.undo()
+    # phase two replays the next min(block, trials left) candidates in one
+    # call and drops those after its first strict improvement
+    phase_two, t = [], n_explore
+    best = max(trial.objective for trial in result.trials[:n_explore])
+    while t < budget:
+        size = min(block, budget - t)
+        phase_two.append(size)
+        for trial in result.trials[t : t + size]:
+            t += 1
+            if trial.objective > best:
+                best = trial.objective
+                break
     n_groups = len(set(len(r.a_l) for r in sessions))
     assert blocks == ([block] * n_groups * 2 + [block // 2 + 1] * n_groups
-                      + [1] * n_groups * (budget - n_explore))
+                      + [size for size in phase_two for _ in range(n_groups)])
     _assert_follows_schedule(result, 9, n_explore, 2)
     for trial in result.trials:
         results = evaluate_sessions(sessions, trial.gains, model, **settings)
@@ -511,6 +525,125 @@ def test_closed_loop_search_follows_its_schedule_across_blocks(small, monkeypatc
                                   [r.stats.n_adapted for r in results])
         assert trial.percentages == tuple(s.percentage for s in expected)
         assert trial.objective == sum(trial.percentages)
+
+
+def _one_length(records, L):
+    """16 sessions of 3L samples: one group, so a block holds ROWS // 16 = 4 trials."""
+    assert ROWS // 16 == 4
+    return [_head(records[i % len(records)], 3 * L) for i in range(16)]
+
+
+def _stub_objectives(monkeypatch, improving):
+    """Score trial t as t if t is in ``improving``, else 0.0, in recording order."""
+    recorded = iter(range(10**6))
+
+    def stub(n_raw, n_adapted):
+        t = next(recorded)
+        return [SimpleNamespace(percentage=float(t) if t in improving else 0.0)]
+
+    monkeypatch.setattr(optimize_module, "detector_stats", stub)
+
+
+@pytest.mark.parametrize("improving, halve_after, starts", [
+    ({1}, 10, [0, 1, 2, 6]),  # the first trial of a phase-two block moves the incumbent
+    ({2}, 10, [0, 1, 3, 7]),  # a middle trial
+    ({4}, 10, [0, 1, 5]),  # the last trial: nothing to drop
+    ({3}, 2, [0, 1, 4, 8]),  # sigma halves after trial 2, before the move at trial 3
+])
+def test_phase_two_blocks_drop_the_trials_after_a_move(small, monkeypatch, improving,
+                                                       halve_after, starts):
+    # blocks of 4 trials; phase one is trial 0 and phase two trials 1-8. A
+    # block is built as if none of its trials improves; after the first
+    # that does, the rest of the block is replayed but dropped, and its
+    # steps are rebuilt around the new incumbent in the next block. Offline,
+    # a dropped trial is never replayed
+    records, model = small
+    sessions = _one_length(records, model.L)
+    budget = 9
+    calls, applied = [], []
+
+    def spy(terms, model, gains, limits):
+        calls.append(gains.copy())
+        return replay(terms, model, gains, limits)
+
+    def spy_apply(terms, x, limits):
+        applied.append(x)
+        return apply(terms, x, limits)
+
+    replay, apply = optimize_module._replay_clips, optimize_module.apply_gains
+    monkeypatch.setattr(optimize_module, "_replay_clips", spy)
+    monkeypatch.setattr(optimize_module, "apply_gains", spy_apply)
+    results = {}
+    for mode in MODES:
+        _stub_objectives(monkeypatch, improving)
+        results[mode] = optimize(sessions, model, budget=budget, seed=11,
+                                 explore_frac=1 / budget, halve_after=halve_after, mode=mode,
+                                 **MIXED_SETTINGS)
+    monkeypatch.undo()
+    result = results["closed_loop"]
+    _assert_follows_schedule(result, 11, 1, halve_after)
+    assert result.best.index == max(improving)
+    assert results["offline"].trials == result.trials
+    assert len(applied) == budget
+    sizes = [len(gains) for gains in calls]
+    assert sizes == [min(4 if s else 1, budget - s) for s in starts]
+    ends = starts[1:] + [budget]
+    for gains, start, end in zip(calls, starts, ends):
+        recorded = [t.gains.as_array() for t in result.trials[start:end]]
+        np.testing.assert_array_equal(gains[: end - start], recorded)
+        # the dropped candidates were built around the old incumbent
+        for row, trial in zip(gains[end - start :], result.trials[end:]):
+            assert row.tolist() != trial.gains.as_array().tolist()
+
+
+def test_search_frees_each_block_before_the_next_replay(small, monkeypatch):
+    # the replays of one block are gone before the next block's replay runs,
+    # so a search holds one block's replay arrays at a time
+    records, model = small
+    refs = []  # (block, weak reference to a replay array)
+    blocks = []
+
+    def spy_simulate(groups, gains, *args):
+        blocks.append(len(gains))
+        return simulate(groups, gains, *args)
+
+    def spy_replay(terms, model, gains, limits):
+        assert [b for b, ref in refs if b < len(blocks) and ref() is not None] == []
+        out = replay(terms, model, gains, limits)
+        # a view keeps its owner alive, and the owner holds the memory
+        refs.extend((len(blocks), weakref.ref(a if a.base is None else a.base))
+                    for a in out)
+        return out
+
+    simulate, replay = optimize_module._simulate, optimize_module._replay_clips
+    monkeypatch.setattr(optimize_module, "_simulate", spy_simulate)
+    monkeypatch.setattr(optimize_module, "_replay_clips", spy_replay)
+    _stub_objectives(monkeypatch, {0, 5, 14})
+    optimize(_one_length(records, model.L), model, budget=20, seed=2, mode="closed_loop",
+             **MIXED_SETTINGS)
+    monkeypatch.undo()
+    assert blocks == [4, 4, 4, 4, 4, 1] and len(refs) == 2 * len(blocks)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cohort", ["small", "mixed"])
+def test_search_history_equals_the_naive_search(small, tmp_path, mode, cohort):
+    # optimize's blocks, speculative in phase two, leave every draw,
+    # candidate, score and incumbent of one trial at a time; on the small
+    # cohort with seed 3 phase two moves the incumbent at trial 8 (offline,
+    # budget 10), 24 (offline, 40), 28 and 34 (closed loop, 40) and 241
+    # (closed loop, 400)
+    records, model = small
+    if cohort == "small":
+        sessions, settings, seed = records, {}, 3
+    else:
+        sessions, settings, seed = _mixed_sessions(records, model.L), MIXED_SETTINGS, 0
+    for budget in (10, 40, 400):
+        write_history_csv(optimize(sessions, model, budget, seed=seed, mode=mode, **settings),
+                          tmp_path / "fast.csv")
+        write_history_csv(search_naive(sessions, model, budget, seed, mode, **settings),
+                          tmp_path / "naive.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
 
 
 def test_optimize_ties_keep_earliest_trial(small):
