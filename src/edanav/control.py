@@ -13,11 +13,12 @@ error, clamped integral and error difference comes from the recording.
 sessions of one length; `apply_gains` turns them into the adapted
 accelerations for one gain set with whole-array arithmetic, and
 `adapt_trace` is the two in sequence for one session.
-A clamped integral is computed in runs: np.cumsum up to the first sum
-past the clamp, then one fill for the steps that hold it there. The
-cumsum adds in order, so the bits are those of clamping after every step.
-`constant_step_integral` is the same integral over a stretch of constant
-error, as in the closed loop, where the feedback is held clip by clip.
+Every clamped integral is `clamped_sum`: one in-order np.cumsum, then one
+clip to the clamp, which has the bits of clamping after every step
+wherever a row's steps share one sign. The closed loop holds the feedback
+clip by clip, so its steps are constant. Over a recording, `pid_terms`
+redoes one step at a time only each row whose steps change sign and that
+reaches the clamp, from its first sum there on.
 `pid_law` is the one place the PID output is written; the gain helpers
 take a gain array [..., 11] in GAIN_KEYS order (a block of gain sets, one
 per leading index), and `adapt_trace` converts its `PidGains` once.
@@ -121,110 +122,54 @@ class PidTerms:
     integral_clamp: float
 
 
-# First look-ahead of a free run's cumsum; it doubles while no sum leaves the clamp.
-FIRST_WIDTH = 512
-# A free run plus pinned run shorter than this is chatter at the clamp: the
-# next stretch of steps goes through the scalar update, FIRST_STRETCH steps
-# at first and twice as many after each further short one.
-SHORT_RUN = 64
-FIRST_STRETCH = 512
+def clamped_sum(start: np.ndarray, steps: np.ndarray, width: int, clamp: float) -> np.ndarray:
+    """The running sum [..., width] of ``steps`` from ``start`` [..., 1], clipped to +-clamp.
 
-
-def _free_run(x: np.ndarray, sums: np.ndarray, i: int, clamp: float) -> int:
-    """Fill sums[i + 1:] with the running sum from sums[i] up to the first sum past the clamp.
-
-    Returns that sum's index, or sums.size when every sum stays inside
-    [-clamp, clamp]. ``x[i]`` is overwritten with the start value, so each
-    window is one in-order np.cumsum.
+    ``steps`` is [..., width], or [..., 1] for a constant step. The one
+    np.cumsum adds in order, so up to a row's first sum at +-clamp these
+    are the bits of clamping after every step. With ``start`` inside the
+    clamp and all of a row's steps of one sign (signed zeros count as
+    either), the clamp is absorbing and the whole row has those bits: the
+    plain sum never comes back inside the clamp, nor does the clamped one
+    leave it.
     """
-    n = sums.size - 1
-    width = FIRST_WIDTH
-    while i < n:
-        j = min(i + width, n)
-        x[i] = sums[i]
-        over = np.abs(np.cumsum(x[i : j + 1], out=sums[i : j + 1])) > clamp
-        k = int(over.argmax())
-        if over[k]:
-            return i + k
-        i = j
-        width *= 2
-    return sums.size
+    sums = np.empty((*start.shape[:-1], width + 1))
+    sums[..., :1] = start
+    sums[..., 1:] = steps
+    return np.clip(np.cumsum(sums, axis=-1)[..., 1:], -clamp, clamp)
 
 
-def _pinned_run(x: np.ndarray, sums: np.ndarray, i: int) -> int:
-    """Hold sums[i] = +-clamp over the steps that keep it there; return the last index held.
-
-    At +clamp every step >= 0 (signed zeros too) rounds back to +clamp, and
-    at -clamp every step <= 0; NaN and a step of the other sign end the run.
-    """
-    pinned = sums[i]
-    held = x[i + 1 :] >= 0.0 if pinned > 0 else x[i + 1 :] <= 0.0
-    k = held.size if held.all() else int(held.argmin())
-    sums[i + 1 : i + 1 + k] = pinned
-    return i + k
-
-
-def _stepped_run(x: np.ndarray, sums: np.ndarray, i: int, j: int, clamp: float) -> None:
-    """Fill sums[i + 1 : j + 1] from sums[i], clamping after every step."""
-    integral = float(sums[i])
-    stepped = []
-    for step in x[i + 1 : j + 1].tolist():
+def _clamp_each_step(start: float, steps: np.ndarray, clamp: float) -> list[float]:
+    """The running sum of ``steps`` from ``start``, clamped to +-clamp after every step."""
+    integral = start
+    sums = []
+    for step in steps.tolist():
         integral = integral + step
         if integral > clamp:
             integral = clamp
         elif integral < -clamp:
             integral = -clamp
-        stepped.append(integral)
-    sums[i + 1 : j + 1] = stepped
+        sums.append(integral)
+    return sums
 
 
-def _clamped_running_sum(steps: np.ndarray, clamp: float) -> np.ndarray:
-    """The anti-windup integral s[t] = clamp(s[t-1] + steps[t]) from s = 0.0, with the loop's bits.
+def _clamped_integral(steps: np.ndarray, clamp: float) -> np.ndarray:
+    """The anti-windup integral [..., n] of ``steps`` [..., n] from 0.0, with the loop's bits.
 
-    Works on x = [0.0, *steps] and sums[t], the integral after step t
-    (sums[0] = 0.0). Each round is a free run, np.cumsum from the current
-    value, which adds in the loop's order; its first sum past the clamp
-    becomes +-clamp, and the pinned run of steps that leave it there is
-    filled in one step. After a round shorter than SHORT_RUN, the next
-    stretch of steps is clamped one at a time. A window's sums past the
-    hit are thrown away, so overflow or inf - inf there warns of nothing,
-    as in the loop.
+    One `clamped_sum` gives every row up to its first sum at the clamp, and
+    every row whose steps share one sign. The rest of a row whose steps
+    change sign, or hold a NaN, is redone with `_clamp_each_step` from its
+    first sum at the clamp. Overflow and inf - inf in the plain sums come
+    only past that sum, so they warn of nothing, as in the loop.
     """
-    n = steps.size
-    x = np.concatenate([[0.0], steps])
-    sums = np.zeros(n + 1)
-    stretch = FIRST_STRETCH
-    i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i < n:
-            start = i
-            i = _free_run(x, sums, i, clamp)
-            if i == sums.size:  # no sum left the clamp
-                break
-            sums[i] = clamp if sums[i] > 0 else -clamp
-            i = _pinned_run(x, sums, i)
-            if i - start >= SHORT_RUN:
-                stretch = FIRST_STRETCH
-            elif i < n:
-                j = min(i + stretch, n)
-                _stepped_run(x, sums, i, j, clamp)
-                i, stretch = j, 2 * stretch
-    return sums[1:]
-
-
-def constant_step_integral(
-    start: np.ndarray, step: np.ndarray, width: int, clamp: float
-) -> np.ndarray:
-    """The anti-windup integral [m, width] from ``start`` [m, 1] under a constant ``step`` [m, 1].
-
-    With every step of one sign and ``start`` inside [-clamp, clamp], the
-    clamp is absorbing: clamping the plain running sum once makes the same
-    additions, in the same order, as clamping after every step.
-    """
-    sums = np.empty((start.shape[0], width + 1))
-    sums[:, :1] = start
-    sums[:, 1:] = step
-    return np.clip(np.cumsum(sums, axis=1)[:, 1:], -clamp, clamp)
+        sums = clamped_sum(np.zeros((*steps.shape[:-1], 1)), steps, steps.shape[-1], clamp)
+    at_clamp = np.abs(sums) == clamp
+    one_sign = np.all(steps >= 0.0, axis=-1) | np.all(steps <= 0.0, axis=-1)
+    for row in map(tuple, np.argwhere(at_clamp.any(axis=-1) & ~one_sign)):
+        i = int(at_clamp[row].argmax())
+        sums[row][i + 1 :] = _clamp_each_step(float(sums[row][i]), steps[row][i + 1 :], clamp)
+    return sums
 
 
 def check_integral_clamp(integral_clamp: float) -> None:
@@ -254,9 +199,7 @@ def pid_terms(
     f_prev = np.concatenate([np.zeros_like(f[..., :1]), f[..., :-1]], axis=-1)
     dt = 1.0 / rate_hz
     error = 0.0 - np.concatenate([accel, f_prev[..., None, :]], axis=-2)
-    integral = np.empty_like(error)
-    for row in np.ndindex(error.shape[:-1]):
-        integral[row] = _clamped_running_sum(error[row] * dt, integral_clamp)
+    integral = _clamped_integral(error * dt, integral_clamp)
     delta = error - np.concatenate([np.zeros_like(error[..., :1]), error[..., :-1]], axis=-1)
     return PidTerms(accel, error, integral, delta, dt, integral_clamp)
 

@@ -61,7 +61,7 @@ from .control import (
     PidTerms,
     adapted_accel,
     apply_gains,
-    constant_step_integral,
+    clamped_sum,
     pid_law,
     pid_outputs,
     pid_terms,
@@ -168,9 +168,10 @@ def _replay_clips(
     row per (gain set, session), trial-major, each row carrying its own
     gain columns; every row gets the float operations of one
     sample-by-sample session replay under its own gains: the phasic error
-    0 - hold is constant within a clip, so its integral is
-    `constant_step_integral`; the error difference is 0.0 past the clip's
-    first sample; and `predict_rows` predicts each row as on its own.
+    0 - hold is constant within a clip, one step of one sign, so its
+    integral is one `clamped_sum` from the previous clip's last value; the
+    error difference is 0.0 past the clip's first sample; and
+    `predict_rows` predicts each row as on its own.
     """
     m, _, n = terms.accel.shape
     n_sets = len(gains)
@@ -188,7 +189,7 @@ def _replay_clips(
     def adapt(first: int, last: int, hold: np.ndarray) -> None:
         nonlocal integral, prev_error
         error = 0.0 - hold
-        running = constant_step_integral(integral, error * dt, last - first, clamp)
+        running = clamped_sum(integral, error * dt, last - first, clamp)
         delta = np.zeros_like(running)
         delta[:, :1] = error - prev_error
         psi_f = pid_law(k_f, error, running, delta, dt)

@@ -74,14 +74,14 @@ def train_surrogate(
     )
     clips = [
         make_clips(
-            record.a_l, record.a_r, phasic,
-            clip_len_s=clip_len_s, stride_samples=stride_samples, norm=norm,
+            record.a_l, record.a_r, phasic, norm,
+            clip_len_s=clip_len_s, stride_samples=stride_samples,
         )
         for record, phasic in zip(train, phasics)
     ]
     model = fit_surrogate(
-        np.concatenate([windows for windows, _, _ in clips]),
-        np.concatenate([targets for _, targets, _ in clips]),
+        np.concatenate([windows for windows, _ in clips]),
+        np.concatenate([targets for _, targets in clips]),
         ridge_lambda,
         rate_hz=train[0].eda.rate_hz,
         clip_len_s=clip_len_s,

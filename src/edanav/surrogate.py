@@ -99,18 +99,17 @@ def make_clips(
     a_l: Trace,
     a_r: Trace,
     phasic: Trace,
+    norm: ClipNorm,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     stride_samples: int | None = None,
-    norm: ClipNorm | None = None,
-) -> tuple[np.ndarray, np.ndarray, ClipNorm]:
-    """Cut one session into clips: (windows [n, 2, 3L], targets [n, L], norm).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut one session into clips: (windows [n, 2, 3L], targets [n, L]).
 
     Row k pairs the acceleration window around the k-th phasic target.
     Targets step by ``stride_samples`` (default L, non-overlapping) and
     always lie fully inside the session; the surrounding window is
     zero-padded where it crosses an edge. Values are min-max normalized
-    with ``norm``; when ``norm`` is None the parameters are computed from
-    these traces and returned alongside the clips.
+    with ``norm``, the corpus's `corpus_clip_norm`.
     """
     if not (len(a_l) == len(a_r) == len(phasic)):
         raise ValueError("traces must share length")
@@ -123,11 +122,9 @@ def make_clips(
     n = len(a_l)
     if n < 3 * L:
         raise ValueError(f"session of {n} samples is shorter than one full window (3L = {3 * L})")
-    if norm is None:
-        norm = corpus_clip_norm([a_l], [a_r], [phasic])
     windows = _windows(norm.accel(np.stack([a_l.samples, a_r.samples])), L, stride).copy()
     index = (np.arange(windows.shape[0]) * stride)[:, None] + np.arange(L)[None, :]
-    return windows, norm.phasic.apply(phasic.samples)[index], norm
+    return windows, norm.phasic.apply(phasic.samples)[index]
 
 
 @dataclass(frozen=True)

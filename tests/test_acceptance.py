@@ -18,7 +18,7 @@ from edanav.optimize import GainRanges, evaluate_sessions, optimize
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import METHODS, detect_scr
 from edanav.signals import Trace, Unit
-from edanav.surrogate import _overlap_average, fit_surrogate, make_clips, predict_session
+from edanav.surrogate import _overlap_average, fit_surrogate, predict_session
 
 from test_control import (
     run_channel_symmetry,
@@ -27,7 +27,7 @@ from test_control import (
     run_zero_input_fixpoint,
 )
 from test_scr import _assert_agrees, _oracle, _params, _pulse_train, _random_phasic
-from test_surrogate import _accel_pair, _planted_session
+from test_surrogate import _accel_pair, _planted_session, _session_clips
 
 RATE = 4.0
 
@@ -111,14 +111,14 @@ def test_criterion_2_msdv_reference_and_homogeneity(capsys):
 def test_criterion_3_surrogate_recovery_and_round_trip(capsys):
     rng = np.random.default_rng(31)
     a_l, a_r, phasic = _planted_session(rng)
-    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic)
     model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
     pred = predict_session(model, a_l, a_r, model.L).samples
     mae = float(np.mean(np.abs(pred - targets.ravel())))
 
     a_l2, a_r2 = _accel_pair(rng)
     wiggle = Trace(rng.uniform(0.0, 0.5, 960), RATE)
-    _, targets2, norm2 = make_clips(a_l2, a_r2, wiggle, stride_samples=model.L)
+    _, targets2, norm2 = _session_clips(a_l2, a_r2, wiggle, stride_samples=model.L)
     rebuilt = _overlap_average(targets2[None], model.L)[0]
     expected = norm2.phasic.apply(wiggle.samples)[: len(rebuilt)]
     round_err = float(np.max(np.abs(rebuilt - expected)))

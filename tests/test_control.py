@@ -17,10 +17,10 @@ from edanav.control import (
     GAIN_KEYS,
     AccelLimits,
     PidGains,
-    _clamped_running_sum,
+    _clamped_integral,
     adapt_trace,
     apply_gains,
-    constant_step_integral,
+    clamped_sum,
     pid_outputs,
     pid_terms,
     read_gains,
@@ -357,7 +357,7 @@ def _integral_rows(draw):
 
 
 def _assert_integral_matches_oracle(steps, clamp):
-    out = _clamped_running_sum(steps, clamp)
+    out = _clamped_integral(steps, clamp)
     ref = clamped_sum_naive(0.0, steps.tolist(), clamp)
     assert out.tobytes() == np.array(ref, dtype=np.float64).tobytes()
 
@@ -365,8 +365,8 @@ def _assert_integral_matches_oracle(steps, clamp):
 @settings(max_examples=400, deadline=None)
 @given(_integral_rows())
 def test_clamped_running_sum_matches_scalar_loop(row):
-    # the whole-array scan (cumsum runs, pinned runs and scalar stretches)
-    # gives the bytes of clamping after every step, NaN included
+    # the clipped cumsum, with sign-changing rows redone from their first
+    # clamp hit, gives the bytes of clamping after every step, NaN included
     clamp, steps = row
     _assert_integral_matches_oracle(steps, clamp)
 
@@ -381,7 +381,9 @@ def test_clamped_running_sum_of_short_rows(clamp):
 
 def test_clamped_running_sum_row_classes():
     # a clean ramp, long pinned runs at both clamps, chatter at the clamp,
-    # coin flips and random walks of growing step, each 960 steps at clamp 10
+    # coin flips, random walks of growing step, a sign-changing row that hits
+    # the clamp once and then drifts inside it, and one-sign rows that mix
+    # +0.0 and -0.0, each 960 steps at clamp 10
     rng = np.random.default_rng(107)
     n = 960
     rows = [
@@ -390,6 +392,10 @@ def test_clamped_running_sum_row_classes():
         np.concatenate([[10.0], np.resize([0.75, -0.5], n - 1)]),
         rng.choice([-5.0, 5.0], n),
         *(rng.normal(0.0, sigma, n) for sigma in (1.0, 2.0, 4.0, 8.0)),
+        np.concatenate([[15.0], np.resize([-0.01, 0.005], n - 1)]),
+        np.resize([0.5, 0.0, -0.0], n),
+        np.resize([-0.0, -0.5, 0.0], n),
+        np.resize([0.0, -0.0], n),
     ]
     for steps in rows:
         _assert_integral_matches_oracle(steps, DEFAULT_INTEGRAL_CLAMP)
@@ -413,11 +419,34 @@ def test_constant_step_integral_matches_scalar_clamp(run):
     # a start inside the clamp (at +-clamp included): clamping the plain
     # running sum once equals clamping after every step, bit for bit
     start, step, width, clamp = run
-    out = constant_step_integral(start, step, width, clamp)
+    out = clamped_sum(start, step, width, clamp)
     assert out.shape == (start.shape[0], width)
     for row, s0, d in zip(out, start[:, 0], step[:, 0]):
         ref = clamped_sum_naive(s0, [d] * width, clamp)
         assert row.tobytes() == np.array(ref, dtype=np.float64).tobytes()
+
+
+def test_pid_terms_stack_mixes_one_sign_and_redone_rows():
+    # four sessions whose twelve rows mix one-sign rows pinned at a clamp,
+    # sign-changing rows that reach it (redone from the hit) and rows that
+    # never do; each row of the stack has the bits of the scalar loop alone
+    rng = np.random.default_rng(108)
+    n = 400
+    a_l = np.stack([np.full(n, 0.5), rng.normal(0.0, 8.0, n),
+                    np.resize([-60.0, 50.0], n), rng.uniform(-0.1, 0.1, n)])
+    a_r = np.stack([rng.normal(0.0, 0.01, n), np.full(n, -0.25),
+                    np.concatenate([[-60.0], np.resize([0.2, -0.1], n - 1)]),
+                    rng.choice([-20.0, 20.0], n)])
+    f = np.stack([rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                  np.zeros(n), np.resize([0.9, -0.1], n)])
+    terms = pid_terms(a_l, a_r, f, 1.0 / DT)
+    steps = terms.error * terms.dt
+    one_sign = np.all(steps >= 0.0, axis=-1) | np.all(steps <= 0.0, axis=-1)
+    hit = np.any(np.abs(terms.integral) == DEFAULT_INTEGRAL_CLAMP, axis=-1)
+    assert np.any(one_sign & hit) and np.any(~one_sign & hit) and np.any(~hit)
+    for row in np.ndindex(steps.shape[:-1]):
+        expected = clamped_sum_naive(0.0, steps[row].tolist(), DEFAULT_INTEGRAL_CLAMP)
+        assert terms.integral[row].tobytes() == np.array(expected).tobytes()
 
 
 def test_adapt_trace_zero_gains_is_identity():

@@ -6,13 +6,21 @@ in load context; a dotted read ``a.b`` reads ``a``). Package
 ``__init__.py`` files re-export what they import and are skipped, as are
 ``from __future__`` imports.
 
-A second scan takes each top-level function and class of src/ and each
-non-dunder method, and looks for its name in src/, demos/ and perfbench/:
-as a ``Name``, an ``Attribute``, an import alias or a string that is an
-identifier. A name found only in the tests is code that nothing runs.
+A second scan takes each top-level function and class of src/, each
+non-dunder method and each non-dunder name a top-level assignment binds,
+and looks for its name in src/, demos/ and perfbench/: as a ``Name`` that
+is read, an ``Attribute``, an import alias or a string that is an
+identifier. A name found only in the tests is code that nothing runs, or
+a constant that nothing reads.
+
+A last check imports the package and its CLI in a fresh interpreter and
+requires that no ``scipy.signal`` module was loaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,28 +79,42 @@ def test_module_reads_every_import(path):
 CALLER_FOLDERS = ("src", "demos", "perfbench")
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module) -> list[str]:
-    """Top-level functions and classes, and ``Class.method`` for each non-dunder method."""
+    """Top-level functions, classes and assigned names, and ``Class.method`` for each method.
+
+    Dunder methods and dunder names are left out.
+    """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
             found.append(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not _dunder(name.id)
+            )
         if isinstance(node, ast.ClassDef):
             found.extend(
                 f"{node.name}.{item.name}"
                 for item in node.body
-                if isinstance(item, functions)
-                and not (item.name.startswith("__") and item.name.endswith("__"))
+                if isinstance(item, functions) and not _dunder(item.name)
             )
     return found
 
 
 def named(tree: ast.Module) -> set[str]:
-    """Every name ``tree`` mentions: a Name, an Attribute, an import alias or an identifier string."""
+    """Every name ``tree`` mentions: a Name read, an Attribute, an import alias or an identifier string."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -125,15 +147,38 @@ def test_the_unreferenced_scan_finds_a_dead_name():
         "def used(): pass\n"
         "def by_string(): pass\n"
         "def dead(): pass\n"
+        "__all__ = []\n"
+        "LIMIT: int = 3\n"
+        "WIDTH, STALE = 4, 5\n"
+        "def clip(x): return min(x, LIMIT)\n"
     )
-    caller = "from pkg import used as u\nb = Box()\nb.open()\ngetattr(b, 'by_string')\n"
-    assert unreferenced([defining], [defining, caller]) == ["Box.shut", "dead"]
+    caller = (
+        "from pkg import used as u, clip\nb = Box()\nb.open()\ngetattr(b, 'by_string')\n"
+        "print(clip(1), pkg.WIDTH)\n"
+    )
+    assert unreferenced([defining], [defining, caller]) == ["Box.shut", "STALE", "dead"]
 
 
 def test_every_src_definition_is_named_outside_the_tests():
-    # a function, class or method only the tests reach is dead code in src
+    # a function, class or method only the tests reach is dead code in src,
+    # and a constant only the tests read is left over from such code
     callers = sorted(p for folder in CALLER_FOLDERS for p in (ROOT / folder).rglob("*.py"))
     assert unreferenced(
         [p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")],
         [p.read_text(encoding="utf-8") for p in callers],
     ) == []
+
+
+
+def test_importing_the_package_loads_no_scipy_signal():
+    # scipy.signal nearly doubles a run's peak RSS (56.0 -> 103.4 MB for
+    # `import edanav, edanav.cli`), so nothing the package imports may load it
+    code = (
+        "import sys, edanav, edanav.cli\n"
+        "print([m for m in sys.modules if (m + '.').startswith('scipy.signal.')])\n"
+    )
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "[]\n"

@@ -47,6 +47,7 @@ from oracles import adapt_trace_naive, clamped_sum_naive, predict_clip, search_n
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
+control_module = importlib.import_module("edanav.control")
 
 TUNED_GAINS = PidGains(
     K_Pl=0.0113, K_Il=0.0065, K_Dl=0.0137,
@@ -319,13 +320,19 @@ def test_build_contexts_groups_sessions_by_length(small):
             assert g.msdv_raw[row] == alone.msdv_raw[0]
 
 
-def test_build_contexts_integral_matches_the_scalar_loop():
+def test_build_contexts_integral_matches_the_scalar_loop(monkeypatch):
     # the acceptance eval sessions: every row of the stacked integral has the
     # bytes of clamping after every step, and every longitudinal row sits at
-    # -clamp for a long run, which the scan fills without stepping
+    # -clamp for a long run; no row changes sign and reaches the clamp, so
+    # none is redone one step at a time
     records = synth_cohort(40, 240.0, 4.0, seed=12345)
     model, _ = train_surrogate(records)
     clamp = DEFAULT_INTEGRAL_CLAMP
+
+    def no_loop(*args):
+        raise AssertionError("scalar update reached on an acceptance row")
+
+    monkeypatch.setattr(control_module, "_clamp_each_step", no_loop)
     groups = build_contexts(eval_split(records), model, default_detectors(),
                             DecompositionConfig(), clamp)
     for terms in (g.terms for g in groups):
@@ -350,7 +357,7 @@ def _rate_checks(record, model, rate):
         (lambda: replace(record, eda=moved["eda"]), "traces must share rate"),
         (lambda: EdaDecomposition(eda, decompose(eda).tonic, moved_phasic),
          "decomposition traces must share rate"),
-        (lambda: make_clips(a_l, a_r, moved_phasic), "traces must share rate"),
+        (lambda: make_clips(a_l, a_r, moved_phasic, model.norm), "traces must share rate"),
         (lambda: predict_session(model, moved["a_l"], moved["a_r"]), "does not match model rate"),
         (lambda: synth_session(a_l, moved["a_r"], OracleParams()), "traces must be aligned"),
         (lambda: build_contexts([replace(record, **moved)], model, default_detectors(),

@@ -58,11 +58,17 @@ def test_clip_samples():
         clip_samples(0.05, 4.0)
 
 
+def _session_clips(a_l, a_r, phasic, **kwargs):
+    """`make_clips` under the session's own normalization: (windows, targets, norm)."""
+    norm = corpus_clip_norm([a_l], [a_r], [phasic])
+    return (*make_clips(a_l, a_r, phasic, norm, **kwargs), norm)
+
+
 def test_make_clips_count_and_shapes():
     rng = np.random.default_rng(20)
     a_l, a_r = _accel_pair(rng)
     phasic = Trace(rng.uniform(0.0, 0.5, 960), RATE)
-    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic)
     assert windows.shape == (106, 2, 3 * L)  # (960 - 9) // 9 + 1 clips
     assert targets.shape == (106, L)
     assert norm.a_l.vmin == float(np.min(a_l.samples))
@@ -73,7 +79,7 @@ def test_make_clips_window_alignment():
     rng = np.random.default_rng(21)
     a_l, a_r = _accel_pair(rng, n=90)
     phasic = Trace(rng.uniform(0.0, 0.5, 90), RATE)
-    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic)
     al_n = norm.a_l.apply(a_l.samples)
     phasic_n = norm.phasic.apply(phasic.samples)
     # leading third of the first window crosses the session start: zero pad
@@ -91,17 +97,18 @@ def test_make_clips_validation():
     rng = np.random.default_rng(22)
     a_l, a_r = _accel_pair(rng, n=90)
     phasic = Trace(rng.uniform(0.0, 1.0, 90), RATE)
+    norm = corpus_clip_norm([a_l], [a_r], [phasic])
     with pytest.raises(ValueError, match="share length"):
-        make_clips(a_l, Trace(a_r.samples[:-1], RATE), Trace(phasic.samples[:-1], RATE))
+        make_clips(a_l, Trace(a_r.samples[:-1], RATE), Trace(phasic.samples[:-1], RATE), norm)
     with pytest.raises(ValueError, match="share rate"):
-        make_clips(a_l, Trace(a_r.samples, 8.0), phasic)
+        make_clips(a_l, Trace(a_r.samples, 8.0), phasic, norm)
     with pytest.raises(ValueError, match="stride_samples"):
-        make_clips(a_l, a_r, phasic, stride_samples=0)
+        make_clips(a_l, a_r, phasic, norm, stride_samples=0)
     with pytest.raises(ValueError, match="shorter"):
         short = Trace(np.arange(20.0), RATE)
-        make_clips(short, short, short)
+        make_clips(short, short, short, norm)
     with pytest.raises(DegenerateInputError):
-        make_clips(a_l, Trace(np.full(90, 1.0), RATE), phasic)  # constant channel
+        _session_clips(a_l, Trace(np.full(90, 1.0), RATE), phasic)  # constant channel
 
 
 def test_clip_shape_validation():
@@ -178,7 +185,7 @@ def test_clip_reconstruct_round_trip():
     a_l, a_r = _accel_pair(rng)
     phasic = Trace(rng.uniform(0.0, 0.5, 960), RATE)
     for stride in (L, 3, 1):
-        _, targets, norm = make_clips(a_l, a_r, phasic, stride_samples=stride)
+        _, targets, norm = _session_clips(a_l, a_r, phasic, stride_samples=stride)
         out = _reconstruct(targets, stride)
         expected = norm.phasic.apply(phasic.samples)[: len(out)]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
@@ -192,7 +199,7 @@ def _planted_session(rng, n=960):
     """Session whose normalized phasic is an exact affine map of the windows."""
     a_l, a_r = _accel_pair(rng, n)
     placeholder = Trace(np.linspace(0.0, 1.0, n), RATE)
-    windows, _, _ = make_clips(a_l, a_r, placeholder)
+    windows, _, _ = _session_clips(a_l, a_r, placeholder)
     w_true = rng.uniform(-0.005, 0.005, (L, 6 * L + 1))
     w_true[:, -1] = 0.5  # bias keeps targets well inside (0, 1)
     phasic = np.full(n, 0.5)
@@ -205,7 +212,7 @@ def _planted_session(rng, n=960):
 def test_fit_recovers_planted_linear_map():
     rng = np.random.default_rng(24)
     a_l, a_r, phasic = _planted_session(rng)
-    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic)
     model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
     assert model.train_mae < 1e-6
     pred = predict_session(model, a_l, a_r, model.L).samples
@@ -290,7 +297,7 @@ def test_predict_rows_is_predict_clip_row_by_row(rate, m, seed):
 
 def _small_model(rng):
     a_l, a_r, phasic = _planted_session(rng, n=360)
-    windows, targets, norm = make_clips(a_l, a_r, phasic)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic)
     return fit_surrogate(windows, targets, rate_hz=RATE, norm=norm), a_l, a_r
 
 
