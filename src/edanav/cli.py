@@ -81,7 +81,7 @@ def _cmd_train(cfg: RunConfig) -> None:
 def _cmd_optimize(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir, splits=("eval",))
     model = read_model(cfg.model_path)
-    result = optimize(records, model, **cfg.optimize)
+    result = optimize(records, model, **cfg.search, **cfg.replay)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_gains(result.best.gains, cfg.gains_path)
     write_history_csv(result, cfg.history_path)
@@ -109,8 +109,8 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
     records = load_dataset(cfg.dataset_dir, splits=("eval",))
     model = read_model(cfg.model_path)
     gains = read_gains(cfg.gains_path)
-    results = evaluate_sessions(records, gains, model, **cfg.evaluate)
-    methods = tuple(d.method for d in cfg.evaluate["detectors"])
+    results = evaluate_sessions(records, gains, model, **cfg.replay)
+    methods = tuple(d.method for d in cfg.replay["detectors"])
     stats = [r.stats for r in results]
     report = build_report(stats, methods)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

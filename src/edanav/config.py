@@ -13,7 +13,7 @@ dataclass sections from their dataclasses, the seeds, ``train_frac``,
 search settings, the cohort and the integral clamp from
 `check_search_settings`, `check_cohort_settings` and
 `check_integral_clamp`. `RunConfig` carries each call's keyword arguments
-whole, so the CLI passes them on with ``**``.
+as whole groups, so the CLI passes them on with ``**``.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _detector_keys(params: DetectorParams) -> dict[str, tuple[str, object]]:
     return _typed(_defaults(params, "method", *unread))
 
 
-# the optimizer keys `check_search_settings` bounds, besides budget
-_SEARCH_KEYS = ("mode", "explore_frac", "sigma_scale", "halve_after")
+# the optimizer keys `check_search_settings` bounds, besides budget and mode
+_SEARCH_KEYS = ("explore_frac", "sigma_scale", "halve_after")
 
 # section -> key -> (type tag, default). The tags drive both parsing and
 # the unknown-key check; "maybe_int" and "maybe_float" admit an empty value.
@@ -96,7 +96,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "optimizer": {
         "budget": ("int", 400),
-        **_typed(_keyword_defaults(optimize, "seed", *_SEARCH_KEYS)),
+        **_typed(_keyword_defaults(optimize, "seed", "mode", *_SEARCH_KEYS)),
         **_typed(_keyword_defaults(GainRanges.default)),
         # optional per-gain bracket overrides (lo_K_Pl = ..., hi_beta_r = ...)
         **{f"{end}_{key}": ("maybe_float", None) for key in GAIN_KEYS for end in ("lo", "hi")},
@@ -111,10 +111,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 class RunConfig:
     """Validated settings for every pipeline command.
 
-    ``synth``, ``train``, ``optimize`` and ``evaluate`` are the keyword
-    arguments of `synth_cohort`, `train_surrogate`, `optimize` and
-    `evaluate_sessions`, each call's inputs aside; the last two share
-    detectors, mode, limits, integral_clamp and decomposition.
+    ``synth`` and ``train`` are the keyword arguments of `synth_cohort` and
+    `train_surrogate`, each call's inputs aside. ``replay`` (detectors,
+    mode, limits, integral_clamp, decomposition) is the whole keyword group
+    of `evaluate_sessions`; `optimize` takes it and ``search``, the rest of
+    its keywords.
     """
 
     output_dir: Path
@@ -122,8 +123,8 @@ class RunConfig:
     svg: bool
     synth: dict[str, object]
     train: dict[str, object]
-    optimize: dict[str, object]
-    evaluate: dict[str, object]
+    replay: dict[str, object]
+    search: dict[str, object]
 
     # conventional artifact locations inside output_dir
     @property
@@ -237,8 +238,8 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
     search = {key: o[key] for key in ("budget", *_SEARCH_KEYS)}
     control = dict(values["control"])
     try:
-        check_search_settings(**search, workers=run["workers"])
-        check_cohort_settings(dataset["n_sessions"], dataset["train_frac"])
+        check_search_settings(**search, mode=o["mode"], workers=run["workers"])
+        check_cohort_settings(**dataset)
         check_integral_clamp(control["integral_clamp"])
         box = GainRanges.default(**{key: o[key] for key in _keyword_defaults(GainRanges.default)})
         lo, hi = np.array(box.lo), np.array(box.hi)
@@ -258,31 +259,27 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    shared = {
-        "detectors": detectors,
-        "mode": o["mode"],
-        "limits": limits,
-        "integral_clamp": integral_clamp,
-        "decomposition": decomposition,
-    }
     return RunConfig(
         output_dir=output_dir,
         dataset_dir=dataset_dir,
         svg=values["report"]["svg"],
         synth={**dataset, "oracle": oracle, "seed": run["seed"]},
         train={**values["surrogate"], "decomposition": decomposition},
-        optimize={**shared, **search, "seed": o["seed"], "ranges": ranges,
-                  "workers": run["workers"]},
-        evaluate=shared,
+        replay={
+            "detectors": detectors,
+            "mode": o["mode"],
+            "limits": limits,
+            "integral_clamp": integral_clamp,
+            "decomposition": decomposition,
+        },
+        search={**search, "seed": o["seed"], "ranges": ranges, "workers": run["workers"]},
     )
 
 
 def _validate(values: dict[str, dict[str, object]]) -> None:
     """Bounds checked here so that every command rejects them before it writes."""
-    dataset, surrogate = values["dataset"], values["surrogate"]
+    surrogate = values["surrogate"]
     checks = [
-        (dataset["duration_s"] > 0, "[dataset] duration_s must be positive"),
-        (dataset["rate_hz"] > 0, "[dataset] rate_hz must be positive"),
         (surrogate["clip_len_s"] > 0, "[surrogate] clip_len_s must be positive"),
         (
             surrogate["stride_samples"] is None or surrogate["stride_samples"] >= 1,

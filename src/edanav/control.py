@@ -302,4 +302,7 @@ def read_gains(path) -> PidGains:
     missing = [key for key in GAIN_KEYS if key not in values]
     if missing:
         raise FileFormatError(path, f"missing gain keys: {', '.join(missing)}")
-    return PidGains(**values)
+    try:
+        return PidGains(**values)
+    except ValueError as exc:  # a value the gains reject
+        raise FileFormatError(path, str(exc)) from None

@@ -15,6 +15,7 @@ through the Bateman oracle; resting acceleration is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -109,10 +110,23 @@ def _pulse_profile(
     return profile
 
 
-def check_cohort_settings(n_sessions: int, train_frac: float) -> None:
-    """Raise ValueError unless ``n_sessions`` >= 1 and ``train_frac`` lies in [0, 1]."""
+def check_cohort_settings(
+    n_sessions: int, duration_s: float, rate_hz: float, train_frac: float
+) -> None:
+    """Raise ValueError unless `synth_cohort` can make a cohort of these settings.
+
+    ``n_sessions`` must be >= 1, ``duration_s`` and ``rate_hz`` positive and
+    finite, with a finite product that rounds to >= 2 samples per session,
+    and ``train_frac`` in [0, 1].
+    """
     if n_sessions < 1:
         raise ValueError(f"n_sessions must be >= 1, got {n_sessions!r}")
+    for name, value in (("duration_s", duration_s), ("rate_hz", rate_hz)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not 1.5 <= duration_s * rate_hz < math.inf:  # round() gives >= 2 samples, no overflow
+        raise ValueError(f"session length: {duration_s!r} s at {rate_hz!r} Hz must give "
+                         "a finite count of at least 2 samples")
     if not 0.0 <= train_frac <= 1.0:
         raise ValueError(f"train_frac must be in [0, 1], got {train_frac!r}")
 
@@ -132,10 +146,8 @@ def synth_cohort(
     cohort is a pure function of (seed, parameters). The first
     round(train_frac * n) sessions are the train split.
     """
-    check_cohort_settings(n_sessions, train_frac)
+    check_cohort_settings(n_sessions, duration_s, rate_hz, train_frac)
     n = int(round(duration_s * rate_hz))
-    if n < 2:
-        raise ValueError("session too short")
     n_train = int(round(train_frac * n_sessions))
     children = np.random.SeedSequence(seed).spawn(n_sessions)
     records = []
@@ -197,7 +209,10 @@ def _read_accel_csv(path: Path) -> tuple[Trace, Trace]:
     rate_hz, (unit_l, unit_r), (a_l, a_r) = read_samples_csv(
         path, "acceleration", ("unit_a_l", "unit_a_r"), ("a_l", "a_r")
     )
-    return Trace(a_l, rate_hz, unit_l), Trace(a_r, rate_hz, unit_r)
+    try:
+        return Trace(a_l, rate_hz, unit_l), Trace(a_r, rate_hz, unit_r)
+    except ValueError as exc:  # a value the traces reject
+        raise FileFormatError(path, str(exc)) from None
 
 
 def save_dataset(records: list[SessionRecord], directory) -> None:

@@ -4,8 +4,8 @@ Every evaluation takes one path: `build_contexts` groups the sessions by
 length, once, and precomputes what does not depend on the gains for each
 `SessionGroup`; `_simulate` replays the groups under a block of gain sets
 and counts the events of each surrogate prediction.
-`evaluate_sessions` runs a block of one and wraps each session's outcome
-into a `SimulationResult`; a search trial scores the counts alone with
+`evaluate_sessions` runs a block of one and keeps each session's report row,
+a `metrics.SessionStats`; a search trial scores the counts alone with
 `metrics.detector_stats`, the detector rows of `metrics.build_report`.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
@@ -71,7 +71,6 @@ from .scr import count_events, default_detectors
 from .signals import (
     DecompositionConfig,
     Trace,
-    Unit,
     decompose,
     format_float,
     same_rate,
@@ -92,25 +91,21 @@ class SessionGroup:
     ``terms`` is the controller's PID state over the m sessions [m, ...],
     fed back from the recorded phasic in the model's normalized scale,
     clipped to [0, 1]; offline mode uses all of it, closed-loop mode its
-    acceleration rows. The PID state, raw counts and dose values do not
-    change across trials, so a search over gains computes them once.
+    acceleration rows. The PID state and raw counts do not change across
+    trials, so a search over gains computes them once.
     """
 
     members: list[int]  # positions in the input record list
     terms: PidTerms  # [m, ...]
-    msdv_raw: list[tuple[float, float]]  # (longitudinal, rotational) per session
     n_raw: np.ndarray  # [m, n_detectors]
     n_recorded: np.ndarray  # [m, n_detectors]
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything one simulated session produced: its report row and its traces."""
+    """One simulated session's report row."""
 
     stats: SessionStats
-    adapted_a_l: Trace
-    adapted_a_r: Trace
-    predicted_phasic: Trace
 
 
 def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
@@ -140,7 +135,6 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
             members=members,
             terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
                             model.rate_hz, integral_clamp),
-            msdv_raw=[(msdv(r.a_l), msdv(r.a_r)) for r in group],
             n_raw=count_events(predict_sessions(model, accel), model.rate_hz, detectors),
             n_recorded=count_events(recorded, model.rate_hz, detectors),
         ))
@@ -257,36 +251,29 @@ def evaluate_sessions(
     gains: PidGains,
     model: SurrogateModel,
     mode: str = "offline",
-    detectors=None,
+    detectors=default_detectors(),
     limits: AccelLimits = AccelLimits(),
     integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> list[SimulationResult]:
     """Replay each session under ``gains`` and score it with the surrogate."""
     check_search_settings(mode=mode)
-    if detectors is None:
-        detectors = default_detectors()
     records = list(records)
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
     results: list = [None] * len(records)
     [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
-    for g, (adapted, preds, n_adapted) in zip(groups, sims):
+    for g, (adapted, _, n_adapted) in zip(groups, sims):
         for row, i in enumerate(g.members):
             record = records[i]
-            adapted_l = Trace(adapted[row, 0], model.rate_hz, record.a_l.unit)
-            adapted_r = Trace(adapted[row, 1], model.rate_hz, record.a_r.unit)
-            raw_l, raw_r = g.msdv_raw[row]
-            stats = SessionStats(
+            msdv_l, msdv_r = (msdv(Trace(a, model.rate_hz)) for a in adapted[row])
+            results[i] = SimulationResult(SessionStats(
                 session_id=record.session_id,
                 n_raw=tuple(g.n_raw[row].tolist()),
                 n_adapted=tuple(n_adapted[row].tolist()),
                 n_recorded=tuple(g.n_recorded[row].tolist()),
-                msdv_l=(raw_l, msdv(adapted_l)),
-                msdv_r=(raw_r, msdv(adapted_r)),
-            )
-            results[i] = SimulationResult(
-                stats, adapted_l, adapted_r, Trace(preds[row], model.rate_hz, Unit.NORMALIZED)
-            )
+                msdv_l=(msdv(record.a_l), msdv_l),
+                msdv_r=(msdv(record.a_r), msdv_r),
+            ))
     return results
 
 
@@ -370,8 +357,8 @@ def optimize(
     model: SurrogateModel,
     budget: int,
     seed: int = 0,
-    ranges: GainRanges | None = None,
-    detectors=None,
+    ranges: GainRanges = GainRanges.default(),
+    detectors=default_detectors(),
     mode: str = "offline",
     explore_frac: float = 0.6,
     sigma_scale: float = 0.2,
@@ -405,10 +392,6 @@ def optimize(
     records = list(records)
     if not records:
         raise ValueError("optimize needs at least one session")
-    if ranges is None:
-        ranges = GainRanges.default()
-    if detectors is None:
-        detectors = default_detectors()
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
     n_raw = np.concatenate([g.n_raw for g in groups])
     methods = tuple(d.method for d in detectors)

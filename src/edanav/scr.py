@@ -43,7 +43,6 @@ class ScrEvent:
     onset_idx: int
     peak_idx: int
     amplitude: float
-    rise_time_s: float
 
     def __post_init__(self):
         if not self.onset_idx < self.peak_idx:
@@ -246,7 +245,6 @@ def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
             onset_idx=onset,
             peak_idx=peak,
             amplitude=float(x[0, peak] - x[0, onset]),
-            rise_time_s=(peak - onset) / phasic.rate_hz,
         )
         for onset, peak in zip(onsets.tolist(), peaks.tolist())
     ]

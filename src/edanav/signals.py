@@ -354,4 +354,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Read a trace written by `write_trace_csv`."""
     rate_hz, (unit,), (values,) = read_samples_csv(path, "trace", ("unit",), ("value",))
-    return Trace(values, rate_hz, unit)
+    try:
+        return Trace(values, rate_hz, unit)
+    except ValueError as exc:  # a value the trace rejects
+        raise FileFormatError(path, str(exc)) from None

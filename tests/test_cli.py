@@ -104,36 +104,36 @@ def test_config_defaults(monkeypatch):
     assert cfg.synth["n_sessions"] == 40
     assert cfg.synth["duration_s"] == 240.0
     assert cfg.synth["rate_hz"] == 4.0
-    assert cfg.optimize["budget"] == 400
+    assert cfg.search["budget"] == 400
     assert str(cfg.output_dir) == "out"
     assert cfg.dataset_dir == cfg.output_dir / "dataset"
     assert cfg.model_path == cfg.output_dir / "model.csv"
-    detectors = cfg.evaluate["detectors"]
+    detectors = cfg.replay["detectors"]
     assert tuple(d.method for d in detectors) == ("kim2004", "gamboa2008", "neurokit")
-    np.testing.assert_array_equal(cfg.optimize["ranges"].hi, [0.5] * 9 + [0.01] * 2)
+    np.testing.assert_array_equal(cfg.search["ranges"].hi, [0.5] * 9 + [0.01] * 2)
     assert cfg.train["stride_samples"] is None
     assert cfg.svg is True
     assert cfg.synth["oracle"] == OracleParams()
     assert cfg.train["decomposition"] == DecompositionConfig()
-    assert cfg.evaluate["limits"] == AccelLimits()
-    assert cfg.evaluate["integral_clamp"] == DEFAULT_INTEGRAL_CLAMP
+    assert cfg.replay["limits"] == AccelLimits()
+    assert cfg.replay["integral_clamp"] == DEFAULT_INTEGRAL_CLAMP
     assert detectors == default_detectors()
-    # optimize and evaluate_sessions share their replay settings
-    for key, value in cfg.evaluate.items():
-        assert cfg.optimize[key] == value, key
 
 
 def test_config_defaults_are_the_library_defaults(monkeypatch):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     cfg = load_config()
-    for fn, kwargs in ((synth_cohort, cfg.synth), (optimize, cfg.optimize),
-                       (train_surrogate, cfg.train), (evaluate_sessions, cfg.evaluate)):
+    for fn, kwargs in ((synth_cohort, cfg.synth), (optimize, {**cfg.search, **cfg.replay}),
+                       (train_surrogate, cfg.train), (evaluate_sessions, cfg.replay)):
         for name, param in inspect.signature(fn).parameters.items():
-            if name in kwargs and param.default not in (inspect.Parameter.empty, None):
+            if name == "ranges":  # a GainRanges holds arrays: compare them
+                np.testing.assert_array_equal(kwargs[name].lo, param.default.lo)
+                np.testing.assert_array_equal(kwargs[name].hi, param.default.hi)
+            elif name in kwargs and param.default not in (inspect.Parameter.empty, None):
                 assert kwargs[name] == param.default, (fn.__name__, name)
     box = GainRanges.default()
-    np.testing.assert_array_equal(cfg.optimize["ranges"].lo, box.lo)
-    np.testing.assert_array_equal(cfg.optimize["ranges"].hi, box.hi)
+    np.testing.assert_array_equal(cfg.search["ranges"].lo, box.lo)
+    np.testing.assert_array_equal(cfg.search["ranges"].hi, box.hi)
 
 
 def test_config_accepts_exactly_the_documented_keys():
@@ -167,14 +167,14 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     )
     cfg = load_config(path, overrides=["optimizer.budget=7", "dataset.rate_hz=8"])
     assert cfg.synth["seed"] == 3
-    assert cfg.optimize["budget"] == 7  # --set beats the file
+    assert cfg.search["budget"] == 7  # --set beats the file
     assert cfg.synth["rate_hz"] == 8.0
     assert cfg.train["stride_samples"] == 3
     assert cfg.svg is False
     assert str(cfg.output_dir) == "from_file"
     # per-gain bracket override tightens one entry, k_hi covers the rest
-    assert cfg.optimize["ranges"].hi[1] == 0.02
-    assert cfg.optimize["ranges"].hi[0] == 0.3
+    assert cfg.search["ranges"].hi[1] == 0.02
+    assert cfg.search["ranges"].hi[0] == 0.3
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
@@ -323,12 +323,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.sigma_scale=0"]) == 1
     assert "sigma_scale must be positive" in capsys.readouterr().err
     # the library's own cohort and clamp checks reject these for every command
-    for setting, message in (("dataset.n_sessions=0", "n_sessions must be >= 1"),
-                             ("dataset.train_frac=1.5", "train_frac must be in [0, 1]"),
-                             ("control.integral_clamp=0", "integral_clamp must be positive")):
+    too_few = "must give a finite count of at least 2 samples"
+    for settings, message in ((["dataset.n_sessions=0"], "n_sessions must be >= 1"),
+                              (["dataset.duration_s=0.2"], too_few),
+                              (["dataset.duration_s=1e300", "dataset.rate_hz=1e10"], too_few),
+                              (["dataset.rate_hz=0"], "rate_hz must be positive"),
+                              (["dataset.train_frac=1.5"], "train_frac must be in [0, 1]"),
+                              (["control.integral_clamp=0"], "integral_clamp must be positive")):
+        sets = [arg for setting in settings for arg in ("--set", setting)]
         for command in ("synth", "train", "optimize", "evaluate", "report"):
-            assert main([command, "--output-dir", str(tmp_path), "--set", setting]) == 1
+            assert main([command, "--output-dir", str(tmp_path), *sets]) == 1
             assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no command wrote
 
 
 def test_runtime_errors_exit_two(tmp_path, capsys):

@@ -526,6 +526,9 @@ def test_gains_file_errors(tmp_path):
         read_gains(write("bad.txt", ok[:-1] + ["beta_r = fast"]))
     with pytest.raises(FileFormatError, match="expected 'key = value'"):
         read_gains(write("noeq.txt", ok[:-1] + ["beta_r 0.0"]))
+    # the file parses, but holds a value the gains reject
+    with pytest.raises(FileFormatError, match=r"neg\.txt: gain K_Pl must be finite and >= 0"):
+        read_gains(write("neg.txt", ["K_Pl = -1", *ok[1:]]))
 
 
 def test_frame_and_limit_validation():

@@ -215,6 +215,24 @@ def test_load_dataset_rejects_malformed_accel_metadata(tmp_path):
         assert excinfo.value.line == 1
 
 
+@pytest.mark.parametrize("name, lineno, line, message", [
+    ("eda.csv", 3, "0.25,nan", "trace samples must be finite"),
+    ("accel.csv", 0, "# rate_hz=0.0 unit_a_l=m_per_s2 unit_a_r=rad_per_s2",
+     "rate_hz must be a positive finite number"),
+], ids=("eda.csv", "accel.csv"))
+def test_load_dataset_names_the_file_of_a_rejected_value(tmp_path, name, lineno, line, message):
+    # the file parses, but holds a value the trace rejects
+    ds = tmp_path / "ds"
+    save_dataset(synth_cohort(1, 120.0, 4.0, seed=11), ds)
+    path = ds / "s000" / name
+    lines = path.read_text().splitlines()
+    lines[lineno] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=message) as excinfo:
+        load_dataset(ds)
+    assert excinfo.value.path == str(path)
+
+
 def test_load_dataset_rejects_bad_session_ids(tmp_path):
     ds = tmp_path / "ds"
     save_dataset(synth_cohort(2, 120.0, 4.0, seed=12), ds)

@@ -11,7 +11,10 @@ non-dunder method and each non-dunder name a top-level assignment binds,
 and looks for its name in src/, demos/ and perfbench/: as a ``Name`` that
 is read, an ``Attribute``, an import alias or a string that is an
 identifier. A name found only in the tests is code that nothing runs, or
-a constant that nothing reads.
+a constant that nothing reads. Each field of a src dataclass must likewise
+be read there, as an ``Attribute`` or as an identifier string (the strings
+of ``GAIN_KEYS`` read the `PidGains` fields): a field only the tests read is
+state that nothing uses.
 
 A last check imports the package and its CLI in a fresh interpreter and
 requires that no ``scipy.signal`` module was loaded.
@@ -138,8 +141,48 @@ def unreferenced(defining: list[str], callers: list[str]) -> list[str]:
     )
 
 
+def _decorator_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each annotated field of each top-level ``@dataclass`` class."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def unread_fields(defining: list[str], callers: list[str]) -> list[str]:
+    """The dataclass fields in ``defining`` that no ``callers`` source reads, sorted."""
+    read = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    read.add(node.value)
+    return sorted(
+        field
+        for source in defining
+        for field in dataclass_fields(ast.parse(source))
+        if field.rpartition(".")[2] not in read
+    )
+
+
 def test_the_unreferenced_scan_finds_a_dead_name():
     defining = (
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    y: float\n"
         "class Box:\n"
         "    def __init__(self): pass\n"
         "    def open(self): pass\n"
@@ -154,20 +197,27 @@ def test_the_unreferenced_scan_finds_a_dead_name():
     )
     caller = (
         "from pkg import used as u, clip\nb = Box()\nb.open()\ngetattr(b, 'by_string')\n"
-        "print(clip(1), pkg.WIDTH)\n"
+        "print(clip(1), pkg.WIDTH, Point(1.0, y=2.0).x)\n"
     )
     assert unreferenced([defining], [defining, caller]) == ["Box.shut", "STALE", "dead"]
+    assert unread_fields([defining], [defining, caller]) == ["Point.y"]
+
+
+def _src_and_callers() -> tuple[list[str], list[str]]:
+    callers = sorted(p for folder in CALLER_FOLDERS for p in (ROOT / folder).rglob("*.py"))
+    return ([p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")],
+            [p.read_text(encoding="utf-8") for p in callers])
 
 
 def test_every_src_definition_is_named_outside_the_tests():
     # a function, class or method only the tests reach is dead code in src,
     # and a constant only the tests read is left over from such code
-    callers = sorted(p for folder in CALLER_FOLDERS for p in (ROOT / folder).rglob("*.py"))
-    assert unreferenced(
-        [p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")],
-        [p.read_text(encoding="utf-8") for p in callers],
-    ) == []
+    assert unreferenced(*_src_and_callers()) == []
 
+
+def test_every_src_dataclass_field_is_read_outside_the_tests():
+    # a field only the tests read is a result the program carries for nothing
+    assert unread_fields(*_src_and_callers()) == []
 
 
 def test_importing_the_package_loads_no_scipy_signal():

@@ -68,11 +68,29 @@ def small():
 # Session simulation
 # ---------------------------------------------------------------------------
 
+def _replay(records, gains, model, mode="offline", limits=AccelLimits(),
+            integral_clamp=DEFAULT_INTEGRAL_CLAMP, decomposition=DecompositionConfig()):
+    """Each record's adapted acceleration [2, n] and prediction, in input order.
+
+    The replay `evaluate_sessions` scores under the same keywords:
+    `build_contexts`, then one `_simulate` trial under ``gains``.
+    """
+    detectors = default_detectors()
+    groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
+    replays = [None] * len(records)
+    for g, (adapted, preds, _) in zip(groups, sims):
+        for row, i in enumerate(g.members):
+            replays[i] = (adapted[row], preds[row])
+    return replays
+
+
 def test_zero_gains_change_nothing(small):
     records, model = small
     result = evaluate_sessions([records[0]], PidGains(), model)[0]
-    np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
-    np.testing.assert_array_equal(result.adapted_a_r.samples, records[0].a_r.samples)
+    [(adapted, _)] = _replay([records[0]], PidGains(), model)
+    np.testing.assert_array_equal(adapted[0], records[0].a_l.samples)
+    np.testing.assert_array_equal(adapted[1], records[0].a_r.samples)
     assert result.stats.n_adapted == result.stats.n_raw
     assert result.stats.msdv_l[0] == result.stats.msdv_l[1]
     assert result.stats.msdv_r[0] == result.stats.msdv_r[1]
@@ -82,12 +100,13 @@ def test_simulation_stats_are_consistent(small):
     records, model = small
     detectors = default_detectors()
     result = evaluate_sessions([records[1]], TUNED_GAINS, model)[0]
+    [(adapted, pred)] = _replay([records[1]], TUNED_GAINS, model)
     stats = result.stats
     assert stats.n_adapted == tuple(
-        count_er_scr(result.predicted_phasic, d) for d in detectors
+        count_er_scr(Trace(pred, model.rate_hz), d) for d in detectors
     )
-    assert stats.msdv_l == (msdv(records[1].a_l), msdv(result.adapted_a_l))
-    assert stats.msdv_r == (msdv(records[1].a_r), msdv(result.adapted_a_r))
+    assert stats.msdv_l == (msdv(records[1].a_l), msdv(Trace(adapted[0], model.rate_hz)))
+    assert stats.msdv_r == (msdv(records[1].a_r), msdv(Trace(adapted[1], model.rate_hz)))
     assert stats.session_id == records[1].session_id
 
 
@@ -106,9 +125,9 @@ def test_adapted_traces_respect_limits(small):
     records, model = small
     limits = AccelLimits(max_longitudinal=2.0, max_rotational=0.5)
     aggressive = PidGains.from_array(np.full(len(GAIN_KEYS), 5.0))
-    result = evaluate_sessions([records[0]], aggressive, model, limits=limits)[0]
-    assert float(np.max(np.abs(result.adapted_a_l.samples))) <= 2.0
-    assert float(np.max(np.abs(result.adapted_a_r.samples))) <= 0.5
+    [(adapted, _)] = _replay([records[0]], aggressive, model, limits=limits)
+    assert float(np.max(np.abs(adapted[0]))) <= 2.0
+    assert float(np.max(np.abs(adapted[1]))) <= 0.5
 
 
 def test_tuned_gains_reduce_dose_everywhere(small):
@@ -126,19 +145,21 @@ def test_closed_loop_mode(small):
     records, model = small
     detectors = default_detectors()
     result = evaluate_sessions([records[0]], PidGains(), model, mode="closed_loop")[0]
+    [(adapted, pred)] = _replay([records[0]], PidGains(), model, mode="closed_loop")
     # with zero gains the adapted profile is untouched even in closed loop
-    np.testing.assert_array_equal(result.adapted_a_l.samples, records[0].a_l.samples)
+    np.testing.assert_array_equal(adapted[0], records[0].a_l.samples)
     assert result.stats.n_adapted == tuple(
-        count_er_scr(result.predicted_phasic, d) for d in detectors
+        count_er_scr(Trace(pred, model.rate_hz), d) for d in detectors
     )
     with pytest.raises(ValueError, match="mode"):
         evaluate_sessions([records[0]], PidGains(), model, mode="online")
 
 
-def _assert_follows_closed_loop_law(record, result, gains, model,
+def _assert_follows_closed_loop_law(record, replay, gains, model,
                                     integral_clamp=DEFAULT_INTEGRAL_CLAMP):
     """Check one closed-loop replay against the law stepped sample by sample.
 
+    ``replay`` is the session's adapted acceleration [2, n] and prediction.
     Clip k is adapted under a hold of the last sample predicted for clip
     k-1 (0.0 before the first prediction), and predicted from the window
     [adapted k-1 | adapted k | hold of its newest sample] in the model's
@@ -147,7 +168,7 @@ def _assert_follows_closed_loop_law(record, result, gains, model,
     reads f[i - 1], the hold at sample i).
     """
     L = model.L
-    pred = result.predicted_phasic.samples
+    adapted, pred = replay
     n = len(record.a_l)
     rate = record.a_l.rate_hz
     assert pred.size == n // L * L
@@ -159,12 +180,11 @@ def _assert_follows_closed_loop_law(record, result, gains, model,
         a_l, a_r, f, rate, gains.as_array(),
         limits.max_longitudinal, limits.max_rotational, integral_clamp,
     )
-    assert result.adapted_a_l.samples.tolist() == ref_l
-    assert result.adapted_a_r.samples.tolist() == ref_r
+    assert adapted[0].tolist() == ref_l
+    assert adapted[1].tolist() == ref_r
     out_l, out_r = adapt_trace(a_l, a_r, f, rate, gains, limits, integral_clamp)
-    assert np.array_equal(out_l, result.adapted_a_l.samples)
-    assert np.array_equal(out_r, result.adapted_a_r.samples)
-    adapted = np.stack([result.adapted_a_l.samples, result.adapted_a_r.samples])
+    assert np.array_equal(out_l, adapted[0])
+    assert np.array_equal(out_r, adapted[1])
     norms = (model.norm.a_l, model.norm.a_r)
     for k in range(pred.size // L):
         prev = adapted[:, (k - 1) * L : k * L] if k else np.zeros((2, L))
@@ -183,9 +203,9 @@ def test_closed_loop_follows_the_stepwise_law(small):
     records, model = small
     record = records[1]
     gains = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
-    result = evaluate_sessions([record], gains, model, mode="closed_loop")[0]
-    _assert_follows_closed_loop_law(record, result, gains, model)
-    assert not np.array_equal(result.adapted_a_l.samples, record.a_l.samples)
+    [replay] = _replay([record], gains, model, mode="closed_loop")
+    _assert_follows_closed_loop_law(record, replay, gains, model)
+    assert not np.array_equal(replay[0][0], record.a_l.samples)
 
 
 def test_closed_loop_pads_the_first_clip_after_scaling(small):
@@ -196,8 +216,8 @@ def test_closed_loop_pads_the_first_clip_after_scaling(small):
                     a_r=NormParams(model.norm.a_r.vmin - 0.5, model.norm.a_r.vmax))
     shifted = replace(model, norm=shift)
     assert shifted.norm.accel(np.zeros((2, 1))).min() > 0.0
-    result = evaluate_sessions([records[1]], BINDING, shifted, mode="closed_loop")[0]
-    _assert_follows_closed_loop_law(records[1], result, BINDING, shifted)
+    [replay] = _replay([records[1]], BINDING, shifted, mode="closed_loop")
+    _assert_follows_closed_loop_law(records[1], replay, BINDING, shifted)
 
 
 def _head(record, n):
@@ -219,14 +239,14 @@ MIXED_SETTINGS = dict(integral_clamp=0.05, decomposition=DecompositionConfig(1.0
 BINDING = PidGains.from_array(np.linspace(0.05, 0.6, len(GAIN_KEYS)))
 
 
-def _assert_equals_alone(sessions, results, gains, model, settings):
-    """Each result of a joint replay equals its session's own replay, bit for bit."""
+def _assert_equals_alone(sessions, results, replays, gains, model, settings):
+    """Each result and replay of a joint replay equals its session's own, bit for bit."""
     assert [r.stats.session_id for r in results] == [r.session_id for r in sessions]
-    for record, result in zip(sessions, results):
+    for record, result, replay in zip(sessions, results, replays):
         alone = evaluate_sessions([record], gains, model, **settings)[0]
-        for trace in ("adapted_a_l", "adapted_a_r", "predicted_phasic"):
-            mine, own = getattr(result, trace), getattr(alone, trace)
-            assert mine.samples.tobytes() == own.samples.tobytes()
+        [own_replay] = _replay([record], gains, model, **settings)
+        for mine, own in zip(replay, own_replay, strict=True):  # adapted, prediction
+            assert mine.shape == own.shape and mine.tobytes() == own.tobytes()
         assert result.stats == alone.stats
 
 
@@ -239,17 +259,19 @@ def test_offline_sessions_replay_together(small):
     detectors = default_detectors()
     for gains in (BINDING, PidGains()):
         results = evaluate_sessions(sessions, gains, model, **MIXED_SETTINGS)
-        _assert_equals_alone(sessions, results, gains, model, MIXED_SETTINGS)
-        for record, result in zip(sessions, results):
+        replays = _replay(sessions, gains, model, **MIXED_SETTINGS)
+        _assert_equals_alone(sessions, results, replays, gains, model, MIXED_SETTINGS)
+        for record, result, (adapted, prediction) in zip(sessions, results, replays):
             # the recorded feedback: step i of the law reads f[i - 1]
             [group] = build_contexts([record], model, detectors, **MIXED_SETTINGS)
             f = np.concatenate([-group.terms.error[0, 2, 1:], [0.0]])
             out_l, out_r = adapt_trace(record.a_l.samples, record.a_r.samples, f,
                                        record.a_l.rate_hz, gains, integral_clamp=0.05)
-            assert result.adapted_a_l.samples.tobytes() == out_l.tobytes()
-            assert result.adapted_a_r.samples.tobytes() == out_r.tobytes()
-            pred = predict_session(model, result.adapted_a_l, result.adapted_a_r)
-            assert result.predicted_phasic.samples.tobytes() == pred.samples.tobytes()
+            assert adapted[0].tobytes() == out_l.tobytes()
+            assert adapted[1].tobytes() == out_r.tobytes()
+            pred = predict_session(model, Trace(adapted[0], model.rate_hz, record.a_l.unit),
+                                   Trace(adapted[1], model.rate_hz, record.a_r.unit))
+            assert prediction.tobytes() == pred.samples.tobytes()
             raw = predict_session(model, record.a_l, record.a_r)
             assert result.stats.n_adapted == tuple(count_er_scr(pred, d) for d in detectors)
             assert result.stats.n_raw == tuple(count_er_scr(raw, d) for d in detectors)
@@ -267,9 +289,10 @@ def test_closed_loop_sessions_replay_together(small):
     settings = dict(mode="closed_loop", **MIXED_SETTINGS)
     for gains in (BINDING, PidGains()):
         results = evaluate_sessions(sessions, gains, model, **settings)
-        _assert_equals_alone(sessions, results, gains, model, settings)
-        for record, result in zip(sessions, results):
-            f = _assert_follows_closed_loop_law(record, result, gains, model, 0.05)
+        replays = _replay(sessions, gains, model, **settings)
+        _assert_equals_alone(sessions, results, replays, gains, model, settings)
+        for record, replay in zip(sessions, replays):
+            f = _assert_follows_closed_loop_law(record, replay, gains, model, 0.05)
             if gains == BINDING and record is sessions[1]:
                 a_l, a_r = record.a_l.samples, record.a_r.samples
                 integral = pid_terms(a_l, a_r, f, record.a_l.rate_hz, 0.05).integral[2]
@@ -317,7 +340,6 @@ def test_build_contexts_groups_sessions_by_length(small):
                 assert getattr(g.terms, name)[row].tobytes() == getattr(alone.terms, name).tobytes()
             assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()
             assert g.n_recorded[row].tolist() == alone.n_recorded[0].tolist()
-            assert g.msdv_raw[row] == alone.msdv_raw[0]
 
 
 def test_build_contexts_integral_matches_the_scalar_loop(monkeypatch):

@@ -394,9 +394,9 @@ def test_detector_params_validation():
 
 def test_scr_event_validation():
     with pytest.raises(ValueError):
-        ScrEvent(onset_idx=5, peak_idx=5, amplitude=0.1, rise_time_s=0.0)
+        ScrEvent(onset_idx=5, peak_idx=5, amplitude=0.1)
     with pytest.raises(ValueError):
-        ScrEvent(onset_idx=0, peak_idx=4, amplitude=0.0, rise_time_s=1.0)
+        ScrEvent(onset_idx=0, peak_idx=4, amplitude=0.0)
 
 
 def test_short_trace_has_no_events():
