@@ -248,8 +248,9 @@ def load_dataset(directory, splits=SPLITS) -> list[SessionRecord]:
     FileNotFoundError
         If the manifest, or a selected session's file, is missing.
     FileFormatError
-        If the manifest lists no sessions, a row is malformed, or a
-        selected session's file is.
+        If the manifest lists no sessions, a row is malformed, a selected
+        session's file is, or its ``accel.csv`` and ``eda.csv`` differ in
+        length or rate.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.csv"
@@ -281,8 +282,12 @@ def load_dataset(directory, splits=SPLITS) -> list[SessionRecord]:
     for session_id, split in rows.items():
         if split not in splits:
             continue
-        session_dir = directory / session_id
-        a_l, a_r = _read_accel_csv(session_dir / "accel.csv")
-        eda = read_trace_csv(session_dir / "eda.csv")
-        records.append(SessionRecord(session_id, a_l, a_r, eda, split))
+        accel_path = directory / session_id / "accel.csv"
+        eda_path = accel_path.with_name("eda.csv")
+        a_l, a_r = _read_accel_csv(accel_path)
+        eda = read_trace_csv(eda_path)
+        try:
+            records.append(SessionRecord(session_id, a_l, a_r, eda, split))
+        except ValueError as exc:  # the two files differ in length or rate
+            raise FileFormatError(accel_path, f"{exc} with {eda_path}") from None
     return records

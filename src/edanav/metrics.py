@@ -184,7 +184,11 @@ def write_per_session_csv(sessions, methods, path) -> None:
 
 
 def read_per_session_csv(path) -> tuple[tuple[str, ...], list[SessionStats]]:
-    """Load per-session stats back; returns (methods, sessions)."""
+    """Load per-session stats back; returns (methods, sessions).
+
+    Raises FileFormatError naming the line of a count that is not a
+    non-negative integer or an MSDV that is not finite and non-negative.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -206,6 +210,10 @@ def read_per_session_csv(path) -> tuple[tuple[str, ...], list[SessionStats]]:
             m = [float(v) for v in parts[1 + 3 * k :]]
         except ValueError:
             raise FileFormatError(path, "bad numeric value", lineno) from None
+        if min(counts) < 0:
+            raise FileFormatError(path, "event counts must be non-negative", lineno)
+        if not all(0.0 <= v < math.inf for v in m):
+            raise FileFormatError(path, "MSDV values must be finite and non-negative", lineno)
         sessions.append(
             SessionStats(
                 session_id=parts[0],

@@ -11,6 +11,11 @@ operations the adaptation pipeline is built from:
 The tonic estimator is a moving-median followed by a moving-average with
 replicate edge padding; the phasic component is the residual, so
 ``tonic + phasic`` reconstructs the input exactly.
+
+It also holds the sample CSV format the dataset and trace files share:
+`write_samples_csv` spells each value as its ``repr``, computed once per
+distinct value of a column, and `read_samples_csv` parses the body with
+one `np.loadtxt` call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -230,18 +234,28 @@ def _time_cells(n: int, rate_hz: float) -> tuple[str, ...]:
     return tuple("%.6f" % t for t in (np.arange(n) / rate_hz).tolist())
 
 
+def _value_cells(values) -> list[str]:
+    """`format_float` of each value, computed once per distinct bit pattern.
+
+    `np.unique` runs over the int64 view, so -0.0 and 0.0 stay apart.
+    """
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
+    distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return distinct[inverse].tolist()
+
+
 def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict) -> None:
     """Write ``# key=value ...``, the header ``t_s,<column names>`` and the rows.
 
-    The body is one ``%`` format over every row: the time i / rate_hz in
-    ``%.6f`` (`_time_cells`) and ``%r``, each value's `format_float`. The
-    file is written with `write_text_atomic`.
+    Each row is the time i / rate_hz in ``%.6f`` (`_time_cells`), then each
+    column's value as `format_float` spells it. A column's cells are made
+    once per distinct value (`_value_cells`), and every row is joined in
+    one pass. The file is written with `write_text_atomic`.
     """
-    values = [np.asarray(v, dtype=np.float64).tolist() for v in columns.values()]
-    rows = list(zip(_time_cells(len(values[0]), rate_hz), *values))
-    body = ("%s" + ",%r" * len(values) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
+    cells = [_value_cells(v) for v in columns.values()]
+    rows = map(",".join, zip(_time_cells(len(cells[0]), rate_hz), *cells))
     head = "# " + " ".join(f"{key}={value}" for key, value in meta.items())
-    write_text_atomic(path, head + "\n" + ",".join(["t_s", *columns]) + "\n" + body)
+    write_text_atomic(path, "\n".join([head, ",".join(["t_s", *columns]), *rows]) + "\n")
 
 
 # information separators: loadtxt strips them from a cell, float() rejects them

@@ -282,6 +282,25 @@ def test_evaluate_writes_the_per_session_table_first(pipeline_dir, tmp_path, mon
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+def test_report_rejects_a_corrupt_per_session_table(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    table = out / "per_session.csv"
+    lines = table.read_text().splitlines()
+    row = lines[1].split(",")
+    for column, value, message in ((-1, "nan", "MSDV values must be finite"),
+                                   (1, "-3", "event counts must be non-negative")):
+        for name in ("report.csv", "msdv.svg"):
+            (out / name).unlink(missing_ok=True)
+        bad = row.copy()
+        bad[column] = value
+        table.write_text("\n".join([lines[0], ",".join(bad), *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--output-dir", str(out)]) == 2, value
+        assert f"{table}:2: {message}" in capsys.readouterr().err
+        assert not (out / "report.csv").exists() and not (out / "msdv.svg").exists()
+
+
 def test_report_svg_toggle(pipeline_dir):
     (pipeline_dir / "msdv.svg").unlink()
     assert main(["report", "--output-dir", str(pipeline_dir), "--set", "report.svg=false"]) == 0

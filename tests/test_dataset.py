@@ -233,6 +233,22 @@ def test_load_dataset_names_the_file_of_a_rejected_value(tmp_path, name, lineno,
     assert excinfo.value.path == str(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "traces must share length"),
+    (lambda lines: ["# unit=microsiemens rate_hz=8.0", *lines[1:]], "traces must share rate"),
+], ids=("length", "rate"))
+def test_load_dataset_names_both_files_of_a_mismatched_session(tmp_path, edit, message):
+    # each file parses alone, but eda.csv disagrees with accel.csv
+    ds = tmp_path / "ds"
+    save_dataset(synth_cohort(2, 120.0, 4.0, seed=11), ds)
+    eda = ds / "s000" / "eda.csv"
+    eda.write_text("\n".join(edit(eda.read_text().splitlines())) + "\n")
+    with pytest.raises(FileFormatError, match=message) as excinfo:
+        load_dataset(ds)
+    assert excinfo.value.path == str(ds / "s000" / "accel.csv")
+    assert str(eda) in str(excinfo.value)
+
+
 def test_load_dataset_rejects_bad_session_ids(tmp_path):
     ds = tmp_path / "ds"
     save_dataset(synth_cohort(2, 120.0, 4.0, seed=12), ds)

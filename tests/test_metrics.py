@@ -260,6 +260,15 @@ def test_per_session_csv_errors(tmp_path):
     )
     with pytest.raises(FileFormatError, match="bad numeric"):
         read_per_session_csv(tmp_path / "numeric.csv")
+    row = lines[1].split(",")
+    for column, value, message in ((1, "-3", "counts must be non-negative"),
+                                   (-1, "nan", "MSDV"), (-2, "inf", "MSDV"), (-4, "-0.5", "MSDV")):
+        cells = row.copy()
+        cells[column] = value
+        (tmp_path / "range.csv").write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+        with pytest.raises(FileFormatError, match=message) as excinfo:
+            read_per_session_csv(tmp_path / "range.csv")
+        assert excinfo.value.line == 2
     (tmp_path / "eof.csv").write_text(lines[0] + "\n")
     with pytest.raises(FileFormatError, match="no sessions"):
         read_per_session_csv(tmp_path / "eof.csv")

@@ -292,10 +292,29 @@ def _sample_tables(draw):
     return draw(st.sampled_from([4.0, 8.0, 3.7, 1000.0])), cols
 
 
-@settings(max_examples=200, deadline=None)
-@given(_sample_tables())
-def test_write_samples_csv_matches_per_float_oracle(tmp_path_factory, table):
-    rate_hz, cols = table
+_EDGE_POOL = (0.0, -0.0, 5e-324, -5e-324)
+
+
+@st.composite
+def _repetitive_tables(draw):
+    # far fewer distinct values per column than rows, the signed zeros always
+    # among them: a writer that merged -0.0 with 0.0 would misspell cells
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        edges = _EDGE_POOL[:draw(st.integers(2, 4))]
+        pool = np.array([*edges, *draw(st.lists(_FLOATS, max_size=2))])
+        col = pool[rng.integers(0, pool.size, n)]
+        if draw(st.booleans()):  # many distinct values among the repeated ones
+            fresh = rng.random(n) < draw(st.sampled_from([0.5, 0.9]))
+            k = int(fresh.sum())
+            col[fresh] = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+        cols.append(col.tolist())
+    return draw(st.sampled_from([4.0, 8.0, 3.7, 1000.0])), cols
+
+
+def _assert_writes_like_oracle(tmp_path_factory, rate_hz, cols):
     names = tuple(f"c{j}" for j in range(len(cols)))
     meta = {"unit": "normalized", "rate_hz": format_float(rate_hz)}
     path = tmp_path_factory.mktemp("table") / "table.csv"
@@ -304,6 +323,18 @@ def test_write_samples_csv_matches_per_float_oracle(tmp_path_factory, table):
     back_rate, (unit,), values = read_samples_csv(path, "table", ("unit",), names)
     assert back_rate == rate_hz and unit == Unit.NORMALIZED
     assert values.tobytes() == np.array(cols).tobytes()  # bit-equal, -0.0 included
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sample_tables())
+def test_write_samples_csv_matches_per_float_oracle(tmp_path_factory, table):
+    _assert_writes_like_oracle(tmp_path_factory, *table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_repetitive_tables())
+def test_write_samples_csv_repeated_values_match_per_float_oracle(tmp_path_factory, table):
+    _assert_writes_like_oracle(tmp_path_factory, *table)
 
 
 _RATES = (4.0, 8.0, 3.0, 7.5, 1000.0)
