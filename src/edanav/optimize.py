@@ -22,8 +22,8 @@ zero gains give identical counts. Closed loop, they do not: the adapted
 prediction there is made at stride L from windows whose future third holds
 the newest sample, so zero gains can still change the counts (the first
 acceptance eval session gives n_raw (7, 10, 5) and n_adapted (8, 80, 5)).
-``n_recorded`` (events on the recorded, decomposed phasic) is carried
-along for reporting only.
+``n_recorded`` (events on the recorded, decomposed phasic) is reported
+only: `evaluate_sessions` counts it, a search never does.
 
 The objective P_pn sums, over detectors, the report's percentage of
 sessions whose adapted event count dropped below the raw one; its range is
@@ -89,16 +89,16 @@ class SessionGroup:
     """The sessions of one sample count and their gain-independent state.
 
     ``terms`` is the controller's PID state over the m sessions [m, ...],
-    fed back from the recorded phasic in the model's normalized scale,
-    clipped to [0, 1]; offline mode uses all of it, closed-loop mode its
-    acceleration rows. The PID state and raw counts do not change across
-    trials, so a search over gains computes them once.
+    fed back from ``recorded``, the decomposed phasic in the model's
+    normalized scale, clipped to [0, 1]; offline mode uses all of it,
+    closed-loop mode its acceleration rows. The PID state and raw counts do
+    not change across trials, so a search over gains computes them once.
     """
 
     members: list[int]  # positions in the input record list
     terms: PidTerms  # [m, ...]
     n_raw: np.ndarray  # [m, n_detectors]
-    n_recorded: np.ndarray  # [m, n_detectors]
+    recorded: np.ndarray  # [m, n]; only `evaluate_sessions` counts its events (n_recorded)
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,9 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
     """One `SessionGroup` per sample count, in order of first appearance.
 
     Each group's members keep their input order. Sessions of one length are
-    predicted and counted together: ``n_raw`` by `predict_sessions` and
-    `count_events` over their recorded acceleration, ``n_recorded`` by
-    `count_events` over their decomposed phasic, in the model's normalized
-    scale. ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
+    predicted and counted together (``n_raw``, by `predict_sessions` and
+    `count_events`); ``recorded`` is left for `evaluate_sessions` to count.
+    ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
     for record in records:
         if not same_rate(record.a_l.rate_hz, model.rate_hz):
@@ -136,7 +135,7 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
             terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
                             model.rate_hz, integral_clamp),
             n_raw=count_events(predict_sessions(model, accel), model.rate_hz, detectors),
-            n_recorded=count_events(recorded, model.rate_hz, detectors),
+            recorded=recorded,
         ))
     return groups
 
@@ -263,6 +262,7 @@ def evaluate_sessions(
     results: list = [None] * len(records)
     [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
     for g, (adapted, _, n_adapted) in zip(groups, sims):
+        n_recorded = count_events(g.recorded, model.rate_hz, detectors)
         for row, i in enumerate(g.members):
             record = records[i]
             msdv_l, msdv_r = (msdv(Trace(a, model.rate_hz)) for a in adapted[row])
@@ -270,7 +270,7 @@ def evaluate_sessions(
                 session_id=record.session_id,
                 n_raw=tuple(g.n_raw[row].tolist()),
                 n_adapted=tuple(n_adapted[row].tolist()),
-                n_recorded=tuple(g.n_recorded[row].tolist()),
+                n_recorded=tuple(n_recorded[row].tolist()),
                 msdv_l=(msdv(record.a_l), msdv_l),
                 msdv_r=(msdv(record.a_r), msdv_r),
             ))

@@ -192,21 +192,21 @@ def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams
     m, n = x.shape
     threshold = params.prominence_frac * np.ptp(x, axis=1)
     # the strict local maxima are the rising-run peaks followed by a drop;
-    # each one's onset is the start of its run
+    # each one's onset is the start of its run. The masks run drop, amplitude
+    # (>= min_amplitude, > 0), rise time, then prominence for the peaks left
     rows, onsets, peaks = runs
-    drop = x[rows, peaks] > x[rows, np.minimum(peaks + 1, n - 1)]
-    rows, onsets, peaks = rows[drop], onsets[drop], peaks[drop]
+    top = x[rows, peaks]
+    amp = top - x[rows, onsets]
+    cand = ((top > x[rows, np.minimum(peaks + 1, n - 1)])
+            & (amp >= params.min_amplitude) & (amp > 0)
+            & _rise_ok(onsets, peaks, rate_hz, params))
+    rows, onsets, peaks = rows[cand], onsets[cand], peaks[cand]
     if peaks.size == 0:
         return rows, onsets, peaks
-    amp = x[rows, peaks] - x[rows, onsets]
     # one prominence query over all rows: a +inf column after each row is
     # higher than any sample, so every search stops at its own row's ends
     joined = np.concatenate([x, np.full((m, 1), np.inf)], axis=1).ravel()
-    keep = (
-        (_prominences(joined, rows * (n + 1) + peaks, n) >= threshold[rows])
-        & (amp >= params.min_amplitude) & (amp > 0)
-        & _rise_ok(onsets, peaks, rate_hz, params)
-    )
+    keep = _prominences(joined, rows * (n + 1) + peaks, n) >= threshold[rows]
     return rows[keep], onsets[keep], peaks[keep]
 
 

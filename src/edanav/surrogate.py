@@ -6,7 +6,7 @@ Clip construction follows the moving-window scheme: the phasic target on
 window crosses a session edge. The regressor is a ridge-regularized linear
 map fit in closed form; predictions are clamped to [0, 1] and put back
 into a sequence by `_overlap_average`: concatenation at stride = L, the
-mean of overlapping clips at stride < L, one `np.bincount` over all clips.
+mean of overlapping clips at stride < L, one strided add per clip column.
 
 `predict_sessions` predicts a stack of equal-length sessions: one
 normalization for all of them, windows written from a sliding view into
@@ -216,16 +216,21 @@ def predict_rows(model: SurrogateModel, rows: np.ndarray) -> np.ndarray:
 def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
     """Rows [m, stride * (n_clips - 1) + L] reassembled from clips ``preds`` [m, n_clips, L].
 
-    Each sample sums its clips in clip order, starting from 0.0, then
-    divides by their count: `np.bincount` adds its weights in input order,
-    and every row's clips occupy their own span of bins.
+    Each sample sums its clips in clip order from 0.0, then divides by their
+    count: clip k's column j lands on sample k * stride + j, so one strided
+    add per column, from column L-1 down to 0, keeps that order.
     """
     m, n_clips, L = preds.shape
     length = stride * (n_clips - 1) + L
-    index = (np.arange(n_clips) * stride)[:, None] + np.arange(L)
-    rows = (np.arange(m) * length)[:, None, None] + index
-    acc = np.bincount(rows.ravel(), weights=preds.ravel(), minlength=m * length)
-    return acc.reshape(m, length) / np.bincount(index.ravel(), minlength=length)
+    acc = np.zeros((m, length))
+    if stride == 0:  # every clip on the one span: add them whole, in clip order
+        return sum(preds.transpose(1, 0, 2), acc) / n_clips
+    count = np.zeros(length)
+    for j in range(L - 1, -1, -1):
+        span = slice(j, j + stride * (n_clips - 1) + 1, stride)
+        acc[:, span] += preds[:, :, j]
+        count[span] += 1.0
+    return acc / count
 
 
 def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> np.ndarray:
@@ -246,9 +251,9 @@ def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> n
     if accel.ndim != 3 or accel.shape[1] != 2:
         raise ValueError(f"accel must be [m, 2, n], got {accel.shape}")
     stride = int(stride_samples)
-    if stride < 1:
-        raise ValueError("stride_samples must be >= 1")
     L = model.L
+    if not 1 <= stride <= L:
+        raise ValueError(f"stride_samples must be in [1, L = {L}], or samples go unpredicted")
     m, _, n = accel.shape
     if n < 3 * L:
         raise ValueError("session shorter than one full window")

@@ -333,13 +333,45 @@ def test_build_contexts_groups_sessions_by_length(small):
     groups = build_contexts(sessions, model, detectors, **MIXED_SETTINGS)
     assert [g.members for g in groups] == [[0, 4], [1], [2], [3]]
     for g in groups:
-        assert g.n_raw.shape == g.n_recorded.shape == (len(g.members), 3)
+        assert g.n_raw.shape == (len(g.members), 3)
+        assert g.recorded.shape == (len(g.members), len(sessions[g.members[0]].eda))
         for row, i in enumerate(g.members):
             [alone] = build_contexts([sessions[i]], model, detectors, **MIXED_SETTINGS)
             for name in ("accel", "error", "integral", "delta"):
                 assert getattr(g.terms, name)[row].tobytes() == getattr(alone.terms, name).tobytes()
             assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()
-            assert g.n_recorded[row].tolist() == alone.n_recorded[0].tolist()
+            assert g.recorded[row].tobytes() == alone.recorded[0].tobytes()
+
+
+def test_only_evaluation_counts_the_recorded_phasic(small, monkeypatch):
+    # a search never counts the events of a group's recorded phasic; an
+    # evaluation counts each group's once
+    records, model = small
+    sessions = _mixed_sessions(records, model.L)
+    # every group and counted array is kept alive, so no two share an id
+    built, counted = [], []
+    real_build, real_count = optimize_module.build_contexts, optimize_module.count_events
+
+    def build(*args):
+        groups = real_build(*args)
+        built.extend(groups)
+        return groups
+
+    def count(x, *args):
+        counted.append(x)
+        return real_count(x, *args)
+
+    monkeypatch.setattr(optimize_module, "build_contexts", build)
+    monkeypatch.setattr(optimize_module, "count_events", count)
+    for mode in MODES:
+        optimize(sessions, model, budget=4, seed=5, mode=mode, **MIXED_SETTINGS)
+    ids = Counter(map(id, counted))
+    assert len(built) == 8 and all(ids[id(g.recorded)] == 0 for g in built)
+    built.clear()
+    counted.clear()
+    evaluate_sessions(sessions, TUNED_GAINS, model, **MIXED_SETTINGS)
+    ids = Counter(map(id, counted))
+    assert len(built) == 4 and all(ids[id(g.recorded)] == 1 for g in built)
 
 
 def test_build_contexts_integral_matches_the_scalar_loop(monkeypatch):

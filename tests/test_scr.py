@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edanav.scr as scr_module
 from edanav.scr import (
     _DETECTORS,
     METHODS,
@@ -257,6 +258,65 @@ def test_gamboa2008_merges_dense_bursts_as_brute_force(x, min_amplitude, min_sep
         expected = [(o, p) for o, p, _ in _oracle(row, params)]
         mine = rows == i
         assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
+
+
+@st.composite
+def _zigzag_rows(draw):
+    """Rows [m, n] whose rising runs are mostly one sample long.
+
+    Each climb rises in one sample five times out of eight, else in two,
+    three or six, then drops by a step from a small set, so prominences tie
+    and climbs start below, at and above earlier peaks. Short rows end on a
+    plateau at their last value.
+    """
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = [0.0]
+        for _ in range(draw(st.integers(1, 30))):
+            steps = draw(st.sampled_from([1, 1, 1, 1, 1, 2, 3, 6]))
+            top = row[-1] + draw(st.sampled_from([0.25, 0.5, 1.0]))
+            row += np.linspace(row[-1], top, steps + 1)[1:].tolist()
+            row.append(top - draw(st.sampled_from([0.25, 0.5, 1.5])))
+        rows.append(row)
+    n = max(map(len, rows))
+    return np.array([row + [row[-1]] * (n - len(row)) for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_zigzag_rows(), st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([0.5, 0.75]),
+       st.sampled_from([1e-6, 0.5]))
+def test_neurokit_rejects_short_rises_before_prominence_as_brute_force(
+    x, prominence_frac, rise_time_min_s, min_amplitude
+):
+    # at 4 Hz a one-sample rise lasts 0.25 s, below the rise-time floor, so
+    # most peaks are dropped before the prominence query
+    params = _params("neurokit", prominence_frac=prominence_frac, min_amplitude=min_amplitude,
+                     rise_time_min_s=rise_time_min_s, rise_time_max_s=60.0)
+    rows, onsets, peaks = _DETECTORS["neurokit"](x, _rising_runs(x), RATE, params)
+    for i, row in enumerate(x):
+        expected = [(o, p) for o, p, _ in _oracle(row, params)]
+        mine = rows == i
+        assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
+
+
+def test_neurokit_skips_prominence_when_no_peak_passes_the_cheap_masks(monkeypatch):
+    # peaks exist, but every one rises in one sample or by less than
+    # min_amplitude: no prominence is looked up and no event is found,
+    # as the brute force finds none
+    def no_query(*args):
+        raise AssertionError("prominence queried with no candidate peak")
+
+    monkeypatch.setattr(scr_module, "_prominences", no_query)
+    zigzag = np.tile([0.0, 1.0], 40)
+    small_steps = np.tile([0.0, 0.1, 0.2, 0.0], 20)
+    for x, params in (
+        (zigzag, _params("neurokit", rise_time_min_s=0.5)),
+        (small_steps, _params("neurokit", min_amplitude=0.5)),
+    ):
+        stack = np.stack([x, x[::-1]])
+        assert _oracle(x, params) == _oracle(x[::-1], params) == []
+        assert count_events(stack, RATE, (params,)).tolist() == [[0], [0]]
+        assert detect_scr(Trace(x, RATE), params) == []
 
 
 def test_fixture_counts_zero_one_two():

@@ -178,6 +178,34 @@ def test_reconstruct_matches_clip_loop(stack):
     assert out.tobytes() == expected.tobytes()
 
 
+@st.composite
+def _clip_row_stacks(draw):
+    """Clips [m, n_clips, L] of m >= 2 sessions, each row its own values, and a stride."""
+    m, n_clips, width = draw(st.integers(2, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    preds = draw(arrays(np.float64, (m, n_clips, width), elements=value))
+    # later rows offset from the first (which keeps its -0.0), so a sample
+    # added into the wrong row shows
+    preds[1:] += np.arange(1, m)[:, None, None] * draw(st.sampled_from([1.0, 1e3]))
+    return preds, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clip_row_stacks())
+def test_overlap_average_keeps_rows_apart(stack):
+    # each row of a stack equals its clips overlap-averaged on their own,
+    # at every stride from 0 to L
+    preds, stride = stack
+    out = _overlap_average(preds, stride)
+    assert out.shape == (len(preds), stride * (preds.shape[1] - 1) + preds.shape[2])
+    for row, clips in zip(out, preds):
+        expected = np.array(reconstruct_naive(clips.tolist(), stride), dtype=np.float64)
+        assert row.tobytes() == expected.tobytes()
+
+
 def test_clip_reconstruct_round_trip():
     # targets cut at stride L and reassembled reproduce the normalized
     # phasic over the covered span
@@ -379,6 +407,21 @@ def test_clip_norm_accel_equals_each_channel_scale(accel, vmin_l, span_l, vmin_r
     assert norm.accel(accel).tobytes() == expected.tobytes()
 
 
+def test_predict_sessions_rejects_a_stride_past_L():
+    # past L, samples between the clips would go unpredicted (NaN); L itself
+    # tiles, and training clips still take any stride >= 1
+    rng = np.random.default_rng(29)
+    model, a_l, a_r = _small_model(rng)
+    accel = np.stack([a_l.samples, a_r.samples])[None]
+    for stride in (L + 1, 2 * L):
+        with pytest.raises(ValueError, match=r"stride_samples must be in \[1, L = 9\]"):
+            predict_sessions(model, accel, stride)
+    assert np.all(np.isfinite(predict_sessions(model, accel, L)))
+    phasic = Trace(np.linspace(0.0, 1.0, len(a_l)), RATE)
+    windows, targets = make_clips(a_l, a_r, phasic, model.norm, stride_samples=2 * L)
+    assert windows.shape[0] == targets.shape[0] == (len(a_l) - L) // (2 * L) + 1
+
+
 def test_predict_session_validation():
     rng = np.random.default_rng(28)
     model, a_l, a_r = _small_model(rng)
@@ -388,6 +431,8 @@ def test_predict_session_validation():
         predict_session(model, Trace(a_l.samples, 8.0), Trace(a_r.samples, 8.0))
     with pytest.raises(ValueError, match="stride"):
         predict_session(model, a_l, a_r, stride_samples=0)
+    with pytest.raises(ValueError, match="stride"):
+        predict_session(model, a_l, a_r, stride_samples=L + 1)
     with pytest.raises(ValueError, match="shorter"):
         predict_session(model, Trace(a_l.samples[:20], RATE), Trace(a_r.samples[:20], RATE))
     with pytest.raises(ValueError, match=r"\[m, 2, n\]"):
