@@ -16,7 +16,7 @@ through the Bateman oracle; resting acceleration is exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +43,20 @@ MIN_GAP_S = 8.0
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One session: paired acceleration channels and the EDA they produced."""
+    """One session: paired acceleration channels and the EDA they produced.
+
+    ``phasics`` holds the EDA's phasic part per `DecompositionConfig`,
+    filled on first use by `pipeline.session_phasic`; it is not an
+    argument, takes no part in equality or repr, and `dataclasses.replace`
+    starts the new record with an empty one.
+    """
 
     session_id: str
     a_l: Trace
     a_r: Trace
     eda: Trace
     split: str = "train"
+    phasics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split not in SPLITS:
@@ -215,12 +222,35 @@ def _read_accel_csv(path: Path) -> tuple[Trace, Trace]:
         raise FileFormatError(path, str(exc)) from None
 
 
+def _session_id_problem(session_id: str, seen) -> str | None:
+    """Why ``session_id`` cannot name a session beside the ids in ``seen``, or None.
+
+    An id is one plain path component that fits in one manifest cell: not
+    empty, ``.`` or ``..``, with no ``/``, ``\\``, comma or line break, and
+    listed once.
+    """
+    if (session_id in ("", ".", "..") or any(c in session_id for c in "/\\,")
+            or session_id.splitlines() != [session_id]):
+        return f"session id {session_id!r} is not a plain name"
+    if session_id in seen:
+        return f"duplicate session id {session_id!r}"
+    return None
+
+
 def save_dataset(records: list[SessionRecord], directory) -> None:
     """Write sessions and the manifest under ``directory``.
 
-    Each file is written with `write_text_atomic`; the directory itself is
-    not staged, so a failure part-way leaves the files written so far.
+    Every session id is checked first, with `load_dataset`'s rule, so a
+    ValueError leaves nothing written. Each file is written with
+    `write_text_atomic`; the directory itself is not staged, so a failure
+    part-way leaves the files written so far.
     """
+    seen: set[str] = set()
+    for rec in records:
+        problem = _session_id_problem(rec.session_id, seen)
+        if problem:
+            raise ValueError(problem)
+        seen.add(rec.session_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = ["id,split"]
@@ -239,7 +269,8 @@ def load_dataset(directory, splits=SPLITS) -> list[SessionRecord]:
     The whole manifest is checked whatever ``splits`` holds: its header,
     each row's ``id,split`` shape and split name, and each id, which must
     be one plain path component (not empty, ``.`` or ``..``, no ``/`` or
-    ``\\``) listed once. Only the files of sessions whose split is in
+    ``\\``) listed once (`_session_id_problem`, which `save_dataset` also
+    applies). Only the files of sessions whose split is in
     ``splits`` are opened; they are returned in manifest order, so a
     selection no row falls in returns ``[]``.
 
@@ -269,12 +300,9 @@ def load_dataset(directory, splits=SPLITS) -> list[SessionRecord]:
         session_id, split = parts
         if split not in SPLITS:
             raise FileFormatError(manifest_path, f"unknown split {split!r}", lineno)
-        if session_id in ("", ".", "..") or "/" in session_id or "\\" in session_id:
-            raise FileFormatError(
-                manifest_path, f"session id {session_id!r} is not a plain name", lineno
-            )
-        if session_id in rows:
-            raise FileFormatError(manifest_path, f"duplicate session id {session_id!r}", lineno)
+        problem = _session_id_problem(session_id, rows)
+        if problem:
+            raise FileFormatError(manifest_path, problem, lineno)
         rows[session_id] = split
     if not rows:
         raise FileFormatError(manifest_path, "manifest lists no sessions")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .signals import Trace, format_float, write_text_atomic
+from .signals import format_float, write_text_atomic
 
 CHI2_CRITICAL_P05 = 3.841
 CHI2_CRITICAL_P01 = 6.635
@@ -28,11 +28,17 @@ MSDV_LONGITUDINAL = "msdv_longitudinal"
 MSDV_ROTATIONAL = "msdv_rotational"
 
 
-def msdv(trace: Trace) -> float:
-    """Motion-sickness dose value, (sum a^2 dt)^(1/2)."""
-    dt = 1.0 / trace.rate_hz
-    total = float(np.sum(np.abs(trace.samples) ** 2) * dt)
-    return total ** 0.5
+def msdv(samples, dt) -> np.ndarray:
+    """Motion-sickness dose values of the rows of ``samples`` [..., n].
+
+    Each row's (sum a^2 dt)^(1/2), with ``dt`` a scalar or one per row
+    (broadcast against [...]). All rows' squares are summed in one
+    reduction over the last axis, each row with the bits of its own
+    ``np.sum``; each root is Python's ``float ** 0.5``, whose bits
+    ``np.sqrt`` does not always give.
+    """
+    doses = np.sum(np.abs(samples) ** 2, axis=-1) * dt
+    return np.reshape([d ** 0.5 for d in np.ravel(doses).tolist()], np.shape(doses))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ length, once, and precomputes what does not depend on the gains for each
 `SessionGroup`; `_simulate` replays the groups under a block of gain sets
 and counts the events of each surrogate prediction.
 `evaluate_sessions` runs a block of one and keeps each session's report row,
-a `metrics.SessionStats`; a search trial scores the counts alone with
+a `metrics.SessionStats`, with a group's raw and adapted MSDVs taken in one
+`metrics.msdv` reduction; a search trial scores the counts alone with
 `metrics.detector_stats`, the detector rows of `metrics.build_report`.
+The recorded phasic comes from `pipeline.session_phasic`, which each
+record keeps, so a search and its evaluation decompose no session again.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
 against the recorded feedback in one `apply_gains` call and predicts them
@@ -68,14 +71,8 @@ from .control import (
 )
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .signals import (
-    DecompositionConfig,
-    Trace,
-    decompose,
-    format_float,
-    same_rate,
-    write_text_atomic,
-)
+from .pipeline import session_phasic
+from .signals import DecompositionConfig, format_float, same_rate, write_text_atomic
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
@@ -127,7 +124,7 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
     for members in by_length.values():
         group = [records[i] for i in members]
         recorded = np.stack([
-            model.norm.phasic.apply(decompose(r.eda, decomposition).phasic.samples) for r in group
+            model.norm.phasic.apply(session_phasic(r, decomposition).samples) for r in group
         ])
         accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
         groups.append(SessionGroup(
@@ -261,18 +258,22 @@ def evaluate_sessions(
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
     results: list = [None] * len(records)
     [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
+    model_dt = 1.0 / model.rate_hz
     for g, (adapted, _, n_adapted) in zip(groups, sims):
         n_recorded = count_events(g.recorded, model.rate_hz, detectors)
-        for row, i in enumerate(g.members):
-            record = records[i]
-            msdv_l, msdv_r = (msdv(Trace(a, model.rate_hz)) for a in adapted[row])
+        group = [records[i] for i in g.members]
+        # a raw dose integrates over its own trace's rate, an adapted one over the model's
+        dt = [[[1.0 / r.a_l.rate_hz, 1.0 / r.a_r.rate_hz] for r in group],
+              [[model_dt, model_dt]] * len(group)]
+        raw, new = msdv(np.stack([g.terms.accel, adapted]), np.array(dt)).tolist()
+        for row, (i, record) in enumerate(zip(g.members, group)):
             results[i] = SimulationResult(SessionStats(
                 session_id=record.session_id,
                 n_raw=tuple(g.n_raw[row].tolist()),
                 n_adapted=tuple(n_adapted[row].tolist()),
                 n_recorded=tuple(n_recorded[row].tolist()),
-                msdv_l=(msdv(record.a_l), msdv_l),
-                msdv_r=(msdv(record.a_r), msdv_r),
+                msdv_l=(raw[row][0], new[row][0]),
+                msdv_r=(raw[row][1], new[row][1]),
             ))
     return results
 

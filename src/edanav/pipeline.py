@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .signals import DecompositionConfig, decompose
+from .signals import DecompositionConfig, Trace, decompose
 from .surrogate import (
     DEFAULT_CLIP_LEN_S,
     DEFAULT_RIDGE_LAMBDA,
@@ -26,8 +26,17 @@ def eval_split(records):
     return [r for r in records if r.split == "eval"]
 
 
-def _phasics(records, decomposition):
-    return [decompose(r.eda, decomposition).phasic for r in records]
+def session_phasic(record, decomposition: DecompositionConfig) -> Trace:
+    """The phasic part of ``record``'s EDA under ``decomposition``.
+
+    The only code that decomposes a session: the phasic is computed on
+    first use and kept in the record's ``phasics`` store, one per config,
+    so training, scoring and every replay of one record share it.
+    """
+    store = record.phasics
+    if decomposition not in store:
+        store[decomposition] = decompose(record.eda, decomposition).phasic
+    return store[decomposition]
 
 
 def held_out_mae(
@@ -46,9 +55,10 @@ def held_out_mae(
     if not records:
         return math.nan
     errors = []
-    for record, phasic in zip(records, _phasics(records, decomposition)):
+    for record in records:
         pred = predict_session(model, record.a_l, record.a_r, model.L).samples
-        errors.append(np.abs(pred - model.norm.phasic.apply(phasic.samples)[: len(pred)]))
+        phasic = session_phasic(record, decomposition).samples
+        errors.append(np.abs(pred - model.norm.phasic.apply(phasic)[: len(pred)]))
     return float(np.mean(np.concatenate(errors)))
 
 
@@ -68,7 +78,7 @@ def train_surrogate(
     train = train_split(records)
     if not train:
         raise ValueError("dataset has no train sessions")
-    phasics = _phasics(train, decomposition)
+    phasics = [session_phasic(r, decomposition) for r in train]
     norm = corpus_clip_norm(
         [r.a_l for r in train], [r.a_r for r in train], phasics
     )

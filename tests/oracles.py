@@ -6,7 +6,9 @@ oracle for the production implementations. The exceptions are the
 predictors, whose matrix products must be numpy's own: `predict_session_naive`
 and `held_out_mae_naive` run one 2-D gemm per session and `predict_clip` one
 gemv, and the properties they pin are that batching sessions or rows leaves
-those products' bits alone. `search_naive` is the other exception: it is the
+those products' bits alone. `msdv_naive` is another: it is the MSDV of one
+`Trace`, one `np.sum`, whose pairwise order the group reduction of
+`metrics.msdv` must keep. `search_naive` is the last: it is the
 gain search one trial at a time, and it scores each trial with the
 package's own replay (`build_contexts`, `_simulate`, `detector_stats`), so
 what it pins is the search's schedule of draws, candidates and incumbents.
@@ -44,6 +46,13 @@ def bateman_pulse(n, rate_hz, onset_s, amplitude, tau_rise_s=0.75, tau_decay_s=2
             h = math.exp(-t / tau_decay_s) - math.exp(-t / tau_rise_s)
             out.append(amplitude * h / peak)
     return out
+
+
+def msdv_naive(trace):
+    """Motion-sickness dose value of one `Trace`: one ``np.sum`` of the squares
+    times 1 / rate, then the Python root."""
+    total = float(np.sum(np.abs(trace.samples) ** 2) * (1.0 / trace.rate_hz))
+    return total ** 0.5
 
 
 def _rising_runs_naive(x):

@@ -1,6 +1,7 @@
 """Cohort generator and dataset disk-layout tests."""
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,35 @@ def test_load_dataset_rejects_bad_session_ids(tmp_path):
             with pytest.raises(FileFormatError, match=message) as excinfo:
                 load_dataset(ds, splits=splits)
             assert excinfo.value.line == 3, row
+
+
+@pytest.mark.parametrize("session_id, message", [
+    ("s000", "duplicate session id 's000'"),
+    ("../escaped", "session id '../escaped' is not a plain name"),
+    ("", "is not a plain name"),
+    ("s0\\x", "is not a plain name"),
+    ("s0,x", "is not a plain name"),
+    ("s0\nx", "is not a plain name"),
+    ("s0\x1cx", "is not a plain name"),
+])
+def test_save_dataset_rejects_ids_the_loader_rejects(tmp_path, session_id, message):
+    # every id is checked before anything is written: no session files, no
+    # manifest, and nothing outside the directory
+    records = synth_cohort(2, 120.0, 4.0, seed=13)
+    records[1] = replace(records[1], session_id=session_id)
+    ds = tmp_path / "sub" / "ds"
+    with pytest.raises(ValueError, match=message):
+        save_dataset(records, ds)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_dataset_writes_what_the_loader_reads_back(tmp_path):
+    # the ids the loader accepts, dots and spaces included, survive the round trip
+    records = synth_cohort(3, 120.0, 4.0, seed=13)
+    ids = ["s.0", "a b", "..x"]
+    records = [replace(r, session_id=i) for r, i in zip(records, ids)]
+    save_dataset(records, tmp_path / "ds")
+    assert [r.session_id for r in load_dataset(tmp_path / "ds")] == ids
 
 
 def _corrupt_train_accel(ds):

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from edanav.control import AccelLimits
 from edanav.errors import FileFormatError
 from edanav.metrics import (
     MSDV_LONGITUDINAL,
@@ -21,7 +25,9 @@ from edanav.metrics import (
     write_per_session_csv,
     write_report_csv,
 )
-from edanav.signals import Trace, Unit
+from edanav.signals import Trace
+
+from oracles import msdv_naive
 
 METHODS = ("kim2004", "gamboa2008", "neurokit")
 
@@ -42,32 +48,98 @@ def _session(i, n_raw, n_adapted, msdv_l, msdv_r):
 # ---------------------------------------------------------------------------
 
 def test_msdv_of_silence_is_zero():
-    assert msdv(Trace(np.zeros(100), 4.0)) == 0.0
+    assert msdv(np.zeros(100), 0.25) == 0.0
 
 
 def test_msdv_constant_analytic_values():
     # 960 samples at 4 Hz integrate a constant 1 over exactly 240 s
-    ones = Trace(np.ones(960), 4.0, Unit.M_PER_S2)
-    assert abs(msdv(ones) - math.sqrt(240.0)) < 1e-12
+    assert abs(msdv(np.ones(960), 0.25) - math.sqrt(240.0)) < 1e-12
     # constant 2 over 100 s: (4 * 100) ** 0.5 = 20
-    twos = Trace(np.full(1000, 2.0), 10.0)
-    assert abs(msdv(twos) - 20.0) < 1e-12
+    assert abs(msdv(np.full(1000, 2.0), 0.1) - 20.0) < 1e-12
 
 
 def test_msdv_homogeneity():
     rng = np.random.default_rng(60)
     for _ in range(20):
-        tr = Trace(rng.normal(0.0, 2.0, 400), 4.0)
+        x = rng.normal(0.0, 2.0, 400)
         c = float(rng.uniform(-5.0, 5.0))
         if c == 0.0:
             continue
-        scaled = Trace(c * tr.samples, tr.rate_hz, tr.unit)
-        assert abs(msdv(scaled) - abs(c) * msdv(tr)) <= 1e-9 * (abs(c) * msdv(tr))
+        assert abs(msdv(c * x, 0.25) - abs(c) * msdv(x, 0.25)) <= 1e-9 * (abs(c) * msdv(x, 0.25))
 
 
 def test_msdv_sign_blind():
     x = np.array([1.0, -2.0, 3.0, -4.0])
-    assert msdv(Trace(x, 4.0)) == msdv(Trace(np.abs(x), 4.0))
+    assert msdv(x, 0.25) == msdv(np.abs(x), 0.25)
+
+
+def test_msdv_takes_one_dose_per_row():
+    # [..., n] gives [...]; one row gives a 0-d array, and dt broadcasts per row
+    x = np.arange(24.0).reshape(2, 3, 4)
+    dt = np.array([[0.25], [0.5]])
+    out = msdv(x, dt)
+    assert out.shape == (2, 3) and msdv(x[0, 0], 0.25).shape == ()
+    for i in range(2):
+        for j in range(3):
+            assert out[i, j] == msdv_naive(Trace(x[i, j], 1.0 / dt[i, 0]))
+
+
+ACCEL_BOUNDS = (AccelLimits().max_longitudinal, AccelLimits().max_rotational)
+SUBNORMALS = (5e-324, 2.2250738585072014e-308 / 3.0, math.ulp(0.0) * 7)
+# rates whose dt = 1 / rate is inexact, or one ulp off an exact one
+MSDV_RATES = (4.0, math.nextafter(4.0, 5.0), 3.0, 8.0, 7.3, 1e3)
+
+
+@st.composite
+def _msdv_stacks(draw):
+    """A stack [m, 2, n] of finite accelerations, with zeros, -0.0, subnormals
+    and values at the clamps, and one rate per row [m, 2]."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 64))
+    special = st.sampled_from(
+        [0.0, -0.0, *SUBNORMALS, *(-s for s in SUBNORMALS), *ACCEL_BOUNDS,
+         *(-b for b in ACCEL_BOUNDS)]
+    )
+    values = st.one_of(special, st.floats(-ACCEL_BOUNDS[0], ACCEL_BOUNDS[0]))
+    x = draw(arrays(np.float64, (m, 2, n), elements=values))
+    rates = draw(arrays(np.float64, (m, 2), elements=st.sampled_from(MSDV_RATES)))
+    return x, rates
+
+
+def _assert_msdv_matches_oracle(x, rates):
+    out = msdv(x, 1.0 / rates)
+    assert out.shape == rates.shape
+    for index in np.ndindex(rates.shape):
+        ref = msdv_naive(Trace(x[index], rates[index]))
+        assert out[index].tobytes() == np.float64(ref).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_msdv_stacks())
+def test_group_msdv_matches_the_one_trace_oracle(stack):
+    # one reduction over the stack gives each row the bits of its own
+    # np.sum, times its own dt, and Python's root
+    _assert_msdv_matches_oracle(*stack)
+
+
+def test_group_msdv_takes_the_python_root():
+    # np.sqrt rounds about 1 root in 1,000 of these doses differently from
+    # Python's float ** 0.5; 20,000 rows hold some of them
+    rng = np.random.default_rng(62)
+    x = np.clip(rng.normal(0.0, 3.0, (10_000, 2, 6)), -5.0, 5.0)
+    rates = rng.choice(MSDV_RATES, (10_000, 2))
+    _assert_msdv_matches_oracle(x, rates)
+    doses = np.sum(np.abs(x) ** 2, axis=-1) * (1.0 / rates)
+    assert np.any(np.sqrt(doses) != msdv(x, 1.0 / rates))
+
+
+def test_group_msdv_matches_the_one_trace_oracle_on_long_rows():
+    # rows longer than numpy's pairwise block and its 8192-element buffer
+    rng = np.random.default_rng(61)
+    for n in (127, 128, 129, 7200, 8192, 8193, 20000):
+        x = np.clip(rng.normal(0.0, 3.0, (3, 2, n)), -5.0, 5.0)
+        rates = rng.choice(MSDV_RATES, (3, 2))
+        _assert_msdv_matches_oracle(x, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from edanav.control import (
     pid_terms,
 )
 from edanav.dataset import synth_cohort
-from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, detector_stats, msdv
+from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, detector_stats
 from edanav.optimize import (
     MODES,
     ROWS,
@@ -43,7 +43,13 @@ from edanav.signals import (
 )
 from edanav.surrogate import OracleParams, make_clips, predict_session, synth_session
 
-from oracles import adapt_trace_naive, clamped_sum_naive, predict_clip, search_naive
+from oracles import (
+    adapt_trace_naive,
+    clamped_sum_naive,
+    msdv_naive,
+    predict_clip,
+    search_naive,
+)
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
@@ -105,9 +111,28 @@ def test_simulation_stats_are_consistent(small):
     assert stats.n_adapted == tuple(
         count_er_scr(Trace(pred, model.rate_hz), d) for d in detectors
     )
-    assert stats.msdv_l == (msdv(records[1].a_l), msdv(Trace(adapted[0], model.rate_hz)))
-    assert stats.msdv_r == (msdv(records[1].a_r), msdv(Trace(adapted[1], model.rate_hz)))
+    for raw, a, pair in ((records[1].a_l, adapted[0], stats.msdv_l),
+                         (records[1].a_r, adapted[1], stats.msdv_r)):
+        assert pair == (msdv_naive(raw), msdv_naive(Trace(a, model.rate_hz)))
     assert stats.session_id == records[1].session_id
+
+
+def test_raw_msdv_integrates_at_the_record_rate(small):
+    # a record whose longitudinal rate is one ulp above the model's passes
+    # `same_rate`; its raw dose keeps that trace's own dt, the adapted dose
+    # the model's, and each row of a group keeps its own
+    records, model = small
+    a_l = records[0].a_l
+    moved = replace(records[0], a_l=Trace(a_l.samples, ONE_ULP_UP, a_l.unit))
+    assert same_rate(moved.a_l.rate_hz, model.rate_hz)
+    pair = [moved, records[1]]
+    results = evaluate_sessions(pair, PidGains(), model)
+    for record, result in zip(pair, results):
+        stats = result.stats
+        assert stats.msdv_l == (msdv_naive(record.a_l), msdv_naive(Trace(record.a_l.samples, 4.0)))
+        assert stats.msdv_r == (msdv_naive(record.a_r), msdv_naive(Trace(record.a_r.samples, 4.0)))
+    # the rates give different doses, so the test tells them apart
+    assert results[0].stats.msdv_l[0] != results[0].stats.msdv_l[1]
 
 
 def test_raw_counts_come_from_the_surrogate(small):
