@@ -8,9 +8,9 @@ environment variable (flag > environment > file > default).
 
 A default or bound the library already states is taken from it: the
 dataclass sections from their dataclasses, the seeds, ``train_frac``,
-``workers`` and search settings from the keyword defaults of
-`synth_cohort`, `optimize` and `GainRanges.default`, and the bounds of the
-search settings, the cohort and the integral clamp from
+``workers``, search settings and per-gain box bounds from the keyword
+defaults of `synth_cohort` and `optimize`, and the bounds of the search
+settings, the cohort and the integral clamp from
 `check_search_settings`, `check_cohort_settings` and
 `check_integral_clamp`. `RunConfig` carries each call's keyword arguments
 as whole groups, so the CLI passes them on with ``**``.
@@ -23,8 +23,6 @@ import inspect
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, check_integral_clamp
 from .dataset import check_cohort_settings, synth_cohort
@@ -65,12 +63,14 @@ def _detector_keys(params: DetectorParams) -> dict[str, tuple[str, object]]:
 # the optimizer keys `check_search_settings` bounds, besides budget and mode
 _SEARCH_KEYS = ("explore_frac", "sigma_scale", "halve_after")
 
+_DEFAULT_BOX = _keyword_defaults(optimize, "ranges")["ranges"]
+
 # section -> key -> (type tag, default). The tags drive both parsing and
-# the unknown-key check; "maybe_int" and "maybe_float" admit an empty value.
-# A default the library defines is read from it: sections that configure a
-# dataclass take their keys from it, and the seeds, train_frac, workers and
-# search settings come from `synth_cohort`'s, `optimize`'s and
-# `GainRanges.default`'s keyword defaults.
+# the unknown-key check; "maybe_int" admits an empty value. A default the
+# library defines is read from it: sections that configure a dataclass take
+# their keys from it, and the seeds, train_frac, workers, search settings
+# and box bounds come from `synth_cohort`'s and `optimize`'s keyword
+# defaults.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
         **_typed(_keyword_defaults(synth_cohort, "seed")),
@@ -97,9 +97,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "optimizer": {
         "budget": ("int", 400),
         **_typed(_keyword_defaults(optimize, "seed", "mode", *_SEARCH_KEYS)),
-        **_typed(_keyword_defaults(GainRanges.default)),
-        # optional per-gain bracket overrides (lo_K_Pl = ..., hi_beta_r = ...)
-        **{f"{end}_{key}": ("maybe_float", None) for key in GAIN_KEYS for end in ("lo", "hi")},
+        # one bound per gain and end (lo_K_Pl = ..., hi_beta_r = ...)
+        **_typed({f"{end}_{key}": float(getattr(_DEFAULT_BOX, end)[i])
+                  for i, key in enumerate(GAIN_KEYS) for end in ("lo", "hi")}),
     },
     "report": {
         "svg": ("bool", True),
@@ -167,8 +167,6 @@ def _parse_value(section: str, key: str, raw: str):
             raise ValueError(raw)
         if tag == "maybe_int":
             return int(raw) if raw.strip() else None
-        if tag == "maybe_float":
-            return float(raw) if raw.strip() else None
         return raw
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {tag}") from None
@@ -241,14 +239,8 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         check_search_settings(**search, mode=o["mode"], workers=run["workers"])
         check_cohort_settings(**dataset)
         check_integral_clamp(control["integral_clamp"])
-        box = GainRanges.default(**{key: o[key] for key in _keyword_defaults(GainRanges.default)})
-        lo, hi = np.array(box.lo), np.array(box.hi)
-        for i, key in enumerate(GAIN_KEYS):
-            if o[f"lo_{key}"] is not None:
-                lo[i] = o[f"lo_{key}"]
-            if o[f"hi_{key}"] is not None:
-                hi[i] = o[f"hi_{key}"]
-        ranges = GainRanges(lo=lo, hi=hi)
+        ranges = GainRanges(lo=[o[f"lo_{key}"] for key in GAIN_KEYS],
+                            hi=[o[f"hi_{key}"] for key in GAIN_KEYS])
         oracle = OracleParams(**values["oracle"])
         decomposition = DecompositionConfig(**values["decomposition"])
         detectors = tuple(

@@ -242,6 +242,11 @@ def read_per_session_csv(path) -> tuple[tuple[str, ...], list[SessionStats]]:
 _SVG_COLORS = {"raw": "#9aa0a6", "adapted": "#4a7fb5"}
 
 
+def _svg_text(text: str) -> str:
+    """``text`` with the characters XML reserves in element text escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_msdv_svg(sessions, path) -> None:
     """Grouped raw-vs-adapted MSDV bars, one panel per channel."""
     sessions = tuple(sessions)
@@ -279,7 +284,7 @@ def write_msdv_svg(sessions, path) -> None:
                 )
         out.append(
             f'<text x="{left}" y="{y0 + panel_h + 14}" font-size="9">'
-            f"{sessions[0].session_id} .. {sessions[-1].session_id}</text>"
+            f"{_svg_text(sessions[0].session_id)} .. {_svg_text(sessions[-1].session_id)}</text>"
         )
     legend_y = height - 10
     out.append(

@@ -286,8 +286,8 @@ def evaluate_sessions(
 class GainRanges:
     """Per-gain search box, aligned with GAIN_KEYS order."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: np.ndarray = (0.0,) * 11
+    hi: np.ndarray = (0.5,) * 9 + (0.01,) * 2
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)
@@ -305,14 +305,6 @@ class GainRanges:
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def default(
-        k_lo: float = 0.0, k_hi: float = 0.5, beta_lo: float = 0.0, beta_hi: float = 0.01
-    ) -> "GainRanges":
-        """One bracket for the nine PID gains and one for the two betas."""
-        return GainRanges(np.array([k_lo] * 9 + [beta_lo] * 2),
-                          np.array([k_hi] * 9 + [beta_hi] * 2))
 
 
 # search setting -> (accepts the value, the rule it must satisfy)
@@ -358,7 +350,7 @@ def optimize(
     model: SurrogateModel,
     budget: int,
     seed: int = 0,
-    ranges: GainRanges = GainRanges.default(),
+    ranges: GainRanges = GainRanges(),
     detectors=default_detectors(),
     mode: str = "offline",
     explore_frac: float = 0.6,

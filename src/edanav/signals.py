@@ -84,6 +84,13 @@ class Trace:
         object.__setattr__(self, "rate_hz", float(self.rate_hz))
         object.__setattr__(self, "unit", Unit(self.unit))
 
+    def __eq__(self, other) -> bool:
+        """Value equality: the same rate, the same unit and equal samples."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.rate_hz == other.rate_hz and self.unit == other.unit
+                and np.array_equal(self.samples, other.samples))
+
     def __len__(self) -> int:
         return self.samples.size
 

@@ -339,7 +339,7 @@ def search_naive(records, model, budget, seed, mode, explore_frac=0.6, sigma_sca
     detectors = default_detectors()
     groups = build_contexts(list(records), model, detectors, decomposition, integral_clamp)
     n_raw = np.concatenate([g.n_raw for g in groups])
-    box = GainRanges.default()
+    box = GainRanges()
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
     sigma = sigma_scale * (box.hi - box.lo)

@@ -2,7 +2,9 @@
 
 import inspect
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +133,7 @@ def test_config_defaults_are_the_library_defaults(monkeypatch):
                 np.testing.assert_array_equal(kwargs[name].hi, param.default.hi)
             elif name in kwargs and param.default not in (inspect.Parameter.empty, None):
                 assert kwargs[name] == param.default, (fn.__name__, name)
-    box = GainRanges.default()
+    box = GainRanges()
     np.testing.assert_array_equal(cfg.search["ranges"].lo, box.lo)
     np.testing.assert_array_equal(cfg.search["ranges"].hi, box.hi)
 
@@ -150,7 +152,6 @@ def test_config_accepts_exactly_the_documented_keys():
         "detector.gamboa2008": rise | {"min_separation_s"},
         "detector.neurokit": rise | {"prominence_frac"},
         "optimizer": {"budget", "seed", "mode", "explore_frac", "sigma_scale", "halve_after",
-                      "k_lo", "k_hi", "beta_lo", "beta_hi",
                       *(f"{end}_{key}" for key in GAIN_KEYS for end in ("lo", "hi"))},
         "report": {"svg"},
     }
@@ -161,7 +162,7 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     path = tmp_path / "run.ini"
     path.write_text(
         "[run]\nseed = 3\noutput_dir = from_file\n"
-        "[optimizer]\nbudget = 50\nk_hi = 0.3\nhi_K_Il = 0.02\n"
+        "[optimizer]\nbudget = 50\nhi_K_Il = 0.02\n"
         "[surrogate]\nstride_samples = 3\n"
         "[report]\nsvg = no\n"
     )
@@ -172,9 +173,27 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     assert cfg.train["stride_samples"] == 3
     assert cfg.svg is False
     assert str(cfg.output_dir) == "from_file"
-    # per-gain bracket override tightens one entry, k_hi covers the rest
+    # a per-gain bound moves its own entry only
     assert cfg.search["ranges"].hi[1] == 0.02
-    assert cfg.search["ranges"].hi[0] == 0.3
+    assert cfg.search["ranges"].hi[0] == 0.5
+
+
+def test_readme_ini_examples_load(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    configs = []
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.ini"
+        path.write_text(block, encoding="utf-8")
+        configs.append(load_config(path))
+    cfg = configs[0]
+    assert cfg.search["budget"] == 400
+    assert cfg.synth["n_sessions"] == 40
+    assert cfg.svg is True
+    np.testing.assert_array_equal(cfg.search["ranges"].hi,
+                                  [0.5, 0.02, 0.05] + [0.5] * 6 + [0.01] * 2)
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
@@ -196,8 +215,9 @@ def test_config_rejects_unknown_names(tmp_path):
     bad_key.write_text("[run]\nspeed = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(bad_key)
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(overrides=["run.speed=1"])
+    for override in ("run.speed=1", "optimizer.k_hi=0.3"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(overrides=[override])
     with pytest.raises(ConfigError, match="section.key=value"):
         load_config(overrides=["run.seed"])
 
@@ -338,6 +358,8 @@ def test_usage_errors_exit_one():
 def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "run.speed=1"]) == 1
     assert "config error" in capsys.readouterr().err
+    assert main(["optimize", "--output-dir", str(tmp_path), "--set", "optimizer.k_hi=0.3"]) == 1
+    assert "unknown key" in capsys.readouterr().err
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.budget=-4"]) == 1
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.sigma_scale=0"]) == 1
     assert "sigma_scale must be positive" in capsys.readouterr().err

@@ -113,6 +113,20 @@ def test_session_record_validation():
         SessionRecord("s0", tr, tr, Trace(np.zeros(10), 8.0))
 
 
+
+def test_session_records_compare_by_value():
+    first = synth_cohort(1, 120.0, 4.0, seed=1)[0]
+    second = synth_cohort(1, 120.0, 4.0, seed=1)[0]
+    assert first.eda is not second.eda
+    assert first == second
+    assert decompose(first.eda) == decompose(second.eda)
+    eda = first.eda.samples.copy()
+    eda[7] += 1e-9
+    assert replace(first, eda=Trace(eda, first.eda.rate_hz, first.eda.unit)) != first
+    assert replace(first, a_l=Trace(first.a_l.samples, first.a_l.rate_hz)) != first  # unit
+    assert Trace(eda, 4.0) != Trace(eda, 8.0)
+
+
 # ---------------------------------------------------------------------------
 # Disk layout
 # ---------------------------------------------------------------------------

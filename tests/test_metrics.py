@@ -1,6 +1,8 @@
 """MSDV, chi-square / phi statistics, and report plumbing tests."""
 
+import dataclasses
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -359,6 +361,16 @@ def test_msdv_svg_output(tmp_path):
     # one raw and one adapted bar per session per panel, plus two legend
     # swatches and the background
     assert svg.count("<rect") == 4 * len(sessions) + 3
+
+
+def test_msdv_svg_escapes_session_ids(tmp_path):
+    sessions = _cohort_sessions((2, 1, 3), 3)
+    sessions[0] = dataclasses.replace(sessions[0], session_id="a&b<1")
+    sessions[-1] = dataclasses.replace(sessions[-1], session_id="c>d")
+    write_msdv_svg(sessions, tmp_path / "msdv.svg")
+    root = ET.parse(tmp_path / "msdv.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count("a&b<1 .. c>d") == 2  # one range label per panel
 
 
 def test_stat_result_is_frozen():

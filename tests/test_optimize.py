@@ -333,7 +333,7 @@ def test_replay_blocks_equal_each_gain_set_alone(small):
     sessions = _mixed_sessions(records, model.L)
     detectors, limits = default_detectors(), AccelLimits()
     groups = build_contexts(sessions, model, detectors, **MIXED_SETTINGS)
-    box = GainRanges.default()
+    box = GainRanges()
     sets = np.vstack([BINDING.as_array(), np.zeros(len(GAIN_KEYS)),
                       np.random.default_rng(3).uniform(box.lo, box.hi, (3, len(GAIN_KEYS)))])
     for mode in MODES:
@@ -536,7 +536,7 @@ def test_optimize_bookkeeping(small):
 
 def _assert_follows_schedule(result, seed, n_explore, halve_after):
     """Replay the documented schedule from the trial objectives of a search in the default box."""
-    box = GainRanges.default()
+    box = GainRanges()
     rng = np.random.default_rng(seed)
     sigma = 0.2 * (box.hi - box.lo)
     best_x, best_obj, stall = None, -np.inf, 0
@@ -776,8 +776,8 @@ def test_gain_ranges_validation():
         GainRanges(np.full(n, -1.0), np.zeros(n))
     with pytest.raises(ValueError, match="finite"):
         GainRanges(np.zeros(n), np.full(n, np.inf))
-    box = GainRanges.default()
-    assert box.lo.shape == (n,)
+    box = GainRanges()
+    np.testing.assert_array_equal(box.lo, np.zeros(n))
     np.testing.assert_array_equal(box.hi, [0.5] * 9 + [0.01] * 2)
     with pytest.raises(ValueError):
         box.hi[0] = 9.0  # frozen
