@@ -6,14 +6,13 @@ configuration. Unknown sections or keys are rejected rather than ignored;
 the output directory can additionally come from the ``EDANAV_OUTPUT_DIR``
 environment variable (flag > environment > file > default).
 
-A default or bound the library already states is taken from it: the
-dataclass sections from their dataclasses, the seeds, ``train_frac``,
-``workers``, search settings and per-gain box bounds from the keyword
-defaults of `synth_cohort` and `optimize`, and the bounds of the search
-settings, the cohort and the integral clamp from
-`check_search_settings`, `check_cohort_settings` and
-`check_integral_clamp`. `RunConfig` carries each call's keyword arguments
-as whole groups, so the CLI passes them on with ``**``.
+Each key parses as the type of its default. A default or bound the
+library states is taken from it: the dataclass sections from their
+dataclasses, the other keys from the keyword defaults of `synth_cohort`,
+`train_surrogate`, `evaluate_sessions` and `optimize`, and the bounds from
+`check_search_settings`, `check_cohort_settings`, `check_integral_clamp`
+and `check_train_settings`. `RunConfig` carries each call's keyword
+arguments as whole groups, so the CLI passes them on with ``**``.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, check_integral_clamp
+from .control import GAIN_KEYS, AccelLimits, check_integral_clamp
 from .dataset import check_cohort_settings, synth_cohort
 from .errors import ConfigError
-from .optimize import GainRanges, check_search_settings, optimize
+from .optimize import GainRanges, check_search_settings, evaluate_sessions, optimize
+from .pipeline import check_train_settings, train_surrogate
 from .scr import METHODS, DetectorParams, default_detectors
 from .signals import DecompositionConfig
-from .surrogate import DEFAULT_CLIP_LEN_S, DEFAULT_RIDGE_LAMBDA, OracleParams
+from .surrogate import OracleParams
 
 ENV_OUTPUT_DIR = "EDANAV_OUTPUT_DIR"
 
@@ -46,18 +46,13 @@ def _keyword_defaults(fn, *names: str) -> dict[str, object]:
     return {name: params[name].default for name in names or params}
 
 
-def _typed(defaults: dict[str, object]) -> dict[str, tuple[str, object]]:
-    """Schema entries tagged with the type of their default."""
-    return {key: (type(value).__name__, value) for key, value in defaults.items()}
-
-
 # the keys each detector reads besides the shared amplitude and rise-time band
 _DETECTOR_OWN_KEYS = {"gamboa2008": "min_separation_s", "neurokit": "prominence_frac"}
 
 
-def _detector_keys(params: DetectorParams) -> dict[str, tuple[str, object]]:
+def _detector_keys(params: DetectorParams) -> dict[str, object]:
     unread = set(_DETECTOR_OWN_KEYS.values()) - {_DETECTOR_OWN_KEYS.get(params.method)}
-    return _typed(_defaults(params, "method", *unread))
+    return _defaults(params, "method", *unread)
 
 
 # the optimizer keys `check_search_settings` bounds, besides budget and mode
@@ -65,45 +60,35 @@ _SEARCH_KEYS = ("explore_frac", "sigma_scale", "halve_after")
 
 _DEFAULT_BOX = _keyword_defaults(optimize, "ranges")["ranges"]
 
-# section -> key -> (type tag, default). The tags drive both parsing and
-# the unknown-key check; "maybe_int" admits an empty value. A default the
-# library defines is read from it: sections that configure a dataclass take
-# their keys from it, and the seeds, train_frac, workers, search settings
-# and box bounds come from `synth_cohort`'s and `optimize`'s keyword
-# defaults.
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+# section -> key -> default; the one None default, stride_samples, parses
+# as an int or as nothing (an empty value)
+_SCHEMA: dict[str, dict[str, object]] = {
     "run": {
-        **_typed(_keyword_defaults(synth_cohort, "seed")),
-        "output_dir": ("str", "out"),
+        **_keyword_defaults(synth_cohort, "seed"),
+        "output_dir": "out",
         # accepted and validated (>= 1) for existing configs; has no effect
-        **_typed(_keyword_defaults(optimize, "workers")),
+        **_keyword_defaults(optimize, "workers"),
     },
     "dataset": {
-        "dir": ("str", ""),
-        **_typed({"n_sessions": 40, "duration_s": 240.0, "rate_hz": 4.0}),
-        **_typed(_keyword_defaults(synth_cohort, "train_frac")),
+        "dir": "",
+        "n_sessions": 40, "duration_s": 240.0, "rate_hz": 4.0,
+        **_keyword_defaults(synth_cohort, "train_frac"),
     },
-    "oracle": _typed(_defaults(OracleParams(), "seed")),
-    "decomposition": _typed(_defaults(DecompositionConfig())),
-    "surrogate": {
-        "clip_len_s": ("float", DEFAULT_CLIP_LEN_S),
-        "stride_samples": ("maybe_int", None),
-        "ridge_lambda": ("float", DEFAULT_RIDGE_LAMBDA),
-    },
-    "control": _typed({"integral_clamp": DEFAULT_INTEGRAL_CLAMP, **_defaults(AccelLimits())}),
-    **{
-        f"detector.{d.method}": _detector_keys(d) for d in default_detectors()
-    },
+    "oracle": _defaults(OracleParams(), "seed"),
+    "decomposition": _defaults(DecompositionConfig()),
+    "surrogate": _keyword_defaults(train_surrogate, "clip_len_s", "stride_samples",
+                                   "ridge_lambda"),
+    "control": {**_keyword_defaults(evaluate_sessions, "integral_clamp"),
+                **_defaults(AccelLimits())},
+    **{f"detector.{d.method}": _detector_keys(d) for d in default_detectors()},
     "optimizer": {
-        "budget": ("int", 400),
-        **_typed(_keyword_defaults(optimize, "seed", "mode", *_SEARCH_KEYS)),
+        "budget": 400,
+        **_keyword_defaults(optimize, "seed", "mode", *_SEARCH_KEYS),
         # one bound per gain and end (lo_K_Pl = ..., hi_beta_r = ...)
-        **_typed({f"{end}_{key}": float(getattr(_DEFAULT_BOX, end)[i])
-                  for i, key in enumerate(GAIN_KEYS) for end in ("lo", "hi")}),
+        **{f"{end}_{key}": float(getattr(_DEFAULT_BOX, end)[i])
+           for i, key in enumerate(GAIN_KEYS) for end in ("lo", "hi")},
     },
-    "report": {
-        "svg": ("bool", True),
-    },
+    "report": {"svg": True},
 }
 
 
@@ -153,27 +138,26 @@ class RunConfig:
 
 
 def _parse_value(section: str, key: str, raw: str):
-    tag = _SCHEMA[section][key][0]
+    default = _SCHEMA[section][key]
+    if default is None and not raw.strip():
+        return None
+    kind = int if default is None else type(default)
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if tag == "maybe_int":
-            return int(raw) if raw.strip() else None
-        return raw
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {tag}") from None
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def _read_file(path: Path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser = configparser.ConfigParser(
+        interpolation=None, delimiters=("=",), inline_comment_prefixes=(";", "#")
+    )
     parser.optionxform = str  # gain names such as hi_K_Il are case-sensitive
     try:
         with open(path, encoding="utf-8") as fh:
@@ -219,10 +203,9 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         given = raw.get(section, {})
         values[section] = {
             key: _parse_value(section, key, given[key]) if key in given else default
-            for key, (_tag, default) in keys.items()
+            for key, default in keys.items()
         }
 
-    _validate(values)
     run, o = values["run"], values["optimizer"]
     output_dir = run["output_dir"]
     if output_dir_flag is not None:
@@ -239,6 +222,7 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         check_search_settings(**search, mode=o["mode"], workers=run["workers"])
         check_cohort_settings(**dataset)
         check_integral_clamp(control["integral_clamp"])
+        check_train_settings(**values["surrogate"])
         ranges = GainRanges(lo=[o[f"lo_{key}"] for key in GAIN_KEYS],
                             hi=[o[f"hi_{key}"] for key in GAIN_KEYS])
         oracle = OracleParams(**values["oracle"])
@@ -267,18 +251,3 @@ def load_config(path=None, overrides=(), output_dir_flag=None) -> RunConfig:
         search={**search, "seed": o["seed"], "ranges": ranges, "workers": run["workers"]},
     )
 
-
-def _validate(values: dict[str, dict[str, object]]) -> None:
-    """Bounds checked here so that every command rejects them before it writes."""
-    surrogate = values["surrogate"]
-    checks = [
-        (surrogate["clip_len_s"] > 0, "[surrogate] clip_len_s must be positive"),
-        (
-            surrogate["stride_samples"] is None or surrogate["stride_samples"] >= 1,
-            "[surrogate] stride_samples must be >= 1 when set",
-        ),
-        (surrogate["ridge_lambda"] >= 0, "[surrogate] ridge_lambda must be >= 0"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)

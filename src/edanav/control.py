@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .signals import write_text_atomic
+from .signals import parse_items, write_text_atomic
 
 DEFAULT_INTEGRAL_CLAMP = 10.0
 DEFAULT_MAX_LONGITUDINAL = 5.0  # m/s^2
@@ -281,27 +281,16 @@ def write_gains(gains: PidGains, path) -> None:
 
 def read_gains(path) -> PidGains:
     """Read a gains file; requires exactly the eleven canonical keys."""
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FileFormatError(path, f"expected 'key = value', got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in GAIN_KEYS:
-                raise FileFormatError(path, f"unknown gain key {key!r}", lineno)
-            if key in values:
-                raise FileFormatError(path, f"duplicate gain key {key!r}", lineno)
-            try:
-                values[key] = float(value.strip())
-            except ValueError:
-                raise FileFormatError(path, f"bad value for {key}: {value.strip()!r}", lineno) from None
-    missing = [key for key in GAIN_KEYS if key not in values]
-    if missing:
-        raise FileFormatError(path, f"missing gain keys: {', '.join(missing)}")
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(fh, start=1)]
+    items = parse_items(path, [(n, line) for n, line in lines if line and line[0] != "#"],
+                        "gain", GAIN_KEYS)
+    values = {}
+    for key, (value, lineno) in items.items():
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise FileFormatError(path, f"bad value for {key}: {value!r}", lineno) from None
     try:
         return PidGains(**values)
     except ValueError as exc:  # a value the gains reject

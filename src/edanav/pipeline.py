@@ -62,6 +62,18 @@ def held_out_mae(
     return float(np.mean(np.concatenate(errors)))
 
 
+def check_train_settings(clip_len_s: float, stride_samples: int | None,
+                         ridge_lambda: float) -> None:
+    """Raise ValueError unless ``clip_len_s`` > 0, ``stride_samples`` is None
+    or >= 1 and ``ridge_lambda`` >= 0, the bounds of `train_surrogate`."""
+    if not clip_len_s > 0:
+        raise ValueError(f"clip_len_s must be positive, got {clip_len_s!r}")
+    if stride_samples is not None and stride_samples < 1:
+        raise ValueError(f"stride_samples must be >= 1 when set, got {stride_samples!r}")
+    if not ridge_lambda >= 0:
+        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
+
+
 def train_surrogate(
     records,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
@@ -75,6 +87,7 @@ def train_surrogate(
     into the model. Returns (model, held-out MAE on the eval split; NaN if
     the dataset has no eval sessions).
     """
+    check_train_settings(clip_len_s, stride_samples, ridge_lambda)
     train = train_split(records)
     if not train:
         raise ValueError("dataset has no train sessions")

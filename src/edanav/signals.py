@@ -269,6 +269,30 @@ def write_samples_csv(path, meta: dict[str, str], rate_hz: float, columns: dict)
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
+def parse_items(path, items, noun: str, keys=None) -> dict[str, tuple[str, int]]:
+    """{key: (value, line)} of ``items``, (line, "key = value") pairs, stripped.
+
+    Raises FileFormatError for an item without "=" or a repeated key, and
+    if ``keys`` is given, for a key not among them or one of them missing;
+    ``noun`` names the items in the message.
+    """
+    out = {}
+    for line, item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise FileFormatError(path, f"malformed {noun} {item!r}, expected 'key = value'", line)
+        if keys is not None and key not in keys:
+            raise FileFormatError(path, f"unknown {noun} key {key!r}", line)
+        if key in out:
+            raise FileFormatError(path, f"duplicate {noun} key {key!r}", line)
+        out[key] = (value.strip(), line)
+    missing = [key for key in keys or () if key not in out]
+    if missing:
+        raise FileFormatError(path, f"missing {noun} keys: {', '.join(missing)}")
+    return out
+
+
 def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[str, ...]):
     """Read a file written by `write_samples_csv`.
 
@@ -295,25 +319,20 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
         raise FileFormatError(path, f"{kind} file needs metadata, header, and at least one row")
     if not lines[0].startswith("#"):
         raise FileFormatError(path, "expected metadata line starting with '#'", 1)
-    meta = {}
-    for token in lines[0][1:].split():
-        if "=" not in token:
-            raise FileFormatError(path, f"malformed metadata token {token!r}", 1)
-        key, value = token.split("=", 1)
-        meta[key] = value
+    meta = parse_items(path, ((1, token) for token in lines[0][1:].split()), "metadata")
     keys = (*unit_keys, "rate_hz")
     if any(key not in meta for key in keys):
         raise FileFormatError(path, f"metadata line must define {' and '.join(keys)}", 1)
     units = []
     for key in unit_keys:
         try:
-            units.append(Unit(meta[key]))
+            units.append(Unit(meta[key][0]))
         except ValueError:
-            raise FileFormatError(path, f"unknown unit {meta[key]!r}", 1) from None
+            raise FileFormatError(path, f"unknown unit {meta[key][0]!r}", 1) from None
     try:
-        rate_hz = float(meta["rate_hz"])
+        rate_hz = float(meta["rate_hz"][0])
     except ValueError:
-        raise FileFormatError(path, f"bad rate_hz {meta['rate_hz']!r}", 1) from None
+        raise FileFormatError(path, f"bad rate_hz {meta['rate_hz'][0]!r}", 1) from None
     header = ",".join(["t_s", *names])
     if lines[1] != header:
         raise FileFormatError(path, f"expected header {header!r}, got {lines[1]!r}", 2)

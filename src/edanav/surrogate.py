@@ -33,6 +33,7 @@ from .signals import (
     Trace,
     Unit,
     format_float,
+    parse_items,
     same_rate,
     trace_norm,
     write_text_atomic,
@@ -223,8 +224,6 @@ def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
     m, n_clips, L = preds.shape
     length = stride * (n_clips - 1) + L
     acc = np.zeros((m, length))
-    if stride == 0:  # every clip on the one span: add them whole, in clip order
-        return sum(preds.transpose(1, 0, 2), acc) / n_clips
     count = np.zeros(length)
     for j in range(L - 1, -1, -1):
         span = slice(j, j + stride * (n_clips - 1) + 1, stride)
@@ -336,24 +335,11 @@ def _parse_number(header: dict, key: str, path) -> float:
 def read_model(path) -> SurrogateModel:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = {}
-    row_start = None
-    for lineno, line in enumerate(lines, start=1):
-        if line == "weights":
-            row_start = lineno
-            break
-        if "=" not in line:
-            raise FileFormatError(path, f"expected 'key=value' header line, got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        if key in header:
-            raise FileFormatError(path, f"duplicate header key {key!r}", lineno)
-        header[key] = (value, lineno)
-    if row_start is None:
+    if "weights" not in lines:
         raise FileFormatError(path, "missing 'weights' marker")
+    row_start = lines.index("weights") + 1  # the marker's line number
     required = ("clip_len_s", "rate_hz", "norm_a_l", "norm_a_r", "norm_phasic", "train_mae")
-    missing = [k for k in required if k not in header]
-    if missing:
-        raise FileFormatError(path, f"missing header keys: {', '.join(missing)}")
+    header = parse_items(path, enumerate(lines[: row_start - 1], start=1), "header", required)
     clip_len_s, rate_hz, train_mae = (
         _parse_number(header, key, path) for key in ("clip_len_s", "rate_hz", "train_mae")
     )

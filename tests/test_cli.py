@@ -74,6 +74,9 @@ def test_train_surrogate_split_edge_cases():
     assert math.isnan(held_out_mae(model, []))
     with pytest.raises(ValueError, match="no train sessions"):
         train_surrogate(synth_cohort(2, 120.0, 4.0, seed=3, train_frac=0.0))
+    # the bound the config check reports, before any session is decomposed
+    with pytest.raises(ValueError, match="ridge_lambda must be >= 0, got -1"):
+        train_surrogate(records, ridge_lambda=-1)
 
 
 @pytest.mark.parametrize("rate_hz", [4.0, 8.0])
@@ -160,9 +163,11 @@ def test_config_accepts_exactly_the_documented_keys():
 def test_config_file_and_overrides(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     path = tmp_path / "run.ini"
+    # an inline comment follows whitespace; "#" with none before it is data
     path.write_text(
-        "[run]\nseed = 3\noutput_dir = from_file\n"
-        "[optimizer]\nbudget = 50\nhi_K_Il = 0.02\n"
+        "[run]\nseed = 3\noutput_dir = from_file   ; where results go\n"
+        "[dataset]\ndir = data#1\n"
+        "[optimizer]\nbudget = 50 # short\nhi_K_Il = 0.02 ; note\n"
         "[surrogate]\nstride_samples = 3\n"
         "[report]\nsvg = no\n"
     )
@@ -173,9 +178,13 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     assert cfg.train["stride_samples"] == 3
     assert cfg.svg is False
     assert str(cfg.output_dir) == "from_file"
+    assert str(cfg.dataset_dir) == "data#1"
     # a per-gain bound moves its own entry only
     assert cfg.search["ranges"].hi[1] == 0.02
     assert cfg.search["ranges"].hi[0] == 0.5
+    # an empty stride_samples unsets the file's
+    unset = load_config(path, overrides=["surrogate.stride_samples="])
+    assert unset.train["stride_samples"] is None
 
 
 def test_readme_ini_examples_load(tmp_path, monkeypatch):
@@ -223,10 +232,12 @@ def test_config_rejects_unknown_names(tmp_path):
 
 
 def test_config_rejects_bad_values(tmp_path):
-    with pytest.raises(ConfigError, match="cannot parse"):
-        load_config(overrides=["optimizer.budget=soon"])
-    with pytest.raises(ConfigError, match="cannot parse"):
-        load_config(overrides=["report.svg=maybe"])
+    # a value parses as its default's type; stride_samples, unset by default, as an int
+    for override, kind in (("optimizer.budget=soon", "int"), ("report.svg=maybe", "bool"),
+                           ("surrogate.stride_samples=2.5", "int"), ("run.seed=1.5", "int")):
+        value = override.partition("=")[2]
+        with pytest.raises(ConfigError, match=f"cannot parse '{value}' as {kind}$"):
+            load_config(overrides=[override])
     with pytest.raises(ConfigError, match="budget must be"):
         load_config(overrides=["optimizer.budget=0"])
     with pytest.raises(ConfigError, match="workers"):
@@ -363,14 +374,20 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.budget=-4"]) == 1
     assert main(["synth", "--output-dir", str(tmp_path), "--set", "optimizer.sigma_scale=0"]) == 1
     assert "sigma_scale must be positive" in capsys.readouterr().err
-    # the library's own cohort and clamp checks reject these for every command
+    # the library's own cohort, clamp and training checks reject these for
+    # every command
     too_few = "must give a finite count of at least 2 samples"
     for settings, message in ((["dataset.n_sessions=0"], "n_sessions must be >= 1"),
                               (["dataset.duration_s=0.2"], too_few),
                               (["dataset.duration_s=1e300", "dataset.rate_hz=1e10"], too_few),
                               (["dataset.rate_hz=0"], "rate_hz must be positive"),
                               (["dataset.train_frac=1.5"], "train_frac must be in [0, 1]"),
-                              (["control.integral_clamp=0"], "integral_clamp must be positive")):
+                              (["control.integral_clamp=0"], "integral_clamp must be positive"),
+                              (["surrogate.clip_len_s=0"], "clip_len_s must be positive, got 0.0"),
+                              (["surrogate.stride_samples=0"],
+                               "stride_samples must be >= 1 when set, got 0"),
+                              (["surrogate.ridge_lambda=-1"],
+                               "ridge_lambda must be >= 0, got -1.0")):
         sets = [arg for setting in settings for arg in ("--set", setting)]
         for command in ("synth", "train", "optimize", "evaluate", "report"):
             assert main([command, "--output-dir", str(tmp_path), *sets]) == 1

@@ -253,6 +253,7 @@ def test_trace_csv_errors(tmp_path):
         ("bad_token.csv", "# unitmicrosiemens rate_hz=4.0\nt_s,value\n0.0,1.0\n", 1),
         ("bad_unit.csv", "# unit=volts rate_hz=4.0\nt_s,value\n0.0,1.0\n", 1),
         ("bad_rate.csv", "# unit=microsiemens rate_hz=fast\nt_s,value\n0.0,1.0\n", 1),
+        ("dup_meta.csv", "# unit=microsiemens rate_hz=4.0 rate_hz=8.0\nt_s,value\n0.0,1.0\n", 1),
         ("bad_header.csv", "# unit=microsiemens rate_hz=4.0\ntime,v\n0.0,1.0\n", 2),
         ("bad_cols.csv", "# unit=microsiemens rate_hz=4.0\nt_s,value\n0.0,1.0,2.0\n", 3),
         ("bad_value.csv", "# unit=microsiemens rate_hz=4.0\nt_s,value\n0.0,1.0\n0.25,oops\n", 4),

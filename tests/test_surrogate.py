@@ -153,8 +153,6 @@ def test_reconstruct_overlap_average():
     preds = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     out = _reconstruct(preds, 1)
     np.testing.assert_array_equal(out, [0.0, 0.5, 0.5, 1.0])
-    stacked = _reconstruct(preds, 0)
-    np.testing.assert_array_equal(stacked, [0.5, 0.5, 0.5])
 
 
 @st.composite
@@ -165,13 +163,13 @@ def _clip_stacks(draw):
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
     )
     preds = draw(arrays(np.float64, (draw(st.integers(1, 12)), width), elements=value))
-    return preds, draw(st.integers(0, width))
+    return preds, draw(st.integers(1, width))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_clip_stacks())
 def test_reconstruct_matches_clip_loop(stack):
-    # every stride from 0 (all clips on one span) to L (concatenation)
+    # every stride from 1 to L (concatenation)
     preds, stride = stack
     out = _reconstruct(preds, stride)
     expected = np.array(reconstruct_naive(preds.tolist(), stride), dtype=np.float64)
@@ -190,14 +188,14 @@ def _clip_row_stacks(draw):
     # later rows offset from the first (which keeps its -0.0), so a sample
     # added into the wrong row shows
     preds[1:] += np.arange(1, m)[:, None, None] * draw(st.sampled_from([1.0, 1e3]))
-    return preds, draw(st.integers(0, width))
+    return preds, draw(st.integers(1, width))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_clip_row_stacks())
 def test_overlap_average_keeps_rows_apart(stack):
     # each row of a stack equals its clips overlap-averaged on their own,
-    # at every stride from 0 to L
+    # at every stride from 1 to L
     preds, stride = stack
     out = _overlap_average(preds, stride)
     assert out.shape == (len(preds), stride * (preds.shape[1] - 1) + preds.shape[2])
@@ -478,6 +476,8 @@ def test_model_file_errors(tmp_path):
         read_model(variant("infrate.csv", lines[:1] + ["rate_hz=inf"] + lines[2:]))
     with pytest.raises(FileFormatError, match="duphdr.csv:2: duplicate header key 'clip_len_s'"):
         read_model(variant("duphdr.csv", lines[:1] + ["clip_len_s=4.5"] + lines[1:]))
+    with pytest.raises(FileFormatError, match="extra.csv:7: unknown header key 'colour'"):
+        read_model(variant("extra.csv", lines[:6] + ["colour=blue"] + lines[6:]))
     with pytest.raises(FileFormatError, match="badbound.csv:3: bad normalization bounds"):
         bounds = ["norm_a_l=low,1.0" if l.startswith("norm_a_l=") else l for l in lines]
         read_model(variant("badbound.csv", bounds))
