@@ -8,7 +8,8 @@ harder than earlier ones.
 
 import numpy as np
 
-from edanav import AccelLimits, PidGains, adapt_trace
+from edanav import AccelLimits, PidGains
+from edanav.control import apply_gains, pid_terms
 
 RATE = 4.0
 
@@ -33,7 +34,7 @@ def main():
     t = np.arange(n) / RATE
     arousal = np.clip((t - 50.0) / 70.0, 0.0, 1.0)  # calm start, rising stress
 
-    out_l, _ = adapt_trace(a_l, a_r, arousal, RATE, GAINS, AccelLimits())
+    out_l = apply_gains(pid_terms(a_l, a_r, arousal, RATE), GAINS.as_array(), AccelLimits())[0]
 
     print("pulse   commanded   adapted   reduction")
     for onset in pulse_starts:

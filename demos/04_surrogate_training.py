@@ -6,13 +6,10 @@ session for each detector.
 """
 
 from edanav import (
-    Trace,
-    Unit,
-    count_er_scr,
-    decompose,
+    PidGains,
     default_detectors,
     eval_split,
-    predict_session,
+    evaluate_sessions,
     synth_cohort,
     train_surrogate,
 )
@@ -28,15 +25,12 @@ def main():
     print()
 
     session = eval_split(records)[0]
-    predicted = predict_session(model, session.a_l, session.a_r)
-    # count the recording in the model's normalized scale so that the
-    # absolute-threshold detector sees both traces in the same units
-    phasic = decompose(session.eda).phasic
-    recorded = Trace(model.norm.phasic.apply(phasic.samples), RATE, Unit.NORMALIZED)
+    # n_raw counts the surrogate's prediction of the unadapted session;
+    # n_recorded counts the recording in the model's normalized scale, so
+    # the absolute-threshold detector sees both traces in the same units
+    stats = evaluate_sessions([session], PidGains(), model)[0].stats
     print(f"session {session.session_id}: predicted vs recorded event counts")
-    for params in default_detectors():
-        n_pred = count_er_scr(predicted, params)
-        n_rec = count_er_scr(recorded, params)
+    for params, n_pred, n_rec in zip(default_detectors(), stats.n_raw, stats.n_recorded):
         print(f"  {params.method:12s} predicted {n_pred}, recorded {n_rec}")
 
 

@@ -10,13 +10,13 @@ everything else is imported from its module (``edanav.signals``,
 ``edanav.scr``, ``edanav.control``, ...).
 """
 
-from .control import AccelLimits, PidGains, adapt_trace
+from .control import AccelLimits, PidGains
 from .dataset import synth_cohort
 from .metrics import build_report
 from .optimize import GainRanges, evaluate_sessions, optimize
 from .pipeline import eval_split, train_surrogate
-from .scr import count_er_scr, default_detectors, detect_scr
+from .scr import default_detectors, detect_scr
 from .signals import Trace, Unit, decompose
-from .surrogate import OracleParams, predict_session, synth_session
+from .surrogate import OracleParams, synth_session
 
 __version__ = "0.1.0"

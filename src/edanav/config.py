@@ -182,7 +182,7 @@ def _apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
         head, eq, value = item.partition("=")
         if not eq:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        section, dot, key = head.partition(".")
+        section, dot, key = head.rpartition(".")  # detector sections hold a dot
         if not dot or section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"override targets unknown key {head!r}")
         raw.setdefault(section, {})[key] = value

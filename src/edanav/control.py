@@ -11,8 +11,7 @@ Over a recorded session the PID state does not depend on the gains: every
 error, clamped integral and error difference comes from the recording.
 `pid_terms` computes them once, for one session or for a stack of
 sessions of one length; `apply_gains` turns them into the adapted
-accelerations for one gain set with whole-array arithmetic, and
-`adapt_trace` is the two in sequence for one session.
+accelerations for one gain set with whole-array arithmetic.
 Every clamped integral is `clamped_sum`: one in-order np.cumsum, then one
 clip to the clamp, which has the bits of clamping after every step
 wherever a row's steps share one sign. The closed loop holds the feedback
@@ -21,7 +20,7 @@ redoes one step at a time only each row whose steps change sign and that
 reaches the clamp, from its first sum there on.
 `pid_law` is the one place the PID output is written; the gain helpers
 take a gain array [..., 11] in GAIN_KEYS order (a block of gain sets, one
-per leading index), and `adapt_trace` converts its `PidGains` once.
+per leading index), such as `PidGains.as_array`.
 
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
@@ -95,7 +94,7 @@ class AccelLimits:
     max_rotational: float = DEFAULT_MAX_ROTATIONAL
 
     def __post_init__(self):
-        if self.max_longitudinal <= 0 or self.max_rotational <= 0:
+        if not (self.max_longitudinal > 0 and self.max_rotational > 0):
             raise ValueError("acceleration limits must be positive")
 
     @property
@@ -244,29 +243,10 @@ def apply_gains(terms: PidTerms, gains: np.ndarray, limits: AccelLimits) -> np.n
 
     ``gains`` is a gain array, as for `pid_outputs`. Every operation is
     elementwise, so each session of a stack adapts to the same bits as on
-    its own.
+    its own, which are those of stepping the law one sample at a time.
     """
     psi = pid_outputs(terms, gains)
     return adapted_accel(terms.accel + psi[..., :2, :], psi[..., 2:, :], gains, limits.bound)
-
-
-def adapt_trace(
-    a_l: np.ndarray,
-    a_r: np.ndarray,
-    f: np.ndarray,
-    rate_hz: float,
-    gains: PidGains,
-    limits: AccelLimits = AccelLimits(),
-    integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the adaptation law over whole sessions.
-
-    ``f`` holds the normalized phasic feedback aligned with the samples;
-    step i reads f[i-1] (0.0 at the first step, idle start). The result is
-    identical, bit for bit, to stepping the law one sample at a time.
-    """
-    out = apply_gains(pid_terms(a_l, a_r, f, rate_hz, integral_clamp), gains.as_array(), limits)
-    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

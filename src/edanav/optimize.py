@@ -71,8 +71,8 @@ from .control import (
 )
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .pipeline import session_phasic
-from .signals import DecompositionConfig, format_float, same_rate, write_text_atomic
+from .pipeline import check_model_rate, session_phasic
+from .signals import DecompositionConfig, format_float, write_text_atomic
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
@@ -113,10 +113,7 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
     `count_events`); ``recorded`` is left for `evaluate_sessions` to count.
     ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
-    for record in records:
-        if not same_rate(record.a_l.rate_hz, model.rate_hz):
-            raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
-                             f"does not match model rate {model.rate_hz}Hz")
+    check_model_rate(records, model)
     by_length: dict[int, list[int]] = {}
     for i, record in enumerate(records):
         by_length.setdefault(len(record.a_l), []).append(i)

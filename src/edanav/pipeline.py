@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .signals import DecompositionConfig, Trace, decompose
+from .signals import DecompositionConfig, Trace, decompose, same_rate
 from .surrogate import (
     DEFAULT_CLIP_LEN_S,
     DEFAULT_RIDGE_LAMBDA,
@@ -14,7 +14,7 @@ from .surrogate import (
     corpus_clip_norm,
     fit_surrogate,
     make_clips,
-    predict_session,
+    predict_sessions,
 )
 
 
@@ -39,6 +39,14 @@ def session_phasic(record, decomposition: DecompositionConfig) -> Trace:
     return store[decomposition]
 
 
+def check_model_rate(records, model: SurrogateModel) -> None:
+    """Raise ValueError unless every record's traces are at ``model``'s rate."""
+    for record in records:
+        if not same_rate(record.a_l.rate_hz, model.rate_hz):
+            raise ValueError(f"session {record.session_id}: trace rate {record.a_l.rate_hz}Hz "
+                             f"does not match model rate {model.rate_hz}Hz")
+
+
 def held_out_mae(
     model: SurrogateModel,
     records,
@@ -46,17 +54,19 @@ def held_out_mae(
 ) -> float:
     """Mean absolute error of the predicted phasic on sessions the fit never saw.
 
-    Each session is predicted with `predict_session` at stride L, the
-    geometry of the training clips, and scored against its phasic under the
-    model's frozen normalization; the up to L-1 trailing samples that no
-    clip covers are not scored.
+    Each session is predicted on its own with `predict_sessions` at stride
+    L, the geometry of the training clips, and scored against its phasic
+    under the model's frozen normalization; the up to L-1 trailing samples
+    that no clip covers are not scored.
     """
     records = list(records)
     if not records:
         return math.nan
+    check_model_rate(records, model)
     errors = []
     for record in records:
-        pred = predict_session(model, record.a_l, record.a_r, model.L).samples
+        accel = np.stack([record.a_l.samples, record.a_r.samples])
+        pred = predict_sessions(model, accel[None], model.L)[0]
         phasic = session_phasic(record, decomposition).samples
         errors.append(np.abs(pred - model.norm.phasic.apply(phasic)[: len(pred)]))
     return float(np.mean(np.concatenate(errors)))

@@ -22,7 +22,7 @@ rising runs come from each row's own differences, thresholds from each
 row's own range, gamboa2008's merge restarts at each row, and one
 prominence query covers all rows, a +inf sample between rows stopping
 every search at its row's ends. `count_events` counts every row under
-every detector; `detect_scr` and `count_er_scr` are its one-trace calls.
+every detector; `detect_scr` lists one trace's events under one detector.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ class DetectorParams:
             raise ValueError(f"unknown detector method {self.method!r}; expected one of {METHODS}")
         if not self.min_amplitude > 0:
             raise ValueError("min_amplitude must be positive")
-        if self.min_separation_s < 0:
+        if not self.min_separation_s >= 0:
             raise ValueError("min_separation_s must be non-negative")
+        if not self.prominence_frac >= 0:
+            raise ValueError("prominence_frac must be non-negative")
         if not 0 < self.rise_time_min_s < self.rise_time_max_s:
             raise ValueError("rise-time band must satisfy 0 < min < max")
 
@@ -248,8 +250,3 @@ def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:
         )
         for onset, peak in zip(onsets.tolist(), peaks.tolist())
     ]
-
-
-def count_er_scr(phasic: Trace, params: DetectorParams) -> int:
-    """Number of ER-SCR events under the given detector."""
-    return int(count_events(phasic.samples[None], phasic.rate_hz, (params,))[0, 0])

@@ -140,8 +140,8 @@ class DecompositionConfig:
     average_window_s: float = 8.0
 
     def __post_init__(self):
-        if self.median_window_s <= 0 or self.average_window_s <= 0:
-            raise ValueError("decomposition windows must be positive")
+        if not (0 < self.median_window_s < math.inf and 0 < self.average_window_s < math.inf):
+            raise ValueError("decomposition windows must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     """Read a file written by `write_samples_csv`.
 
     The metadata must define ``rate_hz`` and a `Unit` for each of
-    ``unit_keys``; the header must be ``t_s`` and ``names``. Returns the
+    ``unit_keys``, and nothing else; the header must be ``t_s`` and ``names``. Returns the
     rate, the units in ``unit_keys`` order and a [len(names), n] array.
     ``kind`` names the file in error messages.
 
@@ -321,8 +321,8 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
         raise FileFormatError(path, "expected metadata line starting with '#'", 1)
     meta = parse_items(path, ((1, token) for token in lines[0][1:].split()), "metadata")
     keys = (*unit_keys, "rate_hz")
-    if any(key not in meta for key in keys):
-        raise FileFormatError(path, f"metadata line must define {' and '.join(keys)}", 1)
+    if set(meta) != set(keys):
+        raise FileFormatError(path, f"metadata line must define exactly {' and '.join(keys)}", 1)
     units = []
     for key in unit_keys:
         try:

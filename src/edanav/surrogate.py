@@ -12,7 +12,6 @@ mean of overlapping clips at stride < L, one strided add per clip column.
 normalization for all of them, windows written from a sliding view into
 one design buffer, one 2-D gemm per session (never one across sessions,
 which would round differently) and one overlap average for all rows.
-`predict_session` is its one-session call.
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
 acceleration into EDA through a Bateman difference-of-exponentials kernel,
@@ -175,8 +174,8 @@ def fit_surrogate(
     column. ``train_mae`` records the mean absolute error of the clamped
     predictions on the training clips.
     """
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be >= 0")
+    if not ridge_lambda >= 0:
+        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
     windows = np.asarray(windows, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
     if windows.size == 0 or Y.size == 0:
@@ -268,27 +267,6 @@ def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> n
         np.matmul(design, weights_t, out=preds[i])
     np.clip(preds, 0.0, 1.0, out=preds)
     return _overlap_average(preds, stride)
-
-
-def predict_session(
-    model: SurrogateModel, a_l: Trace, a_r: Trace, stride_samples: int = 1
-) -> Trace:
-    """Predict a session's normalized phasic from raw-unit acceleration traces.
-
-    The one-session call of `predict_sessions`. The default stride of 1
-    predicts a window at every sample and averages the overlaps, covering
-    the whole session; stride = model.L tiles the training geometry instead
-    and leaves up to L-1 trailing samples unpredicted when the length does
-    not divide evenly.
-    """
-    if len(a_l) != len(a_r):
-        raise ValueError("acceleration traces must share length")
-    if not (same_rate(a_l.rate_hz, model.rate_hz) and same_rate(a_r.rate_hz, model.rate_hz)):
-        raise ValueError(
-            f"trace rate {a_l.rate_hz}Hz does not match model rate {model.rate_hz}Hz"
-        )
-    accel = np.stack([a_l.samples, a_r.samples])[None]
-    return Trace(predict_sessions(model, accel, stride_samples)[0], model.rate_hz, Unit.NORMALIZED)
 
 
 # ---------------------------------------------------------------------------

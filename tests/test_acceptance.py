@@ -18,7 +18,7 @@ from edanav.optimize import GainRanges, evaluate_sessions, optimize
 from edanav.pipeline import eval_split, train_surrogate
 from edanav.scr import METHODS, detect_scr
 from edanav.signals import Trace
-from edanav.surrogate import _overlap_average, fit_surrogate, predict_session
+from edanav.surrogate import _overlap_average, fit_surrogate, predict_sessions
 
 from test_control import (
     run_channel_symmetry,
@@ -27,7 +27,7 @@ from test_control import (
     run_zero_input_fixpoint,
 )
 from test_scr import _assert_agrees, _oracle, _params, _pulse_train, _random_phasic
-from test_surrogate import _accel_pair, _planted_session, _session_clips
+from test_surrogate import _accel_pair, _one_session, _planted_session, _session_clips
 
 RATE = 4.0
 
@@ -112,7 +112,7 @@ def test_criterion_3_surrogate_recovery_and_round_trip(capsys):
     a_l, a_r, phasic = _planted_session(rng)
     windows, targets, norm = _session_clips(a_l, a_r, phasic)
     model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
-    pred = predict_session(model, a_l, a_r, model.L).samples
+    pred = predict_sessions(model, _one_session(a_l, a_r), model.L)[0]
     mae = float(np.mean(np.abs(pred - targets.ravel())))
 
     a_l2, a_r2 = _accel_pair(rng)

@@ -160,6 +160,17 @@ def test_config_accepts_exactly_the_documented_keys():
     }
 
 
+def test_every_key_loads_through_an_override(monkeypatch):
+    # `--set section.key=<its default>` reaches every key, the dotted
+    # detector sections too, and leaves the default config
+    monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+    default = repr(load_config())
+    for section, keys in _SCHEMA.items():
+        for key, value in keys.items():
+            override = f"{section}.{key}={'' if value is None else value}"
+            assert repr(load_config(overrides=[override])) == default, override
+
+
 def test_config_file_and_overrides(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     path = tmp_path / "run.ini"
@@ -250,7 +261,7 @@ def test_config_rejects_bad_values(tmp_path):
             load_config(overrides=[f"optimizer.{key}"])
     with pytest.raises(ConfigError, match="empty range"):
         load_config(overrides=["optimizer.hi_K_Pl=0.1", "optimizer.lo_K_Pl=0.2"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="min_amplitude must be positive"):
         load_config(overrides=["detector.kim2004.min_amplitude=-1"])
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.ini")
@@ -387,7 +398,18 @@ def test_config_errors_exit_one(tmp_path, capsys):
                               (["surrogate.stride_samples=0"],
                                "stride_samples must be >= 1 when set, got 0"),
                               (["surrogate.ridge_lambda=-1"],
-                               "ridge_lambda must be >= 0, got -1.0")):
+                               "ridge_lambda must be >= 0, got -1.0"),
+                              # NaN fails every bound, as does an infinite window
+                              (["control.max_longitudinal=nan"],
+                               "acceleration limits must be positive"),
+                              (["decomposition.median_window_s=nan"],
+                               "decomposition windows must be positive and finite"),
+                              (["decomposition.average_window_s=inf"],
+                               "decomposition windows must be positive and finite"),
+                              (["detector.gamboa2008.min_separation_s=nan"],
+                               "min_separation_s must be non-negative"),
+                              (["detector.neurokit.prominence_frac=nan"],
+                               "prominence_frac must be non-negative")):
         sets = [arg for setting in settings for arg in ("--set", setting)]
         for command in ("synth", "train", "optimize", "evaluate", "report"):
             assert main([command, "--output-dir", str(tmp_path), *sets]) == 1

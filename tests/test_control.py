@@ -3,7 +3,8 @@
 The four ``run_*`` property checks are shared with the acceptance suite,
 which re-runs them at its mandated case count. Each steps the law one
 sample at a time through the scalar oracle (`oracles.adapt_trace_naive`)
-and requires the whole-session `adapt_trace` to match it bit for bit.
+and requires the whole-session `pid_terms` and `apply_gains` to match it
+bit for bit.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from edanav.control import (
     AccelLimits,
     PidGains,
     _clamped_integral,
-    adapt_trace,
     apply_gains,
     clamped_sum,
     pid_outputs,
@@ -63,8 +63,8 @@ def test_pure_integral_sequence():
 def test_tuned_longitudinal_one_step():
     # one tick from rest with a_l = 1 m/s^2 under the tuned gains:
     # e = -1, psi = -(K_P + K_I * 0.25 + K_D / 0.25), a' = 1 + psi
-    a_l, a_r = adapt_trace(np.array([1.0]), np.array([0.0]), np.array([0.0]), 1.0 / DT,
-                           TUNED_GAINS)
+    terms = pid_terms(np.array([1.0]), np.array([0.0]), np.array([0.0]), 1.0 / DT)
+    a_l, a_r = apply_gains(terms, TUNED_GAINS.as_array(), AccelLimits())
     assert abs(a_l[0] - 0.932275) < 1e-12
     assert abs(a_r[0] - 0.0) < 1e-12  # rotational channel saw zero error
 
@@ -87,8 +87,6 @@ def test_non_positive_integral_clamp_is_rejected():
     for clamp in (0.0, -1.0):
         with pytest.raises(ValueError, match="integral_clamp"):
             pid_terms(ones, ones, ones, 4.0, clamp)
-        with pytest.raises(ValueError, match="integral_clamp"):
-            adapt_trace(ones, ones, ones, 4.0, TUNED_GAINS, integral_clamp=clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +96,8 @@ def test_non_positive_integral_clamp_is_rejected():
 def _step(a_l, a_r, f_prev, gains, limits=AccelLimits(), clamp=DEFAULT_INTEGRAL_CLAMP):
     """Outputs (a_l', a_r') of the law for samples whose phasic feedback is ``f_prev``.
 
-    Steps the scalar oracle and requires `adapt_trace` to give the same
-    floats. A leading all-zero sample is a fixed point of the law, so it
+    Steps the scalar oracle and requires `pid_terms` and `apply_gains` to
+    give the same floats. A leading all-zero sample is a fixed point of the law, so it
     leaves the state at rest and lets sample i + 1 read f_prev[i].
     """
     a_l = np.array([0.0, *a_l])
@@ -109,7 +107,7 @@ def _step(a_l, a_r, f_prev, gains, limits=AccelLimits(), clamp=DEFAULT_INTEGRAL_
         a_l, a_r, f, 1.0 / DT, gains.as_array(),
         limits.max_longitudinal, limits.max_rotational, clamp,
     )
-    out_l, out_r = adapt_trace(a_l, a_r, f, 1.0 / DT, gains, limits, clamp)
+    out_l, out_r = apply_gains(pid_terms(a_l, a_r, f, 1.0 / DT, clamp), gains.as_array(), limits)
     assert out_l.tolist() == ref_l and out_r.tolist() == ref_r
     return list(zip(ref_l[1:], ref_r[1:]))
 
@@ -230,7 +228,7 @@ def test_adapt_trace_matches_stepwise_loop():
     a_l = rng.uniform(-2.0, 4.0, n)
     a_r = rng.uniform(-1.0, 2.0, n)
     f = rng.uniform(0.0, 1.0, n)
-    out_l, out_r = adapt_trace(a_l, a_r, f, 4.0, TUNED_GAINS)
+    out_l, out_r = apply_gains(pid_terms(a_l, a_r, f, 4.0), TUNED_GAINS.as_array(), AccelLimits())
     ref_l, ref_r = adapt_trace_naive(a_l, a_r, f, 4.0, TUNED_GAINS.as_array(), 5.0, 3.0,
                                      DEFAULT_INTEGRAL_CLAMP)
     assert out_l.tolist() == ref_l
@@ -268,10 +266,11 @@ def _oracle_bytes(a_l, a_r, f, rate, gains, limits, clamp):
 @settings(max_examples=200, deadline=None)
 @given(_sessions())
 def test_adapt_trace_matches_scalar_oracle(session):
-    # bit for bit, signed zeros included, whether or not the clamps bind
+    # one session [n] at a time, bit for bit, signed zeros included, whether
+    # or not the clamps bind
     a_l, a_r, f, rate, gains, limits, clamp = session
     for row in zip(a_l, a_r, f):
-        out_l, out_r = adapt_trace(*row, rate, PidGains.from_array(gains), limits, clamp)
+        out_l, out_r = apply_gains(pid_terms(*row, rate, clamp), gains, limits)
         assert (out_l.tobytes(), out_r.tobytes()) == _oracle_bytes(
             *row, rate, gains, limits, clamp
         )
@@ -454,7 +453,7 @@ def test_adapt_trace_zero_gains_is_identity():
     a_l = rng.uniform(-2.0, 2.0, 100)
     a_r = rng.uniform(-1.0, 1.0, 100)
     f = rng.uniform(0.0, 1.0, 100)
-    out_l, out_r = adapt_trace(a_l, a_r, f, 4.0, PidGains())
+    out_l, out_r = apply_gains(pid_terms(a_l, a_r, f, 4.0), PidGains().as_array(), AccelLimits())
     np.testing.assert_array_equal(out_l, a_l)
     np.testing.assert_array_equal(out_r, a_r)
 
@@ -536,3 +535,6 @@ def test_frame_and_limit_validation():
         AccelLimits(max_longitudinal=0.0)
     with pytest.raises(ValueError):
         AccelLimits(max_rotational=-1.0)
+    for limit in ("max_longitudinal", "max_rotational"):
+        with pytest.raises(ValueError, match="acceleration limits must be positive"):
+            AccelLimits(**{limit: np.nan})

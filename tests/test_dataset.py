@@ -8,7 +8,7 @@ import pytest
 
 from edanav.dataset import SessionRecord, load_dataset, save_dataset, synth_cohort
 from edanav.errors import FileFormatError
-from edanav.scr import DetectorParams, count_er_scr
+from edanav.scr import DetectorParams, count_events
 from edanav.signals import Trace, Unit, decompose
 from edanav.surrogate import OracleParams
 
@@ -84,7 +84,7 @@ def test_every_session_yields_detectable_events():
     detector = DetectorParams("neurokit", min_amplitude=1e-6)
     for r in synth_cohort(40, 240.0, 4.0, seed=0):
         phasic = decompose(r.eda).phasic
-        assert count_er_scr(phasic, detector) >= 1, r.session_id
+        assert count_events(phasic.samples[None], 4.0, (detector,))[0, 0] >= 1, r.session_id
 
 
 def test_oracle_params_pass_through():

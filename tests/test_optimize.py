@@ -15,7 +15,7 @@ from edanav.control import (
     GAIN_KEYS,
     AccelLimits,
     PidGains,
-    adapt_trace,
+    apply_gains,
     pid_terms,
 )
 from edanav.dataset import synth_cohort
@@ -31,8 +31,8 @@ from edanav.optimize import (
     optimize,
     write_history_csv,
 )
-from edanav.pipeline import eval_split, train_surrogate
-from edanav.scr import count_er_scr, default_detectors
+from edanav.pipeline import check_model_rate, eval_split, held_out_mae, train_surrogate
+from edanav.scr import count_events, default_detectors
 from edanav.signals import (
     DecompositionConfig,
     EdaDecomposition,
@@ -41,15 +41,17 @@ from edanav.signals import (
     decompose,
     same_rate,
 )
-from edanav.surrogate import OracleParams, make_clips, predict_session, synth_session
+from edanav.surrogate import OracleParams, make_clips, synth_session
 
 from oracles import (
     adapt_trace_naive,
     clamped_sum_naive,
     msdv_naive,
     predict_clip,
+    predict_session_naive,
     search_naive,
 )
+from test_scr import _oracle as scr_oracle
 
 # the module itself: the package binds the name `optimize` to the function
 optimize_module = importlib.import_module("edanav.optimize")
@@ -91,6 +93,18 @@ def _replay(records, gains, model, mode="offline", limits=AccelLimits(),
     return replays
 
 
+def _oracle_counts(x, detectors):
+    """Each detector's event count on the one 4 Hz trace ``x``, by the brute-force oracle."""
+    return tuple(len(scr_oracle(x, d)) for d in detectors)
+
+
+def _oracle_prediction(model, a_l, a_r):
+    """The oracle's stride-1 prediction [n] of raw acceleration ``a_l``, ``a_r``."""
+    norm = model.norm
+    return np.array(predict_session_naive(model.weights, norm.a_l.apply(a_l),
+                                          norm.a_r.apply(a_r), model.L, 1))
+
+
 def test_zero_gains_change_nothing(small):
     records, model = small
     result = evaluate_sessions([records[0]], PidGains(), model)[0]
@@ -108,9 +122,7 @@ def test_simulation_stats_are_consistent(small):
     result = evaluate_sessions([records[1]], TUNED_GAINS, model)[0]
     [(adapted, pred)] = _replay([records[1]], TUNED_GAINS, model)
     stats = result.stats
-    assert stats.n_adapted == tuple(
-        count_er_scr(Trace(pred, model.rate_hz), d) for d in detectors
-    )
+    assert stats.n_adapted == tuple(count_events(pred[None], model.rate_hz, detectors)[0])
     for raw, a, pair in ((records[1].a_l, adapted[0], stats.msdv_l),
                          (records[1].a_r, adapted[1], stats.msdv_r)):
         assert pair == (msdv_naive(raw), msdv_naive(Trace(a, model.rate_hz)))
@@ -140,8 +152,8 @@ def test_raw_counts_come_from_the_surrogate(small):
     detectors = default_detectors()
     [group] = build_contexts([records[2]], model, detectors, DecompositionConfig(),
                              DEFAULT_INTEGRAL_CLAMP)
-    pred = predict_session(model, records[2].a_l, records[2].a_r)
-    assert tuple(group.n_raw[0]) == tuple(count_er_scr(pred, d) for d in detectors)
+    pred = _oracle_prediction(model, records[2].a_l.samples, records[2].a_r.samples)
+    assert tuple(group.n_raw[0]) == _oracle_counts(pred, detectors)
     f_prev = -group.terms.error[0, 2]
     assert np.all(f_prev >= 0.0) and np.all(f_prev <= 1.0)
 
@@ -173,9 +185,7 @@ def test_closed_loop_mode(small):
     [(adapted, pred)] = _replay([records[0]], PidGains(), model, mode="closed_loop")
     # with zero gains the adapted profile is untouched even in closed loop
     np.testing.assert_array_equal(adapted[0], records[0].a_l.samples)
-    assert result.stats.n_adapted == tuple(
-        count_er_scr(Trace(pred, model.rate_hz), d) for d in detectors
-    )
+    assert result.stats.n_adapted == tuple(count_events(pred[None], model.rate_hz, detectors)[0])
     with pytest.raises(ValueError, match="mode"):
         evaluate_sessions([records[0]], PidGains(), model, mode="online")
 
@@ -207,9 +217,8 @@ def _assert_follows_closed_loop_law(record, replay, gains, model,
     )
     assert adapted[0].tolist() == ref_l
     assert adapted[1].tolist() == ref_r
-    out_l, out_r = adapt_trace(a_l, a_r, f, rate, gains, limits, integral_clamp)
-    assert np.array_equal(out_l, adapted[0])
-    assert np.array_equal(out_r, adapted[1])
+    terms = pid_terms(a_l, a_r, f, rate, integral_clamp)
+    assert np.array_equal(apply_gains(terms, gains.as_array(), limits), adapted)
     norms = (model.norm.a_l, model.norm.a_r)
     for k in range(pred.size // L):
         prev = adapted[:, (k - 1) * L : k * L] if k else np.zeros((2, L))
@@ -277,8 +286,9 @@ def _assert_equals_alone(sessions, results, replays, gains, model, settings):
 
 def test_offline_sessions_replay_together(small):
     # sessions of mixed lengths are adapted, predicted and counted in one
-    # call per length; each result equals its own replay and the plain
-    # per-session path (adapt_trace, predict_session, count_er_scr)
+    # call per length; each result equals its own replay and the oracles'
+    # per-session path (adapt_trace_naive, predict_session_naive,
+    # brute_force_events)
     records, model = small
     sessions = _mixed_sessions(records, model.L)
     detectors = default_detectors()
@@ -290,19 +300,20 @@ def test_offline_sessions_replay_together(small):
             # the recorded feedback: step i of the law reads f[i - 1]
             [group] = build_contexts([record], model, detectors, **MIXED_SETTINGS)
             f = np.concatenate([-group.terms.error[0, 2, 1:], [0.0]])
-            out_l, out_r = adapt_trace(record.a_l.samples, record.a_r.samples, f,
-                                       record.a_l.rate_hz, gains, integral_clamp=0.05)
-            assert adapted[0].tobytes() == out_l.tobytes()
-            assert adapted[1].tobytes() == out_r.tobytes()
-            pred = predict_session(model, Trace(adapted[0], model.rate_hz, record.a_l.unit),
-                                   Trace(adapted[1], model.rate_hz, record.a_r.unit))
-            assert prediction.tobytes() == pred.samples.tobytes()
-            raw = predict_session(model, record.a_l, record.a_r)
-            assert result.stats.n_adapted == tuple(count_er_scr(pred, d) for d in detectors)
-            assert result.stats.n_raw == tuple(count_er_scr(raw, d) for d in detectors)
+            limits = AccelLimits()
+            out_l, out_r = adapt_trace_naive(record.a_l.samples, record.a_r.samples, f,
+                                             record.a_l.rate_hz, gains.as_array(),
+                                             limits.max_longitudinal, limits.max_rotational, 0.05)
+            assert adapted[0].tobytes() == np.array(out_l).tobytes()
+            assert adapted[1].tobytes() == np.array(out_r).tobytes()
+            oracle = _oracle_prediction(model, adapted[0], adapted[1])
+            assert prediction.tobytes() == oracle.tobytes()
+            raw = _oracle_prediction(model, record.a_l.samples, record.a_r.samples)
+            assert result.stats.n_adapted == _oracle_counts(prediction, detectors)
+            assert result.stats.n_raw == _oracle_counts(raw, detectors)
             phasic = decompose(record.eda, MIXED_SETTINGS["decomposition"]).phasic
-            recorded = Trace(model.norm.phasic.apply(phasic.samples), record.eda.rate_hz)
-            assert result.stats.n_recorded == tuple(count_er_scr(recorded, d) for d in detectors)
+            recorded = model.norm.phasic.apply(phasic.samples)
+            assert result.stats.n_recorded == _oracle_counts(recorded, detectors)
 
 
 def test_closed_loop_sessions_replay_together(small):
@@ -437,7 +448,8 @@ def _rate_checks(record, model, rate):
         (lambda: EdaDecomposition(eda, decompose(eda).tonic, moved_phasic),
          "decomposition traces must share rate"),
         (lambda: make_clips(a_l, a_r, moved_phasic, model.norm), "traces must share rate"),
-        (lambda: predict_session(model, moved["a_l"], moved["a_r"]), "does not match model rate"),
+        (lambda: check_model_rate([replace(record, **moved)], model), "does not match model rate"),
+        (lambda: held_out_mae(model, [replace(record, **moved)]), "does not match model rate"),
         (lambda: synth_session(a_l, moved["a_r"], OracleParams()), "traces must be aligned"),
         (lambda: build_contexts([replace(record, **moved)], model, default_detectors(),
                                 DecompositionConfig(), DEFAULT_INTEGRAL_CLAMP),

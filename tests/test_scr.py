@@ -1,5 +1,7 @@
 """Detector tests: agreement with the brute-force oracle plus edge behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,6 @@ from edanav.scr import (
     ScrEvent,
     _prominences,
     _rising_runs,
-    count_er_scr,
     count_events,
     default_detectors,
     detect_scr,
@@ -55,6 +56,11 @@ def _params(method, **kw):
     }
     merged.update(kw)
     return DetectorParams(method=method, **merged)
+
+
+def _count(x, params):
+    """The event count of the one trace ``x`` under ``params``, from `count_events`."""
+    return int(count_events(np.asarray(x)[None], RATE, (params,))[0, 0])
 
 
 def _oracle(x, params):
@@ -327,7 +333,7 @@ def test_fixture_counts_zero_one_two():
     for method in METHODS:
         params = _params(method)
         for x, expected in ((flat_falling, 0), (one, 1), (two, 2)):
-            assert count_er_scr(Trace(x, RATE), params) == expected
+            assert _count(x, params) == expected
             assert len(_oracle(x, params)) == expected
 
 
@@ -335,7 +341,7 @@ def test_slow_ramp_is_rejected_by_rise_time():
     # a single 8 s rise exceeds the 5 s rise-time ceiling for every method
     x = np.concatenate([np.zeros(20), np.linspace(0.0, 1.0, 33), np.full(20, 1.0)])
     for method in METHODS:
-        assert count_er_scr(Trace(x, RATE), _params(method)) == 0
+        assert _count(x, _params(method)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +352,21 @@ def test_count_monotone_in_amplitude_threshold():
     rng = np.random.default_rng(44)
     for _ in range(10):
         x = _random_phasic(rng)
-        tr = Trace(x, RATE)
         for method, grid in (
             ("kim2004", np.linspace(0.01, 0.9, 12)),
             ("gamboa2008", np.linspace(0.002, 0.5, 12)),
             ("neurokit", np.linspace(1e-6, 0.5, 12)),
         ):
-            counts = [count_er_scr(tr, _params(method, min_amplitude=float(a))) for a in grid]
+            counts = [_count(x, _params(method, min_amplitude=float(a))) for a in grid]
             assert all(a >= b for a, b in zip(counts, counts[1:])), (method, counts)
 
 
 def test_count_monotone_in_prominence():
     rng = np.random.default_rng(45)
     for _ in range(10):
-        tr = Trace(_random_phasic(rng), RATE)
+        x = _random_phasic(rng)
         counts = [
-            count_er_scr(tr, _params("neurokit", prominence_frac=float(f)))
+            _count(x, _params("neurokit", prominence_frac=float(f)))
             for f in np.linspace(0.02, 0.8, 10)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -399,8 +404,8 @@ def test_kim2004_scale_invariance():
 def test_gamboa2008_absolute_threshold_is_scale_sensitive():
     x = _pulse_train(240, [(10.0, 0.016)])
     params = _params("gamboa2008")
-    assert count_er_scr(Trace(x, RATE), params) == 1
-    assert count_er_scr(Trace(0.5 * x, RATE), params) == 0  # 0.008 < 0.01
+    assert _count(x, params) == 1
+    assert _count(0.5 * x, params) == 0  # 0.008 < 0.01
 
 
 def test_gamboa2008_merges_close_events():
@@ -422,9 +427,9 @@ def test_rise_time_band_is_inclusive():
         return np.concatenate([np.zeros(8), up, np.full(8, 1.0)])
 
     params = _params("kim2004")
-    assert count_er_scr(Trace(ramp(1), RATE), params) == 1  # 0.25 s, lower edge
-    assert count_er_scr(Trace(ramp(20), RATE), params) == 1  # 5.0 s, upper edge
-    assert count_er_scr(Trace(ramp(21), RATE), params) == 0  # 5.25 s, too slow
+    assert _count(ramp(1), params) == 1  # 0.25 s, lower edge
+    assert _count(ramp(20), params) == 1  # 5.0 s, upper edge
+    assert _count(ramp(21), params) == 0  # 5.25 s, too slow
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +452,15 @@ def test_detector_params_validation():
     with pytest.raises(ValueError):
         DetectorParams("kim2004", min_amplitude=0.0)
     with pytest.raises(ValueError):
-        DetectorParams("kim2004", min_amplitude=0.1, min_separation_s=-1.0)
-    with pytest.raises(ValueError):
         DetectorParams("kim2004", min_amplitude=0.1, rise_time_min_s=6.0, rise_time_max_s=5.0)
+    # NaN fails every bound
+    for key in ("min_separation_s", "prominence_frac"):
+        for value in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+                DetectorParams("neurokit", min_amplitude=0.1, **{key: value})
+    for key in ("min_amplitude", "rise_time_min_s", "rise_time_max_s"):
+        with pytest.raises(ValueError):
+            DetectorParams("neurokit", **{"min_amplitude": 0.1, key: math.nan})
 
 
 def test_scr_event_validation():

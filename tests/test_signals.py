@@ -208,6 +208,10 @@ def test_decompose_custom_windows():
     np.testing.assert_allclose(dec.tonic.samples, expected, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         DecompositionConfig(median_window_s=0.0)
+    # a NaN or infinite window would fail only later, converting to a sample count
+    for windows in ((np.nan, 8.0), (8.0, np.nan), (np.inf, 8.0), (8.0, np.inf)):
+        with pytest.raises(ValueError, match="windows must be positive and finite"):
+            DecompositionConfig(*windows)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +258,7 @@ def test_trace_csv_errors(tmp_path):
         ("bad_unit.csv", "# unit=volts rate_hz=4.0\nt_s,value\n0.0,1.0\n", 1),
         ("bad_rate.csv", "# unit=microsiemens rate_hz=fast\nt_s,value\n0.0,1.0\n", 1),
         ("dup_meta.csv", "# unit=microsiemens rate_hz=4.0 rate_hz=8.0\nt_s,value\n0.0,1.0\n", 1),
+        ("extra_meta.csv", "# unit=microsiemens rate_hz=4.0 colour=blue\nt_s,value\n0.0,1.0\n", 1),
         ("bad_header.csv", "# unit=microsiemens rate_hz=4.0\ntime,v\n0.0,1.0\n", 2),
         ("bad_cols.csv", "# unit=microsiemens rate_hz=4.0\nt_s,value\n0.0,1.0,2.0\n", 3),
         ("bad_value.csv", "# unit=microsiemens rate_hz=4.0\nt_s,value\n0.0,1.0\n0.25,oops\n", 4),

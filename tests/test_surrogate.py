@@ -18,7 +18,6 @@ from edanav.surrogate import (
     fit_surrogate,
     make_clips,
     predict_rows,
-    predict_session,
     _overlap_average,
     predict_sessions,
     read_model,
@@ -62,6 +61,11 @@ def _session_clips(a_l, a_r, phasic, **kwargs):
     """`make_clips` under the session's own normalization: (windows, targets, norm)."""
     norm = corpus_clip_norm([a_l], [a_r], [phasic])
     return (*make_clips(a_l, a_r, phasic, norm, **kwargs), norm)
+
+
+def _one_session(a_l, a_r):
+    """The acceleration traces as a one-session stack [1, 2, n] for `predict_sessions`."""
+    return np.stack([a_l.samples, a_r.samples])[None]
 
 
 def test_make_clips_count_and_shapes():
@@ -241,7 +245,7 @@ def test_fit_recovers_planted_linear_map():
     windows, targets, norm = _session_clips(a_l, a_r, phasic)
     model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
     assert model.train_mae < 1e-6
-    pred = predict_session(model, a_l, a_r, model.L).samples
+    pred = predict_sessions(model, _one_session(a_l, a_r), model.L)[0]
     mae = float(np.mean(np.abs(pred - targets.ravel())))
     assert mae < 1e-6
 
@@ -270,8 +274,9 @@ def test_fit_rejects_degenerate_input():
 def test_fit_validation():
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
     windows, targets = np.zeros((1, 2, 6)), np.zeros((1, 2))
-    with pytest.raises(ValueError, match="ridge_lambda"):
-        fit_surrogate(windows, targets, -1.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+    for ridge_lambda in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="ridge_lambda must be >= 0"):
+            fit_surrogate(windows, targets, ridge_lambda, rate_hz=RATE, clip_len_s=0.5, norm=norm)
     with pytest.raises(ValueError, match=r"clips must be windows \[n, 2, 27\]"):
         fit_surrogate(windows, targets, rate_hz=RATE, clip_len_s=2.25, norm=norm)
 
@@ -330,16 +335,15 @@ def _small_model(rng):
 def test_predict_session_dense_covers_whole_session():
     rng = np.random.default_rng(26)
     model, a_l, a_r = _small_model(rng)
-    out = predict_session(model, a_l, a_r)  # stride 1 by default
+    [out] = predict_sessions(model, _one_session(a_l, a_r))  # stride 1 by default
     assert len(out) == len(a_l)
-    assert out.unit == Unit.NORMALIZED
-    assert np.all(out.samples >= 0.0) and np.all(out.samples <= 1.0)
+    assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 def test_predict_session_stride_L_tiles():
     rng = np.random.default_rng(27)
     model, a_l, a_r = _small_model(rng)
-    out = predict_session(model, a_l, a_r, stride_samples=L)
+    [out] = predict_sessions(model, _one_session(a_l, a_r), stride_samples=L)
     n_clips = (len(a_l) - L) // L + 1
     assert len(out) == n_clips * L
     # tiling means each clip is an independent prediction of its window
@@ -353,7 +357,7 @@ def test_predict_session_stride_L_tiles():
         ]
     )
     np.testing.assert_allclose(
-        out.samples[k * L : (k + 1) * L], predict_clip(model, window), rtol=0, atol=1e-12
+        out[k * L : (k + 1) * L], predict_clip(model, window), rtol=0, atol=1e-12
     )
 
 
@@ -381,9 +385,8 @@ def test_predict_sessions_matches_the_per_session_oracle(rate, m, seed):
                     L, stride,
                 )
                 assert row.tobytes() == np.array(expected).tobytes()
-            single = predict_session(model, Trace(accel[0, 0], rate), Trace(accel[0, 1], rate),
-                                     stride)
-            assert single.samples.tobytes() == out[0].tobytes()
+            single = predict_sessions(model, accel[:1], stride)
+            assert single.tobytes() == out[:1].tobytes()
 
 
 _VMIN = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
@@ -410,7 +413,7 @@ def test_predict_sessions_rejects_a_stride_past_L():
     # tiles, and training clips still take any stride >= 1
     rng = np.random.default_rng(29)
     model, a_l, a_r = _small_model(rng)
-    accel = np.stack([a_l.samples, a_r.samples])[None]
+    accel = _one_session(a_l, a_r)
     for stride in (L + 1, 2 * L):
         with pytest.raises(ValueError, match=r"stride_samples must be in \[1, L = 9\]"):
             predict_sessions(model, accel, stride)
@@ -423,16 +426,13 @@ def test_predict_sessions_rejects_a_stride_past_L():
 def test_predict_session_validation():
     rng = np.random.default_rng(28)
     model, a_l, a_r = _small_model(rng)
-    with pytest.raises(ValueError, match="share length"):
-        predict_session(model, a_l, Trace(a_r.samples[:-1], RATE))
-    with pytest.raises(ValueError, match="does not match model rate"):
-        predict_session(model, Trace(a_l.samples, 8.0), Trace(a_r.samples, 8.0))
+    accel = _one_session(a_l, a_r)
     with pytest.raises(ValueError, match="stride"):
-        predict_session(model, a_l, a_r, stride_samples=0)
+        predict_sessions(model, accel, stride_samples=0)
     with pytest.raises(ValueError, match="stride"):
-        predict_session(model, a_l, a_r, stride_samples=L + 1)
+        predict_sessions(model, accel, stride_samples=L + 1)
     with pytest.raises(ValueError, match="shorter"):
-        predict_session(model, Trace(a_l.samples[:20], RATE), Trace(a_r.samples[:20], RATE))
+        predict_sessions(model, accel[..., :20])
     with pytest.raises(ValueError, match=r"\[m, 2, n\]"):
         predict_sessions(model, np.zeros((1, 3, 40)))
 
