@@ -71,7 +71,7 @@ from .control import (
 )
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .pipeline import check_model_rate, session_phasic
+from .pipeline import check_model_rate, length_groups, session_phasic
 from .signals import DecompositionConfig, format_float, write_text_atomic
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
@@ -114,11 +114,8 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
     ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
     check_model_rate(records, model)
-    by_length: dict[int, list[int]] = {}
-    for i, record in enumerate(records):
-        by_length.setdefault(len(record.a_l), []).append(i)
     groups = []
-    for members in by_length.values():
+    for members in length_groups(records):
         group = [records[i] for i in members]
         recorded = np.stack([
             model.norm.phasic.apply(session_phasic(r, decomposition).samples) for r in group

@@ -47,6 +47,15 @@ def check_model_rate(records, model: SurrogateModel) -> None:
                              f"does not match model rate {model.rate_hz}Hz")
 
 
+def length_groups(records) -> list[list[int]]:
+    """Positions in ``records`` grouped by sample count, in order of first
+    appearance; each group keeps its input order."""
+    by_length: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        by_length.setdefault(len(record.a_l), []).append(i)
+    return list(by_length.values())
+
+
 def held_out_mae(
     model: SurrogateModel,
     records,
@@ -54,34 +63,40 @@ def held_out_mae(
 ) -> float:
     """Mean absolute error of the predicted phasic on sessions the fit never saw.
 
-    Each session is predicted on its own with `predict_sessions` at stride
-    L, the geometry of the training clips, and scored against its phasic
+    The sessions of one length are predicted in one `predict_sessions` call
+    at stride L, the geometry of the training clips, which gives each row
+    the bits of its session on its own. Each is scored against its phasic
     under the model's frozen normalization; the up to L-1 trailing samples
-    that no clip covers are not scored.
+    that no clip covers are not scored. The mean runs over the errors of
+    all sessions in record order.
     """
     records = list(records)
     if not records:
         return math.nan
     check_model_rate(records, model)
-    errors = []
-    for record in records:
-        accel = np.stack([record.a_l.samples, record.a_r.samples])
-        pred = predict_sessions(model, accel[None], model.L)[0]
-        phasic = session_phasic(record, decomposition).samples
-        errors.append(np.abs(pred - model.norm.phasic.apply(phasic)[: len(pred)]))
+    errors = [None] * len(records)
+    for members in length_groups(records):
+        accel = np.stack([(records[i].a_l.samples, records[i].a_r.samples) for i in members])
+        for i, pred in zip(members, predict_sessions(model, accel, model.L)):
+            phasic = session_phasic(records[i], decomposition).samples
+            errors[i] = np.abs(pred - model.norm.phasic.apply(phasic)[: len(pred)])
     return float(np.mean(np.concatenate(errors)))
 
 
 def check_train_settings(clip_len_s: float, stride_samples: int | None,
                          ridge_lambda: float) -> None:
     """Raise ValueError unless ``clip_len_s`` > 0, ``stride_samples`` is None
-    or >= 1 and ``ridge_lambda`` >= 0, the bounds of `train_surrogate`."""
+    or >= 1 and ``ridge_lambda`` >= 0, both floats finite: the bounds of
+    `train_surrogate`."""
     if not clip_len_s > 0:
         raise ValueError(f"clip_len_s must be positive, got {clip_len_s!r}")
     if stride_samples is not None and stride_samples < 1:
         raise ValueError(f"stride_samples must be >= 1 when set, got {stride_samples!r}")
     if not ridge_lambda >= 0:
         raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
+    for name, value in (("clip_len_s", clip_len_s), ("ridge_lambda", ridge_lambda)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def train_surrogate(

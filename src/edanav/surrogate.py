@@ -375,6 +375,10 @@ class OracleParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("baseline_us", "tau_rise_s", "tau_decay_s", "gain", "latency_s",
+                     "tonic_drift", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.tau_rise_s < self.tau_decay_s:
             raise ValueError("need 0 < tau_rise_s < tau_decay_s")
         if self.latency_s < 0:

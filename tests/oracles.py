@@ -12,11 +12,15 @@ those products' bits alone. `msdv_naive` is another: it is the MSDV of one
 gain search one trial at a time, and it scores each trial with the
 package's own replay (`build_contexts`, `_simulate`, `detector_stats`), so
 what it pins is the search's schedule of draws, candidates and incumbents.
+`tonic_scipy` is scipy.ndimage's pair of filters, the tonic estimator the
+package's numpy filters must reproduce bit for bit; scipy is a test
+dependency only.
 """
 
 import math
 
 import numpy as np
+from scipy.ndimage import median_filter, uniform_filter1d
 
 from edanav.control import DEFAULT_INTEGRAL_CLAMP, GAIN_KEYS, AccelLimits, PidGains
 from edanav.metrics import detector_stats
@@ -46,6 +50,13 @@ def bateman_pulse(n, rate_hz, onset_s, amplitude, tau_rise_s=0.75, tau_decay_s=2
             h = math.exp(-t / tau_decay_s) - math.exp(-t / tau_rise_s)
             out.append(amplitude * h / peak)
     return out
+
+
+def tonic_scipy(x, w_med, w_avg):
+    """(moving median over ``w_med``, then its moving mean over ``w_avg``) of ``x``,
+    both by scipy.ndimage with replicate ("nearest") edges."""
+    median = median_filter(x, size=w_med, mode="nearest")
+    return median, uniform_filter1d(median, size=w_avg, mode="nearest")
 
 
 def msdv_naive(trace):

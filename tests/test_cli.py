@@ -91,6 +91,10 @@ def test_held_out_mae_equals_clip_oracle(clip_len_s, rate_hz):
     held = eval_split(records)
     phasics = [decompose(r.eda, DecompositionConfig()).phasic.samples for r in held]
     assert heldout == held_out_mae(model, held) == held_out_mae_naive(model, held, phasics)
+    # lengths interleaved: the errors still average in record order
+    order = [0, 2, 1, 3]
+    mixed = [held[i] for i in order]
+    assert held_out_mae(model, mixed) == held_out_mae_naive(model, mixed, [phasics[i] for i in order])
 
 
 def test_held_out_mae_rejects_another_rate():
@@ -409,7 +413,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
                               (["detector.gamboa2008.min_separation_s=nan"],
                                "min_separation_s must be non-negative"),
                               (["detector.neurokit.prominence_frac=nan"],
-                               "prominence_frac must be non-negative")):
+                               "prominence_frac must be non-negative"),
+                              # an oracle or training setting, before synth or train runs
+                              (["oracle.gain=nan"], "gain must be finite, got nan"),
+                              (["oracle.tau_decay_s=inf"], "tau_decay_s must be finite, got inf"),
+                              (["surrogate.ridge_lambda=inf"],
+                               "ridge_lambda must be finite, got inf"),
+                              (["surrogate.clip_len_s=inf"],
+                               "clip_len_s must be finite, got inf")):
         sets = [arg for setting in settings for arg in ("--set", setting)]
         for command in ("synth", "train", "optimize", "evaluate", "report"):
             assert main([command, "--output-dir", str(tmp_path), *sets]) == 1

@@ -32,7 +32,7 @@ from edanav.signals import (
     write_trace_csv,
 )
 from edanav.surrogate import ClipNorm, SurrogateModel, write_model
-from oracles import read_samples_rows_naive, write_samples_csv_naive
+from oracles import read_samples_rows_naive, tonic_scipy, write_samples_csv_naive
 
 
 def _smooth_trace(rng, n=120, rate_hz=4.0, unit=Unit.MICROSIEMENS):
@@ -158,6 +158,62 @@ def test_decompose_matches_naive_filters():
         dec = decompose(tr)
         expected = _tonic_naive(tr.samples.tolist(), 33, 33)  # 8 s at 4 Hz, odd
         np.testing.assert_allclose(dec.tonic.samples, expected, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def _tonic_inputs(draw):
+    """n in [2, 2000] samples of one of five shapes, at a scale from 1e-5 to
+    1e5 and an offset up to 1e6; a seeded generator fills the shape in.
+
+    "levels" rounds noise to a few values, so windows hold many ties;
+    "plateaus" repeats values in runs; "constant" is one value throughout;
+    "ramp" rises or falls monotonically.
+    """
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "levels", "plateaus", "constant", "ramp"]))
+    if kind == "noise":
+        x = rng.normal(size=n)
+    elif kind == "levels":
+        x = np.round(rng.normal(size=n) * 2.0)
+    elif kind == "plateaus":
+        x = np.repeat(rng.normal(size=n), rng.integers(1, 60, n))[:n]
+    elif kind == "constant":
+        x = np.full(n, rng.normal())
+    else:
+        x = np.linspace(0.0, draw(st.sampled_from([-1.0, 1.0])), n)
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    return x * scale + draw(st.sampled_from([0.0, -0.0, 1.0, -1e3, 1e6]))
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 vs 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tonic_inputs(), st.integers(0, 600), st.integers(0, 600))
+def test_tonic_filters_equal_scipy(x, h_med, h_avg):
+    # odd windows of 1 to 1,201 samples, often longer than the trace
+    w_med, w_avg = 2 * h_med + 1, 2 * h_avg + 1
+    median, tonic = tonic_scipy(x, w_med, w_avg)
+    # equal values: where 0.0 and -0.0 tie in the middle of a window either
+    # zero may come out, and the moving mean gives the same bits for both
+    np.testing.assert_array_equal(signals._moving_median(x, w_med), median)
+    _assert_same_bits(signals._moving_mean(median, w_avg), tonic)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tonic_inputs(), st.sampled_from([1.0, 4.0, 8.0, 32.0]),
+       st.floats(0.0, 0.5), st.floats(0.01, 200.0))
+def test_decompose_tonic_equals_scipy(x, rate_hz, median_frac, average_window_s):
+    # the median window spans up to half the trace, the limit decompose
+    # allows; the average window reaches past the trace's ends
+    trace = Trace(x, rate_hz)
+    cfg = DecompositionConfig(max(median_frac * trace.duration_s, 1e-3), average_window_s)
+    w_med = signals._odd_window(cfg.median_window_s, rate_hz)
+    w_avg = signals._odd_window(cfg.average_window_s, rate_hz)
+    _assert_same_bits(decompose(trace, cfg).tonic.samples, tonic_scipy(x, w_med, w_avg)[1])
 
 
 def test_decompose_is_an_exact_split():
