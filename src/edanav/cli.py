@@ -66,6 +66,11 @@ def _cmd_synth(cfg: RunConfig) -> None:
         f"wrote {len(records)} sessions ({n_train} train / "
         f"{len(records) - n_train} eval) to {cfg.dataset_dir}"
     )
+    short = [r for r in records if r.missing_pulses]
+    if short:
+        print("sessions short of their drawn pulses: "
+              + ", ".join(f"{r.session_id} ({r.missing_pulses})" for r in short)
+              + f"; {sum(r.missing_pulses for r in short)} in total")
 
 
 def _cmd_train(cfg: RunConfig) -> None:

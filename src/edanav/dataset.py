@@ -45,10 +45,12 @@ MIN_GAP_S = 8.0
 class SessionRecord:
     """One session: paired acceleration channels and the EDA they produced.
 
-    ``phasics`` holds the EDA's phasic part per `DecompositionConfig`,
-    filled on first use by `pipeline.session_phasic`; it is not an
-    argument, takes no part in equality or repr, and `dataclasses.replace`
-    starts the new record with an empty one.
+    ``missing_pulses`` counts the pulses `synth_cohort` drew for the
+    session but could not place (`_onset_times`); it is 0 for a session
+    read from disk. ``phasics`` holds the EDA's phasic part per
+    `DecompositionConfig`, filled by `pipeline.session_phasics`; it is not
+    an argument, and `dataclasses.replace` starts the new record with an
+    empty one. Neither takes part in equality or repr.
     """
 
     session_id: str
@@ -56,6 +58,7 @@ class SessionRecord:
     a_r: Trace
     eda: Trace
     split: str = "train"
+    missing_pulses: int = field(default=0, repr=False, compare=False)
     phasics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,7 +83,8 @@ def _onset_times(
     The shared gap keeps every event's electrodermal response well clear of
     its neighbours on both channels, so each pulse produces one separable
     response. Each onset leaves room for the longest pulse of ``PULSE_S``.
-    Gives up after 1000 attempts and returns what it has.
+    Gives up after 1000 attempts and returns what it has; `synth_cohort`
+    records the shortfall on the session (``missing_pulses``).
     """
     onsets: list[float] = []
     attempts = 0
@@ -165,14 +169,16 @@ def synth_cohort(
         # every session spans most of the dynamic range. Rotational events
         # enter the stimulus at half weight; their three amplitude bands fill
         # out the small and middle of the response distribution.
-        on_anchor = _onset_times(rng, dur_s, 1, [])
-        on_big = _onset_times(rng, dur_s, int(rng.integers(3, 6)), on_anchor)
-        taken = on_anchor + on_big
-        on_mid = _onset_times(rng, dur_s, int(rng.integers(1, 3)), taken)
-        taken += on_mid
-        on_low = _onset_times(rng, dur_s, int(rng.integers(1, 3)), taken)
-        taken += on_low
-        on_tiny = _onset_times(rng, dur_s, int(rng.integers(2, 4)), taken)
+        # Each group's count is drawn just before its onsets, and each keeps
+        # clear of the groups before it.
+        groups, taken, missing = [], [], 0
+        for counts in (None, (3, 6), (1, 3), (1, 3), (2, 4)):
+            wanted = 1 if counts is None else int(rng.integers(*counts))
+            onsets = _onset_times(rng, dur_s, wanted, taken)
+            groups.append(onsets)
+            taken = taken + onsets
+            missing += wanted - len(onsets)
+        on_anchor, on_big, on_mid, on_low, on_tiny = groups
         a_l = Trace(
             _pulse_profile(rng, n, rate_hz, [(on_anchor, 4.0, 4.5), (on_big, 1.5, 4.0)]),
             rate_hz,
@@ -197,6 +203,7 @@ def synth_cohort(
                 a_r=a_r,
                 eda=eda,
                 split="train" if i < n_train else "eval",
+                missing_pulses=missing,
             )
         )
     return records

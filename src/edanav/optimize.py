@@ -8,7 +8,7 @@ and counts the events of each surrogate prediction.
 a `metrics.SessionStats`, with a group's raw and adapted MSDVs taken in one
 `metrics.msdv` reduction; a search trial scores the counts alone with
 `metrics.detector_stats`, the detector rows of `metrics.build_report`.
-The recorded phasic comes from `pipeline.session_phasic`, which each
+The recorded phasic comes from `pipeline.session_phasics`, which each
 record keeps, so a search and its evaluation decompose no session again.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
@@ -71,7 +71,7 @@ from .control import (
 )
 from .metrics import SessionStats, detector_stats, msdv
 from .scr import count_events, default_detectors
-from .pipeline import check_model_rate, length_groups, session_phasic
+from .pipeline import check_model_rate, length_groups, session_phasics
 from .signals import DecompositionConfig, format_float, write_text_atomic
 from .surrogate import SurrogateModel, predict_rows, predict_sessions
 
@@ -108,19 +108,18 @@ class SimulationResult:
 def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
     """One `SessionGroup` per sample count, in order of first appearance.
 
-    Each group's members keep their input order. Sessions of one length are
+    Each group's members keep their input order. The records are decomposed
+    by one `session_phasics` call, and sessions of one length are
     predicted and counted together (``n_raw``, by `predict_sessions` and
     `count_events`); ``recorded`` is left for `evaluate_sessions` to count.
     ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
     """
     check_model_rate(records, model)
+    phasics = session_phasics(records, decomposition)
     groups = []
     for members in length_groups(records):
-        group = [records[i] for i in members]
-        recorded = np.stack([
-            model.norm.phasic.apply(session_phasic(r, decomposition).samples) for r in group
-        ])
-        accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
+        recorded = np.stack([model.norm.phasic.apply(phasics[i].samples) for i in members])
+        accel = np.stack([(records[i].a_l.samples, records[i].a_r.samples) for i in members])
         groups.append(SessionGroup(
             members=members,
             terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .signals import DecompositionConfig, Trace, decompose, same_rate
+from .signals import DecompositionConfig, Trace, same_rate, tonic_rows
 from .surrogate import (
     DEFAULT_CLIP_LEN_S,
     DEFAULT_RIDGE_LAMBDA,
@@ -26,17 +26,29 @@ def eval_split(records):
     return [r for r in records if r.split == "eval"]
 
 
-def session_phasic(record, decomposition: DecompositionConfig) -> Trace:
-    """The phasic part of ``record``'s EDA under ``decomposition``.
+def session_phasics(records, decomposition: DecompositionConfig) -> list[Trace]:
+    """The phasic part of each record's EDA under ``decomposition``, in input order.
 
-    The only code that decomposes a session: the phasic is computed on
-    first use and kept in the record's ``phasics`` store, one per config,
-    so training, scoring and every replay of one record share it.
+    The only code that decomposes a session. Each record keeps its phasic
+    in its ``phasics`` store, one per config, so training, scoring and
+    every replay of one record share it. The records that lack it are
+    decomposed together, one `tonic_rows` call per (sample count, rate)
+    group, each row with the bits of its session on its own. Every group's
+    length is checked before any is filtered, so a record too short for
+    the median window raises `DegenerateInputError`, the first such record
+    in input order, and nothing is stored.
     """
-    store = record.phasics
-    if decomposition not in store:
-        store[decomposition] = decompose(record.eda, decomposition).phasic
-    return store[decomposition]
+    groups: dict[tuple[int, float], list] = {}
+    for record in records:
+        if decomposition not in record.phasics:
+            groups.setdefault((len(record.eda), record.eda.rate_hz), []).append(record)
+    for n, rate_hz in groups:
+        decomposition.windows(n, rate_hz)
+    for (_, rate_hz), group in groups.items():
+        eda = np.stack([r.eda.samples for r in group])
+        for record, phasic in zip(group, eda - tonic_rows(eda, rate_hz, decomposition)):
+            record.phasics[decomposition] = Trace(phasic, rate_hz, record.eda.unit)
+    return [r.phasics[decomposition] for r in records]
 
 
 def check_model_rate(records, model: SurrogateModel) -> None:
@@ -74,12 +86,12 @@ def held_out_mae(
     if not records:
         return math.nan
     check_model_rate(records, model)
+    phasics = session_phasics(records, decomposition)
     errors = [None] * len(records)
     for members in length_groups(records):
         accel = np.stack([(records[i].a_l.samples, records[i].a_r.samples) for i in members])
         for i, pred in zip(members, predict_sessions(model, accel, model.L)):
-            phasic = session_phasic(records[i], decomposition).samples
-            errors[i] = np.abs(pred - model.norm.phasic.apply(phasic)[: len(pred)])
+            errors[i] = np.abs(pred - model.norm.phasic.apply(phasics[i].samples)[: len(pred)])
     return float(np.mean(np.concatenate(errors)))
 
 
@@ -108,15 +120,18 @@ def train_surrogate(
 ) -> tuple[SurrogateModel, float]:
     """Fit the windowed-linear phasic model on the train split.
 
-    Normalization parameters come from the train split only and are frozen
-    into the model. Returns (model, held-out MAE on the eval split; NaN if
-    the dataset has no eval sessions).
+    Every record, train and eval, is decomposed first (`session_phasics`),
+    so one call per length group fills both splits' stores. Normalization
+    parameters come from the train split only and are frozen into the
+    model. Returns (model, held-out MAE on the eval split; NaN if the
+    dataset has no eval sessions).
     """
     check_train_settings(clip_len_s, stride_samples, ridge_lambda)
     train = train_split(records)
     if not train:
         raise ValueError("dataset has no train sessions")
-    phasics = [session_phasic(r, decomposition) for r in train]
+    session_phasics(records, decomposition)
+    phasics = session_phasics(train, decomposition)
     norm = corpus_clip_norm(
         [r.a_l for r in train], [r.a_r for r in train], phasics
     )

@@ -6,15 +6,18 @@ operations the adaptation pipeline is built from:
     * same_rate  -- whether two sampling rates agree
     * NormParams -- min-max scaling to [0, 1]
     * trace_norm -- the min-max scale of one channel over a set of traces
+    * tonic_rows -- the tonic (SCL) of each trace of a stack of equal length
     * decompose  -- split EDA into tonic (SCL) and phasic (SCR) components
 
 The tonic estimator is a moving-median followed by a moving-average with
 replicate edge padding, both written in numpy (`_moving_median`,
 `_moving_mean`) to give the bits of scipy.ndimage's ``median_filter`` and
 ``uniform_filter1d``; the package imports no scipy, whose ndimage module
-alone takes a fresh ``import edanav.cli`` from about 29 to 56 MB RSS. The
-phasic component is the residual, so ``tonic + phasic`` reconstructs the
-input exactly.
+alone takes a fresh ``import edanav.cli`` from about 29 to 56 MB RSS.
+`tonic_rows` filters a stack of traces [m, n] in one call, each row with
+the bits it has on its own, and `decompose` is its one-row case, so the
+filter has one implementation. The phasic component is the residual, so
+``tonic + phasic`` reconstructs the input exactly.
 
 It also holds the sample CSV format the dataset and trace files share:
 `write_samples_csv` spells each value as its ``repr``, computed once per
@@ -147,6 +150,24 @@ class DecompositionConfig:
         if not (0 < self.median_window_s < math.inf and 0 < self.average_window_s < math.inf):
             raise ValueError("decomposition windows must be positive and finite")
 
+    def windows(self, n: int, rate_hz: float) -> tuple[int, int]:
+        """The odd sample counts of the median and the average window for
+        traces of ``n`` samples at ``rate_hz``.
+
+        Raises
+        ------
+        DegenerateInputError
+            If such a trace is shorter than twice the tonic (median) window.
+        """
+        duration_s = (n - 1) / rate_hz
+        if duration_s < 2.0 * self.median_window_s:
+            raise DegenerateInputError(
+                f"trace duration {duration_s:.2f}s is shorter than twice the "
+                f"tonic window ({self.median_window_s}s)"
+            )
+        return (_odd_window(self.median_window_s, rate_hz),
+                _odd_window(self.average_window_s, rate_hz))
+
 
 @dataclass(frozen=True)
 class EdaDecomposition:
@@ -173,65 +194,112 @@ def _odd_window(window_s: float, rate_hz: float) -> int:
     return w
 
 
-def _pad_edges(x: np.ndarray, h: int) -> np.ndarray:
-    """``x`` with ``h`` copies of its first and of its last sample on either side."""
-    return np.concatenate((np.full(h, x[0]), x, np.full(h, x[-1])))
+# One sort of window cores holds at most this many bytes of ranks; a
+# bigger stack is filtered in row chunks (a whole 40-session, 1-hour, 8 Hz
+# group would otherwise sort about 74 MB).
+_SORT_BYTES = 2**21
+
+
+def _pad_edges(x: np.ndarray, left: int, right: int) -> np.ndarray:
+    """The rows of ``x`` [m, n] with ``left`` copies of their first and
+    ``right`` copies of their last sample on either side."""
+    return np.concatenate(
+        (np.repeat(x[:, :1], left, axis=1), x, np.repeat(x[:, -1:], right, axis=1)), axis=1
+    )
 
 
 def _moving_median(x: np.ndarray, w: int) -> np.ndarray:
-    """Median of each odd window ``w`` centred on a sample of ``x``, edges replicated.
+    """Median of each odd window ``w`` centred on a sample of each row of
+    ``x`` [m, n], edges replicated.
 
-    The samples are ranked once (one argsort, ranks in the smallest
-    unsigned type that holds them), and each window of ranks is
-    partitioned at w // 2. The middle rank names a sample, so whatever
-    order ties take the result equals scipy's ``median_filter(x, w,
-    mode="nearest")`` (where 0.0 and -0.0 tie, either zero may come out).
+    Each row's samples are ranked once (one argsort, ranks in the smallest
+    unsigned type that holds them), and the rank windows are padded with
+    h = w // 2 copies of each edge rank, plus one more copy of the last
+    when n is odd, so the windows come in pairs. Windows i and i + 1 (i
+    even) share the 2h ranks ``p[i + 1 : i + w]``, their core; window i
+    adds ``p[i]`` and window i + 1 adds ``p[i + w]``. The median of 2h
+    values and one extra is the extra clipped to the values of rank h - 1
+    and h, duplicates included, so each core is sorted once for two
+    windows. A full `np.sort` of the cores beats `np.partition` at h plus
+    a max of the lower half, and a two-kth partition is about ten times
+    slower than either.
+
+    The median rank names a sample, so whatever order ties take the result
+    equals scipy's ``median_filter(x, w, mode="nearest")`` (where 0.0 and
+    -0.0 tie, either zero may come out), and a row gives the same bits in
+    any stack, alone included.
     """
+    m, n = x.shape
     h = w // 2
-    order = np.argsort(x)
-    ranks = np.empty(x.size, np.min_scalar_type(x.size))
-    ranks[order] = np.arange(x.size)
-    windows = sliding_window_view(_pad_edges(ranks, h), w).copy()
-    windows.partition(h, axis=-1)
-    return x[order[windows[:, h]]]
+    if h == 0:
+        return x.copy()
+    rows = np.arange(0, m * n, n)[:, None]  # flat offset of each row
+    order = np.argsort(x, axis=-1) + rows
+    ranks = np.empty((m, n), np.min_scalar_type(n))
+    ranks.ravel()[order] = np.arange(n)
+    p = _pad_edges(ranks, h, h + n % 2)
+    core = np.sort(sliding_window_view(p[:, 1:], 2 * h, axis=-1)[:, ::2], axis=-1)
+    lo, hi = core[..., h - 1], core[..., h]
+    middle = np.empty((m, n + n % 2), ranks.dtype)
+    np.clip(p[:, :-w:2], lo, hi, out=middle[:, ::2])
+    np.clip(p[:, w::2], lo, hi, out=middle[:, 1::2])
+    ordered = x.ravel()[order]  # each row's samples in rank order
+    return ordered.ravel()[middle[:, :n] + rows]
 
 
 def _moving_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """Mean of each odd window ``w`` centred on a sample of ``x``, edges replicated.
+    """Mean of each odd window ``w`` centred on a sample of each row of
+    ``x`` [m, n], edges replicated.
 
     scipy's ``uniform_filter1d(x, w, mode="nearest")`` recurrence, bit for
     bit: a running sum that starts at 0.0, adds the first window in order,
     then for each step the difference of the sample entering and the one
-    leaving, and each sum divided by w. One `np.add.accumulate` runs it.
-    A sum that starts at 0.0 never reads -0.0, so these bits do not depend
-    on which zero `_moving_median` takes from a tie.
+    leaving, and each sum divided by w. One `np.add.accumulate` along the
+    last axis runs it for every row. A sum that starts at 0.0 never reads
+    -0.0, so these bits do not depend on which zero `_moving_median` takes
+    from a tie.
     """
-    p = _pad_edges(x, w // 2)
-    return np.add.accumulate(np.concatenate(([0.0], p[:w], p[w:] - p[:-w])))[w:] / w
+    p = _pad_edges(x, w // 2, w // 2)
+    steps = (np.zeros((len(x), 1)), p[:, :w], p[:, w:] - p[:, :-w])
+    return np.add.accumulate(np.concatenate(steps, axis=1), axis=1)[:, w:] / w
+
+
+def tonic_rows(eda: np.ndarray, rate_hz: float, cfg: DecompositionConfig) -> np.ndarray:
+    """The tonic [m, n] of each row of ``eda`` [m, n], traces at ``rate_hz``.
+
+    A moving-median (``median_window_s``, `_moving_median`) followed by a
+    moving-average (``average_window_s``, `_moving_mean`), both over odd
+    windows with replicate edge padding. The rows are filtered in chunks
+    whose sorted cores hold at most ``_SORT_BYTES``; each row's bits do
+    not depend on the chunk it falls in.
+
+    Raises
+    ------
+    DegenerateInputError
+        If the traces are shorter than twice the tonic (median) window.
+    """
+    m, n = eda.shape
+    w_med, w_avg = cfg.windows(n, rate_hz)
+    core_bytes = (n + 1) // 2 * (w_med - 1) * np.min_scalar_type(n).itemsize
+    step = max(1, _SORT_BYTES // max(core_bytes, 1))
+    chunks = [_moving_mean(_moving_median(eda[i:i + step], w_med), w_avg)
+              for i in range(0, m, step)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def decompose(eda: Trace, cfg: DecompositionConfig = DecompositionConfig()) -> EdaDecomposition:
     """Split EDA into tonic and phasic components.
 
-    Tonic is a moving-median (``median_window_s``, `_moving_median`)
-    followed by a moving-average (``average_window_s``, `_moving_mean`),
-    both over odd windows with replicate edge padding; phasic is the
-    residual ``eda - tonic``. Adding a constant to the input moves only
-    the tonic part.
+    Tonic is `tonic_rows` of the one trace; phasic is the residual
+    ``eda - tonic``. Adding a constant to the input moves only the tonic
+    part.
 
     Raises
     ------
     DegenerateInputError
         If the trace is shorter than twice the tonic (median) window.
     """
-    if eda.duration_s < 2.0 * cfg.median_window_s:
-        raise DegenerateInputError(
-            f"trace duration {eda.duration_s:.2f}s is shorter than twice the "
-            f"tonic window ({cfg.median_window_s}s)"
-        )
-    w_med = _odd_window(cfg.median_window_s, eda.rate_hz)
-    w_avg = _odd_window(cfg.average_window_s, eda.rate_hz)
-    tonic = _moving_mean(_moving_median(eda.samples, w_med), w_avg)
+    tonic = tonic_rows(eda.samples[None], eda.rate_hz, cfg)[0]
     phasic = eda.samples - tonic
     return EdaDecomposition(
         original=eda,

@@ -360,6 +360,12 @@ def test_synth_reports_split_sizes(tmp_path, capsys):
                  "dataset.n_sessions=4", "--set", "dataset.duration_s=60"]) == 0
     out = capsys.readouterr().out
     assert "wrote 4 sessions (3 train / 1 eval)" in out
+    # a cohort too short for the pulses it draws says so, and still exits 0
+    assert out.splitlines()[1] == ("sessions short of their drawn pulses: "
+                                   "s000 (5), s001 (5), s002 (4), s003 (5); 19 in total")
+    assert main(["synth", "--output-dir", str(tmp_path), "--set",
+                 "dataset.n_sessions=4", "--set", "dataset.duration_s=240"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_output_dir_env_is_honored(tmp_path, monkeypatch, capsys):
@@ -502,3 +508,57 @@ def test_bad_manifest_ids_exit_two(tmp_path, capsys):
             assert main([command, "--output-dir", str(out), *SMALL]) == 2, command
             assert message in capsys.readouterr().err
     assert not (out / "gains.txt").exists()
+
+
+def _non_finite_numbers(path: Path) -> list[str]:
+    """The cells of a text file that parse as a float that is not finite.
+
+    A cell is a run of characters between commas, spaces, newlines and
+    ``=``; one that float() rejects (a name, say) is not a number.
+    """
+    found = []
+    for cell in re.split(r"[,=\s]+", path.read_text(encoding="utf-8")):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            found.append(cell)
+    return found
+
+
+def test_every_non_finite_float_setting_fails_the_config_or_runs_finite(tmp_path, capsys):
+    # each float key at nan, inf and -inf: the config rejects the value for
+    # every command, writing nothing, or the five commands run to exit 0 and
+    # every number they write is finite
+    cohort = ["--set", "dataset.n_sessions=4", "--set", "dataset.duration_s=60",
+              "--set", "optimizer.budget=2"]
+    commands = ("synth", "train", "optimize", "evaluate", "report")
+    accepted = []
+    for section, keys in _SCHEMA.items():
+        for key, default in keys.items():
+            if type(default) is not float:
+                continue
+            for value in ("nan", "inf", "-inf"):
+                setting = ["--set", f"{section}.{key}={value}"]
+                out = tmp_path / f"{section}.{key}={value}"
+                try:
+                    load_config(None, [setting[1]])
+                except ConfigError:
+                    for command in commands:
+                        assert main([command, "--output-dir", str(out), *setting]) == 1
+                    assert not out.exists(), setting
+                    continue
+                accepted.append(setting[1])
+                for command in commands:
+                    code = main([command, "--output-dir", str(out), *cohort, *setting])
+                    assert code == 0, (setting, command, capsys.readouterr().err)
+                written = [*out.rglob("*.csv"), out / "gains.txt"]
+                # model, history, report, per-session, manifest, 4 x 2 session files, gains
+                assert len(written) == 4 + 1 + 4 * 2 + 1
+                for path in written:
+                    assert _non_finite_numbers(path) == [], (setting, path)
+    capsys.readouterr()
+    # the keys whose bounds admit infinity: both acceleration limits, the
+    # integral clamp and eight detector bounds
+    assert len(accepted) == 11 and all(s.endswith("=inf") for s in accepted), accepted

@@ -1,5 +1,6 @@
 """Cohort generator and dataset disk-layout tests."""
 
+import hashlib
 import shutil
 from dataclasses import replace
 
@@ -125,6 +126,30 @@ def test_session_records_compare_by_value():
     assert replace(first, eda=Trace(eda, first.eda.rate_hz, first.eda.unit)) != first
     assert replace(first, a_l=Trace(first.a_l.samples, first.a_l.rate_hz)) != first  # unit
     assert Trace(eda, 4.0) != Trace(eda, 8.0)
+
+
+def test_a_short_draw_is_counted_on_the_session(tmp_path):
+    # 60 s leaves little room for 8 s gaps: this cohort places 19 fewer
+    # pulses than it draws counts for, and its samples are the ones it
+    # always had
+    records = synth_cohort(4, 60.0, 4.0, seed=0)
+    assert [r.missing_pulses for r in records] == [5, 5, 4, 5]
+    digest = hashlib.sha256()
+    for r in records:
+        for trace in (r.a_l, r.a_r, r.eda):
+            digest.update(trace.samples.tobytes())
+    assert digest.hexdigest() == (
+        "c7ca16191724bf46b332f321b70f10744c860288de4e024ce24d8ce24e5af531")
+    # the count takes no part in equality or repr, and a loaded session reads 0
+    assert records[0] == replace(records[0], missing_pulses=0)
+    assert "missing_pulses" not in repr(records[0])
+    save_dataset(records, tmp_path / "ds")
+    assert [r.missing_pulses for r in load_dataset(tmp_path / "ds")] == [0] * 4
+    # the benchmark's cohorts, at its seeds 0 and 1, place every pulse
+    for n_sessions, duration_s, rate_hz in ((40, 240.0, 4.0), (12, 900.0, 8.0)):
+        for seed in (12345, 12346):
+            cohort = synth_cohort(n_sessions, duration_s, rate_hz, seed=seed)
+            assert [r.missing_pulses for r in cohort] == [0] * n_sessions
 
 
 # ---------------------------------------------------------------------------

@@ -161,17 +161,22 @@ def test_decompose_matches_naive_filters():
 
 
 @st.composite
-def _tonic_inputs(draw):
-    """n in [2, 2000] samples of one of five shapes, at a scale from 1e-5 to
-    1e5 and an offset up to 1e6; a seeded generator fills the shape in.
+def _tonic_row(draw, n):
+    """n samples of one of six shapes; a seeded generator fills the shape in.
 
     "levels" rounds noise to a few values, so windows hold many ties;
     "plateaus" repeats values in runs; "constant" is one value throughout;
-    "ramp" rises or falls monotonically.
+    "ramp" rises or falls monotonically; "zeros" mixes 0.0 and -0.0 with a
+    few small integers. All but "zeros" take a scale from 1e-5 to 1e5 and
+    an offset up to 1e6.
     """
-    n = draw(st.integers(2, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["noise", "levels", "plateaus", "constant", "ramp"]))
+    kind = draw(st.sampled_from(["noise", "levels", "plateaus", "constant", "ramp", "zeros"]))
+    if kind == "zeros":
+        x = np.copysign(np.zeros(n), rng.normal(size=n))
+        some = rng.random(n) < 0.2
+        x[some] = rng.integers(-2, 3, some.sum())
+        return x
     if kind == "noise":
         x = rng.normal(size=n)
     elif kind == "levels":
@@ -186,21 +191,75 @@ def _tonic_inputs(draw):
     return x * scale + draw(st.sampled_from([0.0, -0.0, 1.0, -1e3, 1e6]))
 
 
+@st.composite
+def _tonic_inputs(draw):
+    """One trace of 2 to 2,000 samples (`_tonic_row`)."""
+    return draw(_tonic_row(draw(st.integers(2, 2000))))
+
+
+@st.composite
+def _tonic_stacks(draw):
+    """A stack [m, n] of 1 to 5 traces of 1 to 2,000 samples, each row of
+    its own shape (`_tonic_row`)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 2000))
+    return np.stack([draw(_tonic_row(n)) for _ in range(m)])
+
+
 def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 vs 0.0
 
 
 @settings(max_examples=150, deadline=None)
-@given(_tonic_inputs(), st.integers(0, 600), st.integers(0, 600))
+@given(_tonic_stacks(), st.integers(0, 600), st.integers(0, 600))
 def test_tonic_filters_equal_scipy(x, h_med, h_avg):
     # odd windows of 1 to 1,201 samples, often longer than the trace
     w_med, w_avg = 2 * h_med + 1, 2 * h_avg + 1
-    median, tonic = tonic_scipy(x, w_med, w_avg)
-    # equal values: where 0.0 and -0.0 tie in the middle of a window either
-    # zero may come out, and the moving mean gives the same bits for both
-    np.testing.assert_array_equal(signals._moving_median(x, w_med), median)
-    _assert_same_bits(signals._moving_mean(median, w_avg), tonic)
+    median = signals._moving_median(x, w_med)
+    tonic = signals._moving_mean(median, w_avg)
+    for row, row_median, row_tonic in zip(x, median, tonic):
+        want_median, want_tonic = tonic_scipy(row, w_med, w_avg)
+        # equal values: where 0.0 and -0.0 tie in the middle of a window
+        # either zero may come out, and the moving mean gives the same bits
+        # for both
+        np.testing.assert_array_equal(row_median, want_median)
+        _assert_same_bits(row_tonic, want_tonic)
+        # a row of a stack has the bits it has filtered alone, zeros included
+        alone = signals._moving_median(row[None], w_med)
+        _assert_same_bits(row_median, alone[0])
+        _assert_same_bits(row_tonic, signals._moving_mean(alone, w_avg)[0])
+
+
+def _count_median_rows(monkeypatch) -> list[int]:
+    """The row count of each `_moving_median` call, in call order."""
+    rows = []
+    real = signals._moving_median
+
+    def spy(x, w):
+        rows.append(len(x))
+        return real(x, w)
+
+    monkeypatch.setattr(signals, "_moving_median", spy)
+    return rows
+
+
+def test_a_stack_larger_than_one_sort_is_filtered_in_row_chunks(monkeypatch):
+    rows = _count_median_rows(monkeypatch)
+    rng = np.random.default_rng(21)
+    # a 12-session, 900 s, 8 Hz group: w 65 over 7,200 samples gives each
+    # row 3,600 cores of 64 uint16 ranks (460,800 bytes), four rows a sort
+    x = np.round(rng.normal(size=(12, 7200)) * 20.0)
+    tonic = signals.tonic_rows(x, 8.0, DecompositionConfig())
+    assert rows == [4, 4, 4]
+    # a bound of two rows of 7 odd-length rows: chunks of 2, 2, 2 and 1
+    monkeypatch.setattr(signals, "_SORT_BYTES", 2 * 50 * 32 * 1)
+    y = np.round(rng.normal(size=(7, 99)) * 3.0)
+    small = signals.tonic_rows(y, 4.0, DecompositionConfig(8.0, 2.0))
+    assert rows[3:] == [2, 2, 2, 1]
+    for stack, filtered, rate_hz, cfg in ((x, tonic, 8.0, DecompositionConfig()),
+                                           (y, small, 4.0, DecompositionConfig(8.0, 2.0))):
+        for row, got in zip(stack, filtered):
+            _assert_same_bits(got, signals.tonic_rows(row[None], rate_hz, cfg)[0])
 
 
 @settings(max_examples=100, deadline=None)
