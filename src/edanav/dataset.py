@@ -47,10 +47,12 @@ class SessionRecord:
 
     ``missing_pulses`` counts the pulses `synth_cohort` drew for the
     session but could not place (`_onset_times`); it is 0 for a session
-    read from disk. ``phasics`` holds the EDA's phasic part per
-    `DecompositionConfig`, filled by `pipeline.session_phasics`; it is not
-    an argument, and `dataclasses.replace` starts the new record with an
-    empty one. Neither takes part in equality or repr.
+    read from disk. Two stores keep what the session's replays share:
+    ``phasics`` its phasic part per `DecompositionConfig`
+    (`pipeline.session_phasics`), and ``replays`` its row of the
+    gain-independent replay state per key of `optimize.build_contexts`.
+    Neither is an argument, and `dataclasses.replace` starts the new record
+    with empty ones. None of the three takes part in equality or repr.
     """
 
     session_id: str
@@ -60,6 +62,7 @@ class SessionRecord:
     split: str = "train"
     missing_pulses: int = field(default=0, repr=False, compare=False)
     phasics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    replays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split not in SPLITS:

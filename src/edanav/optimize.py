@@ -1,15 +1,15 @@
 """Session replay, the P_pn objective, and gain search.
 
 Every evaluation takes one path: `build_contexts` groups the sessions by
-length, once, and precomputes what does not depend on the gains for each
-`SessionGroup`; `_simulate` replays the groups under a block of gain sets
-and counts the events of each surrogate prediction.
+length and gives each `SessionGroup` its gain-independent state (the PID
+terms fed back from the recorded phasic, the raw counts), which each
+record keeps as it keeps its phasic, so an evaluation after a search on
+the same records recomputes none of it; `_simulate` replays the groups
+under a block of gain sets and counts the events of each prediction.
 `evaluate_sessions` runs a block of one and keeps each session's report row,
 a `metrics.SessionStats`, with a group's raw and adapted MSDVs taken in one
 `metrics.msdv` reduction; a search trial scores the counts alone with
 `metrics.detector_stats`, the detector rows of `metrics.build_report`.
-The recorded phasic comes from `pipeline.session_phasics`, which each
-record keeps, so a search and its evaluation decompose no session again.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
 against the recorded feedback in one `apply_gains` call and predicts them
@@ -52,7 +52,7 @@ replay, a dropped offline one nothing past its candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +81,7 @@ MODES = ("offline", "closed_loop")
 ROWS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionGroup:
     """The sessions of one sample count and their gain-independent state.
 
@@ -90,6 +90,7 @@ class SessionGroup:
     normalized scale, clipped to [0, 1]; offline mode uses all of it,
     closed-loop mode its acceleration rows. The PID state and raw counts do
     not change across trials, so a search over gains computes them once.
+    Groups compare by identity.
     """
 
     members: list[int]  # positions in the input record list
@@ -108,25 +109,43 @@ class SimulationResult:
 def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
     """One `SessionGroup` per sample count, in order of first appearance.
 
-    Each group's members keep their input order. The records are decomposed
-    by one `session_phasics` call, and sessions of one length are
-    predicted and counted together (``n_raw``, by `predict_sessions` and
-    `count_events`); ``recorded`` is left for `evaluate_sessions` to count.
-    ``records`` is a list, as `optimize` and `evaluate_sessions` hold it.
+    Each group's members keep their input order. A record keeps its row of
+    the state in its ``replays`` store, keyed by (model, detectors,
+    decomposition, integral_clamp); the records that lack it are filled
+    one length at a time, by one `session_phasics`, `pid_terms`,
+    `predict_sessions` and `count_events` call each (``recorded`` is left
+    for `evaluate_sessions` to count). A group that one fill covers whole
+    and in order takes the fill's arrays; any other stacks its members'
+    rows, with the same bits, since every step works row by row.
     """
     check_model_rate(records, model)
-    phasics = session_phasics(records, decomposition)
-    groups = []
-    for members in length_groups(records):
+    key = (model, tuple(detectors), decomposition, integral_clamp)
+    missing = [r for r in records if key not in r.replays]
+    phasics = session_phasics(missing, decomposition)
+    for members in length_groups(missing):
         recorded = np.stack([model.norm.phasic.apply(phasics[i].samples) for i in members])
-        accel = np.stack([(records[i].a_l.samples, records[i].a_r.samples) for i in members])
-        groups.append(SessionGroup(
+        accel = np.stack([(missing[i].a_l.samples, missing[i].a_r.samples) for i in members])
+        fill = SessionGroup(
             members=members,
             terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
                             model.rate_hz, integral_clamp),
             n_raw=count_events(predict_sessions(model, accel), model.rate_hz, detectors),
             recorded=recorded,
-        ))
+        )
+        for row, i in enumerate(members):
+            missing[i].replays[key] = (fill, row)
+    groups = []
+    for members in length_groups(records):
+        stored = [records[i].replays[key] for i in members]
+        fill = stored[0][0]
+        if stored == [(fill, row) for row in range(len(fill.members))]:  # by identity
+            groups.append(replace(fill, members=members))
+            continue
+        terms = {name: np.stack([getattr(f.terms, name)[row] for f, row in stored])
+                 for name in ("accel", "error", "integral", "delta")}
+        groups.append(SessionGroup(members, replace(fill.terms, **terms),
+                                   np.stack([f.n_raw[row] for f, row in stored]),
+                                   np.stack([f.recorded[row] for f, row in stored])))
     return groups
 
 
@@ -280,7 +299,7 @@ class GainRanges:
     """Per-gain search box, aligned with GAIN_KEYS order."""
 
     lo: np.ndarray = (0.0,) * 11
-    hi: np.ndarray = (0.5,) * 9 + (0.01,) * 2
+    hi: np.ndarray = (0.5, 0.02, 0.05, 0.5, 0.005, 0.005, 0.5, 0.5, 0.5, 0.01, 0.01)
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)

@@ -194,9 +194,10 @@ def _odd_window(window_s: float, rate_hz: float) -> int:
     return w
 
 
-# One sort of window cores holds at most this many bytes of ranks; a
-# bigger stack is filtered in row chunks (a whole 40-session, 1-hour, 8 Hz
-# group would otherwise sort about 74 MB).
+# One sort of window cores holds at most this many bytes of ranks; a bigger
+# stack is filtered in row chunks (a 40-session, 1-hour, 8 Hz group would
+# sort about 74 MB), and a row whose cores hold more (900 s at 8 Hz with a
+# 400 s median window: 23 MB) is sorted in blocks of window pairs.
 _SORT_BYTES = 2**21
 
 
@@ -222,7 +223,8 @@ def _moving_median(x: np.ndarray, w: int) -> np.ndarray:
     and h, duplicates included, so each core is sorted once for two
     windows. A full `np.sort` of the cores beats `np.partition` at h plus
     a max of the lower half, and a two-kth partition is about ten times
-    slower than either.
+    slower than either. The cores are sorted in blocks of pairs that hold
+    at most ``_SORT_BYTES`` (one block unless a row's cores hold more).
 
     The median rank names a sample, so whatever order ties take the result
     equals scipy's ``median_filter(x, w, mode="nearest")`` (where 0.0 and
@@ -238,8 +240,12 @@ def _moving_median(x: np.ndarray, w: int) -> np.ndarray:
     ranks = np.empty((m, n), np.min_scalar_type(n))
     ranks.ravel()[order] = np.arange(n)
     p = _pad_edges(ranks, h, h + n % 2)
-    core = np.sort(sliding_window_view(p[:, 1:], 2 * h, axis=-1)[:, ::2], axis=-1)
-    lo, hi = core[..., h - 1], core[..., h]
+    cores = sliding_window_view(p[:, 1:], 2 * h, axis=-1)[:, ::2]  # [m, pairs, 2h]
+    bounds = np.empty((*cores.shape[:2], 2), ranks.dtype)  # ranks h - 1 and h of each core
+    block = max(1, _SORT_BYTES // (m * 2 * h * ranks.itemsize))
+    for j in range(0, cores.shape[1], block):
+        bounds[:, j : j + block] = np.sort(cores[:, j : j + block], axis=-1)[..., h - 1 : h + 1]
+    lo, hi = bounds[..., 0], bounds[..., 1]
     middle = np.empty((m, n + n % 2), ranks.dtype)
     np.clip(p[:, :-w:2], lo, hi, out=middle[:, ::2])
     np.clip(p[:, w::2], lo, hi, out=middle[:, 1::2])

@@ -127,12 +127,14 @@ def make_clips(
     return windows, norm.phasic.apply(phasic.samples)[index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateModel:
     """Linear windowed regressor with frozen normalization parameters.
 
     ``weights`` is [L, 6L+1]: each output sample is an affine function of
     the flattened bi-channel window (a_l row then a_r row) plus a bias.
+    The model keeps a read-only copy of them and hashes by identity, so
+    it keys the replay state a record keeps (`optimize.build_contexts`).
     """
 
     weights: np.ndarray
@@ -143,7 +145,7 @@ class SurrogateModel:
 
     def __post_init__(self):
         L = clip_samples(self.clip_len_s, self.rate_hz)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
         if weights.shape != (L, 6 * L + 1):
             raise ValueError(
                 f"weights must be [{L}, {6 * L + 1}] for clip_len_s={self.clip_len_s} "
@@ -151,6 +153,7 @@ class SurrogateModel:
             )
         if not self.train_mae >= 0:
             raise ValueError("train_mae must be >= 0")
+        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
     @property

@@ -119,7 +119,8 @@ def test_config_defaults(monkeypatch):
     assert cfg.model_path == cfg.output_dir / "model.csv"
     detectors = cfg.replay["detectors"]
     assert tuple(d.method for d in detectors) == ("kim2004", "gamboa2008", "neurokit")
-    np.testing.assert_array_equal(cfg.search["ranges"].hi, [0.5] * 9 + [0.01] * 2)
+    np.testing.assert_array_equal(cfg.search["ranges"].hi, [0.5, 0.02, 0.05, 0.5, 0.005, 0.005,
+                                                            0.5, 0.5, 0.5, 0.01, 0.01])
     assert cfg.train["stride_samples"] is None
     assert cfg.svg is True
     assert cfg.synth["oracle"] == OracleParams()
@@ -216,8 +217,9 @@ def test_readme_ini_examples_load(tmp_path, monkeypatch):
     assert cfg.search["budget"] == 400
     assert cfg.synth["n_sessions"] == 40
     assert cfg.svg is True
-    np.testing.assert_array_equal(cfg.search["ranges"].hi,
-                                  [0.5, 0.02, 0.05] + [0.5] * 6 + [0.01] * 2)
+    hi = GainRanges().hi.copy()
+    hi[[GAIN_KEYS.index("K_Pf"), GAIN_KEYS.index("K_Df")]] = 0.25
+    np.testing.assert_array_equal(cfg.search["ranges"].hi, hi)
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edanav.control import (
     DEFAULT_INTEGRAL_CLAMP,
@@ -41,7 +43,14 @@ from edanav.signals import (
     decompose,
     same_rate,
 )
-from edanav.surrogate import OracleParams, make_clips, synth_session
+from edanav.surrogate import (
+    OracleParams,
+    SurrogateModel,
+    make_clips,
+    read_model,
+    synth_session,
+    write_model,
+)
 
 from oracles import (
     adapt_trace_naive,
@@ -51,6 +60,7 @@ from oracles import (
     predict_session_naive,
     search_naive,
 )
+from test_acceptance import ACCEL_RANGES
 from test_scr import _oracle as scr_oracle
 
 # the module itself: the package binds the name `optimize` to the function
@@ -410,6 +420,107 @@ def test_only_evaluation_counts_the_recorded_phasic(small, monkeypatch):
     assert len(built) == 4 and all(ids[id(g.recorded)] == 1 for g in built)
 
 
+def _count_replay_calls(monkeypatch) -> Counter:
+    """Calls of the replay's gain-independent steps: `pid_terms` and the
+    raw and adapted `predict_sessions`, by name."""
+    calls = Counter()
+    for name in ("pid_terms", "predict_sessions"):
+        def spy(*args, _real=getattr(optimize_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(optimize_module, name, spy)
+    return calls
+
+
+def _two_lengths(records, L):
+    """Six sessions of two lengths, interleaved: full, and L + 3 samples shorter."""
+    n = len(records[0].a_l)
+    return [_head(r, n - (L + 3) * (i % 2)) for i, r in enumerate(records[:6])]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluation_reuses_the_search_replay_state(small, monkeypatch, mode):
+    # evaluate_sessions after optimize on the same records computes no PID
+    # terms and no raw prediction: each record keeps its row of the state,
+    # and the results equal those on fresh copies of the records, whose
+    # stores are empty; the records reversed, or a reordered subset, stack
+    # the stored rows
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+    optimize(sessions, model, budget=4, seed=1, mode=mode)
+    for group in (sessions, sessions[::-1], [sessions[i] for i in (5, 2, 3, 0)]):
+        calls = _count_replay_calls(monkeypatch)
+        kept = evaluate_sessions(group, TUNED_GAINS, model, mode=mode)
+        # offline, the one predict_sessions call per length group is the adapted one
+        assert calls == Counter(predict_sessions=2 if mode == "offline" else 0)
+        monkeypatch.undo()
+        fresh = evaluate_sessions([replace(r) for r in group], TUNED_GAINS, model, mode=mode)
+        assert [r.stats for r in kept] == [r.stats for r in fresh]
+    assert all(len(r.replays) == 1 for r in sessions)
+    assert all(not replace(r).replays for r in sessions)
+
+
+def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
+    # the state is keyed by the model object, the detectors, the
+    # decomposition and the clamp: another model object with the same
+    # weights, another clamp or another detector tuple fills each record
+    # again, and a list of the same detectors does not
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+    write_model(model, tmp_path / "model.csv")
+    twin = read_model(tmp_path / "model.csv")
+    detectors = default_detectors()
+    evaluate_sessions(sessions, TUNED_GAINS, model)
+    for key, refills in (
+        (dict(model=model, detectors=list(detectors)), False),
+        (dict(model=twin), True),
+        (dict(model=model, integral_clamp=0.05), True),
+        (dict(model=model, detectors=detectors[:2]), True),
+        (dict(model=model, detectors=(replace(detectors[0], min_amplitude=0.1),
+                                      *detectors[1:])), True),
+    ):
+        calls = _count_replay_calls(monkeypatch)
+        kept = evaluate_sessions(sessions, TUNED_GAINS, **key)
+        assert calls["pid_terms"] == (2 if refills else 0), key
+        monkeypatch.undo()
+        fresh = evaluate_sessions([replace(r) for r in sessions], TUNED_GAINS, **key)
+        assert [r.stats for r in kept] == [r.stats for r in fresh]
+    assert all(len(r.replays) == 5 for r in sessions)
+
+
+def test_model_weights_are_a_read_only_copy(small):
+    # a model keys the replay state by identity, so its weights cannot change
+    # under the key; the caller's array is copied, not frozen
+    _, model = small
+    weights = np.array(model.weights)
+    twin = SurrogateModel(weights, model.clip_len_s, model.rate_hz, model.norm, model.train_mae)
+    assert weights.flags.writeable and twin.weights is not weights
+    with pytest.raises(ValueError):
+        twin.weights[0, 0] = 1.0
+    weights[0, 0] += 1.0
+    assert twin.weights[0, 0] == model.weights[0, 0]
+    assert twin != model and len({model, twin, model}) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(70, 400)), min_size=1, max_size=2),
+       st.integers(0, 2**16))
+def test_zero_gains_score_zero_offline(small, cohorts, seed):
+    # a controller switched off leaves the scored session as recorded: on
+    # short cohorts of one or two lengths (65 samples at 4 Hz is the
+    # shortest the default decomposition takes) every session counts as
+    # many adapted events as raw ones, and every trial of a search in a box
+    # of zero gains scores 0
+    _, model = small
+    sessions = [r for i, (n, samples) in enumerate(cohorts)
+                for r in synth_cohort(n, samples / model.rate_hz, model.rate_hz, seed=seed + i)]
+    zero = GainRanges(np.zeros(len(GAIN_KEYS)), np.zeros(len(GAIN_KEYS)))
+    result = optimize(sessions, model, budget=3, seed=seed, ranges=zero)
+    assert [t.objective for t in result.trials] == [0.0, 0.0, 0.0]
+    for r in evaluate_sessions(sessions, PidGains(), model):
+        assert r.stats.n_adapted == r.stats.n_raw
+
+
 def test_build_contexts_integral_matches_the_scalar_loop(monkeypatch):
     # the acceptance eval sessions: every row of the stacked integral has the
     # bytes of clamping after every step, and every longitudinal row sits at
@@ -728,9 +839,9 @@ def test_search_frees_each_block_before_the_next_replay(small, monkeypatch):
 def test_search_history_equals_the_naive_search(small, tmp_path, mode, cohort):
     # optimize's blocks, speculative in phase two, leave every draw,
     # candidate, score and incumbent of one trial at a time; on the small
-    # cohort with seed 3 phase two moves the incumbent at trial 8 (offline,
-    # budget 10), 24 (offline, 40), 28 and 34 (closed loop, 40) and 241
-    # (closed loop, 400)
+    # cohort with seed 3 phase two moves the incumbent at trials 24, 29 and
+    # 33 (offline, budget 40), 240 (offline, 400), 28, 29 and 34 (closed
+    # loop, 40) and 240 and 248 (closed loop, 400)
     records, model = small
     if cohort == "small":
         sessions, settings, seed = records, {}, 3
@@ -790,7 +901,7 @@ def test_gain_ranges_validation():
         GainRanges(np.zeros(n), np.full(n, np.inf))
     box = GainRanges()
     np.testing.assert_array_equal(box.lo, np.zeros(n))
-    np.testing.assert_array_equal(box.hi, [0.5] * 9 + [0.01] * 2)
+    np.testing.assert_array_equal(box.hi, ACCEL_RANGES.hi)  # the acceptance box
     with pytest.raises(ValueError):
         box.hi[0] = 9.0  # frozen
 

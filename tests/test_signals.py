@@ -1,6 +1,7 @@
 """Tests for traces, normalization, EDA decomposition, and the sample CSV format."""
 
 import builtins
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,39 @@ def test_a_stack_larger_than_one_sort_is_filtered_in_row_chunks(monkeypatch):
                                            (y, small, 4.0, DecompositionConfig(8.0, 2.0))):
         for row, got in zip(stack, filtered):
             _assert_same_bits(got, signals.tonic_rows(row[None], rate_hz, cfg)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tonic_stacks(), st.integers(1, 600), st.integers(1, 40))
+def test_cores_sorted_in_blocks_of_pairs_equal_scipy(x, h, pairs):
+    # a sort bound below one row's cores: each row's window pairs are
+    # sorted ``pairs`` at a time (the last block shorter), the median still
+    # scipy's and each row's bits those of one block
+    m, n = x.shape
+    median = signals._moving_median(x, 2 * h + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        rank_bytes = np.min_scalar_type(n).itemsize
+        patch.setattr(signals, "_SORT_BYTES", m * 2 * h * pairs * rank_bytes)
+        blocked = signals._moving_median(x, 2 * h + 1)
+    _assert_same_bits(blocked, median)
+    for row, got in zip(x, blocked):
+        np.testing.assert_array_equal(got, tonic_scipy(row, 2 * h + 1, 1)[0])
+
+
+def test_a_long_median_window_sorts_within_the_bound():
+    # a 900 s, 8 Hz trace with a 400 s median window: one row's cores hold
+    # 3,600 x 3,200 uint16 ranks (23 MB); sorted in blocks of pairs, the
+    # peak stays near one block, and the tonic is scipy's
+    x = np.round(np.random.default_rng(5).normal(size=7200).cumsum(), 1)
+    cfg = DecompositionConfig(400.0, 8.0)
+    tracemalloc.start()
+    try:
+        tonic = signals.tonic_rows(x[None], 8.0, cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < signals._SORT_BYTES + 2**20
+    _assert_same_bits(tonic, tonic_scipy(x, 3201, 65)[1])
 
 
 @settings(max_examples=100, deadline=None)
