@@ -12,21 +12,13 @@ minutes and a 60-trial search. Prints the per-detector improvement table
 and the dose change on both channels.
 """
 
-import numpy as np
-
 from edanav import (
-    GainRanges,
     build_report,
     eval_split,
     evaluate_sessions,
     optimize,
     synth_cohort,
     train_surrogate,
-)
-
-SEARCH_BOX = GainRanges(
-    lo=np.zeros(11),
-    hi=np.array([0.5, 0.02, 0.05, 0.5, 0.005, 0.005, 0.5, 0.5, 0.5, 0.01, 0.01]),
 )
 
 
@@ -36,7 +28,7 @@ def main():
     print(f"surrogate held-out MAE {heldout:.4f}")
 
     held_out = eval_split(records)
-    result = optimize(held_out, model, budget=60, seed=11, ranges=SEARCH_BOX)
+    result = optimize(held_out, model, budget=60, seed=11)
     best = result.best
     print(f"best objective {best.objective:.1f} of 300 at trial {best.index}")
     print(f"gains: K_Pl={best.gains.K_Pl:.4f} K_Il={best.gains.K_Il:.4f} "

@@ -296,7 +296,8 @@ def evaluate_sessions(
 
 @dataclass(frozen=True)
 class GainRanges:
-    """Per-gain search box, aligned with GAIN_KEYS order."""
+    """Per-gain search box, aligned with GAIN_KEYS order; the default is the
+    acceptance criteria's box (README, "A note on the search box")."""
 
     lo: np.ndarray = (0.0,) * 11
     hi: np.ndarray = (0.5, 0.02, 0.05, 0.5, 0.005, 0.005, 0.5, 0.5, 0.5, 0.01, 0.01)

@@ -22,6 +22,7 @@ from edanav.signals import DecompositionConfig, Trace, Unit, decompose
 from edanav.surrogate import OracleParams, clip_samples, synth_session
 
 from oracles import held_out_mae_naive
+from test_acceptance import ACCEL_RANGES
 
 SMALL = [
     "--set", "dataset.n_sessions=8",
@@ -119,8 +120,7 @@ def test_config_defaults(monkeypatch):
     assert cfg.model_path == cfg.output_dir / "model.csv"
     detectors = cfg.replay["detectors"]
     assert tuple(d.method for d in detectors) == ("kim2004", "gamboa2008", "neurokit")
-    np.testing.assert_array_equal(cfg.search["ranges"].hi, [0.5, 0.02, 0.05, 0.5, 0.005, 0.005,
-                                                            0.5, 0.5, 0.5, 0.01, 0.01])
+    np.testing.assert_array_equal(cfg.search["ranges"].hi, ACCEL_RANGES.hi)
     assert cfg.train["stride_samples"] is None
     assert cfg.svg is True
     assert cfg.synth["oracle"] == OracleParams()
