@@ -39,6 +39,8 @@ SPLITS = ("train", "eval")
 # synthetic pulses: the duration band (s) and the least gap between onsets (s)
 PULSE_S = (1.0, 3.0)
 MIN_GAP_S = 8.0
+# the least time (s) before a pulse onset, and after the longest pulse's end
+_ONSET_MARGINS_S = (2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,12 @@ class SessionRecord:
 
     ``missing_pulses`` counts the pulses `synth_cohort` drew for the
     session but could not place (`_onset_times`); it is 0 for a session
-    read from disk. Two stores keep what the session's replays share:
-    ``phasics`` its phasic part per `DecompositionConfig`
-    (`pipeline.session_phasics`), and ``replays`` its row of the
-    gain-independent replay state per key of `optimize.build_contexts`.
-    Neither is an argument, and `dataclasses.replace` starts the new record
-    with empty ones. None of the three takes part in equality or repr.
+    read from disk. Two stores keep what the session's replays share, one
+    entry each, which the next config or key replaces: ``phasics`` its
+    phasic part (`pipeline.session_phasics`), and ``replays`` its row of the
+    gain-independent replay state (`optimize.build_contexts`). Neither is
+    an argument, and `dataclasses.replace` starts the new record with
+    empty ones. None of the three takes part in equality or repr.
     """
 
     session_id: str
@@ -89,10 +91,11 @@ def _onset_times(
     Gives up after 1000 attempts and returns what it has; `synth_cohort`
     records the shortfall on the session (``missing_pulses``).
     """
+    first, last = _ONSET_MARGINS_S
     onsets: list[float] = []
     attempts = 0
     while len(onsets) < n_pulses and attempts < 1000:
-        t0 = float(rng.uniform(2.0, duration_s - PULSE_S[1] - 4.0))
+        t0 = float(rng.uniform(first, duration_s - PULSE_S[1] - last))
         if all(abs(t0 - t) >= MIN_GAP_S for t in taken) and all(
             abs(t0 - t) >= MIN_GAP_S for t in onsets
         ):
@@ -130,8 +133,8 @@ def check_cohort_settings(
     """Raise ValueError unless `synth_cohort` can make a cohort of these settings.
 
     ``n_sessions`` must be >= 1, ``duration_s`` and ``rate_hz`` positive and
-    finite, with a finite product that rounds to >= 2 samples per session,
-    and ``train_frac`` in [0, 1].
+    finite, their product rounding to >= 2 samples, a finite session with
+    room for a pulse onset (`_onset_times`), and ``train_frac`` in [0, 1].
     """
     if n_sessions < 1:
         raise ValueError(f"n_sessions must be >= 1, got {n_sessions!r}")
@@ -141,6 +144,11 @@ def check_cohort_settings(
     if not 1.5 <= duration_s * rate_hz < math.inf:  # round() gives >= 2 samples, no overflow
         raise ValueError(f"session length: {duration_s!r} s at {rate_hz!r} Hz must give "
                          "a finite count of at least 2 samples")
+    first, last = _ONSET_MARGINS_S
+    dur_s = round(duration_s * rate_hz) / rate_hz
+    if dur_s - PULSE_S[1] - last < first:
+        raise ValueError(f"session duration {dur_s!r} s is below the {first + PULSE_S[1] + last} s "
+                         "that a pulse onset and its margins need")
     if not 0.0 <= train_frac <= 1.0:
         raise ValueError(f"train_frac must be in [0, 1], got {train_frac!r}")
 

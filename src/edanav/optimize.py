@@ -1,10 +1,10 @@
 """Session replay, the P_pn objective, and gain search.
 
 Every evaluation takes one path: `build_contexts` groups the sessions by
-length and gives each `SessionGroup` its gain-independent state (the PID
-terms fed back from the recorded phasic, the raw counts), which each
-record keeps as it keeps its phasic, so an evaluation after a search on
-the same records recomputes none of it; `_simulate` replays the groups
+length and rate and gives each `SessionGroup` its gain-independent state
+(the PID terms fed back from the recorded phasic, the raw counts), which
+each record keeps as it keeps its phasic, so an evaluation after a search
+on the same records recomputes none of it; `_simulate` replays the groups
 under a block of gain sets and counts the events of each prediction.
 `evaluate_sessions` runs a block of one and keeps each session's report row,
 a `metrics.SessionStats`, with a group's raw and adapted MSDVs taken in one
@@ -83,14 +83,14 @@ ROWS = 64
 
 @dataclass(frozen=True, eq=False)
 class SessionGroup:
-    """The sessions of one sample count and their gain-independent state.
+    """The sessions of one sample count and rate and their gain-independent state.
 
     ``terms`` is the controller's PID state over the m sessions [m, ...],
     fed back from ``recorded``, the decomposed phasic in the model's
     normalized scale, clipped to [0, 1]; offline mode uses all of it,
     closed-loop mode its acceleration rows. The PID state and raw counts do
-    not change across trials, so a search over gains computes them once.
-    Groups compare by identity.
+    not change across trials: a search computes them once, and each record
+    keeps its row (`build_contexts`). Groups compare by identity.
     """
 
     members: list[int]  # positions in the input record list
@@ -107,45 +107,37 @@ class SimulationResult:
 
 
 def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
-    """One `SessionGroup` per sample count, in order of first appearance.
+    """One `SessionGroup` per `length_groups` group, in order of first appearance.
 
     Each group's members keep their input order. A record keeps its row of
-    the state in its ``replays`` store, keyed by (model, detectors,
-    decomposition, integral_clamp); the records that lack it are filled
-    one length at a time, by one `session_phasics`, `pid_terms`,
-    `predict_sessions` and `count_events` call each (``recorded`` is left
-    for `evaluate_sessions` to count). A group that one fill covers whole
-    and in order takes the fill's arrays; any other stacks its members'
-    rows, with the same bits, since every step works row by row.
+    one fill in its ``replays`` store, under the key (model, detectors,
+    decomposition, integral_clamp). A group whose records hold rows 0..m-1
+    of one fill under the key, in that order, takes that fill; any other is
+    filled again, by one `pid_terms`, `predict_sessions` and `count_events`
+    call (``recorded`` is left for `evaluate_sessions` to count), and the
+    new fill replaces whatever its records held. The records that lack the
+    key are decomposed first, so a short one raises before any is stored.
     """
     check_model_rate(records, model)
     key = (model, tuple(detectors), decomposition, integral_clamp)
-    missing = [r for r in records if key not in r.replays]
-    phasics = session_phasics(missing, decomposition)
-    for members in length_groups(missing):
-        recorded = np.stack([model.norm.phasic.apply(phasics[i].samples) for i in members])
-        accel = np.stack([(missing[i].a_l.samples, missing[i].a_r.samples) for i in members])
-        fill = SessionGroup(
-            members=members,
-            terms=pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
-                            model.rate_hz, integral_clamp),
-            n_raw=count_events(predict_sessions(model, accel), model.rate_hz, detectors),
-            recorded=recorded,
-        )
-        for row, i in enumerate(members):
-            missing[i].replays[key] = (fill, row)
+    session_phasics([r for r in records if key not in r.replays], decomposition)
     groups = []
     for members in length_groups(records):
-        stored = [records[i].replays[key] for i in members]
-        fill = stored[0][0]
-        if stored == [(fill, row) for row in range(len(fill.members))]:  # by identity
-            groups.append(replace(fill, members=members))
-            continue
-        terms = {name: np.stack([getattr(f.terms, name)[row] for f, row in stored])
-                 for name in ("accel", "error", "integral", "delta")}
-        groups.append(SessionGroup(members, replace(fill.terms, **terms),
-                                   np.stack([f.n_raw[row] for f, row in stored]),
-                                   np.stack([f.recorded[row] for f, row in stored])))
+        group = [records[i] for i in members]
+        stored = [r.replays.get(key) for r in group]
+        fill = stored[0] and stored[0][0]
+        if not fill or stored != [(fill, row) for row in range(len(fill.members))]:  # by identity
+            phasics = session_phasics(group, decomposition)
+            recorded = np.stack([model.norm.phasic.apply(p.samples) for p in phasics])
+            accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
+            terms = pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
+                              model.rate_hz, integral_clamp)
+            n_raw = count_events(predict_sessions(model, accel), model.rate_hz, detectors)
+            fill = SessionGroup(members, terms, n_raw, recorded)
+            for row, record in enumerate(group):
+                record.replays.clear()
+                record.replays[key] = (fill, row)
+        groups.append(replace(fill, members=members))
     return groups
 
 

@@ -30,24 +30,25 @@ def session_phasics(records, decomposition: DecompositionConfig) -> list[Trace]:
     """The phasic part of each record's EDA under ``decomposition``, in input order.
 
     The only code that decomposes a session. Each record keeps its phasic
-    in its ``phasics`` store, one per config, so training, scoring and
-    every replay of one record share it. The records that lack it are
-    decomposed together, one `tonic_rows` call per (sample count, rate)
-    group, each row with the bits of its session on its own. Every group's
-    length is checked before any is filtered, so a record too short for
-    the median window raises `DegenerateInputError`, the first such record
-    in input order, and nothing is stored.
+    in its ``phasics`` store, so training, scoring and every replay of one
+    record share it; the store holds one config's, and a record decomposed
+    under another config drops it. The records that lack it are decomposed
+    together, one `tonic_rows` call per `length_groups` group, each row with
+    the bits of its session on its own. Every group's length is checked
+    before any is filtered, so a record too short for the median window
+    raises `DegenerateInputError`, the first such record in input order,
+    and nothing is stored.
     """
-    groups: dict[tuple[int, float], list] = {}
-    for record in records:
-        if decomposition not in record.phasics:
-            groups.setdefault((len(record.eda), record.eda.rate_hz), []).append(record)
-    for n, rate_hz in groups:
-        decomposition.windows(n, rate_hz)
-    for (_, rate_hz), group in groups.items():
+    missing = [r for r in records if decomposition not in r.phasics]
+    groups = [[missing[i] for i in members] for members in length_groups(missing)]
+    for group in groups:
+        decomposition.windows(len(group[0].eda), group[0].eda.rate_hz)
+    for group in groups:
         eda = np.stack([r.eda.samples for r in group])
-        for record, phasic in zip(group, eda - tonic_rows(eda, rate_hz, decomposition)):
-            record.phasics[decomposition] = Trace(phasic, rate_hz, record.eda.unit)
+        tonic = tonic_rows(eda, group[0].eda.rate_hz, decomposition)
+        for record, phasic in zip(group, eda - tonic):
+            record.phasics.clear()
+            record.phasics[decomposition] = Trace(phasic, record.eda.rate_hz, record.eda.unit)
     return [r.phasics[decomposition] for r in records]
 
 
@@ -60,12 +61,12 @@ def check_model_rate(records, model: SurrogateModel) -> None:
 
 
 def length_groups(records) -> list[list[int]]:
-    """Positions in ``records`` grouped by sample count, in order of first
-    appearance; each group keeps its input order."""
-    by_length: dict[int, list[int]] = {}
+    """Positions in ``records`` grouped by sample count and EDA rate, in
+    order of first appearance; each group keeps its input order."""
+    groups: dict[tuple[int, float], list[int]] = {}
     for i, record in enumerate(records):
-        by_length.setdefault(len(record.a_l), []).append(i)
-    return list(by_length.values())
+        groups.setdefault((len(record.eda), record.eda.rate_hz), []).append(i)
+    return list(groups.values())
 
 
 def held_out_mae(

@@ -194,10 +194,10 @@ def _odd_window(window_s: float, rate_hz: float) -> int:
     return w
 
 
-# One sort of window cores holds at most this many bytes of ranks; a bigger
-# stack is filtered in row chunks (a 40-session, 1-hour, 8 Hz group would
-# sort about 74 MB), and a row whose cores hold more (900 s at 8 Hz with a
-# 400 s median window: 23 MB) is sorted in blocks of window pairs.
+# One sort of window cores holds at most this many bytes of ranks, or one
+# window pair of every row where that alone holds more: a stack whose cores
+# hold more (a 40-session, 1-hour, 8 Hz group: about 74 MB; one 900 s, 8 Hz
+# row with a 400 s median window: 23 MB) is sorted in blocks of pairs.
 _SORT_BYTES = 2**21
 
 
@@ -223,8 +223,8 @@ def _moving_median(x: np.ndarray, w: int) -> np.ndarray:
     and h, duplicates included, so each core is sorted once for two
     windows. A full `np.sort` of the cores beats `np.partition` at h plus
     a max of the lower half, and a two-kth partition is about ten times
-    slower than either. The cores are sorted in blocks of pairs that hold
-    at most ``_SORT_BYTES`` (one block unless a row's cores hold more).
+    slower than either. All rows' cores are sorted in blocks of pairs that
+    hold at most ``_SORT_BYTES``, or of one pair where that holds more.
 
     The median rank names a sample, so whatever order ties take the result
     equals scipy's ``median_filter(x, w, mode="nearest")`` (where 0.0 and
@@ -275,22 +275,17 @@ def tonic_rows(eda: np.ndarray, rate_hz: float, cfg: DecompositionConfig) -> np.
 
     A moving-median (``median_window_s``, `_moving_median`) followed by a
     moving-average (``average_window_s``, `_moving_mean`), both over odd
-    windows with replicate edge padding. The rows are filtered in chunks
-    whose sorted cores hold at most ``_SORT_BYTES``; each row's bits do
-    not depend on the chunk it falls in.
+    windows with replicate edge padding, all rows in one call each; the
+    median sorts in blocks of at most ``_SORT_BYTES``. Each row's bits do
+    not depend on the stack it is in.
 
     Raises
     ------
     DegenerateInputError
         If the traces are shorter than twice the tonic (median) window.
     """
-    m, n = eda.shape
-    w_med, w_avg = cfg.windows(n, rate_hz)
-    core_bytes = (n + 1) // 2 * (w_med - 1) * np.min_scalar_type(n).itemsize
-    step = max(1, _SORT_BYTES // max(core_bytes, 1))
-    chunks = [_moving_mean(_moving_median(eda[i:i + step], w_med), w_avg)
-              for i in range(0, m, step)]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    w_med, w_avg = cfg.windows(eda.shape[1], rate_hz)
+    return _moving_mean(_moving_median(eda, w_med), w_avg)
 
 
 def decompose(eda: Trace, cfg: DecompositionConfig = DecompositionConfig()) -> EdaDecomposition:

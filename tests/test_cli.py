@@ -403,6 +403,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     for settings, message in ((["dataset.n_sessions=0"], "n_sessions must be >= 1"),
                               (["dataset.duration_s=0.2"], too_few),
                               (["dataset.duration_s=1e300", "dataset.rate_hz=1e10"], too_few),
+                              # too short for a pulse onset and its margins
+                              (["dataset.duration_s=6.0"], "duration 6.0 s is below the 9.0 s"),
+                              (["dataset.duration_s=8.5"], "duration 8.5 s is below the 9.0 s"),
                               (["dataset.rate_hz=0"], "rate_hz must be positive"),
                               (["dataset.train_frac=1.5"], "train_frac must be in [0, 1]"),
                               (["control.integral_clamp=0"], "integral_clamp must be positive"),

@@ -102,6 +102,11 @@ def test_cohort_validation():
         synth_cohort(4, 240.0, 4.0, train_frac=1.5)
     with pytest.raises(ValueError):
         synth_cohort(4, 0.25, 4.0)
+    # a pulse onset needs 9 s of the rounded duration: 8.5 s is too short,
+    # and 8.9 s at 4 Hz rounds to 36 samples, 9 s
+    with pytest.raises(ValueError, match=r"duration 8\.5 s is below the 9\.0 s"):
+        synth_cohort(4, 8.5, 4.0)
+    assert len(synth_cohort(1, 8.9, 4.0)[0].eda) == 36
 
 
 def test_session_record_validation():

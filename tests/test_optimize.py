@@ -1,5 +1,6 @@
 """Simulation, objective, and gain-search tests on a small synthetic cohort."""
 
+import gc
 import importlib
 import math
 import weakref
@@ -441,36 +442,63 @@ def _two_lengths(records, L):
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluation_reuses_the_search_replay_state(small, monkeypatch, mode):
     # evaluate_sessions after optimize on the same records computes no PID
-    # terms and no raw prediction: each record keeps its row of the state,
-    # and the results equal those on fresh copies of the records, whose
-    # stores are empty; the records reversed, or a reordered subset, stack
-    # the stored rows
+    # terms and no raw prediction: each length group takes the fill the
+    # search left on its records whole. The records reversed, or a
+    # reordered subset, hold their rows out of order, so each of their two
+    # groups is filled again once, and the new fill replaces the stored
+    # one. Every result equals those on fresh copies of the records, whose
+    # stores are empty
     records, model = small
     sessions = _two_lengths(records, model.L)
     optimize(sessions, model, budget=4, seed=1, mode=mode)
-    for group in (sessions, sessions[::-1], [sessions[i] for i in (5, 2, 3, 0)]):
+    subset = [sessions[i] for i in (5, 2, 3, 0)]
+    for group, refills in ((sessions, 0), (sessions[::-1], 2), (sessions[::-1], 0),
+                           (subset, 2), (subset, 0), (sessions, 2)):
         calls = _count_replay_calls(monkeypatch)
         kept = evaluate_sessions(group, TUNED_GAINS, model, mode=mode)
-        # offline, the one predict_sessions call per length group is the adapted one
-        assert calls == Counter(predict_sessions=2 if mode == "offline" else 0)
+        # offline, one predict_sessions call per length group is the adapted one
+        adapted = 2 if mode == "offline" else 0
+        assert calls == Counter(pid_terms=refills, predict_sessions=refills + adapted)
         monkeypatch.undo()
         fresh = evaluate_sessions([replace(r) for r in group], TUNED_GAINS, model, mode=mode)
         assert [r.stats for r in kept] == [r.stats for r in fresh]
-    assert all(len(r.replays) == 1 for r in sessions)
+        assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
     assert all(not replace(r).replays for r in sessions)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.permutations(range(6)), st.integers(1, 6)), min_size=1, max_size=3),
+       st.sampled_from(MODES))
+def test_evaluation_after_a_search_equals_fresh_records(small, subsets, mode):
+    # successive permutations and subsets of a two-length cohort, evaluated
+    # after a search on it, each reusing or refilling its groups: the
+    # results are those of fresh copies, and every record holds one replay
+    # entry and one phasic entry
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+    optimize(sessions, model, budget=2, seed=1, mode=mode)
+    for order, size in subsets:
+        group = [sessions[i] for i in order[:size]]
+        kept = evaluate_sessions(group, TUNED_GAINS, model, mode=mode)
+        fresh = evaluate_sessions([replace(r) for r in group], TUNED_GAINS, model, mode=mode)
+        assert [r.stats for r in kept] == [r.stats for r in fresh]
+        assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
 
 
 def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
     # the state is keyed by the model object, the detectors, the
     # decomposition and the clamp: another model object with the same
-    # weights, another clamp or another detector tuple fills each record
-    # again, and a list of the same detectors does not
+    # weights, another clamp, another detector tuple or another
+    # decomposition fills each record again, and a list of the same
+    # detectors does not. Each fill replaces the record's entry, so the
+    # first key refills too once another has been used
     records, model = small
     sessions = _two_lengths(records, model.L)
     write_model(model, tmp_path / "model.csv")
     twin = read_model(tmp_path / "model.csv")
     detectors = default_detectors()
     evaluate_sessions(sessions, TUNED_GAINS, model)
+    other = DecompositionConfig(median_window_s=4.0, average_window_s=6.0)
     for key, refills in (
         (dict(model=model, detectors=list(detectors)), False),
         (dict(model=twin), True),
@@ -478,6 +506,9 @@ def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
         (dict(model=model, detectors=detectors[:2]), True),
         (dict(model=model, detectors=(replace(detectors[0], min_amplitude=0.1),
                                       *detectors[1:])), True),
+        (dict(model=model, decomposition=other), True),
+        (dict(model=model), True),
+        (dict(model=model, detectors=list(detectors)), False),
     ):
         calls = _count_replay_calls(monkeypatch)
         kept = evaluate_sessions(sessions, TUNED_GAINS, **key)
@@ -485,7 +516,28 @@ def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
         monkeypatch.undo()
         fresh = evaluate_sessions([replace(r) for r in sessions], TUNED_GAINS, **key)
         assert [r.stats for r in kept] == [r.stats for r in fresh]
-    assert all(len(r.replays) == 5 for r in sessions)
+        # one entry in each store, the key just used and its decomposition
+        decomposition = key.get("decomposition", DecompositionConfig())
+        for r in sessions:
+            assert len(r.replays) == 1 and set(r.phasics) == {decomposition}
+            assert next(iter(r.replays))[0] is key["model"]
+
+
+def test_a_replaced_model_can_be_collected(small, tmp_path):
+    # a record's store keeps the model of its one key alive, and no longer
+    # once the records are evaluated with another model
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+    write_model(model, tmp_path / "model.csv")
+    first = read_model(tmp_path / "model.csv")
+    evaluate_sessions(sessions, TUNED_GAINS, first)
+    gone = weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is not None
+    evaluate_sessions(sessions, TUNED_GAINS, model)
+    gc.collect()
+    assert gone() is None
 
 
 def test_model_weights_are_a_read_only_copy(small):

@@ -59,16 +59,24 @@ def test_train_search_and_evaluate_decompose_each_record_once_per_config(
 
 
 def test_stored_phasic_is_a_fresh_decomposition_per_config(records):
+    # each config's phasic has the bits of a fresh decomposition, and is
+    # kept until another config's replaces it: asked for again, the first
+    # config is decomposed again, to the same bits
     record = records[0]
-    stored = [session_phasics([record], c)[0] for c in CONFIGS]
-    assert session_phasics([record], CONFIGS[0])[0] is stored[0]
+    stored = []
+    for config in CONFIGS:
+        stored.append(session_phasics([record], config)[0])
+        assert session_phasics([record], config)[0] is stored[-1]
+        assert set(record.phasics) == {config}
     for config, phasic in zip(CONFIGS, stored):
         fresh = decompose(record.eda, config).phasic
         assert phasic.samples.tobytes() == fresh.samples.tobytes()
         assert phasic.rate_hz == fresh.rate_hz and phasic.unit == fresh.unit
-    # the two configs do not collide: each keeps its own, different phasic
-    assert set(record.phasics) == set(CONFIGS)
+    # the two configs do not collide: each gives its own, different phasic
     assert not np.array_equal(stored[0].samples, stored[1].samples)
+    again = session_phasics([record], CONFIGS[0])[0]
+    assert again is not stored[0] and again.samples.tobytes() == stored[0].samples.tobytes()
+    assert set(record.phasics) == {CONFIGS[0]}
 
 
 def test_a_group_fill_equals_each_record_decomposed_alone():

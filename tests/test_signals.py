@@ -244,21 +244,44 @@ def _count_median_rows(monkeypatch) -> list[int]:
     return rows
 
 
-def test_a_stack_larger_than_one_sort_is_filtered_in_row_chunks(monkeypatch):
+def _count_sorts(monkeypatch) -> list[np.ndarray]:
+    """The input of each `np.sort` call, in call order."""
+    sorts = []
+    real = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorts.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    return sorts
+
+
+def test_a_stack_larger_than_one_sort_is_sorted_in_blocks_of_pairs(monkeypatch):
     rows = _count_median_rows(monkeypatch)
+    sorts = _count_sorts(monkeypatch)
     rng = np.random.default_rng(21)
     # a 12-session, 900 s, 8 Hz group: w 65 over 7,200 samples gives each
-    # row 3,600 cores of 64 uint16 ranks (460,800 bytes), four rows a sort
+    # row 3,600 cores of 64 uint16 ranks (460,800 bytes), 5.5 MB in all;
+    # one median call sorts the rows' cores 1,365 pairs at a time
     x = np.round(rng.normal(size=(12, 7200)) * 20.0)
     tonic = signals.tonic_rows(x, 8.0, DecompositionConfig())
-    assert rows == [4, 4, 4]
-    # a bound of two rows of 7 odd-length rows: chunks of 2, 2, 2 and 1
-    monkeypatch.setattr(signals, "_SORT_BYTES", 2 * 50 * 32 * 1)
+    assert rows == [12]
+    assert [a.shape for a in sorts] == [(12, 1365, 64), (12, 1365, 64), (12, 870, 64)]
+    assert all(a.nbytes <= signals._SORT_BYTES for a in sorts)
+    # a bound of 14 pairs of 7 odd-length rows: blocks of 14, 14, 14 and 8;
+    # below one pair of every row, a pair at a time
     y = np.round(rng.normal(size=(7, 99)) * 3.0)
-    small = signals.tonic_rows(y, 4.0, DecompositionConfig(8.0, 2.0))
-    assert rows[3:] == [2, 2, 2, 1]
-    for stack, filtered, rate_hz, cfg in ((x, tonic, 8.0, DecompositionConfig()),
-                                           (y, small, 4.0, DecompositionConfig(8.0, 2.0))):
+    cases = [(x, tonic, 8.0, DecompositionConfig())]
+    for bound, pairs in ((14 * 7 * 32, [14, 14, 14, 8]), (7 * 32 - 1, [1] * 50)):
+        monkeypatch.setattr(signals, "_SORT_BYTES", bound)
+        sorts.clear()
+        cfg = DecompositionConfig(8.0, 2.0)
+        cases.append((y, signals.tonic_rows(y, 4.0, cfg), 4.0, cfg))
+        assert [a.shape for a in sorts] == [(7, p, 32) for p in pairs]
+    assert rows[1:] == [7, 7]
+    monkeypatch.undo()
+    for stack, filtered, rate_hz, cfg in cases:
         for row, got in zip(stack, filtered):
             _assert_same_bits(got, signals.tonic_rows(row[None], rate_hz, cfg)[0])
 
