@@ -5,11 +5,12 @@ length and rate and gives each `SessionGroup` its gain-independent state
 (the PID terms fed back from the recorded phasic, the raw counts), which
 each record keeps as it keeps its phasic, so an evaluation after a search
 on the same records recomputes none of it; `_simulate` replays the groups
-under a block of gain sets and counts the events of each prediction.
-`evaluate_sessions` runs a block of one and keeps each session's report row,
-a `metrics.SessionStats`, with a group's raw and adapted MSDVs taken in one
-`metrics.msdv` reduction; a search trial scores the counts alone with
-`metrics.detector_stats`, the detector rows of `metrics.build_report`.
+under a block of gain sets and counts the events of each prediction. A
+search trial scores the counts alone with `metrics.detector_stats`, the
+detector rows of `metrics.build_report`, and each group keeps the adapted
+MSDVs and counts of the search's best trial. `evaluate_sessions` runs a
+block of one over the groups that do not hold its gains as their best, and
+keeps each session's report row, a `metrics.SessionStats`.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
 against the recorded feedback in one `apply_gains` call and predicts them
@@ -52,7 +53,7 @@ replay, a dropped offline one nothing past its candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,13 +91,18 @@ class SessionGroup:
     normalized scale, clipped to [0, 1]; offline mode uses all of it,
     closed-loop mode its acceleration rows. The PID state and raw counts do
     not change across trials: a search computes them once, and each record
-    keeps its row (`build_contexts`). Groups compare by identity.
+    keeps its row (`build_contexts`). ``incumbent``, one slot that a fill
+    shares with its ``replace`` copies and starts empty, holds the adapted
+    MSDVs and counts of the last search's best trial on the fill, for
+    `evaluate_sessions` to take. Groups compare by identity.
     """
 
     members: list[int]  # positions in the input record list
     terms: PidTerms  # [m, ...]
     n_raw: np.ndarray  # [m, n_detectors]
     recorded: np.ndarray  # [m, n]; only `evaluate_sessions` counts its events (n_recorded)
+    # {(gains bytes, mode, limits): (adapted MSDVs [m][2] as lists, n_adapted [m, n_detectors])}
+    incumbent: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -256,20 +262,25 @@ def evaluate_sessions(
     integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> list[SimulationResult]:
-    """Replay each session under ``gains`` and score it with the surrogate."""
+    """Replay each session under ``gains`` and score it with the surrogate; a group
+    whose ``incumbent`` holds these gains, mode and limits is not replayed."""
     check_search_settings(mode=mode)
     records = list(records)
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
     results: list = [None] * len(records)
-    [sims] = _simulate(groups, gains.as_array()[None], model, detectors, mode, limits)
+    tag = (gains.as_array().tobytes(), mode, limits)
+    missing = [g for g in groups if tag not in g.incumbent]
+    [sims] = _simulate(missing, gains.as_array()[None], model, detectors, mode, limits)
     model_dt = 1.0 / model.rate_hz
-    for g, (adapted, _, n_adapted) in zip(groups, sims):
+    replayed = {g: (msdv(adapted, model_dt).tolist(), n)
+                for g, (adapted, _, n) in zip(missing, sims)}
+    for g in groups:
+        new, n_adapted = g.incumbent.get(tag) or replayed[g]
         n_recorded = count_events(g.recorded, model.rate_hz, detectors)
         group = [records[i] for i in g.members]
         # a raw dose integrates over its own trace's rate, an adapted one over the model's
-        dt = [[[1.0 / r.a_l.rate_hz, 1.0 / r.a_r.rate_hz] for r in group],
-              [[model_dt, model_dt]] * len(group)]
-        raw, new = msdv(np.stack([g.terms.accel, adapted]), np.array(dt)).tolist()
+        raw = msdv(g.terms.accel, np.array([[1.0 / r.a_l.rate_hz, 1.0 / r.a_r.rate_hz]
+                                             for r in group])).tolist()
         for row, (i, record) in enumerate(zip(g.members, group)):
             results[i] = SimulationResult(SessionStats(
                 session_id=record.session_id,
@@ -376,6 +387,7 @@ def optimize(
     without improvement. Each trial's percentages are those of
     `metrics.detector_stats` over the replayed sessions' raw and adapted
     counts, and its objective is their sum. Results are fully deterministic for a given seed.
+    Each group's ``incumbent`` slot ends holding the best trial (`SessionGroup`).
     Trials run in blocks of up to max(1, ``ROWS`` // m), m the largest group of
     equal-length sessions; a phase-two block is built as if none of its
     trials improves and is cut after the first that does (the module
@@ -420,19 +432,24 @@ def optimize(
                     stall = 0
             xs = np.clip(best_x + zs * sigmas, ranges.lo, ranges.hi)
         # a new generator per block, so the last block's replays are freed before this one runs
-        counts = (np.concatenate([sim[2] for sim in sims])
-                  for sims in _simulate(groups, xs, model, detectors, mode, limits))
-        for i, (x, n_adapted) in enumerate(zip(xs, counts)):
+        for i, (x, sims) in enumerate(zip(xs, _simulate(groups, xs, model, detectors, mode,
+                                                         limits))):
             t = t0 + i
+            n_adapted = np.concatenate([sim[2] for sim in sims])
             percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
             trials.append(Trial(t, PidGains.from_array(x), sum(percentages), percentages))
             if trials[-1].objective > best_obj:
                 best_obj = trials[-1].objective
                 best_x = x
                 best_index = t
+                kept = [(msdv(adapted, 1.0 / model.rate_hz).tolist(), n) for adapted, _, n in sims]
+                for g, state in zip(groups, kept):  # what evaluating the incumbent takes
+                    g.incumbent.clear()
+                    g.incumbent[x.tobytes(), mode, limits] = state
                 if t >= n_explore:  # the later candidates of the block assumed no improvement
                     sigma, stall = sigmas[i], 0
                     break
+        del sims  # it holds views of the block's replays
         zs = zs[len(trials) - t0 :]
     return OptimizeResult(best=trials[best_index], trials=tuple(trials), methods=methods)
 

@@ -421,11 +421,11 @@ def test_only_evaluation_counts_the_recorded_phasic(small, monkeypatch):
     assert len(built) == 4 and all(ids[id(g.recorded)] == 1 for g in built)
 
 
-def _count_replay_calls(monkeypatch) -> Counter:
-    """Calls of the replay's gain-independent steps: `pid_terms` and the
-    raw and adapted `predict_sessions`, by name."""
+def _count_replay_calls(monkeypatch, names=("pid_terms", "predict_sessions")) -> Counter:
+    """Calls of the replay steps ``names``, by name: by default the
+    gain-independent `pid_terms` and the raw and adapted `predict_sessions`."""
     calls = Counter()
-    for name in ("pid_terms", "predict_sessions"):
+    for name in names:
         def spy(*args, _real=getattr(optimize_module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -466,6 +466,98 @@ def test_evaluation_reuses_the_search_replay_state(small, monkeypatch, mode):
     assert all(not replace(r).replays for r in sessions)
 
 
+# the calls that replay a trial: closed loop one `_replay_clips`, offline one
+# `apply_gains` and one adapted `predict_sessions`, per length group
+REPLAY_STEPS = ("_replay_clips", "apply_gains", "predict_sessions")
+REPLAYS = {"offline": Counter(apply_gains=2, predict_sessions=2),
+           "closed_loop": Counter(_replay_clips=2)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluation_takes_the_search_best_from_its_groups(small, monkeypatch, mode):
+    # right after a search, evaluating its best gains on the same list
+    # replays nothing: each length group holds the best trial's adapted
+    # MSDVs and counts. Other gains, other limits, the other mode, a best
+    # gain one ulp away, the best of an earlier search on the same fill and
+    # the reversed list (filled again, so its fill holds no incumbent) each
+    # replay once per group. Every result equals those of fresh copies,
+    # whose stores are empty
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+
+    def check(group, gains, replays, **settings):
+        calls = _count_replay_calls(monkeypatch, REPLAY_STEPS)
+        kept = evaluate_sessions(group, gains, model, **settings)
+        assert calls == replays, (gains, settings)
+        monkeypatch.undo()
+        fresh = evaluate_sessions([replace(r) for r in group], gains, model, **settings)
+        assert [r.stats for r in kept] == [r.stats for r in fresh]
+        assert all(len(r.replays) == 1 for r in sessions)
+
+    first = optimize(sessions, model, budget=6, seed=1, mode=mode).best.gains
+    nudged = first.as_array()
+    nudged[6] = np.nextafter(nudged[6], np.inf)
+    other = MODES[1 - MODES.index(mode)]
+    check(sessions, first, Counter(), mode=mode)
+    check(sessions, TUNED_GAINS, REPLAYS[mode], mode=mode)
+    check(sessions, first, REPLAYS[mode], mode=mode, limits=AccelLimits(2.0, 1.0))
+    check(sessions, first, REPLAYS[other], mode=other)
+    check(sessions, PidGains.from_array(nudged), REPLAYS[mode], mode=mode)
+    check(sessions, first, Counter(), mode=mode)
+    best = optimize(sessions, model, budget=6, seed=2, mode=mode).best.gains
+    assert best != first
+    check(sessions, first, REPLAYS[mode], mode=mode)
+    check(sessions, best, Counter(), mode=mode)
+    # two raw predictions refill the reversed list's groups
+    check(sessions[::-1], best, REPLAYS[mode] + Counter(predict_sessions=2), mode=mode)
+
+
+def _tie_objectives(monkeypatch, best, ties):
+    """Score trial ``best`` and each trial of ``ties`` (later ones) with trial
+    ``best``'s detector rows, and every other trial 0, in recording order."""
+    recorded = iter(range(10**6))
+    rows = {}
+
+    def stub(n_raw, n_adapted):
+        t = next(recorded)
+        if t == best:
+            rows[t] = detector_stats(n_raw, n_adapted)
+        return rows[best] if t == best or t in ties else [SimpleNamespace(percentage=0.0)]
+
+    monkeypatch.setattr(optimize_module, "detector_stats", stub)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_tied_later_trial_leaves_the_first_in_the_groups(small, monkeypatch, mode):
+    # trial 1 scores its own percentages, trials 9 (phase one) and 24 (a
+    # phase-two block) tie it, and every other trial scores 0: each group
+    # keeps trial 1, as the search's best does, so evaluating it replays
+    # nothing. Its report's positives are the best trial's percentages
+    # times the session count / 100, the check perfbench's
+    # `check_positives` makes on the written report
+    records, model = small
+    sessions = _two_lengths(records, model.L)
+    _tie_objectives(monkeypatch, 1, {9, 24})
+    result = optimize(sessions, model, budget=30, seed=0, mode=mode)
+    monkeypatch.undo()
+    best = result.best
+    assert best.index == 1 and best.objective > 0
+    assert [t.index for t in result.trials if t.objective == best.objective] == [1, 9, 24]
+    groups = build_contexts(sessions, model, default_detectors(), DecompositionConfig(),
+                            DEFAULT_INTEGRAL_CLAMP)
+    tag = (best.gains.as_array().tobytes(), mode, AccelLimits())
+    assert [list(g.incumbent) for g in groups] == [[tag], [tag]]
+    calls = _count_replay_calls(monkeypatch, REPLAY_STEPS)
+    stats = [r.stats for r in evaluate_sessions(sessions, best.gains, model, mode=mode)]
+    assert calls == Counter()
+    monkeypatch.undo()
+    fresh = evaluate_sessions([replace(r) for r in sessions], best.gains, model, mode=mode)
+    assert stats == [r.stats for r in fresh]
+    report = build_report(stats, result.methods)
+    for method, percentage in zip(result.methods, best.percentages, strict=True):
+        assert report.stats[method].positives == pytest.approx(percentage * len(stats) / 100)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.permutations(range(6)), st.integers(1, 6)), min_size=1, max_size=3),
        st.sampled_from(MODES))
@@ -476,13 +568,14 @@ def test_evaluation_after_a_search_equals_fresh_records(small, subsets, mode):
     # entry and one phasic entry
     records, model = small
     sessions = _two_lengths(records, model.L)
-    optimize(sessions, model, budget=2, seed=1, mode=mode)
+    result = optimize(sessions, model, budget=2, seed=1, mode=mode)
     for order, size in subsets:
         group = [sessions[i] for i in order[:size]]
-        kept = evaluate_sessions(group, TUNED_GAINS, model, mode=mode)
-        fresh = evaluate_sessions([replace(r) for r in group], TUNED_GAINS, model, mode=mode)
-        assert [r.stats for r in kept] == [r.stats for r in fresh]
-        assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
+        for gains in (TUNED_GAINS, result.best.gains):
+            kept = evaluate_sessions(group, gains, model, mode=mode)
+            fresh = evaluate_sessions([replace(r) for r in group], gains, model, mode=mode)
+            assert [r.stats for r in kept] == [r.stats for r in fresh]
+            assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
 
 
 def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
@@ -859,7 +952,8 @@ def test_phase_two_blocks_drop_the_trials_after_a_move(small, monkeypatch, impro
 
 def test_search_frees_each_block_before_the_next_replay(small, monkeypatch):
     # the replays of one block are gone before the next block's replay runs,
-    # so a search holds one block's replay arrays at a time
+    # so a search holds one block's replay arrays at a time, and the last
+    # block's are gone when it returns
     records, model = small
     refs = []  # (block, weak reference to a replay array)
     blocks = []
@@ -884,6 +978,8 @@ def test_search_frees_each_block_before_the_next_replay(small, monkeypatch):
              **MIXED_SETTINGS)
     monkeypatch.undo()
     assert blocks == [4, 4, 4, 4, 4, 1] and len(refs) == 2 * len(blocks)
+    # and none outlives the search: the groups keep doses and counts only
+    assert [b for b, ref in refs if ref() is not None] == []
 
 
 @pytest.mark.parametrize("mode", MODES)
