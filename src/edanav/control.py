@@ -12,15 +12,20 @@ error, clamped integral and error difference comes from the recording.
 `pid_terms` computes them once, for one session or for a stack of
 sessions of one length; `apply_gains` turns them into the adapted
 accelerations for one gain set with whole-array arithmetic.
-Every clamped integral is `clamped_sum`: one in-order np.cumsum, then one
-clip to the clamp, which has the bits of clamping after every step
-wherever a row's steps share one sign. The closed loop holds the feedback
-clip by clip, so its steps are constant. Over a recording, `pid_terms`
-redoes one step at a time only each row whose steps change sign and that
-reaches the clamp, from its first sum there on.
+Every clamped integral is `clamped_sum`: one in-order running sum
+(`np.add.accumulate`), then one clip to the clamp, which has the bits of
+clamping after every step wherever a row's steps share one sign. The
+closed loop holds the feedback clip by clip, so its steps are constant.
+Over a recording, `pid_terms` redoes one step at a time only each row
+whose steps change sign and that reaches the clamp, from its first sum
+there on.
 `pid_law` is the one place the PID output is written; the gain helpers
 take a gain array [..., 11] in GAIN_KEYS order (a block of gain sets, one
-per leading index), such as `PidGains.as_array`.
+per leading index), such as `PidGains.as_array`. `clamped_sum`, `pid_law`
+and `adapted_accel` write into an ``out`` buffer when given one, as the
+closed loop does with one clip's blocks. Every clamp calls the ufunc that
+np.clip calls, for the same bits: on a block of one clip, np.clip's
+Python wrapper costs more than the clamp.
 
 The controller runs at the EDA tick (dt = 1/rate, 0.25 s at 4 Hz).
 """
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # np.clip's ufunc, without its Python wrapper
 
 from .errors import FileFormatError
 from .signals import parse_items, write_text_atomic
@@ -121,21 +127,23 @@ class PidTerms:
     integral_clamp: float
 
 
-def clamped_sum(start: np.ndarray, steps: np.ndarray, width: int, clamp: float) -> np.ndarray:
+def clamped_sum(
+    start: np.ndarray, steps: np.ndarray, width: int, clamp: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """The running sum [..., width] of ``steps`` from ``start`` [..., 1], clipped to +-clamp.
 
     ``steps`` is [..., width], or [..., 1] for a constant step. The one
-    np.cumsum adds in order, so up to a row's first sum at +-clamp these
-    are the bits of clamping after every step. With ``start`` inside the
-    clamp and all of a row's steps of one sign (signed zeros count as
-    either), the clamp is absorbing and the whole row has those bits: the
-    plain sum never comes back inside the clamp, nor does the clamped one
-    leave it.
+    `np.add.accumulate` adds in order, so up to a row's first sum at
+    +-clamp these are the bits of clamping after every step. With ``start``
+    inside the clamp and all of a row's steps of one sign (signed zeros
+    count as either), the clamp is absorbing and the whole row has those
+    bits: the plain sum never comes back inside the clamp, nor does the
+    clamped one leave it. The result goes to ``out`` [..., width] if given.
     """
     sums = np.empty((*start.shape[:-1], width + 1))
     sums[..., :1] = start
     sums[..., 1:] = steps
-    return np.clip(np.cumsum(sums, axis=-1)[..., 1:], -clamp, clamp)
+    return _clip(np.add.accumulate(sums, axis=-1, out=sums)[..., 1:], -clamp, clamp, out=out)
 
 
 def _clamp_each_step(start: float, steps: np.ndarray, clamp: float) -> list[float]:
@@ -203,13 +211,19 @@ def pid_terms(
     return PidTerms(accel, error, integral, delta, dt, integral_clamp)
 
 
-def pid_law(k: np.ndarray, error, integral, delta, dt: float) -> np.ndarray:
+def pid_law(
+    k: np.ndarray, error, integral, delta, dt: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """The PID output k_P * error + k_I * integral + k_D * delta / dt.
 
     ``k`` holds (k_P, k_I, k_D) along its last axis [..., 3]; each gain
-    column broadcasts against its term.
+    column broadcasts against its term, and k_I * integral has the output's
+    shape. The sums run left to right; the output goes to ``out`` if given.
     """
-    return k[..., :1] * error + k[..., 1:2] * integral + k[..., 2:] * delta / dt
+    psi = np.multiply(k[..., 1:2], integral, out=out)
+    np.add(k[..., :1] * error, psi, out=psi)
+    d_term = k[..., 2:] * delta
+    return np.add(psi, np.divide(d_term, dt, out=d_term), out=psi)
 
 
 def pid_outputs(terms: PidTerms, gains: np.ndarray, channels: int = 3) -> np.ndarray:
@@ -227,15 +241,19 @@ def pid_outputs(terms: PidTerms, gains: np.ndarray, channels: int = 3) -> np.nda
 
 
 def adapted_accel(
-    base: np.ndarray, psi_f: np.ndarray, gains: np.ndarray, bound: np.ndarray
+    base: np.ndarray, psi_f: np.ndarray, gains: np.ndarray, bound: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """base + beta * psi_f per channel, clamped to +-bound.
 
     ``base`` is [..., 2, n]: each acceleration plus its own channel's PID
-    output; beta is (beta_l, beta_r) of the gain array ``gains`` [..., 11]
-    as a column [..., 2, 1], and ``bound`` is `AccelLimits.bound`.
+    output, the output's shape; beta is (beta_l, beta_r) of the gain array
+    ``gains`` [..., 11] as a column [..., 2, 1], and ``bound`` broadcasts
+    against the output, such as `AccelLimits.bound`. The output goes to
+    ``out`` if given.
     """
-    return np.clip(base + gains[..., 9:11, None] * psi_f, -bound, bound)
+    x = np.add(base, np.multiply(gains[..., 9:11, None], psi_f, out=out), out=out)
+    return _clip(x, -bound, bound, out=x)
 
 
 def apply_gains(terms: PidTerms, gains: np.ndarray, limits: AccelLimits) -> np.ndarray:

@@ -172,6 +172,15 @@ def _replay_clips(
     integral is one `clamped_sum` from the previous clip's last value; the
     error difference is 0.0 past the clip's first sample; and
     `predict_rows` predicts each row as on its own.
+
+    A step costs numpy calls, not flops, so it works in contiguous blocks
+    of one clip, allocated once per call and written through the law
+    functions' ``out``: the integral, error difference and phasic output
+    [R, L] and the adapted clip [R, 2, L], whose first columns serve the
+    tail. Each adapted clip is copied once into the result, and the design
+    rows [R, 6L+1] slide by one clip per step. The prediction stays the
+    stacked gemv of `predict_rows`, one matrix-vector product per row:
+    ``rows @ weights.T`` is one gemm, which rounds differently.
     """
     m, _, n = terms.accel.shape
     n_sets = len(gains)
@@ -181,21 +190,29 @@ def _replay_clips(
     dt, clamp = terms.dt, terms.integral_clamp
     row_gains = np.repeat(gains, m, axis=0)  # [R, 11]
     k_f = row_gains[:, 6:9]  # the phasic channel's (K_Pf, K_If, K_Df)
-    base = (terms.accel + pid_outputs(terms, gains[:, None], channels=2)).reshape(R, 2, n)
-    bound = limits.bound
-    out = np.empty((R, 2, n))
+    # each clip of `out` holds its base (acceleration plus its channel's PID
+    # output) until its step adapts it, so no separate base array is kept
+    out = pid_outputs(terms, gains[:, None], channels=2)
+    out = np.add(terms.accel, out, out=out).reshape(R, 2, n)
+    # past a clip's first sample the error difference stays 0.0; the bound
+    # is spread over the block so that its clamp runs as one loop
+    running, delta, psi_f = np.empty((R, L)), np.zeros((R, L)), np.empty((R, L))
+    adapted = np.empty((R, 2, L))
+    bound = np.broadcast_to(limits.bound, adapted.shape).copy()
     integral = prev_error = np.zeros((R, 1))
 
-    def adapt(first: int, last: int, hold: np.ndarray) -> None:
+    def adapt(first: int, last: int, hold: np.ndarray) -> np.ndarray:
         nonlocal integral, prev_error
+        width = last - first
         error = 0.0 - hold
-        running = clamped_sum(integral, error * dt, last - first, clamp)
-        delta = np.zeros_like(running)
+        clamped_sum(integral, error * dt, width, clamp, out=running[:, :width])
         delta[:, :1] = error - prev_error
-        psi_f = pid_law(k_f, error, running, delta, dt)
-        out[:, :, first:last] = adapted_accel(base[:, :, first:last], psi_f[:, None],
-                                              row_gains, bound)
-        integral, prev_error = running[:, -1:], error
+        pid_law(k_f, error, running[:, :width], delta[:, :width], dt, out=psi_f[:, :width])
+        block = adapted_accel(out[:, :, first:last], psi_f[:, None, :width], row_gains,
+                              bound[:, :, :width], out=adapted[:, :, :width])
+        out[:, :, first:last] = block
+        integral, prev_error = running[:, width - 1 : width], error
+        return block
 
     rows = np.empty((R, 6 * L + 1))
     rows[:, -1] = 1.0
@@ -205,9 +222,9 @@ def _replay_clips(
     hold = np.zeros((R, 1))
     for first in range(0, covered, L):
         last = first + L
-        adapt(first, last, hold)
+        block = adapt(first, last, hold)
         window[:, :, :L] = window[:, :, L : 2 * L]
-        window[:, :, L : 2 * L] = model.norm.accel(out[:, :, first:last])
+        window[:, :, L : 2 * L] = model.norm.accel(block)
         window[:, :, 2 * L :] = window[:, :, 2 * L - 1 : 2 * L]
         preds[:, first:last] = predict_rows(model, rows)
         hold = preds[:, last - 1 : last]

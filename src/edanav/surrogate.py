@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # np.clip's ufunc, without its Python wrapper
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, FileFormatError
@@ -213,7 +214,7 @@ def predict_rows(model: SurrogateModel, rows: np.ndarray) -> np.ndarray:
     per row, so each output row has the bits of that row's window predicted
     on its own; ``rows @ weights.T`` does not.
     """
-    return np.clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
+    return _clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
 
 
 def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:

@@ -7,11 +7,16 @@ and requires the whole-session `pid_terms` and `apply_gains` to match it
 bit for bit.
 """
 
+import importlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+# np.clip's own ufunc, a private name: a numpy without it fails here
+from numpy._core.umath import clip as clip_ufunc
 
 from edanav.control import (
     DEFAULT_INTEGRAL_CLAMP,
@@ -19,14 +24,17 @@ from edanav.control import (
     AccelLimits,
     PidGains,
     _clamped_integral,
+    adapted_accel,
     apply_gains,
     clamped_sum,
+    pid_law,
     pid_outputs,
     pid_terms,
     read_gains,
     write_gains,
 )
 from edanav.errors import FileFormatError
+from edanav.surrogate import predict_rows
 
 from oracles import adapt_trace_naive, clamped_sum_naive
 
@@ -464,6 +472,79 @@ def test_adapt_step_state_progression():
                       1.0 / DT)
     assert terms.integral[:, 1].tolist() == [-0.25, 0.5, -0.125]
     assert terms.error[:, 1].tolist() == [-1.0, 2.0, -0.5]  # the next step's previous error
+
+
+# ---------------------------------------------------------------------------
+# The clamp: np.clip's ufunc without np.clip's Python wrapper
+# ---------------------------------------------------------------------------
+
+def _clamp_edges(lo, hi):
+    """Values a clamp to [lo, hi] must treat as np.clip does: signed zeros,
+    NaN, the infinities, the bounds, their negations and their neighbours."""
+    bounds = np.array([lo, hi, -lo, -hi])
+    return np.concatenate([[-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5 * (lo + hi)], bounds,
+                           np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)])
+
+
+def test_the_clamps_have_the_bits_of_np_clip():
+    # `clamped_sum`, `adapted_accel` and `predict_rows` clamp with the ufunc
+    # np.clip calls; each gives the bits of its np.clip formula on the edge
+    # values, with and without an output buffer
+    for module in ("edanav.control", "edanav.surrogate"):
+        assert importlib.import_module(module)._clip is clip_ufunc
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-0.0, 0.0), (-0.05, 0.05), (-3.0, 5.0)):
+            x = _clamp_edges(lo, hi)
+            expected = np.clip(x, lo, hi).tobytes()
+            out = np.empty_like(x)
+            assert clip_ufunc(x, lo, hi).tobytes() == expected
+            assert clip_ufunc(x, lo, hi, out=out) is out and out.tobytes() == expected
+
+        clamp = 0.05
+        edges = _clamp_edges(-clamp, clamp)
+        start = edges[:, None]
+        steps = np.stack([np.roll(edges, k) for k in range(len(edges))])
+        width = steps.shape[-1]
+        sums = np.concatenate([start, steps], axis=-1)
+        expected = np.clip(np.cumsum(sums, axis=-1)[..., 1:], -clamp, clamp).tobytes()
+        out = np.empty_like(steps)
+        assert clamped_sum(start, steps, width, clamp).tobytes() == expected
+        assert clamped_sum(start, steps, width, clamp, out=out) is out
+        assert out.tobytes() == expected
+
+        limits = AccelLimits(0.5, 0.3)
+        bound = limits.bound
+        base = np.stack([np.stack([np.roll(_clamp_edges(-b, b), k) for b in bound[:, 0]])
+                         for k in range(len(edges))])  # [k, 2, w]
+        psi_f = np.roll(base[:, :1], 1, axis=-1)
+        gains = np.zeros((len(base), len(GAIN_KEYS)))
+        gains[:, 9:11] = np.resize([0.0, 1.0, 0.5, 3.0, np.inf], (len(base), 2))
+        expected = np.clip(base + gains[..., 9:11, None] * psi_f, -bound, bound).tobytes()
+        out = np.empty_like(base)
+        spread = np.broadcast_to(bound, base.shape).copy()
+        assert adapted_accel(base, psi_f, gains, bound).tobytes() == expected
+        assert adapted_accel(base, psi_f, gains, spread, out=out) is out
+        assert out.tobytes() == expected
+
+        L = 3
+        model = SimpleNamespace(weights=np.hstack([np.eye(L), np.zeros((L, 5 * L + 1))]))
+        rows = np.zeros((6, 6 * L + 1))
+        rows[:, :L] = np.resize(_clamp_edges(0.0, 1.0), (6, L))
+        expected = np.clip(np.matmul(model.weights[None], rows[:, :, None])[:, :, 0], 0.0, 1.0)
+        assert predict_rows(model, rows).tobytes() == expected.tobytes()
+
+
+def test_pid_law_writes_a_strided_buffer_with_the_same_bits():
+    # the closed loop's tail step writes the first columns of its blocks
+    rng = np.random.default_rng(31)
+    k = rng.uniform(0.0, 2.0, (5, 3))
+    error = rng.normal(size=(5, 1))
+    integral, delta = rng.normal(size=(2, 5, 7))
+    expected = (k[:, :1] * error + k[:, 1:2] * integral + k[:, 2:] * delta / DT).tobytes()
+    wide = np.empty((5, 9))
+    assert pid_law(k, error, integral, delta, DT).tobytes() == expected
+    pid_law(k, error, integral, delta, DT, out=wide[:, :7])
+    assert wide[:, :7].tobytes() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -202,8 +203,8 @@ def test_closed_loop_mode(small):
 
 
 def _assert_follows_closed_loop_law(record, replay, gains, model,
-                                    integral_clamp=DEFAULT_INTEGRAL_CLAMP):
-    """Check one closed-loop replay against the law stepped sample by sample.
+                                    integral_clamp=DEFAULT_INTEGRAL_CLAMP, limits=AccelLimits()):
+    """Check one closed-loop replay against the law stepped sample by sample, byte for byte.
 
     ``replay`` is the session's adapted acceleration [2, n] and prediction.
     Clip k is adapted under a hold of the last sample predicted for clip
@@ -221,15 +222,14 @@ def _assert_follows_closed_loop_law(record, replay, gains, model,
     hold = [float(pred[min(i // L, pred.size // L) * L - 1]) if i >= L else 0.0 for i in range(n)]
     f = np.array([*hold[1:], 0.0])
     a_l, a_r = record.a_l.samples, record.a_r.samples
-    limits = AccelLimits()
     ref_l, ref_r = adapt_trace_naive(
         a_l, a_r, f, rate, gains.as_array(),
         limits.max_longitudinal, limits.max_rotational, integral_clamp,
     )
-    assert adapted[0].tolist() == ref_l
-    assert adapted[1].tolist() == ref_r
+    assert adapted[0].tobytes() == np.array(ref_l).tobytes()
+    assert adapted[1].tobytes() == np.array(ref_r).tobytes()
     terms = pid_terms(a_l, a_r, f, rate, integral_clamp)
-    assert np.array_equal(apply_gains(terms, gains.as_array(), limits), adapted)
+    assert apply_gains(terms, gains.as_array(), limits).tobytes() == adapted.tobytes()
     norms = (model.norm.a_l, model.norm.a_r)
     for k in range(pred.size // L):
         prev = adapted[:, (k - 1) * L : k * L] if k else np.zeros((2, L))
@@ -240,7 +240,7 @@ def _assert_follows_closed_loop_law(record, replay, gains, model,
         ])
         if not k:
             window[:, :L] = 0.0
-        assert np.array_equal(pred[k * L : (k + 1) * L], predict_clip(model, window))
+        assert pred[k * L : (k + 1) * L].tobytes() == predict_clip(model, window).tobytes()
     return f
 
 
@@ -265,9 +265,10 @@ def test_closed_loop_pads_the_first_clip_after_scaling(small):
     _assert_follows_closed_loop_law(records[1], replay, BINDING, shifted)
 
 
-def _head(record, n):
+def _head(record, n, start=0):
+    """The record's samples [start, start + n)."""
     def cut(tr):
-        return Trace(tr.samples[:n], tr.rate_hz, tr.unit)
+        return Trace(tr.samples[start : start + n], tr.rate_hz, tr.unit)
     return replace(record, a_l=cut(record.a_l), a_r=cut(record.a_r), eda=cut(record.eda))
 
 
@@ -369,6 +370,115 @@ def test_replay_blocks_equal_each_gain_set_alone(small):
                     for mine, theirs in zip(sims, own, strict=True):
                         for a, b in zip(mine, theirs, strict=True):  # adapted, preds, counts
                             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# both acceleration clamps bind on the cohort's accelerations, and the
+# phasic integral binds a clamp of 0.05 within a clip or two
+TIGHT_LIMITS = AccelLimits(0.5, 0.3)
+TIGHT_CLAMP = 0.05
+
+
+def _replay_against_the_stepwise_law(records, model, n, start, sets):
+    """Replay samples [start, start + n) of ``records`` under the gain block ``sets``
+    [B, 11] with one `_replay_clips` call, and check every row against the
+    stepwise oracle fed the row's own holds, then `predict_clip` clip by clip.
+
+    Returns each row's adapted acceleration [2, n] and the phasic integral the
+    law ran, [n], row by row.
+    """
+    sessions = [_head(r, n, start) for r in records]
+    accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in sessions])
+    terms = pid_terms(accel[:, 0], accel[:, 1], np.zeros((len(sessions), n)), model.rate_hz,
+                      TIGHT_CLAMP)
+    adapted, preds = optimize_module._replay_clips(terms, model, sets, TIGHT_LIMITS)
+    assert adapted.shape == (len(sets), len(sessions), 2, n)
+    assert preds.shape == (len(sets), len(sessions), n // model.L * model.L)
+    rows = []
+    for b, x in enumerate(sets):
+        for i, record in enumerate(sessions):
+            gains = PidGains.from_array(x)
+            f = _assert_follows_closed_loop_law(record, (adapted[b, i], preds[b, i]), gains,
+                                                model, TIGHT_CLAMP, TIGHT_LIMITS)
+            integral = pid_terms(record.a_l.samples, record.a_r.samples, f,
+                                 model.rate_hz, TIGHT_CLAMP).integral[2]
+            rows.append((adapted[b, i], integral))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2**8), st.integers(0, 2**8),
+       st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True),
+       st.lists(st.floats(0.0, 40.0), max_size=3), st.integers(0, 3), st.integers(0, 2**16))
+def test_replay_clips_equals_the_stepwise_law(small, clips, tail, start, picks, scales,
+                                              zero_at, seed):
+    # one `_replay_clips` call over 1-3 sessions of 3L to 6L + L - 1 samples
+    # (a tail of 0 to L - 1 samples past the last full clip) under a block
+    # of 1-4 gain sets: an all-zero set, and sets drawn from the box scaled
+    # by up to 40; the acceleration and integral clamps are tight. Every
+    # adapted sample and prediction has the bytes of the stepwise oracle
+    records, model = small
+    L = model.L
+    n = clips * L + tail % L
+    start = start % (len(records[0].a_l) - n + 1)
+    box = GainRanges()
+    rng = np.random.default_rng(seed)
+    sets = [rng.uniform(box.lo, box.hi) * scale for scale in scales]
+    sets.insert(zero_at % (len(sets) + 1), np.zeros(len(GAIN_KEYS)))
+    _replay_against_the_stepwise_law([records[i] for i in picks], model, n, start,
+                                     np.array(sets))
+
+
+def test_the_stepwise_replay_check_binds_both_clamps(small):
+    # the settings of the property test above bind every clamp: the phasic
+    # integral reaches -0.05, and each adapted channel reaches its limit
+    records, model = small
+    L = model.L
+    box = GainRanges()
+    rng = np.random.default_rng(0)
+    sets = np.array([np.zeros(len(GAIN_KEYS)), *(rng.uniform(box.lo, box.hi) * scale
+                                                 for scale in (1.0, 4.0, 40.0))])
+    rows = _replay_against_the_stepwise_law(records[:3], model, 6 * L + L - 1, 0, sets)
+    assert any(np.any(integral == -TIGHT_CLAMP) for _, integral in rows)
+    for channel, limit in enumerate((TIGHT_LIMITS.max_longitudinal, TIGHT_LIMITS.max_rotational)):
+        assert any(np.any(np.abs(adapted[channel]) == limit) for adapted, _ in rows)
+
+
+@pytest.mark.parametrize("m, n", [(10, 960), (1, 28_800)])
+def test_replay_clips_memory_stays_within_its_stacks(small, monkeypatch, m, n):
+    # one `_replay_clips` call over 6 gain sets: the acceptance eval split's
+    # shape (60 rows of 960 samples) and one 1 h session at 8 Hz (6 rows of
+    # 28,800). A stack is R * n doubles, R = 6 * m rows. The result holds
+    # three (adapted [R, 2, n], predictions [R, n]), and making the PID
+    # outputs the adapted rows start from holds a fourth for a while. The
+    # whole call stays under 5 stacks + 128 KiB, which a replay that kept
+    # a separate base beside its result also meets. From the first clip
+    # step on, only the result and one clip's blocks are held: a block as
+    # long as the session would break 3 stacks + 128 KiB
+    _, model = small
+    rng = np.random.default_rng(6)
+    a_l, a_r = rng.normal(0.0, 1.0, (2, m, n))
+    terms = pid_terms(a_l, a_r, np.zeros((m, n)), model.rate_hz)
+    box = GainRanges()
+    sets = rng.uniform(box.lo, box.hi, (6, len(GAIN_KEYS)))
+    setup_peaks = []
+
+    def first_step(model, rows, _real=optimize_module.predict_rows):
+        if not setup_peaks:
+            setup_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return _real(model, rows)
+
+    monkeypatch.setattr(optimize_module, "predict_rows", first_step)
+    tracemalloc.start()
+    try:
+        replay = optimize_module._replay_clips(terms, model, sets, AccelLimits())
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 6 * m * n * 8
+    assert sum(x.nbytes for x in replay) == 3 * stack - 6 * m * (n % model.L) * 8
+    assert max(setup_peaks[0], step_peak) < 5 * stack + 2**17
+    assert step_peak < 3 * stack + 2**17
 
 
 def test_build_contexts_groups_sessions_by_length(small):
