@@ -112,6 +112,31 @@ def check_train_settings(clip_len_s: float, stride_samples: int | None,
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _clip_design(train, phasics, norm, clip_len_s, stride_samples):
+    """Every train session's clips as one design buffer [N, 6L+1], each
+    flattened window then 1.0, and one target buffer [N, L], in record
+    order: the rows of concatenating every session's clips. Each window is
+    written once, straight from its `make_clips` view."""
+    clips = [
+        make_clips(
+            record.a_l, record.a_r, phasic, norm,
+            clip_len_s=clip_len_s, stride_samples=stride_samples,
+        )
+        for record, phasic in zip(train, phasics)
+    ]
+    n, L = sum(len(targets) for _, targets in clips), clips[0][1].shape[1]
+    design, targets = np.empty((n, 6 * L + 1)), np.empty((n, L))
+    design[:, -1] = 1.0
+    first = 0
+    for session_windows, session_targets in clips:
+        last = first + len(session_targets)
+        design[first:last, : 3 * L] = session_windows[:, 0]
+        design[first:last, 3 * L : -1] = session_windows[:, 1]
+        targets[first:last] = session_targets
+        first = last
+    return design, targets
+
+
 def train_surrogate(
     records,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
@@ -124,8 +149,13 @@ def train_surrogate(
     Every record, train and eval, is decomposed first (`session_phasics`),
     so one call per length group fills both splits' stores. Normalization
     parameters come from the train split only and are frozen into the
-    model. Returns (model, held-out MAE on the eval split; NaN if the
-    dataset has no eval sessions).
+    model. Each train session's `make_clips` views are written straight
+    into one design buffer [N, 6L+1] (bias column included) and one
+    target buffer [N, L] (`_clip_design`), which `fit_surrogate` reads in
+    place: the rows, and so the weights, of a fit on every session's
+    clips concatenated, with each clip copied once. Returns (model,
+    held-out MAE on the eval split; NaN if the dataset has no eval
+    sessions).
     """
     check_train_settings(clip_len_s, stride_samples, ridge_lambda)
     train = train_split(records)
@@ -136,16 +166,8 @@ def train_surrogate(
     norm = corpus_clip_norm(
         [r.a_l for r in train], [r.a_r for r in train], phasics
     )
-    clips = [
-        make_clips(
-            record.a_l, record.a_r, phasic, norm,
-            clip_len_s=clip_len_s, stride_samples=stride_samples,
-        )
-        for record, phasic in zip(train, phasics)
-    ]
     model = fit_surrogate(
-        np.concatenate([windows for windows, _ in clips]),
-        np.concatenate([targets for _, targets in clips]),
+        *_clip_design(train, phasics, norm, clip_len_s, stride_samples),
         ridge_lambda,
         rate_hz=train[0].eda.rate_hz,
         clip_len_s=clip_len_s,

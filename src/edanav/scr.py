@@ -9,7 +9,7 @@ Three detector styles over a phasic trace:
                 events closer than ``min_separation_s`` are merged.
     neurokit    local maxima selected by topographic prominence, onset at
                 the preceding local minimum. Prominence comes from one
-                range-maximum/minimum query over all peaks at once.
+                range-maximum/minimum query per block of rows.
 
 All methods discard events whose rise time falls outside
 [rise_time_min_s, rise_time_max_s] (defaults 0.25 s and 5 s; SCRs are
@@ -19,10 +19,12 @@ coefficient search minimizes.
 
 Every detector runs over a stack of equal-length traces [m, n] at once:
 rising runs come from each row's own differences, thresholds from each
-row's own range, gamboa2008's merge restarts at each row, and one
-prominence query covers all rows, a +inf sample between rows stopping
-every search at its row's ends. `count_events` counts every row under
-every detector; `detect_scr` lists one trace's events under one detector.
+row's own range, gamboa2008's merge restarts at each row, and the
+prominence query runs over blocks of rows whose sparse tables fit
+``_PROMINENCE_BYTES``, a +inf sample between rows stopping every search at
+its row's ends, so a row's events do not depend on its block.
+`count_events` counts every row under every detector; `detect_scr` lists
+one trace's events under one detector.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ import numpy as np
 from .signals import Trace
 
 METHODS = ("kim2004", "gamboa2008", "neurokit")
+
+# The max and min sparse tables of one `_prominences` query stay within
+# this many bytes, or cover one row where that alone takes more. A search's
+# rows (10 x 960: 1.5 MB) and 3 rows of 900 s at 8 Hz (4.5 MB) stay one
+# query: one row a query measured 0.47 -> 1.82 ms and 0.76 -> 1.10 ms a
+# call there. 10 rows of an hour at 8 Hz would take 69 MB in one query;
+# each row is a query of its own (6.9 MB).
+_PROMINENCE_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,9 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
     each base, so the cost is O(n log n) on any trace. Minima are exact, and
     the prominence is one subtraction. ``reach`` bounds how far from its
     peak a stop can lie (the row length of sentinel-joined rows, ``x.size``
-    for one trace); the tables stop at the levels a search that long needs.
+    for one trace); the tables stop at the levels a search that long needs,
+    and take 2 * reach.bit_length() * x.size * 8 bytes. `_detect_neurokit`
+    queries blocks of rows whose tables fit ``_PROMINENCE_BYTES``.
     This is what scipy.signal.peak_prominences computes, but the package
     imports no scipy: scipy.signal would take a fresh ``import edanav.cli``
     from about 29 to 104 MB peak RSS.
@@ -205,10 +217,19 @@ def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams
     rows, onsets, peaks = rows[cand], onsets[cand], peaks[cand]
     if peaks.size == 0:
         return rows, onsets, peaks
-    # one prominence query over all rows: a +inf column after each row is
-    # higher than any sample, so every search stops at its own row's ends
-    joined = np.concatenate([x, np.full((m, 1), np.inf)], axis=1).ravel()
-    keep = _prominences(joined, rows * (n + 1) + peaks, n) >= threshold[rows]
+    # one prominence query per block of rows: a +inf column after each row
+    # is higher than any sample, so every search stops at its own row's
+    # ends, and a peak's prominence does not depend on the block
+    block = max(1, _PROMINENCE_BYTES // (2 * n.bit_length() * (n + 1) * 8))
+    keep = np.empty(peaks.size, dtype=bool)
+    for first in range(0, m, block):
+        lo, hi = np.searchsorted(rows, (first, first + block)).tolist()
+        if lo == hi:
+            continue
+        part = x[first : first + block]
+        joined = np.concatenate([part, np.full((len(part), 1), np.inf)], axis=1).ravel()
+        prominence = _prominences(joined, (rows[lo:hi] - first) * (n + 1) + peaks[lo:hi], n)
+        keep[lo:hi] = prominence >= threshold[rows[lo:hi]]
     return rows[keep], onsets[keep], peaks[keep]
 
 

@@ -8,10 +8,13 @@ map fit in closed form; predictions are clamped to [0, 1] and put back
 into a sequence by `_overlap_average`: concatenation at stride = L, the
 mean of overlapping clips at stride < L, one strided add per clip column.
 
-`predict_sessions` predicts a stack of equal-length sessions: one
-normalization for all of them, windows written from a sliding view into
-one design buffer, one 2-D gemm per session (never one across sessions,
-which would round differently) and one overlap average for all rows.
+`predict_sessions` predicts a stack of equal-length sessions in blocks of
+rows whose clip predictions fit ``_PREDICT_BYTES``: one normalization and
+one overlap average per block, windows written from a sliding view into
+one design buffer, and one 2-D gemm per session (never one across
+sessions, which would round differently). The fit reads one design
+buffer too: `fit_surrogate` takes either windows or the design rows that
+`pipeline.train_surrogate` fills from each session's `make_clips` views.
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
 acceleration into EDA through a Bateman difference-of-exponentials kernel,
@@ -41,6 +44,14 @@ from .signals import (
 
 DEFAULT_CLIP_LEN_S = 2.25
 DEFAULT_RIDGE_LAMBDA = 1e-6
+
+# The clip predictions [b, n_clips, L] of one `predict_sessions` block stay
+# within this many bytes, or hold one session where that alone holds more.
+# A search's group (10 sessions of 960 samples at 4 Hz: 0.7 MB) is one
+# block: one session a block measured 0.76 -> 1.19 ms a call there. A 900 s
+# session at 8 Hz (1.0 MB) or an hour (4.1 MB) is a block of its own, which
+# measured faster on 3 sessions of 900 s (5.20 -> 4.84 ms a call).
+_PREDICT_BYTES = 2**20
 
 
 def clip_samples(clip_len_s: float, rate_hz: float) -> int:
@@ -110,7 +121,10 @@ def make_clips(
     Targets step by ``stride_samples`` (default L, non-overlapping) and
     always lie fully inside the session; the surrounding window is
     zero-padded where it crosses an edge. Values are min-max normalized
-    with ``norm``, the corpus's `corpus_clip_norm`.
+    with ``norm``, the corpus's `corpus_clip_norm`. Both are read-only
+    sliding views over the session's normalized samples, so a session's
+    clips take memory linear in its samples until a caller copies them
+    (`fit_surrogate`'s design buffer).
     """
     if not (len(a_l) == len(a_r) == len(phasic)):
         raise ValueError("traces must share length")
@@ -123,9 +137,9 @@ def make_clips(
     n = len(a_l)
     if n < 3 * L:
         raise ValueError(f"session of {n} samples is shorter than one full window (3L = {3 * L})")
-    windows = _windows(norm.accel(np.stack([a_l.samples, a_r.samples])), L, stride).copy()
-    index = (np.arange(windows.shape[0]) * stride)[:, None] + np.arange(L)[None, :]
-    return windows, norm.phasic.apply(phasic.samples)[index]
+    windows = _windows(norm.accel(np.stack([a_l.samples, a_r.samples])), L, stride)
+    targets = sliding_window_view(norm.phasic.apply(phasic.samples), L)[::stride]
+    return windows, targets
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +189,11 @@ def fit_surrogate(
 
     ``windows`` is [n, 2, 3L] and ``targets`` [n, L]. Minimizes
     ||T - X W^T||^2 + lambda ||W||^2 over all weights including the bias
-    column. ``train_mae`` records the mean absolute error of the clamped
+    column, X the design [n, 6L+1]: each flattened window, then 1.0.
+    The windows are written into one design buffer; a caller that has
+    already filled one (`pipeline.train_surrogate`, from every train
+    session's clips) passes it as ``windows`` and it is read in place.
+    ``train_mae`` records the mean absolute error of the clamped
     predictions on the training clips.
     """
     if not ridge_lambda >= 0:
@@ -185,13 +203,19 @@ def fit_surrogate(
     if windows.size == 0 or Y.size == 0:
         raise DegenerateInputError("cannot fit on an empty clip set")
     L = clip_samples(clip_len_s, rate_hz)
-    if windows.shape[1:] != (2, 3 * L) or Y.shape != (windows.shape[0], L):
+    d = 6 * L + 1
+    design = windows.shape[1:] == (d,) and bool(np.all(windows[:, -1] == 1.0))
+    if not (design or windows.shape[1:] == (2, 3 * L)) or Y.shape != (len(windows), L):
         raise ValueError(
-            f"clips must be windows [n, 2, {3 * L}] and targets [n, {L}], "
-            f"got {windows.shape} and {Y.shape}"
+            f"clips must be windows [n, 2, {3 * L}] (or design rows [n, {d}] ending in 1.0) "
+            f"and targets [n, {L}], got {windows.shape} and {Y.shape}"
         )
-    X = np.concatenate([windows.reshape(len(windows), -1), np.ones((len(windows), 1))], axis=1)
-    d = X.shape[1]
+    if design:
+        X = windows
+    else:
+        X = np.empty((len(windows), d))
+        X[:, :-1] = windows.reshape(len(windows), -1)
+        X[:, -1] = 1.0
     A = X.T @ X + ridge_lambda * np.eye(d)
     B = X.T @ Y
     try:
@@ -200,8 +224,11 @@ def fit_surrogate(
         raise DegenerateInputError(
             "normal equations are singular; supply more clips or ridge_lambda > 0"
         ) from None
-    preds = np.clip(X @ Wt, 0.0, 1.0)
-    train_mae = float(np.mean(np.abs(preds - Y)))
+    # clamped predictions, then their errors, in one buffer the size of Y
+    errors = np.matmul(X, Wt)
+    _clip(errors, 0.0, 1.0, out=errors)
+    np.subtract(errors, Y, out=errors)
+    train_mae = float(np.mean(np.abs(errors, out=errors)))
     return SurrogateModel(
         weights=Wt.T, clip_len_s=clip_len_s, rate_hz=rate_hz, norm=norm, train_mae=train_mae
     )
@@ -238,16 +265,19 @@ def _overlap_average(preds: np.ndarray, stride: int) -> np.ndarray:
 def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> np.ndarray:
     """Normalized phasic predictions [m, length] for m sessions of raw acceleration [m, 2, n].
 
-    Row i of ``accel`` holds session i's a_l and a_r in raw units; all rows
-    are normalized with the model's frozen parameters in one operation,
-    windowed at ``stride_samples`` and predicted, clamped to [0, 1] and
+    Row i of ``accel`` holds session i's a_l and a_r in raw units; the rows
+    are normalized with the model's frozen parameters, windowed at
+    ``stride_samples`` and predicted, clamped to [0, 1] and
     overlap-averaged back into rows by `_overlap_average` (length =
     stride * (n_clips - 1) + L, which is n at stride 1).
 
-    Each session gets its own 2-D gemm over a design buffer [n_clips, 6L+1]
-    that every session of the call reuses. A gemm over the rows of several
-    sessions at once would round differently, so every row equals its
-    one-session prediction bit for bit.
+    The rows run in blocks whose clip predictions [b, n_clips, L] hold at
+    most ``_PREDICT_BYTES``, or one session where that alone holds more,
+    so one block's predictions are alive at a time. Each session gets its
+    own 2-D gemm over a design buffer [n_clips, 6L+1] that every session
+    of the call reuses. A gemm over the rows of several sessions at once
+    would round differently, so every row equals its one-session
+    prediction bit for bit, whatever the block.
     """
     accel = np.asarray(accel, dtype=np.float64)
     if accel.ndim != 3 or accel.shape[1] != 2:
@@ -259,18 +289,23 @@ def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> n
     m, _, n = accel.shape
     if n < 3 * L:
         raise ValueError("session shorter than one full window")
-    windows = _windows(model.norm.accel(accel), L, stride)
-    n_clips = windows.shape[1]
+    n_clips = (n - L) // stride + 1
+    block = max(1, _PREDICT_BYTES // (n_clips * L * 8))
     design = np.empty((n_clips, 6 * L + 1))
     design[:, -1] = 1.0
-    preds = np.empty((m, n_clips, L))
+    preds = np.empty((min(block, m), n_clips, L))
+    out = np.empty((m, stride * (n_clips - 1) + L))
     weights_t = model.weights.T
-    for i in range(m):
-        design[:, : 3 * L] = windows[i, :, 0]
-        design[:, 3 * L : -1] = windows[i, :, 1]
-        np.matmul(design, weights_t, out=preds[i])
-    np.clip(preds, 0.0, 1.0, out=preds)
-    return _overlap_average(preds, stride)
+    for first in range(0, m, block):
+        windows = _windows(model.norm.accel(accel[first : first + block]), L, stride)
+        b = len(windows)
+        for i in range(b):
+            design[:, : 3 * L] = windows[i, :, 0]
+            design[:, 3 * L : -1] = windows[i, :, 1]
+            np.matmul(design, weights_t, out=preds[i])
+        _clip(preds[:b], 0.0, 1.0, out=preds[:b])
+        out[first : first + b] = _overlap_average(preds[:b], stride)
+    return out
 
 
 # ---------------------------------------------------------------------------

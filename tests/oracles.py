@@ -6,9 +6,12 @@ oracle for the production implementations. The exceptions are the
 predictors, whose matrix products must be numpy's own: `predict_session_naive`
 and `held_out_mae_naive` run one 2-D gemm per session and `predict_clip` one
 gemv, and the properties they pin are that batching sessions or rows leaves
-those products' bits alone. `msdv_naive` is another: it is the MSDV of one
-`Trace`, one `np.sum`, whose pairwise order the group reduction of
-`metrics.msdv` must keep. `search_naive` is the last: it is the
+those products' bits alone. `fit_naive` is one too: it solves the normal
+equations with numpy's products and solver on clips it gathers, copies and
+concatenates itself, and what it pins is that the fit's one design buffer
+holds those rows. `msdv_naive` is another: it is the MSDV of one `Trace`,
+one `np.sum`, whose pairwise order the group reduction of `metrics.msdv`
+must keep. `search_naive` is the last: it is the
 gain search one trial at a time, and it scores each trial with the
 package's own replay (`build_contexts`, `_simulate`, `detector_stats`), so
 what it pins is the search's schedule of draws, candidates and incumbents.
@@ -314,6 +317,35 @@ def read_samples_rows_naive(text, kind, n_names):
     if not cols[0]:
         raise ValueError(f"{kind} file contains no samples", None)
     return cols
+
+
+def fit_naive(records, phasics, norm, L, stride, ridge_lambda):
+    """Weights [L, 6L+1] and train MAE of the ridge fit on the sessions' clips.
+
+    Each session's channels and ``phasics`` are scaled with ``norm``; the
+    windows around every ``stride``-th sample are gathered by index from
+    the zero-padded channels and the targets from the phasic, each
+    session's clips copied, then all sessions' concatenated, then the
+    windows concatenated again with a column of 1.0. The normal equations
+    (X^T X + lambda I) W^T = X^T T are solved with numpy, and the MAE is
+    that of the predictions clamped to [0, 1].
+    """
+    windows, targets = [], []
+    for record, phasic in zip(records, phasics):
+        a_l = (record.a_l.samples - norm.a_l.vmin) / (norm.a_l.vmax - norm.a_l.vmin)
+        a_r = (record.a_r.samples - norm.a_r.vmin) / (norm.a_r.vmax - norm.a_r.vmin)
+        target = (np.asarray(phasic) - norm.phasic.vmin) / (norm.phasic.vmax - norm.phasic.vmin)
+        n_clips = (len(a_l) - L) // stride + 1
+        padded_l = np.concatenate([np.zeros(L), a_l, np.zeros(2 * L)])
+        padded_r = np.concatenate([np.zeros(L), a_r, np.zeros(2 * L)])
+        index = (np.arange(n_clips) * stride)[:, None] + np.arange(3 * L)[None, :]
+        windows.append(np.stack([padded_l[index], padded_r[index]], axis=1).copy())
+        targets.append(target[index[:, :L]].copy())
+    windows, T = np.concatenate(windows), np.concatenate(targets)
+    X = np.concatenate([windows.reshape(len(windows), -1), np.ones((len(windows), 1))], axis=1)
+    Wt = np.linalg.solve(X.T @ X + ridge_lambda * np.eye(X.shape[1]), X.T @ T)
+    mae = float(np.mean(np.abs(np.clip(X @ Wt, 0.0, 1.0) - T)))
+    return np.ascontiguousarray(Wt.T), mae
 
 
 def held_out_mae_naive(model, records, phasics):

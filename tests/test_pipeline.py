@@ -1,6 +1,7 @@
 """The per-record phasic store: one decomposition per record and config."""
 
 import importlib
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,8 +12,11 @@ from edanav.control import PidGains
 from edanav.dataset import synth_cohort
 from edanav.errors import DegenerateInputError
 from edanav.optimize import MODES, evaluate_sessions, optimize
-from edanav.pipeline import eval_split, session_phasics, train_surrogate
-from edanav.signals import DecompositionConfig, decompose
+from edanav.pipeline import eval_split, session_phasics, train_split, train_surrogate
+from edanav.signals import DecompositionConfig, Trace, decompose
+from edanav.surrogate import clip_samples
+
+from oracles import fit_naive
 
 # the module itself: the package binds the names of some functions over their modules
 pipeline_module = importlib.import_module("edanav.pipeline")
@@ -118,3 +122,44 @@ def test_replace_starts_an_empty_store_and_the_store_is_not_compared(records):
     copy = replace(record)
     assert copy == record and repr(copy) == repr(record)
     assert "phasics" not in repr(record)
+
+
+def _cut(record, n):
+    """``record`` with its three traces cut to their first ``n`` samples."""
+    return replace(record, **{name: Trace(getattr(record, name).samples[:n],
+                                          getattr(record, name).rate_hz,
+                                          getattr(record, name).unit)
+                              for name in ("a_l", "a_r", "eda")})
+
+
+@pytest.mark.parametrize("stride, ridge_lambda", [(None, 1e-6), (1, 1e-6), (5, 1e-3)])
+def test_train_surrogate_fits_the_rows_of_the_concatenated_clips(records, stride, ridge_lambda):
+    # train sessions of four lengths, so each writes its own number of
+    # rows into the design buffer: the weights and train MAE have the
+    # bytes of a fit on every session's clips copied and concatenated
+    records = [_cut(r, n) for r, n in zip(records, (480, 451, 480, 300, 479, 480))]
+    model, _ = train_surrogate(records, stride_samples=stride, ridge_lambda=ridge_lambda)
+    train = train_split(records)
+    weights, mae = fit_naive(train, [p.samples for p in session_phasics(train, CONFIGS[0])],
+                             model.norm, model.L, stride or model.L, ridge_lambda)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.train_mae.hex() == mae.hex()
+
+
+def test_the_fit_of_hour_sessions_holds_its_design_once():
+    # three 1 h, 8 Hz train sessions (28,800 samples each): the design
+    # [N, 6L+1] and targets [N, L] are written once, beside the read-only
+    # clip views (3 doubles a sample), where copying and concatenating the
+    # clips held the windows three times
+    records = [replace(r, split="train") for r in synth_cohort(3, 3600.0, 8.0, seed=7)]
+    session_phasics(records, DecompositionConfig())
+    L, n = clip_samples(2.25, 8.0), len(records[0].eda)
+    rows = len(records) * ((n - L) // L + 1)
+    design, targets, views = rows * (6 * L + 1) * 8, rows * L * 8, len(records) * 3 * n * 8
+    tracemalloc.start()
+    try:
+        train_surrogate(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design + targets + views + 2**18

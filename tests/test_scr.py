@@ -1,6 +1,7 @@
 """Detector tests: agreement with the brute-force oracle plus edge behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,98 @@ def test_batched_detectors_match_brute_force_row_by_row(x, prominence_frac, min_
             mine = rows == i
             assert list(zip(onsets[mine].tolist(), peaks[mine].tolist())) == expected
             assert counts[i, j] == len(expected)
+
+
+@st.composite
+def _blocked_rows(draw):
+    """Rows [m, n] of the shapes a prominence block meets at its edges.
+
+    Each row is plateaus on a few levels, a train of equal peaks, a
+    monotone ramp up or down, one candidate peak on a flat line, or free
+    floats; lengths go down to rows of 2 and 3 samples.
+    """
+    n = draw(st.sampled_from([2, 3, 5, 12, 40]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["plateaus", "equal_peaks", "ramp", "one_peak", "any"]))
+        if kind == "plateaus":
+            row = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
+        elif kind == "equal_peaks":
+            tooth = [0.0] * draw(st.integers(1, 2)) + [0.5, 1.0]
+            row = (tooth * n)[draw(st.integers(0, 3)):][:n]
+        elif kind == "ramp":
+            row = np.linspace(*draw(st.sampled_from([(0.0, 1.0), (1.0, 0.0)])), n).tolist()
+        elif kind == "one_peak":
+            row = [0.0] * n
+            top = draw(st.integers(0, n - 1))
+            row[max(top - 2, 0) : top + 1] = [0.25, 0.5, 1.0][-(top + 1):]
+        else:
+            row = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocked_rows(), st.sampled_from([0.0, 0.05, 0.3]))
+def test_prominence_blocks_count_as_the_whole_stack_and_brute_force(x, prominence_frac):
+    # the prominence bound forced down to one row a query, then to two:
+    # the counts equal the whole stack's in one query and brute force's
+    # row by row
+    detectors = (
+        _params("kim2004", rise_time_max_s=60.0),
+        _params("gamboa2008", rise_time_max_s=60.0),
+        _params("neurokit", prominence_frac=prominence_frac, rise_time_max_s=60.0),
+    )
+    m, n = x.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scr_module, "_PROMINENCE_BYTES", 2**40)
+        whole = count_events(x, RATE, detectors)
+    row_tables = 2 * n.bit_length() * (n + 1) * 8
+    for per_query in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scr_module, "_PROMINENCE_BYTES", per_query * row_tables)
+            assert count_events(x, RATE, detectors).tobytes() == whole.tobytes()
+    for i, row in enumerate(x):
+        assert whole[i].tolist() == [len(_oracle(row, params)) for params in detectors]
+
+
+def test_prominence_runs_one_query_per_block_of_rows(monkeypatch):
+    # rows with a candidate peak each, under a bound of two rows' tables:
+    # blocks of rows 0-1, 2-3 and 4, the rows of a block with no candidate
+    # skipped
+    x = np.tile(_pulse_train(120, [(5.0, 0.5), (18.0, 0.3)]), (5, 1))
+    x[2:4] = 0.0
+    queries = []
+    real = scr_module._prominences
+
+    def spy(joined, peaks, reach):
+        queries.append(joined.size)
+        return real(joined, peaks, reach)
+
+    monkeypatch.setattr(scr_module, "_prominences", spy)
+    monkeypatch.setattr(scr_module, "_PROMINENCE_BYTES", 2 * 2 * (120).bit_length() * 121 * 8)
+    counts = count_events(x, RATE, default_detectors())
+    assert queries == [2 * 121, 121]
+    assert counts[:, 2].tolist() == [2, 2, 0, 0, 2]
+
+
+def test_an_hour_stack_counts_within_the_prominence_bound():
+    # 10 rows of 1 h at 8 Hz (28,800 samples): one prominence query over
+    # all rows would build 69 MB of tables; in blocks within the bound the
+    # peak stays below the bound plus twice the input, the rising runs and
+    # the masks included, and each row counts as it does on its own
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(10, 28800)).cumsum(axis=1)
+    x = (x - x.min()) / np.ptp(x)
+    tracemalloc.start()
+    try:
+        counts = count_events(x, 8.0, default_detectors())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < scr_module._PROMINENCE_BYTES + 2 * x.nbytes
+    assert counts.tolist() == [count_events(row[None], 8.0, default_detectors())[0].tolist()
+                               for row in x]
 
 
 @st.composite

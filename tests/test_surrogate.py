@@ -1,11 +1,14 @@
 """Surrogate tests: clip geometry, ridge fit, session prediction, oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import edanav.surrogate as surrogate_module
 from edanav.errors import DegenerateInputError, FileFormatError
 from edanav.signals import NormParams, Trace, Unit
 from edanav.surrogate import (
@@ -279,6 +282,23 @@ def test_fit_validation():
             fit_surrogate(windows, targets, ridge_lambda, rate_hz=RATE, clip_len_s=0.5, norm=norm)
     with pytest.raises(ValueError, match=r"clips must be windows \[n, 2, 27\]"):
         fit_surrogate(windows, targets, rate_hz=RATE, clip_len_s=2.25, norm=norm)
+    # design rows [n, 6L+1] must end in the bias column of 1.0
+    with pytest.raises(ValueError, match=r"design rows \[n, 13\] ending in 1.0"):
+        fit_surrogate(np.zeros((1, 13)), targets, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+
+
+def test_fit_on_design_rows_equals_the_fit_on_windows():
+    # the design buffer a caller fills (each flattened window, then 1.0) is
+    # read in place and gives the bytes of the fit on the windows
+    rng = np.random.default_rng(26)
+    a_l, a_r, phasic = _planted_session(rng)
+    windows, targets, norm = _session_clips(a_l, a_r, phasic, stride_samples=2)
+    assert not windows.flags.writeable and not targets.flags.writeable
+    design = np.concatenate([windows.reshape(len(windows), -1), np.ones((len(windows), 1))], 1)
+    on_windows = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
+    on_design = fit_surrogate(design, targets, rate_hz=RATE, norm=norm)
+    assert on_design.weights.tobytes() == on_windows.weights.tobytes()
+    assert on_design.train_mae.hex() == on_windows.train_mae.hex()
 
 
 def test_predictions_are_clamped():
@@ -387,6 +407,65 @@ def test_predict_sessions_matches_the_per_session_oracle(rate, m, seed):
                 assert row.tobytes() == np.array(expected).tobytes()
             single = predict_sessions(model, accel[:1], stride)
             assert single.tobytes() == out[:1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4.0, 8.0]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_predict_sessions_in_blocks_matches_the_per_session_oracle(rate, m, seed):
+    # the prediction bound forced down to one session a block, then to two
+    # (so an odd stack ends on a block of one): every row keeps the bits of
+    # the per-session oracle and of the whole stack predicted as one block
+    rng = np.random.default_rng(seed)
+    L = clip_samples(2.25, rate)
+    n = 3 * L + int(rng.integers(0, 4 * L))
+    norm = ClipNorm(NormParams(-1.0, 4.0), NormParams(0.5, 2.0), NormParams(0, 1))
+    weights = rng.normal(0.0, 1.0 / (6 * L), (L, 6 * L + 1))
+    weights[:, -1] = rng.uniform(-0.2, 1.2, L)
+    model = SurrogateModel(weights, 2.25, rate, norm, 0.0)
+    accel = rng.uniform(-2.0, 5.0, (m, 2, n))
+    for stride in sorted({1, 2, L}):
+        whole = predict_sessions(model, accel, stride)
+        session_bytes = ((n - L) // stride + 1) * L * 8
+        for per_block in (1, 2):
+            blocks = []
+
+            def spy(preds, stride):
+                blocks.append(len(preds))
+                return _overlap_average(preds, stride)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(surrogate_module, "_PREDICT_BYTES", per_block * session_bytes)
+                patch.setattr(surrogate_module, "_overlap_average", spy)
+                out = predict_sessions(model, accel, stride)
+            assert blocks == [min(per_block, m - i) for i in range(0, m, per_block)]
+            assert out.tobytes() == whole.tobytes()
+        for row, session in zip(out, accel):
+            expected = predict_session_naive(
+                weights, norm.a_l.apply(session[0]), norm.a_r.apply(session[1]), L, stride
+            )
+            assert row.tobytes() == np.array(expected).tobytes()
+
+
+def test_an_hour_stack_predicts_one_block_at_a_time():
+    # 3 sessions of 1 h at 8 Hz (28,800 samples): beside the design
+    # [n_clips, 6L+1] and the output, one session's clip predictions
+    # [1, n_clips, L] are alive, not the stack's; 2 MiB covers one block's
+    # normalized and padded channels and its overlap sums
+    rng = np.random.default_rng(33)
+    L, n = clip_samples(2.25, 8.0), 28800
+    weights = rng.normal(0.0, 1.0 / (6 * L), (L, 6 * L + 1))
+    norm = ClipNorm(NormParams(-1.0, 4.0), NormParams(0.5, 2.0), NormParams(0, 1))
+    model = SurrogateModel(weights, 2.25, 8.0, norm, 0.0)
+    accel = rng.uniform(-1.0, 4.0, (3, 2, n))
+    n_clips = n - L + 1
+    design, block, output = n_clips * (6 * L + 1) * 8, n_clips * L * 8, 3 * n * 8
+    tracemalloc.start()
+    try:
+        predict_sessions(model, accel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design + block + output + 2 * 2**20
 
 
 _VMIN = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
