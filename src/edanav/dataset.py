@@ -50,11 +50,11 @@ class SessionRecord:
     ``missing_pulses`` counts the pulses `synth_cohort` drew for the
     session but could not place (`_onset_times`); it is 0 for a session
     read from disk. Two stores keep what the session's replays share, one
-    entry each, which the next config or key replaces: ``phasics`` its
-    phasic part (`pipeline.session_phasics`), and ``replays`` its row of the
-    gain-independent replay state (`optimize.build_contexts`). Neither is
-    an argument, and `dataclasses.replace` starts the new record with
-    empty ones. None of the three takes part in equality or repr.
+    entry each, which the next config or tag replaces: ``phasics`` its
+    phasic part (`pipeline.session_phasics`), and ``replays`` its report
+    row under the tag of the replay that made it (`optimize.evaluate_sessions`).
+    Neither is an argument, and `dataclasses.replace` starts the new record
+    with empty ones. None of the three takes part in equality or repr.
     """
 
     session_id: str

@@ -149,20 +149,9 @@ def write_report_csv(report: Report, path) -> None:
     lines = [REPORT_HEADER]
     for method in (*report.methods, MSDV_LONGITUDINAL, MSDV_ROTATIONAL):
         s = report.stats[method]
-        lines.append(
-            ",".join(
-                (
-                    method,
-                    str(s.positives),
-                    str(s.total),
-                    format_float(s.percentage),
-                    format_float(s.chi2),
-                    s.significant_at,
-                    format_float(s.phi),
-                    s.direction,
-                )
-            )
-        )
+        lines.append(",".join((method, str(s.positives), str(s.total), format_float(s.percentage),
+                               format_float(s.chi2), s.significant_at, format_float(s.phi),
+                               s.direction)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -181,10 +170,7 @@ def write_per_session_csv(sessions, methods, path) -> None:
         row.extend(str(c) for c in s.n_recorded)
         row.extend(str(c) for c in s.n_raw)
         row.extend(str(c) for c in s.n_adapted)
-        row.extend(
-            format_float(v)
-            for v in (s.msdv_l[0], s.msdv_l[1], s.msdv_r[0], s.msdv_r[1])
-        )
+        row.extend(format_float(v) for v in (*s.msdv_l, *s.msdv_r))  # raw, adapted each
         lines.append(",".join(row))
     write_text_atomic(path, "\n".join(lines) + "\n")
 

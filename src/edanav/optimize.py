@@ -2,15 +2,17 @@
 
 Every evaluation takes one path: `build_contexts` groups the sessions by
 length and rate and gives each `SessionGroup` its gain-independent state
-(the PID terms fed back from the recorded phasic, the raw counts), which
-each record keeps as it keeps its phasic, so an evaluation after a search
-on the same records recomputes none of it; `_simulate` replays the groups
+(the PID terms fed back from the recorded phasic, the raw and recorded
+counts, the raw doses), once per call; `_simulate` replays the groups
 under a block of gain sets and counts the events of each prediction. A
 search trial scores the counts alone with `metrics.detector_stats`, the
-detector rows of `metrics.build_report`, and each group keeps the adapted
-MSDVs and counts of the search's best trial. `evaluate_sessions` runs a
-block of one over the groups that do not hold its gains as their best, and
-keeps each session's report row, a `metrics.SessionStats`.
+detector rows of `metrics.build_report`. Each record keeps one report row,
+a `metrics.SessionStats`, in its ``replays`` store under the tag of the
+replay that made it (model, detectors, decomposition, clamp, gains, mode,
+limits): a search writes every searched record's row at each new best
+trial, and `evaluate_sessions` replays only the records that lack a row
+under its tag. A row holds the bits of its session replayed alone, so it
+serves any list that holds the record.
 Sessions of one length are replayed, predicted and counted together in both
 modes, with the bits of one session on its own: offline mode adapts them
 against the recorded feedback in one `apply_gains` call and predicts them
@@ -27,7 +29,7 @@ prediction there is made at stride L from windows whose future third holds
 the newest sample, so zero gains can still change the counts (the first
 acceptance eval session gives n_raw (7, 10, 5) and n_adapted (8, 80, 5)).
 ``n_recorded`` (events on the recorded, decomposed phasic) is reported
-only: `evaluate_sessions` counts it, a search never does.
+only; `build_contexts` counts it with the raw counts, once per group.
 
 The objective P_pn sums, over detectors, the report's percentage of
 sessions whose adapted event count dropped below the raw one; its range is
@@ -53,7 +55,7 @@ replay, a dropped offline one nothing past its candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,22 +89,17 @@ class SessionGroup:
     """The sessions of one sample count and rate and their gain-independent state.
 
     ``terms`` is the controller's PID state over the m sessions [m, ...],
-    fed back from ``recorded``, the decomposed phasic in the model's
-    normalized scale, clipped to [0, 1]; offline mode uses all of it,
-    closed-loop mode its acceleration rows. The PID state and raw counts do
-    not change across trials: a search computes them once, and each record
-    keeps its row (`build_contexts`). ``incumbent``, one slot that a fill
-    shares with its ``replace`` copies and starts empty, holds the adapted
-    MSDVs and counts of the last search's best trial on the fill, for
-    `evaluate_sessions` to take. Groups compare by identity.
+    fed back from their decomposed phasic in the model's normalized scale,
+    clipped to [0, 1]; offline mode uses all of it, closed-loop mode its
+    acceleration rows. None of it changes across trials, so a search
+    computes it once (`build_contexts`). Groups compare by identity.
     """
 
-    members: list[int]  # positions in the input record list
+    members: tuple[int, ...]  # positions in the input record list
     terms: PidTerms  # [m, ...]
     n_raw: np.ndarray  # [m, n_detectors]
-    recorded: np.ndarray  # [m, n]; only `evaluate_sessions` counts its events (n_recorded)
-    # {(gains bytes, mode, limits): (adapted MSDVs [m][2] as lists, n_adapted [m, n_detectors])}
-    incumbent: dict = field(default_factory=dict)
+    n_recorded: np.ndarray  # [m, n_detectors], on the unclipped scaled phasic
+    raw_msdv: np.ndarray  # [m, 2], each at its own trace's rate
 
 
 @dataclass(frozen=True)
@@ -115,36 +112,41 @@ class SimulationResult:
 def build_contexts(records, model, detectors, decomposition, integral_clamp) -> list[SessionGroup]:
     """One `SessionGroup` per `length_groups` group, in order of first appearance.
 
-    Each group's members keep their input order. A record keeps its row of
-    one fill in its ``replays`` store, under the key (model, detectors,
-    decomposition, integral_clamp). A group whose records hold rows 0..m-1
-    of one fill under the key, in that order, takes that fill; any other is
-    filled again, by one `pid_terms`, `predict_sessions` and `count_events`
-    call (``recorded`` is left for `evaluate_sessions` to count), and the
-    new fill replaces whatever its records held. The records that lack the
-    key are decomposed first, so a short one raises before any is stored.
+    Each group's members keep their input order. A group costs one
+    `pid_terms` and one `predict_sessions` call, and one `count_events`
+    call each for the raw prediction and the recorded phasic. Nothing is
+    stored but the records' phasics (`session_phasics`, which decomposes
+    every record that lacks one before any is stored).
     """
     check_model_rate(records, model)
-    key = (model, tuple(detectors), decomposition, integral_clamp)
-    session_phasics([r for r in records if key not in r.replays], decomposition)
+    phasics = session_phasics(records, decomposition)
     groups = []
     for members in length_groups(records):
         group = [records[i] for i in members]
-        stored = [r.replays.get(key) for r in group]
-        fill = stored[0] and stored[0][0]
-        if not fill or stored != [(fill, row) for row in range(len(fill.members))]:  # by identity
-            phasics = session_phasics(group, decomposition)
-            recorded = np.stack([model.norm.phasic.apply(p.samples) for p in phasics])
-            accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
-            terms = pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
-                              model.rate_hz, integral_clamp)
-            n_raw = count_events(predict_sessions(model, accel), model.rate_hz, detectors)
-            fill = SessionGroup(members, terms, n_raw, recorded)
-            for row, record in enumerate(group):
-                record.replays.clear()
-                record.replays[key] = (fill, row)
-        groups.append(replace(fill, members=members))
+        recorded = np.stack([model.norm.phasic.apply(phasics[i].samples) for i in members])
+        accel = np.stack([(r.a_l.samples, r.a_r.samples) for r in group])
+        terms = pid_terms(accel[:, 0], accel[:, 1], np.clip(recorded, 0.0, 1.0),
+                          model.rate_hz, integral_clamp)
+        n_raw = count_events(predict_sessions(model, accel), model.rate_hz, detectors)
+        # a raw dose integrates over its own trace's rate, an adapted one over the model's
+        dt = np.array([[1.0 / r.a_l.rate_hz, 1.0 / r.a_r.rate_hz] for r in group])
+        groups.append(SessionGroup(tuple(members), terms, n_raw,
+                                   count_events(recorded, model.rate_hz, detectors),
+                                   msdv(terms.accel, dt)))
     return groups
+
+
+def _keep_rows(records, groups, sims, model: SurrogateModel, tag) -> None:
+    """Store each group member's report row under ``tag``, in place of its record's
+    last one; ``sims`` is one gain set's (adapted, predictions, n_adapted) per group."""
+    for g, (adapted, _, n_adapted) in zip(groups, sims):
+        new = msdv(adapted, 1.0 / model.rate_hz).tolist()
+        for row, (i, raw) in enumerate(zip(g.members, g.raw_msdv.tolist())):
+            records[i].replays.clear()
+            records[i].replays[tag] = SessionStats(
+                records[i].session_id, tuple(g.n_raw[row].tolist()),
+                tuple(n_adapted[row].tolist()), tuple(g.n_recorded[row].tolist()),
+                msdv_l=(raw[0], new[row][0]), msdv_r=(raw[1], new[row][1]))
 
 
 def _replay_clips(
@@ -233,14 +235,8 @@ def _replay_clips(
     return out.reshape(n_sets, m, 2, n), preds.reshape(n_sets, m, covered)
 
 
-def _simulate(
-    groups: list[SessionGroup],
-    gains: np.ndarray,
-    model: SurrogateModel,
-    detectors,
-    mode: str,
-    limits: AccelLimits,
-):
+def _simulate(groups: list[SessionGroup], gains: np.ndarray, model: SurrogateModel, detectors,
+              mode: str, limits: AccelLimits):
     """Replay every group (from `build_contexts`) under each gain set of ``gains`` [B, 11].
 
     Yields, for each gain set in block order, one (adapted [m, 2, n],
@@ -279,35 +275,22 @@ def evaluate_sessions(
     integral_clamp: float = DEFAULT_INTEGRAL_CLAMP,
     decomposition: DecompositionConfig = DecompositionConfig(),
 ) -> list[SimulationResult]:
-    """Replay each session under ``gains`` and score it with the surrogate; a group
-    whose ``incumbent`` holds these gains, mode and limits is not replayed."""
+    """Replay each session under ``gains`` and score it with the surrogate.
+
+    A record that holds its report row under this call's tag (model,
+    detectors, decomposition, clamp, gains bytes, mode, limits) is not
+    replayed; the others are, in one `build_contexts` and one `_simulate`
+    block, and keep their new rows. Results are in input order.
+    """
     check_search_settings(mode=mode)
     records = list(records)
-    groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    results: list = [None] * len(records)
-    tag = (gains.as_array().tobytes(), mode, limits)
-    missing = [g for g in groups if tag not in g.incumbent]
-    [sims] = _simulate(missing, gains.as_array()[None], model, detectors, mode, limits)
-    model_dt = 1.0 / model.rate_hz
-    replayed = {g: (msdv(adapted, model_dt).tolist(), n)
-                for g, (adapted, _, n) in zip(missing, sims)}
-    for g in groups:
-        new, n_adapted = g.incumbent.get(tag) or replayed[g]
-        n_recorded = count_events(g.recorded, model.rate_hz, detectors)
-        group = [records[i] for i in g.members]
-        # a raw dose integrates over its own trace's rate, an adapted one over the model's
-        raw = msdv(g.terms.accel, np.array([[1.0 / r.a_l.rate_hz, 1.0 / r.a_r.rate_hz]
-                                             for r in group])).tolist()
-        for row, (i, record) in enumerate(zip(g.members, group)):
-            results[i] = SimulationResult(SessionStats(
-                session_id=record.session_id,
-                n_raw=tuple(g.n_raw[row].tolist()),
-                n_adapted=tuple(n_adapted[row].tolist()),
-                n_recorded=tuple(n_recorded[row].tolist()),
-                msdv_l=(raw[row][0], new[row][0]),
-                msdv_r=(raw[row][1], new[row][1]),
-            ))
-    return results
+    x = gains.as_array()
+    tag = (model, tuple(detectors), decomposition, integral_clamp, x.tobytes(), mode, limits)
+    missing = [r for r in records if tag not in r.replays]
+    groups = build_contexts(missing, model, detectors, decomposition, integral_clamp)
+    [sims] = _simulate(groups, x[None], model, detectors, mode, limits)
+    _keep_rows(missing, groups, sims, model, tag)
+    return [SimulationResult(r.replays[tag]) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +387,8 @@ def optimize(
     without improvement. Each trial's percentages are those of
     `metrics.detector_stats` over the replayed sessions' raw and adapted
     counts, and its objective is their sum. Results are fully deterministic for a given seed.
-    Each group's ``incumbent`` slot ends holding the best trial (`SessionGroup`).
+    Each new best trial leaves every record's report row under its tag, so
+    `evaluate_sessions` of the best replays nothing.
     Trials run in blocks of up to max(1, ``ROWS`` // m), m the largest group of
     equal-length sessions; a phase-two block is built as if none of its
     trials improves and is cut after the first that does (the module
@@ -420,6 +404,7 @@ def optimize(
     if not records:
         raise ValueError("optimize needs at least one session")
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
+    settings = (model, tuple(detectors), decomposition, integral_clamp)
     n_raw = np.concatenate([g.n_raw for g in groups])
     methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
@@ -459,10 +444,7 @@ def optimize(
                 best_obj = trials[-1].objective
                 best_x = x
                 best_index = t
-                kept = [(msdv(adapted, 1.0 / model.rate_hz).tolist(), n) for adapted, _, n in sims]
-                for g, state in zip(groups, kept):  # what evaluating the incumbent takes
-                    g.incumbent.clear()
-                    g.incumbent[x.tobytes(), mode, limits] = state
+                _keep_rows(records, groups, sims, model, (*settings, x.tobytes(), mode, limits))
                 if t >= n_explore:  # the later candidates of the block assumed no improvement
                     sigma, stall = sigmas[i], 0
                     break

@@ -411,10 +411,11 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
     rate, the units in ``unit_keys`` order and a [len(names), n] array.
     ``kind`` names the file in error messages.
 
-    The body is parsed with one `np.loadtxt` call. The per-line loop
-    `_parse_rows` runs only where that parse rejects the body: it reports
-    the bad line, or reads what float() accepts and loadtxt does not
-    (``1_0``, or any cell of the time column, which the rate implies).
+    The body's value columns are parsed with one `np.loadtxt` call; the
+    time column is implied by the rate and never parsed. The per-line loop
+    `_parse_rows` runs only where that parse rejects the body or a row has
+    another column count: it reports the bad line, or reads what float()
+    accepts and loadtxt does not (``1_0``).
     Lines end only at a newline ("\n", or "\r\n" and a lone "\r", which
     open() reads as "\n"): a form feed, U+001C-U+001E, U+0085 or U+2028/9
     stays inside its line, whose cells are read as float() reads them, and
@@ -456,14 +457,17 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
 
 def _loadtxt(lines: list[str], n_cols: int) -> np.ndarray | None:
     """[n_cols - 1, rows] of ``lines`` without the time column, or None
-    where one C parse rejects them or finds another column count."""
+    where one C parse of the value columns rejects them or a row has
+    another column count."""
     if not any(lines):  # loadtxt warns on a body with no rows
         return None
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                            usecols=range(1, n_cols))
     except ValueError:
         return None
-    return values[:, 1:].T if values.shape[1] == n_cols else None
+    # usecols reads the first columns of a longer row, so count the separators
+    return values.T if "".join(lines).count(",") == len(values) * (n_cols - 1) else None
 
 
 def _parse_rows(path, kind: str, lines: list[str], n_names: int) -> np.ndarray:

@@ -13,7 +13,7 @@ rows whose clip predictions fit ``_PREDICT_BYTES``: one normalization and
 one overlap average per block, windows written from a sliding view into
 one design buffer, and one 2-D gemm per session (never one across
 sessions, which would round differently). The fit reads one design
-buffer too: `fit_surrogate` takes either windows or the design rows that
+buffer too: `fit_surrogate` takes the design rows that
 `pipeline.train_surrogate` fills from each session's `make_clips` views.
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
@@ -149,7 +149,7 @@ class SurrogateModel:
     ``weights`` is [L, 6L+1]: each output sample is an affine function of
     the flattened bi-channel window (a_l row then a_r row) plus a bias.
     The model keeps a read-only copy of them and hashes by identity, so
-    it keys the replay state a record keeps (`optimize.build_contexts`).
+    it tags the report rows a record keeps (`optimize.evaluate_sessions`).
     """
 
     weights: np.ndarray
@@ -177,7 +177,7 @@ class SurrogateModel:
 
 
 def fit_surrogate(
-    windows,
+    design,
     targets,
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
     *,
@@ -185,37 +185,28 @@ def fit_surrogate(
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     norm: ClipNorm,
 ) -> SurrogateModel:
-    """Closed-form ridge fit of the windowed regressor on clips from `make_clips`.
+    """Closed-form ridge fit of the windowed regressor on design rows.
 
-    ``windows`` is [n, 2, 3L] and ``targets`` [n, L]. Minimizes
+    ``design`` is X [n, 6L+1], each clip's flattened `make_clips` window
+    (a_l row then a_r row), then 1.0, as `pipeline.train_surrogate` writes
+    it, and is read in place; ``targets`` is [n, L]. Minimizes
     ||T - X W^T||^2 + lambda ||W||^2 over all weights including the bias
-    column, X the design [n, 6L+1]: each flattened window, then 1.0.
-    The windows are written into one design buffer; a caller that has
-    already filled one (`pipeline.train_surrogate`, from every train
-    session's clips) passes it as ``windows`` and it is read in place.
-    ``train_mae`` records the mean absolute error of the clamped
+    column. ``train_mae`` records the mean absolute error of the clamped
     predictions on the training clips.
     """
     if not ridge_lambda >= 0:
         raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
-    windows = np.asarray(windows, dtype=np.float64)
+    X = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
-    if windows.size == 0 or Y.size == 0:
+    if X.size == 0 or Y.size == 0:
         raise DegenerateInputError("cannot fit on an empty clip set")
     L = clip_samples(clip_len_s, rate_hz)
     d = 6 * L + 1
-    design = windows.shape[1:] == (d,) and bool(np.all(windows[:, -1] == 1.0))
-    if not (design or windows.shape[1:] == (2, 3 * L)) or Y.shape != (len(windows), L):
+    if X.shape[1:] != (d,) or not np.all(X[:, -1] == 1.0) or Y.shape != (len(X), L):
         raise ValueError(
-            f"clips must be windows [n, 2, {3 * L}] (or design rows [n, {d}] ending in 1.0) "
-            f"and targets [n, {L}], got {windows.shape} and {Y.shape}"
+            f"clips must be design rows [n, {d}] ending in 1.0 and targets [n, {L}], "
+            f"got {X.shape} and {Y.shape}"
         )
-    if design:
-        X = windows
-    else:
-        X = np.empty((len(windows), d))
-        X[:, :-1] = windows.reshape(len(windows), -1)
-        X[:, -1] = 1.0
     A = X.T @ X + ridge_lambda * np.eye(d)
     B = X.T @ Y
     try:

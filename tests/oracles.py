@@ -319,6 +319,18 @@ def read_samples_rows_naive(text, kind, n_names):
     return cols
 
 
+def design_rows(windows):
+    """Design rows [n, 2W+1] of clip windows [n, 2, W]: each window's a_l
+    row, then its a_r row, then 1.0, the rows `fit_surrogate` reads."""
+    windows = np.asarray(windows, dtype=np.float64)
+    n, _, width = windows.shape
+    rows = np.ones((n, 2 * width + 1))
+    for k in range(n):
+        rows[k, :width] = windows[k, 0]
+        rows[k, width : 2 * width] = windows[k, 1]
+    return rows
+
+
 def fit_naive(records, phasics, norm, L, stride, ridge_lambda):
     """Weights [L, 6L+1] and train MAE of the ridge fit on the sessions' clips.
 

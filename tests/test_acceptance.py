@@ -20,6 +20,7 @@ from edanav.scr import METHODS, detect_scr
 from edanav.signals import Trace
 from edanav.surrogate import _overlap_average, fit_surrogate, predict_sessions
 
+from oracles import design_rows
 from test_control import (
     run_channel_symmetry,
     run_clamp_respect,
@@ -111,7 +112,7 @@ def test_criterion_3_surrogate_recovery_and_round_trip(capsys):
     rng = np.random.default_rng(31)
     a_l, a_r, phasic = _planted_session(rng)
     windows, targets, norm = _session_clips(a_l, a_r, phasic)
-    model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
+    model = fit_surrogate(design_rows(windows), targets, rate_hz=RATE, norm=norm)
     pred = predict_sessions(model, _one_session(a_l, a_r), model.L)[0]
     mae = float(np.mean(np.abs(pred - targets.ravel())))
 

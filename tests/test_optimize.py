@@ -35,7 +35,13 @@ from edanav.optimize import (
     optimize,
     write_history_csv,
 )
-from edanav.pipeline import check_model_rate, eval_split, held_out_mae, train_surrogate
+from edanav.pipeline import (
+    check_model_rate,
+    eval_split,
+    held_out_mae,
+    session_phasics,
+    train_surrogate,
+)
 from edanav.scr import count_events, default_detectors
 from edanav.signals import (
     DecompositionConfig,
@@ -488,58 +494,83 @@ def test_build_contexts_groups_sessions_by_length(small):
     sessions = _mixed_sessions(records, model.L)
     detectors = default_detectors()
     groups = build_contexts(sessions, model, detectors, **MIXED_SETTINGS)
-    assert [g.members for g in groups] == [[0, 4], [1], [2], [3]]
+    assert [g.members for g in groups] == [(0, 4), (1,), (2,), (3,)]
     for g in groups:
-        assert g.n_raw.shape == (len(g.members), 3)
-        assert g.recorded.shape == (len(g.members), len(sessions[g.members[0]].eda))
+        assert g.n_raw.shape == g.n_recorded.shape == (len(g.members), 3)
+        assert g.raw_msdv.shape == (len(g.members), 2)
         for row, i in enumerate(g.members):
             [alone] = build_contexts([sessions[i]], model, detectors, **MIXED_SETTINGS)
             for name in ("accel", "error", "integral", "delta"):
                 assert getattr(g.terms, name)[row].tobytes() == getattr(alone.terms, name).tobytes()
             assert g.n_raw[row].tolist() == alone.n_raw[0].tolist()
-            assert g.recorded[row].tobytes() == alone.recorded[0].tobytes()
+            assert g.n_recorded[row].tolist() == alone.n_recorded[0].tolist()
+            assert g.raw_msdv[row].tobytes() == alone.raw_msdv[0].tobytes()
 
 
-def test_only_evaluation_counts_the_recorded_phasic(small, monkeypatch):
-    # a search never counts the events of a group's recorded phasic; an
-    # evaluation counts each group's once
+def test_each_build_counts_the_recorded_phasic_once(small, monkeypatch):
+    # every `build_contexts` call, a search's included, counts the events of
+    # each group's scaled recorded phasic in one `count_events` call, beside
+    # the one for its raw prediction, and stores nothing on the records
     records, model = small
     sessions = _mixed_sessions(records, model.L)
-    # every group and counted array is kept alive, so no two share an id
-    built, counted = [], []
+    decomposition = MIXED_SETTINGS["decomposition"]
+    phasics = session_phasics(sessions, decomposition)
+    builds, counted = [], []
     real_build, real_count = optimize_module.build_contexts, optimize_module.count_events
 
-    def build(*args):
-        groups = real_build(*args)
-        built.extend(groups)
+    def build(records, *args):
+        first = len(counted)
+        groups = real_build(records, *args)
+        builds.append((groups, counted[first:]))
         return groups
 
     def count(x, *args):
-        counted.append(x)
+        counted.append(np.array(x))
         return real_count(x, *args)
 
     monkeypatch.setattr(optimize_module, "build_contexts", build)
     monkeypatch.setattr(optimize_module, "count_events", count)
     for mode in MODES:
         optimize(sessions, model, budget=4, seed=5, mode=mode, **MIXED_SETTINGS)
-    ids = Counter(map(id, counted))
-    assert len(built) == 8 and all(ids[id(g.recorded)] == 0 for g in built)
-    built.clear()
-    counted.clear()
     evaluate_sessions(sessions, TUNED_GAINS, model, **MIXED_SETTINGS)
-    ids = Counter(map(id, counted))
-    assert len(built) == 4 and all(ids[id(g.recorded)] == 1 for g in built)
+    assert len(builds) == 3
+    for groups, calls in builds:
+        assert len(groups) == 4 and len(calls) == 2 * len(groups)
+        for g in groups:
+            recorded = np.stack([model.norm.phasic.apply(phasics[i].samples) for i in g.members])
+            assert sum(x.tobytes() == recorded.tobytes() for x in calls) == 1
+    assert all(len(r.replays) == 1 for r in sessions)
 
 
-def _count_replay_calls(monkeypatch, names=("pid_terms", "predict_sessions")) -> Counter:
-    """Calls of the replay steps ``names``, by name: by default the
-    gain-independent `pid_terms` and the raw and adapted `predict_sessions`."""
+# the calls that replay a trial: closed loop one `_replay_clips`, offline one
+# `apply_gains` and one adapted `predict_sessions`, per length group; each
+# group's `build_contexts` adds one `pid_terms` and one raw `predict_sessions`
+REPLAY_STEPS = ("pid_terms", "_replay_clips", "apply_gains", "predict_sessions")
+
+
+def _replays(mode, n_groups) -> Counter:
+    """The `REPLAY_STEPS` calls of replaying ``n_groups`` length groups once."""
+    steps = (Counter(apply_gains=1, predict_sessions=1) if mode == "offline"
+             else Counter(_replay_clips=1))
+    return Counter({name: n * n_groups for name, n in
+                    (steps + Counter(pid_terms=1, predict_sessions=1)).items()})
+
+
+def _count_replay_calls(monkeypatch, built: list) -> Counter:
+    """Calls of `REPLAY_STEPS`, by name; ``built`` gets the record list of
+    each `build_contexts` call."""
     calls = Counter()
-    for name in names:
+    for name in REPLAY_STEPS:
         def spy(*args, _real=getattr(optimize_module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(optimize_module, name, spy)
+
+    def build(records, *args, _real=optimize_module.build_contexts):
+        built.append(list(records))
+        return _real(records, *args)
+
+    monkeypatch.setattr(optimize_module, "build_contexts", build)
     return calls
 
 
@@ -549,77 +580,75 @@ def _two_lengths(records, L):
     return [_head(r, n - (L + 3) * (i % 2)) for i, r in enumerate(records[:6])]
 
 
+def _check_replays(monkeypatch, sessions, model, group, gains, replayed, **settings):
+    """Evaluate ``group``: exactly the records ``replayed`` are replayed, in one
+    `build_contexts` call, once per length group, and every result equals
+    that of fresh copies, whose stores are empty."""
+    built = []
+    calls = _count_replay_calls(monkeypatch, built)
+    kept = evaluate_sessions(group, gains, model, **settings)
+    monkeypatch.undo()
+    assert [list(map(id, b)) for b in built] == [list(map(id, replayed))], (gains, settings)
+    n_groups = len({len(r.eda) for r in replayed})
+    assert calls == _replays(settings.get("mode", "offline"), n_groups), (gains, settings)
+    fresh = evaluate_sessions([replace(r) for r in group], gains, model, **settings)
+    assert [r.stats for r in kept] == [r.stats for r in fresh]
+    assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluation_reuses_the_search_replay_state(small, monkeypatch, mode):
-    # evaluate_sessions after optimize on the same records computes no PID
-    # terms and no raw prediction: each length group takes the fill the
-    # search left on its records whole. The records reversed, or a
-    # reordered subset, hold their rows out of order, so each of their two
-    # groups is filled again once, and the new fill replaces the stored
-    # one. Every result equals those on fresh copies of the records, whose
-    # stores are empty
+    # after optimize, evaluating its best gains on the searched list, its
+    # reverse, a reordered subset or a fresh list of the same records
+    # replays nothing: each record holds its own report row under the
+    # best's tag. Other gains replay exactly the records that lack a row
+    # under their tag, and each new row replaces its record's last one
     records, model = small
     sessions = _two_lengths(records, model.L)
-    optimize(sessions, model, budget=4, seed=1, mode=mode)
+    best = optimize(sessions, model, budget=4, seed=1, mode=mode).best.gains
     subset = [sessions[i] for i in (5, 2, 3, 0)]
-    for group, refills in ((sessions, 0), (sessions[::-1], 2), (sessions[::-1], 0),
-                           (subset, 2), (subset, 0), (sessions, 2)):
-        calls = _count_replay_calls(monkeypatch)
-        kept = evaluate_sessions(group, TUNED_GAINS, model, mode=mode)
-        # offline, one predict_sessions call per length group is the adapted one
-        adapted = 2 if mode == "offline" else 0
-        assert calls == Counter(pid_terms=refills, predict_sessions=refills + adapted)
-        monkeypatch.undo()
-        fresh = evaluate_sessions([replace(r) for r in group], TUNED_GAINS, model, mode=mode)
-        assert [r.stats for r in kept] == [r.stats for r in fresh]
-        assert all(len(r.replays) == 1 and len(r.phasics) == 1 for r in sessions)
+    for group in (sessions, sessions[::-1], subset, list(sessions)):
+        _check_replays(monkeypatch, sessions, model, group, best, [], mode=mode)
+    _check_replays(monkeypatch, sessions, model, subset, TUNED_GAINS, subset, mode=mode)
+    _check_replays(monkeypatch, sessions, model, sessions, TUNED_GAINS,
+                   [sessions[1], sessions[4]], mode=mode)
+    _check_replays(monkeypatch, sessions, model, sessions[::-1], TUNED_GAINS, [], mode=mode)
+    _check_replays(monkeypatch, sessions, model, subset, best, subset, mode=mode)
     assert all(not replace(r).replays for r in sessions)
-
-
-# the calls that replay a trial: closed loop one `_replay_clips`, offline one
-# `apply_gains` and one adapted `predict_sessions`, per length group
-REPLAY_STEPS = ("_replay_clips", "apply_gains", "predict_sessions")
-REPLAYS = {"offline": Counter(apply_gains=2, predict_sessions=2),
-           "closed_loop": Counter(_replay_clips=2)}
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluation_takes_the_search_best_from_its_groups(small, monkeypatch, mode):
-    # right after a search, evaluating its best gains on the same list
-    # replays nothing: each length group holds the best trial's adapted
-    # MSDVs and counts. Other gains, other limits, the other mode, a best
-    # gain one ulp away, the best of an earlier search on the same fill and
-    # the reversed list (filled again, so its fill holds no incumbent) each
-    # replay once per group. Every result equals those of fresh copies,
-    # whose stores are empty
+    # right after a search, evaluating its best gains on the same records
+    # replays nothing: the search left each record the row of its best
+    # trial. Other gains, other limits, the other mode, a best gain one ulp
+    # away or another clamp replay every record once per length group, and
+    # then the best replays too, its rows replaced; a later search leaves
+    # its own best's rows
     records, model = small
     sessions = _two_lengths(records, model.L)
 
-    def check(group, gains, replays, **settings):
-        calls = _count_replay_calls(monkeypatch, REPLAY_STEPS)
-        kept = evaluate_sessions(group, gains, model, **settings)
-        assert calls == replays, (gains, settings)
-        monkeypatch.undo()
-        fresh = evaluate_sessions([replace(r) for r in group], gains, model, **settings)
-        assert [r.stats for r in kept] == [r.stats for r in fresh]
-        assert all(len(r.replays) == 1 for r in sessions)
+    def check(group, gains, replayed, **settings):
+        _check_replays(monkeypatch, sessions, model, group, gains, replayed, **settings)
 
     first = optimize(sessions, model, budget=6, seed=1, mode=mode).best.gains
     nudged = first.as_array()
     nudged[6] = np.nextafter(nudged[6], np.inf)
     other = MODES[1 - MODES.index(mode)]
-    check(sessions, first, Counter(), mode=mode)
-    check(sessions, TUNED_GAINS, REPLAYS[mode], mode=mode)
-    check(sessions, first, REPLAYS[mode], mode=mode, limits=AccelLimits(2.0, 1.0))
-    check(sessions, first, REPLAYS[other], mode=other)
-    check(sessions, PidGains.from_array(nudged), REPLAYS[mode], mode=mode)
-    check(sessions, first, Counter(), mode=mode)
+    check(sessions, first, [], mode=mode)
+    check(sessions, TUNED_GAINS, sessions, mode=mode)
+    check(sessions, first, sessions, mode=mode)
+    check(sessions, first, sessions, mode=mode, limits=AccelLimits(2.0, 1.0))
+    check(sessions, first, sessions, mode=other)
+    check(sessions, PidGains.from_array(nudged), sessions, mode=mode)
+    check(sessions, first, sessions, mode=mode, integral_clamp=0.05)
+    check(sessions, first, sessions, mode=mode)
+    check(sessions, first, [], mode=mode)
     best = optimize(sessions, model, budget=6, seed=2, mode=mode).best.gains
     assert best != first
-    check(sessions, first, REPLAYS[mode], mode=mode)
-    check(sessions, best, Counter(), mode=mode)
-    # two raw predictions refill the reversed list's groups
-    check(sessions[::-1], best, REPLAYS[mode] + Counter(predict_sessions=2), mode=mode)
+    check(sessions[::-1], best, [], mode=mode)
+    check(sessions, first, sessions, mode=mode)
+    check(sessions, best, sessions, mode=mode)
 
 
 def _tie_objectives(monkeypatch, best, ties):
@@ -640,10 +669,10 @@ def _tie_objectives(monkeypatch, best, ties):
 @pytest.mark.parametrize("mode", MODES)
 def test_a_tied_later_trial_leaves_the_first_in_the_groups(small, monkeypatch, mode):
     # trial 1 scores its own percentages, trials 9 (phase one) and 24 (a
-    # phase-two block) tie it, and every other trial scores 0: each group
-    # keeps trial 1, as the search's best does, so evaluating it replays
-    # nothing. Its report's positives are the best trial's percentages
-    # times the session count / 100, the check perfbench's
+    # phase-two block) tie it, and every other trial scores 0: each record
+    # keeps trial 1's row, as the search's best does, so evaluating it
+    # replays nothing. Its report's positives are the best trial's
+    # percentages times the session count / 100, the check perfbench's
     # `check_positives` makes on the written report
     records, model = small
     sessions = _two_lengths(records, model.L)
@@ -653,13 +682,13 @@ def test_a_tied_later_trial_leaves_the_first_in_the_groups(small, monkeypatch, m
     best = result.best
     assert best.index == 1 and best.objective > 0
     assert [t.index for t in result.trials if t.objective == best.objective] == [1, 9, 24]
-    groups = build_contexts(sessions, model, default_detectors(), DecompositionConfig(),
-                            DEFAULT_INTEGRAL_CLAMP)
-    tag = (best.gains.as_array().tobytes(), mode, AccelLimits())
-    assert [list(g.incumbent) for g in groups] == [[tag], [tag]]
-    calls = _count_replay_calls(monkeypatch, REPLAY_STEPS)
+    tag = (model, default_detectors(), DecompositionConfig(), DEFAULT_INTEGRAL_CLAMP,
+           best.gains.as_array().tobytes(), mode, AccelLimits())
+    assert all(list(r.replays) == [tag] for r in sessions)
+    built = []
+    calls = _count_replay_calls(monkeypatch, built)
     stats = [r.stats for r in evaluate_sessions(sessions, best.gains, model, mode=mode)]
-    assert calls == Counter()
+    assert calls == Counter() and built == [[]]
     monkeypatch.undo()
     fresh = evaluate_sessions([replace(r) for r in sessions], best.gains, model, mode=mode)
     assert stats == [r.stats for r in fresh]
@@ -668,14 +697,51 @@ def test_a_tied_later_trial_leaves_the_first_in_the_groups(small, monkeypatch, m
         assert report.stats[method].positives == pytest.approx(percentage * len(stats) / 100)
 
 
+@pytest.fixture(scope="module")
+def hour():
+    """Three 1 h, 8 Hz eval sessions (28,800 samples each), already
+    decomposed, and a model trained on short 8 Hz sessions."""
+    model, _ = train_surrogate(synth_cohort(4, 300.0, 8.0, seed=7))
+    sessions = [replace(r, split="eval") for r in synth_cohort(3, 3600.0, 8.0, seed=8)]
+    session_phasics(sessions, DecompositionConfig())
+    return sessions, model
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_hour_sessions_keep_only_their_report_rows(hour, mode):
+    # after a search the records hold one report row each, not the replay
+    # state (PID terms and scaled phasic, about 8 MiB), and evaluating the
+    # best reads the rows without replaying. Fresh records that share the
+    # phasics, so no state of another search is on them
+    records, model = hour
+    sessions = [replace(r) for r in records]
+    for copy, record in zip(sessions, records):
+        copy.phasics.update(record.phasics)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        best = optimize(sessions, model, budget=2, seed=0, mode=mode).best.gains
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        results = evaluate_sessions(sessions, best, model, mode=mode)
+        added = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 2**16 and added < 2**16
+    assert [r.stats for r in results] == [r.replays[next(iter(r.replays))] for r in sessions]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.permutations(range(6)), st.integers(1, 6)), min_size=1, max_size=3),
        st.sampled_from(MODES))
 def test_evaluation_after_a_search_equals_fresh_records(small, subsets, mode):
     # successive permutations and subsets of a two-length cohort, evaluated
-    # after a search on it, each reusing or refilling its groups: the
-    # results are those of fresh copies, and every record holds one replay
-    # entry and one phasic entry
+    # after a search on it, each reading or replacing its records' rows: the
+    # results are those of fresh copies, and every record holds one report
+    # row and one phasic entry
     records, model = small
     sessions = _two_lengths(records, model.L)
     result = optimize(sessions, model, budget=2, seed=1, mode=mode)
@@ -689,12 +755,12 @@ def test_evaluation_after_a_search_equals_fresh_records(small, subsets, mode):
 
 
 def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
-    # the state is keyed by the model object, the detectors, the
-    # decomposition and the clamp: another model object with the same
-    # weights, another clamp, another detector tuple or another
-    # decomposition fills each record again, and a list of the same
-    # detectors does not. Each fill replaces the record's entry, so the
-    # first key refills too once another has been used
+    # a row is tagged by the model object, the detectors, the decomposition
+    # and the clamp besides the gains, mode and limits: another model object
+    # with the same weights, another clamp, another detector tuple or
+    # another decomposition replays each record, and a list of the same
+    # detectors does not. Each replay replaces the record's row, so the
+    # first key replays too once another has been used
     records, model = small
     sessions = _two_lengths(records, model.L)
     write_model(model, tmp_path / "model.csv")
@@ -713,7 +779,7 @@ def test_another_key_refills_the_replay_state(small, tmp_path, monkeypatch):
         (dict(model=model), True),
         (dict(model=model, detectors=list(detectors)), False),
     ):
-        calls = _count_replay_calls(monkeypatch)
+        calls = _count_replay_calls(monkeypatch, [])
         kept = evaluate_sessions(sessions, TUNED_GAINS, **key)
         assert calls["pid_terms"] == (2 if refills else 0), key
         monkeypatch.undo()
@@ -744,8 +810,8 @@ def test_a_replaced_model_can_be_collected(small, tmp_path):
 
 
 def test_model_weights_are_a_read_only_copy(small):
-    # a model keys the replay state by identity, so its weights cannot change
-    # under the key; the caller's array is copied, not frozen
+    # a model tags the report rows by identity, so its weights cannot change
+    # under the tag; the caller's array is copied, not frozen
     _, model = small
     weights = np.array(model.weights)
     twin = SurrogateModel(weights, model.clip_len_s, model.rate_hz, model.norm, model.train_mae)

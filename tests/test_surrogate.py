@@ -28,7 +28,13 @@ from edanav.surrogate import (
     write_model,
 )
 
-from oracles import bateman_pulse, predict_clip, predict_session_naive, reconstruct_naive
+from oracles import (
+    bateman_pulse,
+    design_rows,
+    predict_clip,
+    predict_session_naive,
+    reconstruct_naive,
+)
 
 RATE = 4.0
 L = 9  # 2.25 s at 4 Hz
@@ -119,17 +125,14 @@ def test_make_clips_validation():
 
 
 def test_clip_shape_validation():
-    # clips of L = 3 (0.75 s at 4 Hz): windows [n, 2, 9], targets [n, 3]
+    # clips of L = 3 (0.75 s at 4 Hz): design rows [n, 19], targets [n, 3]
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
-    with pytest.raises(ValueError, match="clips must be"):
-        fit_surrogate(np.zeros((1, 2, 10)), np.zeros((1, 3)), rate_hz=RATE, clip_len_s=0.75,
-                      norm=norm)
-    with pytest.raises(ValueError, match="clips must be"):
-        fit_surrogate(np.zeros((1, 2, 9)), np.zeros((1, 4)), rate_hz=RATE, clip_len_s=0.75,
-                      norm=norm)
-    with pytest.raises(ValueError, match="clips must be"):
-        fit_surrogate(np.zeros((2, 2, 9)), np.zeros((1, 3)), rate_hz=RATE, clip_len_s=0.75,
-                      norm=norm)
+    for design, targets in ((design_rows(np.zeros((1, 2, 10))), np.zeros((1, 3))),
+                            (design_rows(np.zeros((1, 2, 9))), np.zeros((1, 4))),
+                            (design_rows(np.zeros((2, 2, 9))), np.zeros((1, 3))),
+                            (np.zeros((1, 2, 9)), np.zeros((1, 3)))):  # windows, not rows
+        with pytest.raises(ValueError, match="clips must be"):
+            fit_surrogate(design, targets, rate_hz=RATE, clip_len_s=0.75, norm=norm)
 
 
 def test_corpus_norm_spans_all_traces():
@@ -246,7 +249,8 @@ def test_fit_recovers_planted_linear_map():
     rng = np.random.default_rng(24)
     a_l, a_r, phasic = _planted_session(rng)
     windows, targets, norm = _session_clips(a_l, a_r, phasic)
-    model = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
+    assert not windows.flags.writeable and not targets.flags.writeable
+    model = fit_surrogate(design_rows(windows), targets, rate_hz=RATE, norm=norm)
     assert model.train_mae < 1e-6
     pred = predict_sessions(model, _one_session(a_l, a_r), model.L)[0]
     mae = float(np.mean(np.abs(pred - targets.ravel())))
@@ -256,7 +260,8 @@ def test_fit_recovers_planted_linear_map():
 def test_fit_rejects_degenerate_input():
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
     with pytest.raises(DegenerateInputError):
-        fit_surrogate(np.zeros((0, 2, 3 * L)), np.zeros((0, L)), rate_hz=RATE, norm=norm)
+        fit_surrogate(design_rows(np.zeros((0, 2, 3 * L))), np.zeros((0, L)), rate_hz=RATE,
+                      norm=norm)
 
     # a feature column that is identically zero makes the unregularized
     # normal equations exactly singular
@@ -269,36 +274,24 @@ def test_fit_rejects_degenerate_input():
         windows.append(window)
         targets.append(rng.uniform(0.0, 1.0, 2))
     with pytest.raises(DegenerateInputError):
-        fit_surrogate(windows, targets, 0.0, rate_hz=RATE, clip_len_s=0.5, norm=norm)
-    model = fit_surrogate(windows, targets, 1e-6, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+        fit_surrogate(design_rows(windows), targets, 0.0, rate_hz=RATE, clip_len_s=0.5,
+                      norm=norm)
+    model = fit_surrogate(design_rows(windows), targets, 1e-6, rate_hz=RATE, clip_len_s=0.5,
+                          norm=norm)
     assert model.weights.shape == (2, 13)
 
 
 def test_fit_validation():
     norm = ClipNorm(NormParams(0, 1), NormParams(0, 1), NormParams(0, 1))
-    windows, targets = np.zeros((1, 2, 6)), np.zeros((1, 2))
+    design, targets = design_rows(np.zeros((1, 2, 6))), np.zeros((1, 2))
     for ridge_lambda in (-1.0, np.nan):
         with pytest.raises(ValueError, match="ridge_lambda must be >= 0"):
-            fit_surrogate(windows, targets, ridge_lambda, rate_hz=RATE, clip_len_s=0.5, norm=norm)
-    with pytest.raises(ValueError, match=r"clips must be windows \[n, 2, 27\]"):
-        fit_surrogate(windows, targets, rate_hz=RATE, clip_len_s=2.25, norm=norm)
+            fit_surrogate(design, targets, ridge_lambda, rate_hz=RATE, clip_len_s=0.5, norm=norm)
+    with pytest.raises(ValueError, match=r"clips must be design rows \[n, 55\]"):
+        fit_surrogate(design, targets, rate_hz=RATE, clip_len_s=2.25, norm=norm)
     # design rows [n, 6L+1] must end in the bias column of 1.0
     with pytest.raises(ValueError, match=r"design rows \[n, 13\] ending in 1.0"):
         fit_surrogate(np.zeros((1, 13)), targets, rate_hz=RATE, clip_len_s=0.5, norm=norm)
-
-
-def test_fit_on_design_rows_equals_the_fit_on_windows():
-    # the design buffer a caller fills (each flattened window, then 1.0) is
-    # read in place and gives the bytes of the fit on the windows
-    rng = np.random.default_rng(26)
-    a_l, a_r, phasic = _planted_session(rng)
-    windows, targets, norm = _session_clips(a_l, a_r, phasic, stride_samples=2)
-    assert not windows.flags.writeable and not targets.flags.writeable
-    design = np.concatenate([windows.reshape(len(windows), -1), np.ones((len(windows), 1))], 1)
-    on_windows = fit_surrogate(windows, targets, rate_hz=RATE, norm=norm)
-    on_design = fit_surrogate(design, targets, rate_hz=RATE, norm=norm)
-    assert on_design.weights.tobytes() == on_windows.weights.tobytes()
-    assert on_design.train_mae.hex() == on_windows.train_mae.hex()
 
 
 def test_predictions_are_clamped():
@@ -349,7 +342,7 @@ def test_predict_rows_is_predict_clip_row_by_row(rate, m, seed):
 def _small_model(rng):
     a_l, a_r, phasic = _planted_session(rng, n=360)
     windows, targets, norm = _session_clips(a_l, a_r, phasic)
-    return fit_surrogate(windows, targets, rate_hz=RATE, norm=norm), a_l, a_r
+    return fit_surrogate(design_rows(windows), targets, rate_hz=RATE, norm=norm), a_l, a_r
 
 
 def test_predict_session_dense_covers_whole_session():
