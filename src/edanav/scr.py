@@ -21,8 +21,9 @@ Every detector runs over a stack of equal-length traces [m, n] at once:
 rising runs come from each row's own differences, thresholds from each
 row's own range, gamboa2008's merge restarts at each row, and the
 prominence query runs over blocks of rows whose sparse tables fit
-``_PROMINENCE_BYTES``, a +inf sample between rows stopping every search at
-its row's ends, so a row's events do not depend on its block.
+``_PROMINENCE_BYTES``, a +inf before the first row and after every row
+stopping each search at its row's ends, so a row's events do not depend
+on its block.
 `count_events` counts every row under every detector; `detect_scr` lists
 one trace's events under one detector.
 """
@@ -100,19 +101,21 @@ def default_detectors() -> tuple[DetectorParams, DetectorParams, DetectorParams]
     )
 
 
-def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, onset and peak indices of the maximal strictly-rising segments of x [m, n].
+def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row, onset, peak, height and amplitude of the maximal strictly-rising runs of x [m, n].
 
-    Runs come from each row's own differences, so none crosses a row; they
-    are ordered by row, then by onset.
+    The edges of one rise mask, False before the first row and after each,
+    alternate onset, peak in one ``nonzero``, ordered by row, then by onset;
+    heights and amplitudes are gathered once, for every detector.
     """
-    pos = np.diff(x, axis=1) > 0
-    starts = pos.copy()
-    starts[:, 1:] &= ~pos[:, :-1]
-    ends = pos.copy()
-    ends[:, :-1] &= ~pos[:, 1:]
-    rows, onsets = np.nonzero(starts)
-    return rows, onsets, np.nonzero(ends)[1] + 1
+    m, n = x.shape
+    rise = np.zeros(m * n + 1, dtype=bool)
+    np.greater(x[:, 1:], x[:, :-1], out=rise[1:].reshape(m, n)[:, :-1])
+    rows, edges = np.nonzero((rise[1:] != rise[:-1]).reshape(m, n))
+    rows, onsets, peaks = rows[::2], edges[::2], edges[1::2]
+    flat, base = x.ravel(), rows * n
+    heights = flat[base + peaks]
+    return rows, onsets, peaks, heights, heights - flat[base + onsets]
 
 
 def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: DetectorParams):
@@ -123,16 +126,15 @@ def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: Dete
 
 def _detect_kim2004(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
     threshold = params.min_amplitude * np.ptp(x, axis=1)
-    rows, onsets, peaks = runs
-    keep = ((x[rows, peaks] - x[rows, onsets] >= threshold[rows])
-            & _rise_ok(onsets, peaks, rate_hz, params))
+    rows, onsets, peaks, _, amp = runs
+    keep = (amp >= threshold[rows]) & _rise_ok(onsets, peaks, rate_hz, params)
     return rows[keep], onsets[keep], peaks[keep]
 
 
 def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
-    rows, onsets, peaks = runs
-    kept = x[rows, peaks] - x[rows, onsets] >= params.min_amplitude
-    rows, onsets, peaks = rows[kept], onsets[kept], peaks[kept]
+    rows, onsets, peaks, heights, amp = runs
+    kept = amp >= params.min_amplitude
+    rows, onsets, peaks, heights = rows[kept], onsets[kept], peaks[kept], heights[kept]
     # merge bursts whose onset follows the group's peak in the same row too
     # closely, moving the group's peak to any burst at least as high. A
     # group's peak never lies after the previous burst's peak, so a burst
@@ -142,7 +144,7 @@ def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorPara
     new = np.ones(rows.size, dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | ((onsets[1:] - peaks[:-1]) / rate_hz >= sep)
     group_peaks = peaks.copy()  # each group's peak, at its first burst
-    starts, tops, heights = onsets.tolist(), peaks.tolist(), x[rows, peaks].tolist()
+    starts, tops, heights = onsets.tolist(), peaks.tolist(), heights.tolist()
     for i in np.flatnonzero(~new).tolist():
         if new[i - 1]:  # the previous burst opened the group
             first, top, height = i - 1, tops[i - 1], heights[i - 1]
@@ -162,19 +164,17 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
     """Topographic prominence of each strict local maximum in ``peaks``.
 
     A peak's bases are the lowest samples between it and the nearest
-    strictly higher sample on each side, or the trace end; equal heights do
-    not stop the search. Sparse tables hold the maximum and minimum of every
-    x[i : i + 2**k]. Binary lifting over the maxima finds both stops in
-    O(log n) whole-array steps, and two overlapping blocks of the minima give
-    each base, so the cost is O(n log n) on any trace. Minima are exact, and
-    the prominence is one subtraction. ``reach`` bounds how far from its
-    peak a stop can lie (the row length of sentinel-joined rows, ``x.size``
-    for one trace); the tables stop at the levels a search that long needs,
-    and take 2 * reach.bit_length() * x.size * 8 bytes. `_detect_neurokit`
-    queries blocks of rows whose tables fit ``_PROMINENCE_BYTES``.
-    This is what scipy.signal.peak_prominences computes, but the package
-    imports no scipy: scipy.signal would take a fresh ``import edanav.cli``
-    from about 29 to 104 MB peak RSS.
+    strictly higher sample on each side; equal heights do not stop the
+    search. Contract: ``x`` starts and ends with +inf, the peaks are finite,
+    and each lies within ``reach`` samples of a +inf on either side (the row
+    period of sentinel-joined rows). Sparse tables hold the maximum and
+    minimum of every x[i : i + 2**k] and take 2 * reach.bit_length() *
+    x.size * 8 bytes. Binary lifting over the maxima finds both stops in
+    O(log reach) steps; a window past either end is clamped onto one holding
+    that end's +inf, which fails the height test, so no step checks bounds.
+    Two overlapping blocks of the exact minima give each base. This is
+    scipy.signal.peak_prominences, but scipy.signal would take a fresh
+    ``import edanav.cli`` from about 29 to 104 MB peak RSS.
     """
     n = x.size
     levels = reach.bit_length()
@@ -189,11 +189,10 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
     left = peaks.copy()  # x[left : peak] holds nothing higher than the peak
     right = peaks + 1  # nor does x[peak + 1 : right]
     for k in range(levels - 1, -1, -1):
-        span, m = 1 << k, n - (1 << k) + 1
-        start = left - span
-        left = np.where((start >= 0) & (hi[k, np.maximum(start, 0)] <= height), start, left)
-        grow = (right < m) & (hi[k, np.minimum(right, m - 1)] <= height)
-        right = np.where(grow, right + span, right)
+        span = 1 << k
+        start = np.maximum(left - span, 0)
+        np.copyto(left, start, where=hi[k].take(start) <= height)
+        np.add(right, span, out=right, where=hi[k].take(np.minimum(right, n - span)) <= height)
 
     def range_min(first, last):
         k = np.frexp(last - first + 1)[1] - 1
@@ -208,28 +207,27 @@ def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams
     # the strict local maxima are the rising-run peaks followed by a drop;
     # each one's onset is the start of its run. The masks run drop, amplitude
     # (>= min_amplitude, > 0), rise time, then prominence for the peaks left
-    rows, onsets, peaks = runs
-    top = x[rows, peaks]
-    amp = top - x[rows, onsets]
-    cand = ((top > x[rows, np.minimum(peaks + 1, n - 1)])
+    rows, onsets, peaks, top, amp = runs
+    cand = ((top > x.ravel()[rows * n + np.minimum(peaks + 1, n - 1)])
             & (amp >= params.min_amplitude) & (amp > 0)
             & _rise_ok(onsets, peaks, rate_hz, params))
     rows, onsets, peaks = rows[cand], onsets[cand], peaks[cand]
     if peaks.size == 0:
         return rows, onsets, peaks
-    # one prominence query per block of rows: a +inf column after each row
-    # is higher than any sample, so every search stops at its own row's
-    # ends, and a peak's prominence does not depend on the block
-    block = max(1, _PROMINENCE_BYTES // (2 * n.bit_length() * (n + 1) * 8))
+    # one prominence query per block of rows: a +inf before the first row and
+    # after every row is higher than any sample, so every search stops at its
+    # own row's ends, and a peak's prominence does not depend on the block
+    block = max(1, _PROMINENCE_BYTES // (2 * (n + 1).bit_length() * (n + 1) * 8))
     keep = np.empty(peaks.size, dtype=bool)
     for first in range(0, m, block):
         lo, hi = np.searchsorted(rows, (first, first + block)).tolist()
         if lo == hi:
             continue
         part = x[first : first + block]
-        joined = np.concatenate([part, np.full((len(part), 1), np.inf)], axis=1).ravel()
-        prominence = _prominences(joined, (rows[lo:hi] - first) * (n + 1) + peaks[lo:hi], n)
-        keep[lo:hi] = prominence >= threshold[rows[lo:hi]]
+        joined = np.full(len(part) * (n + 1) + 1, np.inf)
+        joined[1:].reshape(len(part), n + 1)[:, :n] = part
+        index = (rows[lo:hi] - first) * (n + 1) + 1 + peaks[lo:hi]
+        keep[lo:hi] = _prominences(joined, index, n + 1) >= threshold[rows[lo:hi]]
     return rows[keep], onsets[keep], peaks[keep]
 
 

@@ -22,7 +22,7 @@ from edanav.scr import (
 )
 from edanav.signals import Trace
 
-from oracles import _prominence_naive, bateman_pulse, brute_force_events
+from oracles import _prominence_naive, _rising_runs_naive, bateman_pulse, brute_force_events
 
 RATE = 4.0
 
@@ -146,12 +146,22 @@ def _adversarial_traces(draw):
     return np.array(x, dtype=np.float64)
 
 
+# the peaks whose stop is the leading or the trailing +inf: the highest
+# sample just inside either end, and monotone ramps to either end, whose
+# lifting windows start before the array or end past it
+@example(np.array([0.0, 2.0, 0.0, 1.0, 0.0]))
+@example(np.array([0.0, 1.0, 0.0, 2.0, 0.0]))
+@example(np.append(np.linspace(0.0, 1.0, 16), 0.0))
+@example(np.insert(np.linspace(1.0, 0.0, 16), 0, 0.0))
+@example(np.concatenate([[0.0], np.linspace(1.0, 0.0, 30), np.linspace(0.0, 0.5, 33)]))
 @settings(max_examples=400, deadline=None)
 @given(_adversarial_traces())
 def test_prominences_match_the_scan(x):
+    # the input contract: +inf at both ends, so every index moves by one
+    padded = np.concatenate([[np.inf], x, [np.inf]])
     peaks = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
     expected = [_prominence_naive(x.tolist(), int(p)) for p in peaks]
-    assert _prominences(x, peaks, x.size).tolist() == expected
+    assert _prominences(padded, peaks + 1, padded.size - 1).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +190,8 @@ def _trace_rows(draw):
 
     Rows may be constant, falling (no peaks), end on a strict rise or a
     plateau, or start on a peak; a row ending on a rise is often followed
-    by a higher row. Lengths go down to n = 2.
+    by a higher row. Lengths go down to n = 2, and the levels hold both
+    zeros, which compare equal.
     """
     n = draw(st.sampled_from([2, 3, 4, 7, 20, 60]))
     rows = []
@@ -188,13 +199,14 @@ def _trace_rows(draw):
         kind = draw(st.sampled_from(["levels", "constant", "falling", "rise_to_end",
                                      "plateau_end", "peak_start", "any"]))
         if kind == "constant":
-            row = [draw(st.sampled_from([0.0, 0.5, 1.0]))] * n
+            row = [draw(st.sampled_from([0.0, -0.0, 0.5, 1.0]))] * n
         elif kind == "falling":
             row = np.linspace(1.0, 0.0, n).tolist()
         elif kind == "any":
             row = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
         else:
-            row = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+            row = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                                min_size=n, max_size=n))
             if kind == "rise_to_end":
                 row[-2:] = [0.0, 0.5]
             elif kind == "plateau_end":
@@ -205,6 +217,20 @@ def _trace_rows(draw):
             row[0] = 1.0  # higher than the previous row's last rise
         rows.append(row[:n])
     return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_rows())
+def test_rising_runs_match_the_scan_row_by_row(x):
+    # one nonzero over the whole stack's edges: the runs are the scan's,
+    # row by row, ordered by row, then by onset, with no onset of one row
+    # paired with a peak of the next; heights and amplitudes are the bits
+    # of the samples they are gathered from
+    rows, onsets, peaks, heights, amps = _rising_runs(x)
+    expected = [(i, o, p) for i, row in enumerate(x) for o, p in _rising_runs_naive(row.tolist())]
+    assert list(zip(rows.tolist(), onsets.tolist(), peaks.tolist())) == expected
+    assert heights.tobytes() == x[rows, peaks].tobytes()
+    assert amps.tobytes() == (x[rows, peaks] - x[rows, onsets]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -274,7 +300,7 @@ def test_prominence_blocks_count_as_the_whole_stack_and_brute_force(x, prominenc
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scr_module, "_PROMINENCE_BYTES", 2**40)
         whole = count_events(x, RATE, detectors)
-    row_tables = 2 * n.bit_length() * (n + 1) * 8
+    row_tables = 2 * (n + 1).bit_length() * (n + 1) * 8
     for per_query in (1, 2):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scr_module, "_PROMINENCE_BYTES", per_query * row_tables)
@@ -286,7 +312,7 @@ def test_prominence_blocks_count_as_the_whole_stack_and_brute_force(x, prominenc
 def test_prominence_runs_one_query_per_block_of_rows(monkeypatch):
     # rows with a candidate peak each, under a bound of two rows' tables:
     # blocks of rows 0-1, 2-3 and 4, the rows of a block with no candidate
-    # skipped
+    # skipped; each block holds a +inf before its first row and after each
     x = np.tile(_pulse_train(120, [(5.0, 0.5), (18.0, 0.3)]), (5, 1))
     x[2:4] = 0.0
     queries = []
@@ -299,7 +325,7 @@ def test_prominence_runs_one_query_per_block_of_rows(monkeypatch):
     monkeypatch.setattr(scr_module, "_prominences", spy)
     monkeypatch.setattr(scr_module, "_PROMINENCE_BYTES", 2 * 2 * (120).bit_length() * 121 * 8)
     counts = count_events(x, RATE, default_detectors())
-    assert queries == [2 * 121, 121]
+    assert queries == [2 * 121 + 1, 121 + 1]
     assert counts[:, 2].tolist() == [2, 2, 0, 0, 2]
 
 
