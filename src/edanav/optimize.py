@@ -35,21 +35,22 @@ The objective P_pn sums, over detectors, the report's percentage of
 sessions whose adapted event count dropped below the raw one; its range is
 [0, 100 * n_detectors]. The optimizer is a seeded two-phase random search:
 uniform exploration over the gain ranges, then Gaussian sampling around the
-incumbent with the step size halved after every ``halve_after``
-consecutive non-improving trials. Both phases hand `_simulate` blocks of up
-to k = max(1, ``ROWS`` // m) trials, m the largest group of equal-length
+incumbent with the step size halved after every ``halve_after`` consecutive
+non-improving trials. A search draws from its generator twice, before its
+first trial: the phase-one points [n_explore, 11] in one ``rng.uniform``
+call, then the phase-two steps [budget - n_explore, 11] in one
+``rng.standard_normal`` call, the doubles of one draw per trial, in order.
+Trial t reads row t of the points, or row t - n_explore of the steps,
+whatever the block. Both phases hand `_simulate` blocks of up to
+k = max(1, ``ROWS`` // m) trials, m the largest group of equal-length
 sessions (closed loop replays a block in one clip loop), and record them in
-index order. A phase-one block is one ``rng.uniform`` draw of shape [k, 11],
-which gives the same doubles in the same order as k one-row draws. Phase
-two is speculative: a Gaussian step does not depend on the incumbent, so a
-block takes the next k steps and builds every candidate as if none of the
-block's trials improves, the step size following the halving rule across
-the block. At the first trial that strictly improves, the rest of the block
-is dropped unrecorded and its steps, drawn but unused, lead the next block
-around the new incumbent. Every step is drawn once, in order, and no
-further than the budget, so each trial is the one a search of one trial at
-a time gives; a dropped closed-loop trial costs its share of the block's
-replay, a dropped offline one nothing past its candidate.
+index order. Phase two is speculative: a step does not depend on the
+incumbent, so a block builds its candidates as if none of its trials
+improves, the step size following the halving rule across the block. After
+the first trial that strictly improves, the rest of the block is dropped
+unrecorded and the next block starts around the new incumbent: each trial
+is the one a search of one trial at a time gives. A dropped closed-loop
+trial costs its share of the block's replay, a dropped offline one nothing.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ def build_contexts(records, model, detectors, decomposition, integral_clamp) -> 
                                    count_events(recorded, model.rate_hz, detectors),
                                    msdv(terms.accel, dt)))
     return groups
+
+
+def _row_tag(model, detectors, decomposition, integral_clamp, x: np.ndarray, mode, limits):
+    """The key of the report row that a replay under gains ``x`` [11] and these settings makes."""
+    return (model, tuple(detectors), decomposition, integral_clamp, x.tobytes(), mode, limits)
 
 
 def _keep_rows(records, groups, sims, model: SurrogateModel, tag) -> None:
@@ -285,7 +291,7 @@ def evaluate_sessions(
     check_search_settings(mode=mode)
     records = list(records)
     x = gains.as_array()
-    tag = (model, tuple(detectors), decomposition, integral_clamp, x.tobytes(), mode, limits)
+    tag = _row_tag(model, detectors, decomposition, integral_clamp, x, mode, limits)
     missing = [r for r in records if tag not in r.replays]
     groups = build_contexts(missing, model, detectors, decomposition, integral_clamp)
     [sims] = _simulate(groups, x[None], model, detectors, mode, limits)
@@ -389,11 +395,11 @@ def optimize(
     counts, and its objective is their sum. Results are fully deterministic for a given seed.
     Each new best trial leaves every record's report row under its tag, so
     `evaluate_sessions` of the best replays nothing.
-    Trials run in blocks of up to max(1, ``ROWS`` // m), m the largest group of
+    Both phases are drawn before the first trial: trial t reads row t of the
+    points or row t - n_explore of the steps, whatever the block. Trials run
+    in blocks of up to max(1, ``ROWS`` // m), m the largest group of
     equal-length sessions; a phase-two block is built as if none of its
-    trials improves and is cut after the first that does (the module
-    docstring has the rule). The blocks leave every draw, its order and
-    every score as one trial at a time would give them.
+    trials improves and is cut after the first that does (module docstring).
     ``workers`` must be >= 1 and has no effect: every trial runs in the
     calling thread. `check_search_settings` holds the bounds of every
     setting; the keyword defaults here are also the config file's.
@@ -404,53 +410,46 @@ def optimize(
     if not records:
         raise ValueError("optimize needs at least one session")
     groups = build_contexts(records, model, detectors, decomposition, integral_clamp)
-    settings = (model, tuple(detectors), decomposition, integral_clamp)
     n_raw = np.concatenate([g.n_raw for g in groups])
     methods = tuple(d.method for d in detectors)
     rng = np.random.default_rng(seed)
     n_explore = min(budget, max(1, int(round(budget * explore_frac))))
+    # trial t reads row t of the points, or row t - n_explore of the steps
+    points = rng.uniform(ranges.lo, ranges.hi, (n_explore, len(GAIN_KEYS)))
+    steps = rng.standard_normal((budget - n_explore, len(GAIN_KEYS)))
     sigma = sigma_scale * (ranges.hi - ranges.lo)
-    best_x: np.ndarray | None = None
-    best_obj = -np.inf
-    best_index = 0
+    best: Trial | None = None
     stall = 0
     trials: list[Trial] = []
     block = max(1, ROWS // max(len(g.members) for g in groups))
-    n_gains = len(GAIN_KEYS)
-    zs = np.empty((0, n_gains))  # phase-two steps drawn but not yet recorded
     while len(trials) < budget:
         t0 = len(trials)
-        if t0 < n_explore:  # phase one: uniform exploration, a block of draws at a time
-            xs = rng.uniform(ranges.lo, ranges.hi, (min(block, n_explore - t0), n_gains))
+        if t0 < n_explore:  # phase one: uniform exploration
+            xs = points[t0 : t0 + block]
         else:  # phase two: Gaussian steps around the incumbent, as if none of them improves
-            zs = np.concatenate([zs, rng.standard_normal((min(block, budget - t0) - len(zs),
-                                                          n_gains))])
-            sigmas = np.empty_like(zs)
-            for i in range(len(zs)):
+            z = steps[t0 - n_explore : t0 - n_explore + block]
+            sigmas = np.empty_like(z)
+            for i in range(len(z)):
                 sigmas[i] = sigma
                 stall += 1
                 if stall >= halve_after:
-                    sigma = sigma / 2.0
-                    stall = 0
-            xs = np.clip(best_x + zs * sigmas, ranges.lo, ranges.hi)
+                    sigma, stall = sigma / 2.0, 0
+            xs = np.clip(best.gains.as_array() + z * sigmas, ranges.lo, ranges.hi)
         # a new generator per block, so the last block's replays are freed before this one runs
         for i, (x, sims) in enumerate(zip(xs, _simulate(groups, xs, model, detectors, mode,
                                                          limits))):
-            t = t0 + i
             n_adapted = np.concatenate([sim[2] for sim in sims])
             percentages = tuple(s.percentage for s in detector_stats(n_raw, n_adapted))
-            trials.append(Trial(t, PidGains.from_array(x), sum(percentages), percentages))
-            if trials[-1].objective > best_obj:
-                best_obj = trials[-1].objective
-                best_x = x
-                best_index = t
-                _keep_rows(records, groups, sims, model, (*settings, x.tobytes(), mode, limits))
-                if t >= n_explore:  # the later candidates of the block assumed no improvement
+            trials.append(Trial(t0 + i, PidGains.from_array(x), sum(percentages), percentages))
+            if best is None or trials[-1].objective > best.objective:
+                best = trials[-1]
+                tag = _row_tag(model, detectors, decomposition, integral_clamp, x, mode, limits)
+                _keep_rows(records, groups, sims, model, tag)
+                if t0 >= n_explore:  # the later candidates of the block assumed no improvement
                     sigma, stall = sigmas[i], 0
                     break
         del sims  # it holds views of the block's replays
-        zs = zs[len(trials) - t0 :]
-    return OptimizeResult(best=trials[best_index], trials=tuple(trials), methods=methods)
+    return OptimizeResult(best=best, trials=tuple(trials), methods=methods)
 
 
 def write_history_csv(result: OptimizeResult, path) -> None:

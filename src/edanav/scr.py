@@ -21,9 +21,9 @@ Every detector runs over a stack of equal-length traces [m, n] at once:
 rising runs come from each row's own differences, thresholds from each
 row's own range, gamboa2008's merge restarts at each row, and the
 prominence query runs over blocks of rows whose sparse tables fit
-``_PROMINENCE_BYTES``, a +inf before the first row and after every row
-stopping each search at its row's ends, so a row's events do not depend
-on its block.
+``_PROMINENCE_BYTES``, a +inf after every row and the clamp at the
+block's start stopping each search at its row's ends, so a row's events do
+not depend on its block.
 `count_events` counts every row under every detector; `detect_scr` lists
 one trace's events under one detector.
 """
@@ -165,13 +165,14 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
 
     A peak's bases are the lowest samples between it and the nearest
     strictly higher sample on each side; equal heights do not stop the
-    search. Contract: ``x`` starts and ends with +inf, the peaks are finite,
-    and each lies within ``reach`` samples of a +inf on either side (the row
-    period of sentinel-joined rows). Sparse tables hold the maximum and
-    minimum of every x[i : i + 2**k] and take 2 * reach.bit_length() *
-    x.size * 8 bytes. Binary lifting over the maxima finds both stops in
-    O(log reach) steps; a window past either end is clamped onto one holding
-    that end's +inf, which fails the height test, so no step checks bounds.
+    search. Contract: ``x`` ends with +inf, the peaks are finite, and each
+    lies within ``reach`` samples of a +inf on its right and of a +inf or
+    the start on its left (the row period of sentinel-joined rows). Sparse
+    tables hold the maximum and minimum of every x[i : i + 2**k] and take
+    2 * reach.bit_length() * x.size * 8 bytes. Binary lifting over the maxima
+    finds both stops in O(log reach) steps; a window past the end is clamped
+    onto one holding the +inf, which fails the height test, and one before
+    the start onto x[:span], which passes only if x[:left] does.
     Two overlapping blocks of the exact minima give each base. This is
     scipy.signal.peak_prominences, but scipy.signal would take a fresh
     ``import edanav.cli`` from about 29 to 104 MB peak RSS.
@@ -214,20 +215,19 @@ def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams
     rows, onsets, peaks = rows[cand], onsets[cand], peaks[cand]
     if peaks.size == 0:
         return rows, onsets, peaks
-    # one prominence query per block of rows: a +inf before the first row and
-    # after every row is higher than any sample, so every search stops at its
-    # own row's ends, and a peak's prominence does not depend on the block
+    # one prominence query per block of rows: a +inf after every row is
+    # higher than any sample, and the block's start clamps its first row's
+    # search, so a peak's prominence does not depend on the block
     block = max(1, _PROMINENCE_BYTES // (2 * (n + 1).bit_length() * (n + 1) * 8))
     keep = np.empty(peaks.size, dtype=bool)
     for first in range(0, m, block):
         lo, hi = np.searchsorted(rows, (first, first + block)).tolist()
         if lo == hi:
             continue
-        part = x[first : first + block]
-        joined = np.full(len(part) * (n + 1) + 1, np.inf)
-        joined[1:].reshape(len(part), n + 1)[:, :n] = part
-        index = (rows[lo:hi] - first) * (n + 1) + 1 + peaks[lo:hi]
-        keep[lo:hi] = _prominences(joined, index, n + 1) >= threshold[rows[lo:hi]]
+        joined = np.full((min(block, m - first), n + 1), np.inf)
+        joined[:, :n] = x[first : first + block]
+        index = (rows[lo:hi] - first) * (n + 1) + peaks[lo:hi]
+        keep[lo:hi] = _prominences(joined.ravel(), index, n + 1) >= threshold[rows[lo:hi]]
     return rows[keep], onsets[keep], peaks[keep]
 
 

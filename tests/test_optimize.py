@@ -1179,6 +1179,26 @@ def test_search_history_equals_the_naive_search(small, tmp_path, mode, cohort):
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_search_history_does_not_depend_on_the_block(small, tmp_path, monkeypatch, mode):
+    # the 8 sessions of the small cohort share one length, so ROWS 1, 40 and
+    # 640 give blocks of 1, 5 and 80 trials beside the default 8: at seed 3
+    # (budget 40) phase two starts at trial 24 and moves the incumbent at
+    # trials 24, 29 and 33 offline, so the blocks of 5 start at a move, end
+    # at one and cut one in the middle, and a block of 80 holds all of phase one
+    records, model = small
+    for budget in (10, 40):
+        write_history_csv(optimize(records, model, budget, seed=3, mode=mode),
+                          tmp_path / "default.csv")
+        for rows in (1, 40, 640):
+            monkeypatch.setattr(optimize_module, "ROWS", rows)
+            write_history_csv(optimize(records, model, budget, seed=3, mode=mode),
+                              tmp_path / "blocked.csv")
+            monkeypatch.undo()
+            assert ((tmp_path / "blocked.csv").read_bytes()
+                    == (tmp_path / "default.csv").read_bytes()), (budget, rows)
+
+
 def test_optimize_ties_keep_earliest_trial(small):
     records, model = small
     frozen = GainRanges(np.zeros(len(GAIN_KEYS)), np.zeros(len(GAIN_KEYS)))
