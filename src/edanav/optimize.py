@@ -21,6 +21,22 @@ clip by clip under every gain set of the block, one step for all of them
 (`_replay_clips`). One `count_events` call per length and gain set then
 counts their events, so a search holds one trial's detector tables at a
 time.
+Offline, a group of at least ``_CERTIFIED_SAMPLES`` samples (and L >= 3)
+takes a certified path instead (`_predict_and_count`):
+`surrogate._predict_bounded` predicts it from one transposed gemm per
+chunk of clips, each sample within a bound ε_row of `predict_sessions`
+(its docstring derives ε_row = 2 γ_{6L+1} (D W₁ + B) + 2 γ_{L-1} + 2 u),
+and `scr._count_with_margins` counts it with each row's margin, the least
+gap of the comparisons that set its counts. A row whose margin exceeds
+3 ε_row has the counts of its `predict_sessions` row; every other row is
+predicted again by `predict_sessions` and counted by `count_events`. So
+every count, history row, report row and digest is the exact path's, by
+certificate. Only the predictions `_simulate` yields for such a group may
+differ from `predict_sessions`, each certified row by at most its ε_row
+in its last bits, the rows that fell back not at all. The raw predictions
+of `build_contexts` (where idle all-zero windows tie exactly, margin 0),
+closed-loop replays, `pipeline.held_out_mae` and shorter groups stay on
+`predict_sessions`.
 ``n_raw`` counts events on the surrogate's offline prediction (stride 1)
 for the unmodified acceleration, ``n_adapted`` on its prediction for the
 adapted acceleration. Offline, both go through the identical pipeline and
@@ -74,15 +90,23 @@ from .control import (
     pid_terms,
 )
 from .metrics import SessionStats, detector_stats, msdv
-from .scr import count_events, default_detectors
+from .scr import _count_with_margins, count_events, default_detectors
 from .pipeline import check_model_rate, length_groups, session_phasics
 from .signals import DecompositionConfig, format_float, write_text_atomic
-from .surrogate import SurrogateModel, predict_rows, predict_sessions
+from .surrogate import SurrogateModel, _predict_bounded, predict_rows, predict_sessions
 
 MODES = ("offline", "closed_loop")
 # rows of one closed-loop clip step: phase one of a search replays
 # max(1, ROWS // m) trials at once, m the largest group of equal-length sessions
 ROWS = 64
+# offline groups of at least this many samples take the certified path of
+# `_simulate` (`_predict_and_count`). Measured crossover, the certified
+# path's time for one trial's prediction and counts over the exact path's,
+# on 3 and on 10 sessions, two rounds: at 4 Hz 1.00-1.12 at 960 samples
+# (the search workloads' groups), 0.95-1.03 at 1,440, 0.93-0.99 at 1,920
+# and 0.88-0.95 at 2,880; at 8 Hz 0.82-0.97 from 960 on, and 0.69-0.74 at
+# 7,200 (900 s)
+_CERTIFIED_SAMPLES = 1920
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +265,27 @@ def _replay_clips(
     return out.reshape(n_sets, m, 2, n), preds.reshape(n_sets, m, covered)
 
 
+def _predict_and_count(model: SurrogateModel, adapted: np.ndarray, detectors):
+    """Stride-1 predictions [m, n] of ``adapted`` [m, 2, n] and their counts [m, d],
+    the counts those of `predict_sessions` by certificate.
+
+    `surrogate._predict_bounded` predicts every row within ε of
+    `predict_sessions`, and `scr._count_with_margins` counts it with its
+    margin. Where the margin exceeds 3 ε, the row's counts are those of its
+    `predict_sessions` row (`scr`'s module docstring shows why); every
+    other row is predicted again with `predict_sessions` and counted with
+    `count_events`. So the counts are exact, and each prediction row is
+    either the exact one or within ε of it.
+    """
+    preds, eps = _predict_bounded(model, adapted)
+    counts, margins = _count_with_margins(preds, model.rate_hz, detectors)
+    redo = np.flatnonzero(~(margins > 3.0 * eps))
+    if redo.size:
+        preds[redo] = predict_sessions(model, adapted[redo])
+        counts[redo] = count_events(preds[redo], model.rate_hz, detectors)
+    return preds, counts
+
+
 def _simulate(groups: list[SessionGroup], gains: np.ndarray, model: SurrogateModel, detectors,
               mode: str, limits: AccelLimits):
     """Replay every group (from `build_contexts`) under each gain set of ``gains`` [B, 11].
@@ -254,16 +299,26 @@ def _simulate(groups: list[SessionGroup], gains: np.ndarray, model: SurrogateMod
     trial is bound by flops and memory, not by numpy calls. Either way each
     gain set's sessions are counted by one `count_events` call, so a caller
     that keeps only the counts holds one trial's detector tables at a time.
-    A caller may stop early: the gain sets it does not reach are never
-    counted, nor, offline, replayed.
+    An offline group of at least ``_CERTIFIED_SAMPLES`` samples is predicted
+    and counted by `_predict_and_count` instead: its counts are exact, and
+    its predictions are the exact ones or lie within ε_row of them (module
+    docstring). A caller may stop early: the gain sets it does not reach
+    are never counted, nor, offline, replayed.
     """
     if mode == "closed_loop":
         replays = [_replay_clips(g.terms, model, gains, limits) for g in groups]
+    # ε is at least 2 γ_{L-1} + 2 u, over 6 u from L = 3: room for the
+    # roundings of the comparisons themselves
+    certified = [mode == "offline" and model.L >= 3
+                 and g.terms.accel.shape[-1] >= _CERTIFIED_SAMPLES for g in groups]
     for b, x in enumerate(gains):
         sims = []
         for j, g in enumerate(groups):
             if mode == "offline":
                 adapted = apply_gains(g.terms, x, limits)
+                if certified[j]:
+                    sims.append((adapted, *_predict_and_count(model, adapted, detectors)))
+                    continue
                 preds = predict_sessions(model, adapted)
             else:
                 adapted, preds = replays[j][0][b], replays[j][1][b]

@@ -26,6 +26,25 @@ block's start stopping each search at its row's ends, so a row's events do
 not depend on its block.
 `count_events` counts every row under every detector; `detect_scr` lists
 one trace's events under one detector.
+
+`_count_with_margins` counts as `count_events` does and also returns each
+row's margin: the least |lhs − rhs| over the float comparisons that set
+its counts. They are the rise mask ``x[i+1] > x[i]`` on every adjacent
+pair (neurokit's drop test ``top > x[peak + 1]`` compares the same pairs,
+and a rise's ``amp > 0`` follows from them), each detector's amplitude
+threshold on every run (neurokit's on every run that ends in a drop),
+gamboa2008's merge test ``heights[i] >= height`` wherever it runs, and for
+each neurokit peak that reaches the prominence query its two stops (the
+stop sample − h, h − the largest sample between the stops) and
+``prominence >= prominence_frac * ptp``. A comparison with a threshold
+c * ptp moves by 2 (1 + c) ε when every sample moves by ε, so its
+|lhs − rhs| is divided by 1 + c. Every other comparison moves by at most
+2 ε. So a row y within ε of a row x in every sample counts as x does
+where x's margin exceeds 3 ε: the third ε covers the roundings of the
+comparisons' own subtractions and of the margin, which on rows in [0, 1]
+stay below 4 u (1 + c) (u = 2⁻⁵³), once ε > 4 u. A row that makes no
+comparison has margin +inf. The plain `count_events` computes none of
+this.
 """
 
 from __future__ import annotations
@@ -118,22 +137,39 @@ def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return rows, onsets, peaks, heights, heights - flat[base + onsets]
 
 
+def _lower(margins: np.ndarray, rows: np.ndarray, gaps, divisor: float = 1.0) -> None:
+    """Lower ``margins[r]`` to the least of |``gaps``| / ``divisor`` over the entries of
+    ``rows`` (ascending) that are r; the gaps may be overwritten. Division by
+    a positive number is monotone, so the least quotient is the quotient of
+    the least gap."""
+    starts = np.searchsorted(rows, np.arange(margins.size + 1))
+    present = np.flatnonzero(starts[:-1] < starts[1:])
+    if present.size:
+        least = np.minimum.reduceat(np.abs(gaps, out=gaps), starts[present]) / divisor
+        margins[present] = np.minimum(margins[present], least)
+
+
 def _rise_ok(onsets: np.ndarray, peaks: np.ndarray, rate_hz: float, params: DetectorParams):
     """Mask of the events whose rise time lies in the inclusive band."""
     rise = (peaks - onsets) / rate_hz
     return (params.rise_time_min_s <= rise) & (rise <= params.rise_time_max_s)
 
 
-def _detect_kim2004(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
-    threshold = params.min_amplitude * np.ptp(x, axis=1)
+def _detect_kim2004(x: np.ndarray, runs, rate_hz: float, params: DetectorParams, margins=None):
     rows, onsets, peaks, _, amp = runs
-    keep = (amp >= threshold[rows]) & _rise_ok(onsets, peaks, rate_hz, params)
+    threshold = (params.min_amplitude * np.ptp(x, axis=1))[rows]
+    if margins is not None:
+        _lower(margins, rows, amp - threshold, 1.0 + params.min_amplitude)
+    keep = (amp >= threshold) & _rise_ok(onsets, peaks, rate_hz, params)
     return rows[keep], onsets[keep], peaks[keep]
 
 
-def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
+def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorParams,
+                       margins=None):
     rows, onsets, peaks, heights, amp = runs
     kept = amp >= params.min_amplitude
+    if margins is not None:
+        _lower(margins, rows, amp - params.min_amplitude)
     rows, onsets, peaks, heights = rows[kept], onsets[kept], peaks[kept], heights[kept]
     # merge bursts whose onset follows the group's peak in the same row too
     # closely, moving the group's peak to any burst at least as high. A
@@ -145,22 +181,27 @@ def _detect_gamboa2008(x: np.ndarray, runs, rate_hz: float, params: DetectorPara
     new[1:] = (rows[1:] != rows[:-1]) | ((onsets[1:] - peaks[:-1]) / rate_hz >= sep)
     group_peaks = peaks.copy()  # each group's peak, at its first burst
     starts, tops, heights = onsets.tolist(), peaks.tolist(), heights.tolist()
+    gaps = []  # with margins, each merged burst's height less its group's peak so far
     for i in np.flatnonzero(~new).tolist():
         if new[i - 1]:  # the previous burst opened the group
             first, top, height = i - 1, tops[i - 1], heights[i - 1]
         if (starts[i] - top) / rate_hz < sep:
+            if margins is not None:
+                gaps.append(heights[i] - height)
             if heights[i] >= height:
                 top = group_peaks[first] = tops[i]
                 height = heights[i]
         else:
             new[i] = True
             first, top, height = i, tops[i], heights[i]
+    if margins is not None:
+        _lower(margins, rows[~new], np.array(gaps, dtype=np.float64))
     rows, onsets, peaks = rows[new], onsets[new], group_peaks[new]
     keep = _rise_ok(onsets, peaks, rate_hz, params)
     return rows[keep], onsets[keep], peaks[keep]
 
 
-def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
+def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int, stops: bool = False):
     """Topographic prominence of each strict local maximum in ``peaks``.
 
     A peak's bases are the lowest samples between it and the nearest
@@ -176,6 +217,11 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
     Two overlapping blocks of the exact minima give each base. This is
     scipy.signal.peak_prominences, but scipy.signal would take a fresh
     ``import edanav.cli`` from about 29 to 104 MB peak RSS.
+    With ``stops``, it also returns each peak's stop margin: the least of
+    the stop samples − h (+inf where a search ends at the start or at a
+    +inf) and h − the largest sample between the stops, the peak aside,
+    from the max tables; each peak must then have a lower sample on either
+    side.
     """
     n = x.size
     levels = reach.bit_length()
@@ -195,22 +241,33 @@ def _prominences(x: np.ndarray, peaks: np.ndarray, reach: int) -> np.ndarray:
         np.copyto(left, start, where=hi[k].take(start) <= height)
         np.add(right, span, out=right, where=hi[k].take(np.minimum(right, n - span)) <= height)
 
-    def range_min(first, last):
+    def query(table, reduce, first, last):  # reduce of x[first : last + 1] from two blocks
         k = np.frexp(last - first + 1)[1] - 1
-        return np.minimum(lo[k, first], lo[k, last - np.left_shift(1, k) + 1])
+        at = k * n + first
+        return reduce(table.take(at), table.take(at + (last - first + 1 - np.left_shift(1, k))))
 
-    return height - np.maximum(range_min(left, peaks), range_min(peaks, right - 1))
+    lo, hi = lo.ravel(), hi.ravel()
+    prominence = height - np.maximum(query(lo, np.minimum, left, peaks),
+                                     query(lo, np.minimum, peaks, right - 1))
+    if not stops:
+        return prominence
+    inside = np.maximum(query(hi, np.maximum, left, peaks - 1),
+                        query(hi, np.maximum, peaks + 1, right - 1))
+    before = np.where(left > 0, x[left - 1], np.inf)
+    return prominence, np.minimum(np.minimum(before, x[right]) - height, height - inside)
 
 
-def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams):
+def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams, margins=None):
     m, n = x.shape
     threshold = params.prominence_frac * np.ptp(x, axis=1)
     # the strict local maxima are the rising-run peaks followed by a drop;
     # each one's onset is the start of its run. The masks run drop, amplitude
     # (>= min_amplitude, > 0), rise time, then prominence for the peaks left
     rows, onsets, peaks, top, amp = runs
-    cand = ((top > x.ravel()[rows * n + np.minimum(peaks + 1, n - 1)])
-            & (amp >= params.min_amplitude) & (amp > 0)
+    drop = top > x.ravel()[rows * n + np.minimum(peaks + 1, n - 1)]
+    if margins is not None:
+        _lower(margins, rows[drop], amp[drop] - params.min_amplitude)
+    cand = (drop & (amp >= params.min_amplitude) & (amp > 0)
             & _rise_ok(onsets, peaks, rate_hz, params))
     rows, onsets, peaks = rows[cand], onsets[cand], peaks[cand]
     if peaks.size == 0:
@@ -227,17 +284,37 @@ def _detect_neurokit(x: np.ndarray, runs, rate_hz: float, params: DetectorParams
         joined = np.full((min(block, m - first), n + 1), np.inf)
         joined[:, :n] = x[first : first + block]
         index = (rows[lo:hi] - first) * (n + 1) + peaks[lo:hi]
-        keep[lo:hi] = _prominences(joined.ravel(), index, n + 1) >= threshold[rows[lo:hi]]
+        limit = threshold[rows[lo:hi]]
+        if margins is None:
+            keep[lo:hi] = _prominences(joined.ravel(), index, n + 1) >= limit
+            continue
+        prominence, stops = _prominences(joined.ravel(), index, n + 1, stops=True)
+        keep[lo:hi] = prominence >= limit
+        _lower(margins, rows[lo:hi], prominence - limit, 1.0 + params.prominence_frac)
+        _lower(margins, rows[lo:hi], stops)
     return rows[keep], onsets[keep], peaks[keep]
 
 
 # each takes finite rows x [m, n] with their `_rising_runs` and returns the
-# (row, onset, peak) index arrays of their events, ordered by row, then by onset
+# (row, onset, peak) index arrays of their events, ordered by row, then by
+# onset; given ``margins`` [m], it lowers each row's by its comparisons
 _DETECTORS = {
     "kim2004": _detect_kim2004,
     "gamboa2008": _detect_gamboa2008,
     "neurokit": _detect_neurokit,
 }
+
+
+def _count(x, rate_hz: float, detectors, margins=None) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"traces must be [m, n], got shape {x.shape}")
+    runs = _rising_runs(x)
+    counts = np.empty((x.shape[0], len(detectors)), dtype=np.intp)
+    for j, params in enumerate(detectors):
+        rows = _DETECTORS[params.method](x, runs, rate_hz, params, margins)[0]
+        counts[:, j] = np.bincount(rows, minlength=x.shape[0])
+    return counts
 
 
 def count_events(x, rate_hz: float, detectors) -> np.ndarray:
@@ -246,15 +323,13 @@ def count_events(x, rate_hz: float, detectors) -> np.ndarray:
     Every row is a trace of its own: each detector runs once over all rows,
     and no event, threshold or merge reaches across rows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"traces must be [m, n], got shape {x.shape}")
-    runs = _rising_runs(x)
-    counts = np.empty((x.shape[0], len(detectors)), dtype=np.intp)
-    for j, params in enumerate(detectors):
-        rows = _DETECTORS[params.method](x, runs, rate_hz, params)[0]
-        counts[:, j] = np.bincount(rows, minlength=x.shape[0])
-    return counts
+    return _count(x, rate_hz, detectors)
+
+
+def _count_with_margins(x: np.ndarray, rate_hz: float, detectors):
+    """`count_events` of the rows ``x`` [m, n] and each row's margin [m] (module docstring)."""
+    margins = np.abs(np.diff(x, axis=1)).min(axis=1, initial=np.inf)
+    return _count(x, rate_hz, detectors, margins), margins
 
 
 def detect_scr(phasic: Trace, params: DetectorParams) -> list[ScrEvent]:

@@ -449,16 +449,18 @@ def read_samples_csv(path, kind: str, unit_keys: tuple[str, ...], names: tuple[s
         raise FileFormatError(path, f"expected header {header!r}, got {lines[1]!r}", 2)
     body = lines[2:]
     clean = not any(c in text for c in _SEPARATORS)
-    values = _loadtxt(body, len(names) + 1) if clean else None
+    # the body's commas, counted in place past the metadata and header lines
+    commas = text.count(",", len(lines[0]) + len(lines[1]) + 2)
+    values = _loadtxt(body, len(names) + 1, commas) if clean else None
     if values is None:
         values = _parse_rows(path, kind, body, len(names))
     return rate_hz, units, values
 
 
-def _loadtxt(lines: list[str], n_cols: int) -> np.ndarray | None:
+def _loadtxt(lines: list[str], n_cols: int, commas: int) -> np.ndarray | None:
     """[n_cols - 1, rows] of ``lines`` without the time column, or None
     where one C parse of the value columns rejects them or a row has
-    another column count."""
+    another column count; ``commas`` is the number of commas in ``lines``."""
     if not any(lines):  # loadtxt warns on a body with no rows
         return None
     try:
@@ -467,7 +469,7 @@ def _loadtxt(lines: list[str], n_cols: int) -> np.ndarray | None:
     except ValueError:
         return None
     # usecols reads the first columns of a longer row, so count the separators
-    return values.T if "".join(lines).count(",") == len(values) * (n_cols - 1) else None
+    return values.T if commas == len(values) * (n_cols - 1) else None
 
 
 def _parse_rows(path, kind: str, lines: list[str], n_names: int) -> np.ndarray:

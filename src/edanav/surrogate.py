@@ -15,6 +15,12 @@ one design buffer, and one 2-D gemm per session (never one across
 sessions, which would round differently). The fit reads one design
 buffer too: `fit_surrogate` takes the design rows that
 `pipeline.train_surrogate` fills from each session's `make_clips` views.
+`_predict_bounded` is the stride-1 prediction of long offline replays
+(`optimize._simulate`): one ``weights @ designᵀ`` gemm per chunk of
+clips, which may round each clip value in another order, with a bound
+ε_row on each row's distance from `predict_sessions`; those predictions
+alone may differ from `predict_sessions` in their last bits, and the
+replay's counts stay exact by certificate (`scr`'s margins).
 
 Also provides a synthetic physiological oracle (`synth_session`) that turns
 acceleration into EDA through a Bateman difference-of-exponentials kernel,
@@ -297,6 +303,81 @@ def predict_sessions(model: SurrogateModel, accel, stride_samples: int = 1) -> n
         _clip(preds[:b], 0.0, 1.0, out=preds[:b])
         out[first : first + b] = _overlap_average(preds[:b], stride)
     return out
+
+
+_U = 2.0**-53  # the unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """γ_k = k u / (1 - k u): k roundings err by at most γ_k times the magnitudes."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _predict_bounded(model: SurrogateModel, accel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 predictions [m, n] of raw acceleration ``accel`` [m, 2, n] and each row's
+    bound ε [m] on its distance from `predict_sessions`, sample by sample.
+
+    Per session and chunk of clips, one ``weights @ designᵀ`` gemm over a
+    design [6L+1, chunk] whose rows are copied from contiguous rows of a
+    sliding view over the padded, normalized channels (row r is window
+    offset r), so clip k is column k. The chunk holds as many clips as fit
+    ``_PREDICT_BYTES`` in the design. The clips [L, chunk] are clamped and
+    overlap-added by L contiguous row adds, from row L-1 down to 0, chunk
+    after chunk, then divided by one count vector: the order of
+    `_overlap_average`. Sessions are normalized in the blocks of
+    `predict_sessions`.
+
+    Only the gemm's rounding differs from `predict_sessions`, whose
+    ``design @ weights.T`` may sum each clip value in another order. Each of
+    the two sums the same 6L+1 products, so each lies within
+    γ_{6L+1} Σ|w_i x_i| <= γ_{6L+1} (D W₁ + B) of the exact value, where D
+    is the row's largest |normalized acceleration| (the padding is 0.0),
+    W₁ the largest row sum of |weights| without the bias column and B the
+    largest |bias|. The clamp to [0, 1] does not widen the gap. A sample
+    averages c <= L clamped clips: the exact means of the two paths differ
+    by at most the largest clip gap, and each computed mean lies within
+    γ_{c-1} + u of its exact one, since the c - 1 additions of values in
+    [0, 1] err by at most γ_{c-1} c in the sum (floating-point addition is
+    monotone, so the sum is at most c) and the division by at most u. So
+
+        ε = 2 γ_{6L+1} (D W₁ + B) + 2 γ_{L-1} + 2 u,   u = 2⁻⁵³.
+    """
+    m, _, n = accel.shape
+    L = model.L
+    n_clips = n - L + 1
+    block = max(1, _PREDICT_BYTES // (n_clips * L * 8))
+    chunk = min(n_clips, max(1, _PREDICT_BYTES // ((6 * L + 1) * 8)))
+    design = np.empty((6 * L + 1, chunk))
+    design[-1] = 1.0
+    clips = np.empty((L, chunk))
+    count = np.zeros(n)
+    for j in range(L):
+        count[j : j + n_clips] += 1.0
+    out = np.zeros((m, n))
+    reach = np.empty(m)
+    for first in range(0, m, block):
+        scaled = model.norm.accel(accel[first : first + block])
+        b = len(scaled)
+        reach[first : first + b] = np.maximum(scaled.max(axis=(1, 2)), -scaled.min(axis=(1, 2)))
+        padded = np.zeros((b, 2, n + 3 * L + chunk))  # zeros past the end for the last chunk
+        padded[..., L : L + n] = scaled
+        del scaled
+        rows = sliding_window_view(padded, chunk, axis=-1)  # [i, c, s] = padded[i, c, s:][:chunk]
+        for i in range(b):
+            row = out[first + i]
+            for k in range(0, n_clips, chunk):
+                width = min(chunk, n_clips - k)
+                part, values = design[:, :width], clips[:, :width]
+                part[: 3 * L] = rows[i, 0, k : k + 3 * L, :width]
+                part[3 * L : -1] = rows[i, 1, k : k + 3 * L, :width]
+                np.matmul(model.weights, part, out=values)
+                _clip(values, 0.0, 1.0, out=values)
+                for j in range(L - 1, -1, -1):
+                    row[k + j : k + j + width] += values[j]
+        out[first : first + b] /= count
+    w = np.abs(model.weights)
+    gemm = 2.0 * _gamma(6 * L + 1) * (reach * w[:, :-1].sum(axis=1).max() + w[:, -1].max())
+    return out, gemm + 2.0 * _gamma(L - 1) + 2.0 * _U
 
 
 # ---------------------------------------------------------------------------

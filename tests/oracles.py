@@ -15,6 +15,8 @@ must keep. `search_naive` is the last: it is the
 gain search one trial at a time, and it scores each trial with the
 package's own replay (`build_contexts`, `_simulate`, `detector_stats`), so
 what it pins is the search's schedule of draws, candidates and incumbents.
+`event_margins_naive` scans as `brute_force_events` does and keeps the
+least gap of its comparisons.
 `tonic_scipy` is scipy.ndimage's pair of filters, the tonic estimator the
 package's numpy filters must reproduce bit for bit; scipy is a test
 dependency only.
@@ -169,6 +171,72 @@ def brute_force_events(
     else:
         raise ValueError(method)
     return events
+
+
+def event_margins_naive(
+    x,
+    rate_hz,
+    method,
+    min_amplitude,
+    min_separation_s=0.0,
+    prominence_frac=0.1,
+    rise_min_s=0.25,
+    rise_max_s=5.0,
+):
+    """The least |lhs - rhs| over the float comparisons that set ``x``'s count
+    under one detector, scanned as `brute_force_events` scans; +inf if none.
+
+    The comparisons: the rise test of every adjacent pair (a strict local
+    maximum compares two of them), the amplitude threshold of every rising
+    run (neurokit: of every strict local maximum), gamboa2008's merge test
+    of each burst that joins a group against the group's peak so far, and,
+    for each neurokit maximum that passes its amplitude threshold and the
+    rise-time band, every sample its prominence scans pass (each at most
+    the peak), the samples that stop them and the prominence threshold.
+    brute_force_events scans every maximum's prominence before its
+    amplitude; its events are the same in either order. A threshold
+    c * ptp divides its |lhs - rhs| by 1 + c.
+    """
+    x = [float(v) for v in x]
+    n = len(x)
+    ptp = max(x) - min(x)
+    gaps = [abs(x[i + 1] - x[i]) for i in range(n - 1)]
+    if method == "kim2004":
+        for onset, peak in _rising_runs_naive(x):
+            amp = x[peak] - x[onset]
+            gaps.append(abs(amp - min_amplitude * ptp) / (1.0 + min_amplitude))
+    elif method == "gamboa2008":
+        merged = []
+        for onset, peak in _rising_runs_naive(x):
+            amp = x[peak] - x[onset]
+            gaps.append(abs(amp - min_amplitude))
+            if amp < min_amplitude:
+                continue
+            if merged and (onset - merged[-1][1]) / rate_hz < min_separation_s:
+                prev_onset, prev_peak = merged.pop()
+                gaps.append(abs(x[peak] - x[prev_peak]))
+                merged.append((prev_onset, peak if x[peak] >= x[prev_peak] else prev_peak))
+            else:
+                merged.append((onset, peak))
+    elif method == "neurokit":
+        for peak in _local_maxima_naive(x):
+            onset = _preceding_minimum_naive(x, peak)
+            amp = x[peak] - x[onset]
+            gaps.append(abs(amp - min_amplitude))
+            if amp < min_amplitude or not _rise_ok(onset, peak, rate_hz, rise_min_s, rise_max_s):
+                continue
+            for step in (-1, 1):
+                j = peak + step
+                while 0 <= j < n and x[j] <= x[peak]:
+                    gaps.append(x[peak] - x[j])
+                    j += step
+                if 0 <= j < n:
+                    gaps.append(x[j] - x[peak])
+            prominence = _prominence_naive(x, peak)
+            gaps.append(abs(prominence - prominence_frac * ptp) / (1.0 + prominence_frac))
+    else:
+        raise ValueError(method)
+    return min(gaps, default=math.inf)
 
 
 def adapt_trace_naive(a_l, a_r, f, rate_hz, gains, max_l, max_r, clamp):

@@ -23,7 +23,13 @@ from edanav.control import (
     pid_terms,
 )
 from edanav.dataset import synth_cohort
-from edanav.metrics import MSDV_LONGITUDINAL, MSDV_ROTATIONAL, build_report, detector_stats
+from edanav.metrics import (
+    MSDV_LONGITUDINAL,
+    MSDV_ROTATIONAL,
+    build_report,
+    detector_stats,
+    write_per_session_csv,
+)
 from edanav.optimize import (
     MODES,
     ROWS,
@@ -1197,6 +1203,68 @@ def test_search_history_does_not_depend_on_the_block(small, tmp_path, monkeypatc
             monkeypatch.undo()
             assert ((tmp_path / "blocked.csv").read_bytes()
                     == (tmp_path / "default.csv").read_bytes()), (budget, rows)
+
+
+def _search_and_report(sessions, model, tmp_path, name, settings, threshold, fall_back):
+    """history.csv and per_session.csv of an offline budget-40 search and of
+    `evaluate_sessions` of its best on fresh records, with the certified
+    path's threshold at ``threshold`` samples and, with ``fall_back``, every
+    row's margin forced to 0 and its fast prediction turned upside down, so
+    that only the fallback gives the exact counts; and the (ε, margins) of
+    each certified group."""
+    certified = []
+    real_margins = optimize_module._count_with_margins
+    real_bounded = optimize_module._predict_bounded
+
+    def margins(x, *args):
+        counts, found = real_margins(x, *args)
+        certified[-1].append(np.zeros_like(found) if fall_back else found)
+        return counts, certified[-1][-1]
+
+    def bounded(*args):
+        preds, eps = real_bounded(*args)
+        certified.append([eps])
+        return (1.0 - preds if fall_back else preds), eps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize_module, "_CERTIFIED_SAMPLES", threshold)
+        patch.setattr(optimize_module, "_count_with_margins", margins)
+        patch.setattr(optimize_module, "_predict_bounded", bounded)
+        result = optimize([replace(r) for r in sessions], model, 40, seed=3, **settings)
+        write_history_csv(result, tmp_path / f"{name}.history.csv")
+        rows = evaluate_sessions([replace(r) for r in sessions], result.best.gains, model,
+                                 **settings)
+        write_per_session_csv([r.stats for r in rows], result.methods,
+                              tmp_path / f"{name}.per_session.csv")
+    return ((tmp_path / f"{name}.history.csv").read_bytes(),
+            (tmp_path / f"{name}.per_session.csv").read_bytes(), certified)
+
+
+@pytest.mark.parametrize("cohort", ["small", "mixed"])
+def test_certified_counts_leave_the_search_and_its_report_alone(small, tmp_path, cohort):
+    # offline budget-40 searches and the evaluation of their best: with the
+    # threshold above every group's length (today's path), at the long
+    # groups' length (the small cohort's one length; the mixed cohort's
+    # 5L+4 and full-length groups, its 3L and 3L+1 groups staying exact),
+    # and there with every margin forced to 0, so every row falls back.
+    # history.csv and per_session.csv are byte-equal in all three; the
+    # certified runs certify rows, and the forced ones certify none
+    records, model = small
+    if cohort == "small":
+        sessions, settings, threshold = records, {}, len(records[0].a_l)
+    else:
+        sessions, settings = _mixed_sessions(records, model.L), MIXED_SETTINGS
+        threshold = 5 * model.L + 4
+    exact = _search_and_report(sessions, model, tmp_path, "exact", settings, 10**9, False)
+    assert exact[2] == []
+    long_groups = 1 if cohort == "small" else 2
+    for name, fall_back in (("certified", False), ("fallback", True)):
+        history, per_session, certified = _search_and_report(
+            sessions, model, tmp_path, name, settings, threshold, fall_back)
+        assert (history, per_session) == exact[:2], name
+        assert len(certified) == 41 * long_groups  # 40 trials, then the evaluation
+        kept = sum(int(np.sum(margins > 3 * eps)) for eps, margins in certified)
+        assert kept == 0 if fall_back else kept > 0.9 * sum(len(eps) for eps, _ in certified)
 
 
 def test_optimize_ties_keep_earliest_trial(small):

@@ -14,6 +14,7 @@ from edanav.scr import (
     METHODS,
     DetectorParams,
     ScrEvent,
+    _count_with_margins,
     _prominences,
     _rising_runs,
     count_events,
@@ -22,7 +23,13 @@ from edanav.scr import (
 )
 from edanav.signals import Trace
 
-from oracles import _prominence_naive, _rising_runs_naive, bateman_pulse, brute_force_events
+from oracles import (
+    _prominence_naive,
+    _rising_runs_naive,
+    bateman_pulse,
+    brute_force_events,
+    event_margins_naive,
+)
 
 RATE = 4.0
 
@@ -443,6 +450,139 @@ def test_neurokit_skips_prominence_when_no_peak_passes_the_cheap_masks(monkeypat
         assert _oracle(x, params) == _oracle(x[::-1], params) == []
         assert count_events(stack, RATE, (params,)).tolist() == [[0], [0]]
         assert detect_scr(Trace(x, RATE), params) == []
+
+
+# ---------------------------------------------------------------------------
+# Margins
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _margin_rows(draw):
+    """Rows [m, n] that the margins meet in a prediction, and where they are small.
+
+    Each row is pulses with noise clamped to [0, 1] (runs of exact 0.0 and
+    1.0), plateaus on a few levels, a train of equal peaks, a monotone ramp,
+    those levels broken by tiny steps (ties that are gaps of 2^-40 and
+    more), free floats in [0, 1], or a knife edge: a zigzag on eighths
+    whose samples are raised by distinct multiples of 2^-30, so adjacent
+    samples lie far apart, no two samples tie but peaks nearly do, and
+    amplitudes and prominences lie near 2^-20 from the thresholds of a
+    quarter plus 2^-20 (`_MARGIN_DETECTORS`). Lengths go down to one sample.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 5, 40, 160]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["clamped", "plateaus", "equal_peaks", "ramp", "near_ties",
+                                     "any", "knife", "knife", "knife"]))
+        if kind == "knife":
+            levels = rng.integers(0, 9, n)
+            for i in range(1, n):  # no two neighbours on one eighth
+                while levels[i] == levels[i - 1]:
+                    levels[i] = rng.integers(0, 9)
+            row = levels / 8.0 + rng.permutation(n) * 2.0**-30
+        elif kind == "clamped":
+            pulses = _pulse_train(n, zip(rng.uniform(0.0, n / RATE, 4), rng.uniform(0.2, 1.5, 4)))
+            row = np.clip(pulses - 0.1 + rng.normal(0.0, 0.02, n), 0.0, 1.0)
+        elif kind == "ramp":
+            row = np.linspace(*draw(st.sampled_from([(0.0, 1.0), (1.0, 0.2)])), n)
+        elif kind == "any":
+            row = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        else:
+            tooth = [0.0, 0.25, 0.75, 0.5] if kind == "equal_peaks" else [0.0, 0.5, 1.0]
+            row = np.array(tooth)[rng.integers(0, len(tooth), n)]
+            if kind == "equal_peaks":
+                row = np.resize(tooth, n)
+            if kind == "near_ties":
+                row = row + rng.integers(0, 4, n) * 2.0**-40 * draw(st.sampled_from([1, 2**20]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+QUARTER = 0.25 + 2.0**-20  # a threshold 2^-20 off the knife-edge rows' eighths
+
+# detector sets whose margins come from different comparisons: the three
+# defaults, stricter ones, and one detector at a time, so that no other
+# detector's near ties hide a comparison the margins would leave out
+_MARGIN_DETECTORS = {
+    "default": default_detectors(),
+    "strict": (_params("kim2004", min_amplitude=0.3, rise_time_max_s=60.0),
+               _params("gamboa2008", min_amplitude=0.25, min_separation_s=1.0,
+                       rise_time_max_s=60.0),
+               _params("neurokit", prominence_frac=0.3, rise_time_max_s=60.0)),
+    "kim2004": (_params("kim2004", min_amplitude=QUARTER, rise_time_max_s=60.0),),
+    "gamboa2008": (_params("gamboa2008", min_amplitude=QUARTER, min_separation_s=1.0,
+                           rise_time_max_s=60.0),),
+    "gamboa2008 merges": (_params("gamboa2008", min_separation_s=1.5, rise_time_max_s=60.0),),
+    "neurokit": (_params("neurokit", min_amplitude=QUARTER, prominence_frac=QUARTER,
+                         rise_time_max_s=60.0),),
+    "neurokit stops": (_params("neurokit", prominence_frac=0.3, rise_time_max_s=60.0),),
+}
+
+
+def _naive_margin(row, params):
+    return event_margins_naive(row, RATE, params.method, params.min_amplitude,
+                               min_separation_s=params.min_separation_s,
+                               prominence_frac=params.prominence_frac,
+                               rise_min_s=params.rise_time_min_s,
+                               rise_max_s=params.rise_time_max_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_margin_rows(), _trace_rows(), _blocked_rows(), _dense_bursts(), _zigzag_rows()),
+       st.sampled_from(["default", "strict", "kim2004", "neurokit"]), st.booleans())
+def test_margins_equal_the_naive_scan(x, variant, one_row_a_query):
+    # each detector's margins, and the least of the three, equal the plain
+    # scan's row by row, with the prominence query over the whole stack or
+    # one row at a time; the counts are those of `count_events`
+    detectors = _MARGIN_DETECTORS[variant]
+    row_tables = 2 * (x.shape[1] + 1).bit_length() * (x.shape[1] + 1) * 8
+    per_query = row_tables if one_row_a_query else 2**40
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scr_module, "_PROMINENCE_BYTES", per_query)
+        counts, margins = _count_with_margins(x, RATE, detectors)
+        alone = [_count_with_margins(x, RATE, (params,))[1] for params in detectors]
+    assert counts.tobytes() == count_events(x, RATE, detectors).tobytes()
+    for i, row in enumerate(x):
+        expected = [_naive_margin(row, params) for params in detectors]
+        assert [float(m[i]) for m in alone] == expected
+        assert float(margins[i]) == min(expected)
+
+
+@pytest.mark.parametrize("variant", list(_MARGIN_DETECTORS))
+@example(x=np.array([[0.0, 0.25, 0.5, 0.25, 0.5 + 2.0**-40, 0.0]]), seed=0)
+@settings(max_examples=300, deadline=None)
+@given(x=_margin_rows(), seed=st.integers(0, 2**16))
+def test_counts_hold_within_a_third_of_the_margin(variant, x, seed):
+    # every sample moved by at most a third of its row's margin, each by
+    # -1, -1/2, 0, 1/2 or 1 times that, so both extremes and opposite moves
+    # of neighbours occur, keeps every count; a move that the floats can
+    # only round past the bound is dropped. A BLAS-free property: it holds
+    # for any prediction whose rows lie within margin / 3 of these
+    detectors = _MARGIN_DETECTORS[variant]
+    counts, margins = _count_with_margins(x, RATE, detectors)
+    bound = np.minimum(margins, 1.0)[:, None] / 3.0
+    moves = np.random.default_rng(seed).choice([-1.0, -0.5, 0.0, 0.5, 1.0], x.shape)
+    y = x + moves * bound
+    y = np.where(np.abs(y - x) <= bound, y, x)
+    assert count_events(y, RATE, detectors).tolist() == counts.tolist()
+
+
+def test_margins_see_the_near_ties():
+    # one row per kind of comparison, each decided by a gap of 2^-30 that no
+    # other comparison of the row undercuts: a rise, a merge test between
+    # two bursts' peaks, and a prominence search that passes a sample just
+    # below its peak
+    tiny = 2.0**-30
+    for row, params in (
+        ([0.0, 0.4, 0.8, 0.8 + tiny, 0.3, 0.0], _params("kim2004")),
+        ([0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0 + tiny, 0.5, 0.0],
+         _params("gamboa2008", min_separation_s=2.0)),
+        ([0.0, 0.5, 1.0, 0.5, 0.25, 0.5, 1.0 - tiny, 0.5, 0.0],
+         _params("neurokit", prominence_frac=0.0)),
+    ):
+        _, margins = _count_with_margins(np.array([row]), RATE, (params,))
+        assert margins.tolist() == [tiny] == [_naive_margin(row, params)]
 
 
 def test_fixture_counts_zero_one_two():

@@ -22,6 +22,7 @@ from edanav.surrogate import (
     make_clips,
     predict_rows,
     _overlap_average,
+    _predict_bounded,
     predict_sessions,
     read_model,
     synth_session,
@@ -459,6 +460,70 @@ def test_an_hour_stack_predicts_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < design + block + output + 2 * 2**20
+
+
+def _bound(model, accel):
+    """The bound of `_predict_bounded`'s docstring, ε_row = 2 γ_{6L+1} (D W₁ + B)
+    + 2 γ_{L-1} + 2 u, from the normalized acceleration of each session."""
+    u = 2.0**-53
+    L = model.L
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    scaled = np.stack([np.stack([model.norm.a_l.apply(s[0]), model.norm.a_r.apply(s[1])])
+                       for s in accel])
+    D = np.abs(scaled).max(axis=(1, 2))
+    W1 = np.abs(model.weights[:, :-1]).sum(axis=1).max()
+    B = np.abs(model.weights[:, -1]).max()
+    return 2 * gamma(6 * L + 1) * (D * W1 + B) + 2 * gamma(L - 1) + 2 * u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4.0, 8.0]), st.integers(1, 4), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.sampled_from([1.0, 1e3]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bounded_prediction_lies_within_its_bound(rate, m, scale, reach, small_blocks, seed):
+    # weights over six decades with biases that clamp at either end, and
+    # accelerations up to 1000 times past the normalization range with idle
+    # all-zero sessions among them: every sample lies in [0, 1] and within
+    # its row's ε of `predict_sessions`, with the gemm in one chunk of
+    # clips or in chunks of a few clips and one session a block
+    rng = np.random.default_rng(seed)
+    L = clip_samples(2.25, rate)
+    n = 3 * L + int(rng.integers(0, 40 * L))
+    norm = ClipNorm(NormParams(-1.0, 4.0), NormParams(0.5, 2.0), NormParams(0, 1))
+    weights = rng.normal(0.0, scale / (6 * L), (L, 6 * L + 1))
+    weights[:, -1] = rng.uniform(-0.2, 1.2, L)
+    model = SurrogateModel(weights, 2.25, rate, norm, 0.0)
+    accel = rng.uniform(-reach, reach, (m, 2, n))
+    accel[rng.random(m) < 0.3] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        if small_blocks:
+            patch.setattr(surrogate_module, "_PREDICT_BYTES", (6 * L + 1) * 8 * 7)
+        fast, eps = _predict_bounded(model, accel)
+    exact = predict_sessions(model, accel)
+    np.testing.assert_allclose(eps, _bound(model, accel), rtol=1e-12, atol=0)
+    assert fast.shape == exact.shape and np.all((fast >= 0.0) & (fast <= 1.0))
+    assert np.all(np.abs(fast - exact) <= eps[:, None])
+
+
+def test_bounded_prediction_of_an_hour_stays_within_its_blocks():
+    # 3 sessions of 1 h at 8 Hz: beside the output, one chunk of the
+    # transposed design [6L+1, chunk] within `_PREDICT_BYTES` and its clips,
+    # and one session's normalized and padded channels are alive
+    rng = np.random.default_rng(34)
+    L, n = clip_samples(2.25, 8.0), 28800
+    weights = rng.normal(0.0, 1.0 / (6 * L), (L, 6 * L + 1))
+    norm = ClipNorm(NormParams(-1.0, 4.0), NormParams(0.5, 2.0), NormParams(0, 1))
+    model = SurrogateModel(weights, 2.25, 8.0, norm, 0.0)
+    accel = rng.uniform(-1.0, 4.0, (3, 2, n))
+    tracemalloc.start()
+    try:
+        _predict_bounded(model, accel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < surrogate_module._PREDICT_BYTES + 3 * n * 8 + 2 * 2**20
 
 
 _VMIN = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
